@@ -12,6 +12,7 @@ from .exact_lattice import (
     ExactMatrix,
     SmithDecomposition,
     determinant,
+    in_column_lattice,
     lattice_index,
     quotient_invariants,
     smith_normal_form,
@@ -24,6 +25,7 @@ from .ordered_groups import (
     GroupElement,
     GroupStructure,
     IsolatedChain,
+    Quotient,
     ValueGroup,
     coset_label,
     isolated_level,

@@ -40,7 +40,7 @@ from .serialize import (
     enc_int,
     enc_matrix,
     enc_trace,
-    load_json,
+    load_object,
     sha256_hex,
 )
 
@@ -74,7 +74,7 @@ def _summary(args, message):
 
 def cmd_snf(args):
     raw = _read_input(args.infile)
-    data = load_json(raw)
+    data = load_object(raw)
     A = dec_matrix(data["matrix"])
     snf = smith_normal_form(A)
     check = snf.U.matmul(A).matmul(snf.V).entries == snf.D.entries
@@ -96,7 +96,7 @@ def cmd_snf(args):
 
 def cmd_monomialize(args):
     raw = _read_input(args.infile)
-    data = load_json(raw)
+    data = load_object(raw)
     me = dec_extension(data.get("extension", data))
     trace = strong_monomialize(me)
     report = enc_trace(trace)
@@ -111,7 +111,7 @@ def cmd_monomialize(args):
 def cmd_replay(args, raw=None):
     if raw is None:
         raw = _read_input(args.replay)
-    data = load_json(raw)
+    data = load_object(raw)
     initial = dec_extension(data["initial"])
     steps = tuple(dec_step(s) for s in data["steps"])
     expected = dec_extension(data["final"])
@@ -131,7 +131,7 @@ def cmd_replay(args, raw=None):
 
 def cmd_cosets(args):
     raw = _read_input(args.infile)
-    data = load_json(raw)
+    data = load_object(raw)
     me = dec_extension(data.get("extension", data))
     trace = strong_monomialize(me)
     cs = coset_system(trace.final)
@@ -171,7 +171,7 @@ def _positive_functional(A):
 
 def cmd_graded(args):
     raw = _read_input(args.scenario or args.infile)
-    scenario = load_scenario(load_json(raw))
+    scenario = load_scenario(load_object(raw))
     report = run_pipeline(scenario, input_sha256=sha256_hex(raw))
     graded = {
         "input_sha256": report.get("input_sha256"),
@@ -191,7 +191,7 @@ def cmd_graded(args):
 
 def cmd_semigroup(args):
     raw = _read_input(args.infile)
-    data = load_json(raw)
+    data = load_object(raw)
     structure = dec_structure(data["structure"])
     section = _run_semigroup_section({
         "structure": structure,
@@ -208,7 +208,7 @@ def cmd_semigroup(args):
 
 def cmd_ledger(args):
     raw = _read_input(args.infile)
-    data = load_json(raw)
+    data = load_object(raw)
     section = _run_ledger_section(data.get("records", []))
     section["input_sha256"] = sha256_hex(raw)
     _emit(section, args)
@@ -220,7 +220,7 @@ def cmd_pipeline(args):
     if args.replay:
         return cmd_replay(args)
     raw = _read_input(args.scenario or args.infile)
-    data = load_json(raw)
+    data = load_object(raw)
     if args.seed is not None and "random" in data:
         data["random"]["seed"] = str(args.seed)
     scenario = load_scenario(data)

@@ -363,6 +363,24 @@ def solve_rational(A: ExactMatrix, b):
     return tuple(M[i][n] for i in range(n))
 
 
+def in_column_lattice(snf: SmithDecomposition, b):
+    """True iff b lies in the column lattice A Z^n, where snf is U A V = D.
+
+    A Z^n = U^{-1} D Z^n, so b belongs exactly when c = U b has c_i = 0
+    mod d_i on the diagonal and c_i = 0 past it.  One Smith form answers
+    every query; no elimination runs per vector.
+    """
+    if snf.U.rows != len(b):
+        raise DimensionMismatch("right-hand side length != row count")
+    c = snf.U.apply(tuple(int(v) for v in b))
+    diag = snf.D.diagonal_entries()
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
+        if (ci % d) if d else ci:
+            return False
+    return True
+
+
 def solve_integer(A: ExactMatrix, b):
     """Some integer solution of A x = b, or None when none exists.
 

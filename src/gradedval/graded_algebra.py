@@ -21,7 +21,7 @@ from .errors import (
     NegativeQuery,
     ZeroElement,
 )
-from .exact_lattice import solve_integer, unimodular_inverse
+from .exact_lattice import in_column_lattice
 from .monomialization import CosetSystem
 from .value_semigroups import ValueSemigroup
 
@@ -206,11 +206,11 @@ def quotient_group_elements(cs: CosetSystem):
     """Representatives of Z^n / A^t Z^n, one per residue class.
 
     Uses the Smith decomposition U A^t V = D: classes correspond to residue
-    vectors c with 0 <= c_i < d_i, lifted back through U^{-1}.
+    vectors c with 0 <= c_i < d_i, lifted back through U^{-1}, which the
+    coset system inverts once.
     """
-    snf = cs.snf_at
-    diag = snf.D.diagonal_entries()
-    uinv = unimodular_inverse(snf.U)
+    diag = cs.snf_at.D.diagonal_entries()
+    uinv = cs.u_inverse
     out = []
     for residues in product(*[range(d) for d in diag]):
         out.append(tuple(uinv.apply(residues)))
@@ -241,7 +241,7 @@ def galois_character_action(g_bar, x: GradedModuleElement):
 
 def is_sigma_trivial(cs: CosetSystem, sigma):
     """True iff sigma lies in the image lattice A^t Z^n."""
-    return solve_integer(cs.extension.A.transpose(), sigma) is not None
+    return in_column_lattice(cs.snf_at, sigma)
 
 
 def invariant_part(module: GradedModule):

@@ -9,7 +9,8 @@ unit rescale; the trace of steps replays deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -22,10 +23,10 @@ from .errors import (
 from .exact_lattice import (
     ExactMatrix,
     determinant,
-    quotient_invariants,
+    in_column_lattice,
     smith_normal_form,
-    solve_integer,
     solve_rational,
+    unimodular_inverse,
 )
 from .affine_monoids import parallelepiped_points
 from .monomial_extension import (
@@ -35,12 +36,7 @@ from .monomial_extension import (
     induced_x_values,
     validate,
 )
-from .ordered_groups import (
-    ValueGroup,
-    coset_label,
-    quotient_invariant_factors,
-    subgroup_index,
-)
+from .ordered_groups import Quotient, ValueGroup
 
 
 @dataclass(frozen=True)
@@ -253,6 +249,21 @@ class CosetSystem:
     snf_at: object                 # SmithDecomposition of A^t
     big_group: ValueGroup
     small_group: ValueGroup
+    quotient: Quotient = field(compare=False, repr=False)  # big / small
+
+    @cached_property
+    def u_inverse(self):
+        """U^{-1} for snf_at = (U, D, V): lifts Smith residues to Z^n."""
+        return unimodular_inverse(self.snf_at.U)
+
+
+def _value_of(me, b):
+    """sum_j b_j nu*(y_j), the value of the monomial y^b."""
+    gamma = me.structure.zero()
+    for j, bj in enumerate(b):
+        if bj:
+            gamma = gamma + me.y_values[j].scale(bj)
+    return gamma
 
 
 def coset_system(ssm: SSMForm, sample_bound=2) -> CosetSystem:
@@ -262,27 +273,28 @@ def coset_system(ssm: SSMForm, sample_bound=2) -> CosetSystem:
     of the exponent matrix must equal the index [value group of y : value
     group of x], and the exponent-to-value map must induce an isomorphism of
     the corresponding quotients (invariant factors compared exactly, kernel
-    checked on a spanning sample).
+    checked on a spanning sample).  The quotient of value groups and the
+    Smith form of A^t are each computed once and answer every query.
     """
     me = ssm.extension
     n = me.blocks.n
-    structure = me.structure
-    big = ValueGroup(structure, me.y_values)
-    small = ValueGroup(structure, induced_x_values(me))
+    big = ValueGroup(me.structure, me.y_values)
+    small = ValueGroup(me.structure, induced_x_values(me))
     e = abs(determinant(me.A))
     if e == 0:
         raise HypothesisA6Failed("exponent matrix is singular")
-    idx = subgroup_index(big, small)
-    if idx != e:
+    quotient = Quotient(big, small)
+    if quotient.index != e:
         raise HypothesisA6Failed(
-            f"|det A| = {e} but subgroup index is {idx}")
+            f"|det A| = {e} but subgroup index is {quotient.index}")
     At = me.A.transpose()
-    inv_at = quotient_invariants(At)
-    inv_groups = quotient_invariant_factors(big, small)
-    if inv_at != inv_groups:
+    snf_at = smith_normal_form(At)
+    # det A^t = +-e != 0, so every diagonal entry is nonzero
+    inv_at = tuple(d for d in snf_at.D.diagonal_entries() if d > 1)
+    if inv_at != quotient.invariant_factors:
         raise HypothesisA7Failed(
             f"invariant factors differ: Z^n/A^tZ^n has {inv_at}, "
-            f"value groups give {inv_groups}")
+            f"value groups give {quotient.invariant_factors}")
     # kernel check on a spanning sample: sum b_j nu*(y_j) lies in the small
     # group exactly when b lies in A^t Z^n
     samples = []
@@ -290,16 +302,12 @@ def coset_system(ssm: SSMForm, sample_bound=2) -> CosetSystem:
         samples.append(tuple(1 if k == j else 0 for k in range(n)))
     for j in range(n):
         samples.append(tuple(At[k, j] for k in range(n)))
-    for v in product(range(-sample_bound, sample_bound + 1), repeat=n):
-        if n <= 3:
-            samples.append(v)
+    if n <= 3:
+        samples.extend(
+            product(range(-sample_bound, sample_bound + 1), repeat=n))
     for b in samples:
-        gamma = structure.zero()
-        for j, bj in enumerate(b):
-            if bj:
-                gamma = gamma + me.y_values[j].scale(bj)
-        in_small = small.contains(gamma)
-        in_lattice = solve_integer(At, b) is not None
+        in_small = small.contains(_value_of(me, b))
+        in_lattice = in_column_lattice(snf_at, b)
         if in_small != in_lattice:
             raise HypothesisA7Failed(
                 f"witness {b}: value map membership {in_small} but lattice "
@@ -313,11 +321,8 @@ def coset_system(ssm: SSMForm, sample_bound=2) -> CosetSystem:
     values = []
     seen = set()
     for sigma in pb.points:
-        val = structure.zero()
-        for j, sj in enumerate(sigma):
-            if sj:
-                val = val + me.y_values[j].scale(sj)
-        lbl = coset_label(val, big, small)
+        val = _value_of(me, sigma)
+        lbl = quotient.label(val)
         key = lbl.flat()
         if key in seen:
             raise HypothesisA7Failed(
@@ -332,9 +337,10 @@ def coset_system(ssm: SSMForm, sample_bound=2) -> CosetSystem:
         labels=tuple(labels),
         values=tuple(values),
         invariant_factors=inv_at,
-        snf_at=smith_normal_form(At),
+        snf_at=snf_at,
         big_group=big,
         small_group=small,
+        quotient=quotient,
     )
 
 

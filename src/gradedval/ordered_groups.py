@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AmbientMismatch,
@@ -212,39 +213,6 @@ def _lcm(values):
     return out
 
 
-def _row_space_solve(rows, target):
-    """Rational x with x * rows = target, or None.  rows: integer tuples."""
-    if not rows:
-        return () if all(t == 0 for t in target) else None
-    m = len(target)
-    k = len(rows)
-    # Gaussian elimination on the transposed system rows^T x^T = target^T
-    aug = [[Fraction(rows[j][c]) for j in range(k)] + [Fraction(target[c])]
-           for c in range(m)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for row_idx, col in enumerate(pivots):
-        x[col] = aug[row_idx][k]
-    return tuple(x)
-
-
 @dataclass(frozen=True)
 class ValueGroup:
     """Finitely generated subgroup of a block group, given by generators."""
@@ -259,44 +227,63 @@ class ValueGroup:
                 raise AmbientMismatch("generator outside the ambient group")
         object.__setattr__(self, "generators", gens)
 
-    def _scaled_lattice(self):
-        """(scale L, basis rows) so the group is (1/L) * row-lattice(basis)."""
-        m = self.structure.rational_rank
+    @cached_property
+    def _lattice(self):
+        """(scale L, HNF basis rows, pivot columns): the group is
+        (1/L) * row-lattice(basis).  Computed once per group."""
         vecs = [g.flat() for g in self.generators]
         denoms = [c.denominator for v in vecs for c in v] or [1]
         L = _lcm(denoms)
         rows = [tuple(int(c * L) for c in v) for v in vecs]
         rows = [r for r in rows if any(r)]
-        if not rows:
-            return L, ()
-        return L, hermite_row_basis(rows)
+        basis = hermite_row_basis(rows) if rows else ()
+        return L, basis, _pivot_columns(basis)
 
     @property
     def rational_rank(self):
-        return len(self._scaled_lattice()[1])
+        return len(self._lattice[1])
 
     def coordinates(self, gamma: GroupElement):
-        """Integer coordinates of gamma in the lattice basis, else None."""
+        """Integer coordinates of gamma in the lattice basis, else None.
+
+        Back-substitution along the echelon pivots of the Hermite basis;
+        the residual left over must vanish, which is x * basis == L*gamma.
+        """
         if gamma.structure != self.structure:
             raise AmbientMismatch("element outside the ambient group")
-        L, basis = self._scaled_lattice()
-        target = tuple(c * L for c in gamma.flat())
-        x = _row_space_solve(basis, target)
-        if x is None or any(c.denominator != 1 for c in x):
+        L, basis, pivots = self._lattice
+        residual = []
+        for c in gamma.flat():
+            if L % c.denominator:
+                return None
+            residual.append(c.numerator * (L // c.denominator))
+        x = []
+        for row, p in zip(basis, pivots):
+            q, r = divmod(residual[p], row[p])
+            if r:
+                return None
+            if q:
+                for j in range(p, len(row)):
+                    residual[j] -= q * row[j]
+            x.append(q)
+        if any(residual):
             return None
-        return tuple(int(c) for c in x)
+        return tuple(x)
 
     def contains(self, gamma: GroupElement):
         return self.coordinates(gamma) is not None
 
     def basis_elements(self):
         """Group elements forming a lattice basis of this subgroup."""
-        L, basis = self._scaled_lattice()
-        out = []
-        for row in basis:
-            flat = [Fraction(x, L) for x in row]
-            out.append(_element_from_flat(self.structure, flat))
-        return tuple(out)
+        L, basis, _ = self._lattice
+        return tuple(
+            _element_from_flat(self.structure, [Fraction(x, L) for x in row])
+            for row in basis)
+
+
+def _pivot_columns(echelon_rows):
+    return tuple(next(j for j, x in enumerate(row) if x)
+                 for row in echelon_rows)
 
 
 def _element_from_flat(structure, flat):
@@ -312,14 +299,13 @@ def _inclusion_matrix(big: ValueGroup, small: ValueGroup):
     """Integer matrix of small's lattice basis in big's lattice basis."""
     if big.structure != small.structure:
         raise AmbientMismatch("groups over different ambient structures")
-    Lb, basis_b = big._scaled_lattice()
-    rows = []
     for g in small.generators:
         if big.coordinates(g) is None:
             raise NotASubgroup("small generator outside big group")
     small_basis = small.basis_elements()
-    if len(small_basis) != len(basis_b):
+    if len(small_basis) != big.rational_rank:
         raise InfiniteIndex("rational spans differ")
+    rows = []
     for el in small_basis:
         coords = big.coordinates(el)
         if coords is None:
@@ -328,46 +314,68 @@ def _inclusion_matrix(big: ValueGroup, small: ValueGroup):
     return ExactMatrix.from_rows(rows)
 
 
+class Quotient:
+    """The finite quotient big/small of two value groups, built once.
+
+    Holds the inclusion matrix C of small's lattice basis in big's, the
+    Hermite basis H of C's row lattice (small inside big's coordinates)
+    and its pivot columns.  [big : small] = |det C| is the product of H's
+    pivots, and a coset label is one reduction through H (Cohen, A Course
+    in Computational Algebraic Number Theory, GTM 138, section 2.4).
+    """
+
+    def __init__(self, big: ValueGroup, small: ValueGroup):
+        self.big = big
+        self.small = small
+        self.inclusion = _inclusion_matrix(big, small)
+        self.hnf = hermite_row_basis(self.inclusion.entries)
+        if len(self.hnf) < self.inclusion.rows:
+            raise InfiniteIndex("small group has lower rank")
+        self.pivots = _pivot_columns(self.hnf)
+        self.index = math.prod(
+            row[p] for row, p in zip(self.hnf, self.pivots))
+
+    @cached_property
+    def invariant_factors(self):
+        """Invariant factors (> 1) of big/small."""
+        snf = smith_normal_form(self.inclusion.transpose())
+        return tuple(d for d in snf.D.diagonal_entries() if d > 1)
+
+    def label(self, gamma: GroupElement):
+        """Canonical representative of gamma + small inside big.
+
+        Coordinates in big's canonical lattice basis are reduced through
+        the Hermite basis of small, giving the unique representative whose
+        entry at each pivot column lies in [0, pivot).  Two elements
+        receive equal labels iff their difference lies in small.
+        """
+        v = self.big.coordinates(gamma)
+        if v is None:
+            raise NotInGroup("element outside the big group")
+        v = list(v)
+        for row, p in zip(self.hnf, self.pivots):
+            q = v[p] // row[p]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        L, basis, _ = self.big._lattice
+        flat = [0] * self.big.structure.rational_rank
+        for c, row in zip(v, basis):
+            if c:
+                flat = [a + c * b for a, b in zip(flat, row)]
+        return _element_from_flat(self.big.structure,
+                                  [Fraction(x, L) for x in flat])
+
+
 def subgroup_index(big: ValueGroup, small: ValueGroup):
     """e = [big : small] for subgroups spanning the same rational space."""
-    C = _inclusion_matrix(big, small)
-    from .exact_lattice import determinant
-    d = determinant(C)
-    if d == 0:
-        raise InfiniteIndex("small group has lower rank")
-    return abs(d)
+    return Quotient(big, small).index
 
 
 def quotient_invariant_factors(big: ValueGroup, small: ValueGroup):
     """Invariant factors (> 1) of big/small."""
-    C = _inclusion_matrix(big, small)
-    snf = smith_normal_form(C.transpose())
-    return tuple(d for d in snf.D.diagonal_entries() if d > 1)
+    return Quotient(big, small).invariant_factors
 
 
 def coset_label(gamma: GroupElement, big: ValueGroup, small: ValueGroup):
-    """Canonical representative of gamma + small inside big.
-
-    Coordinates in big's canonical lattice basis are reduced through the
-    Hermite basis of small, giving the unique representative whose entry at
-    each pivot column lies in [0, pivot).  Two elements receive equal labels
-    iff their difference lies in small.
-    """
-    C = _inclusion_matrix(big, small)
-    v = big.coordinates(gamma)
-    if v is None:
-        raise NotInGroup("element outside the big group")
-    H = hermite_row_basis(C.entries)
-    if len(H) < len(v):
-        raise InfiniteIndex("inclusion is not finite index")
-    v = list(v)
-    for row in H:
-        p = next(j for j, x in enumerate(row) if x)
-        q = v[p] // row[p]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    basis = big.basis_elements()
-    rep = big.structure.zero()
-    for c, b in zip(v, basis):
-        rep = rep + b.scale(c)
-    return rep
+    """Canonical representative of gamma + small inside big."""
+    return Quotient(big, small).label(gamma)

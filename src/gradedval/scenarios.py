@@ -32,7 +32,6 @@ from .ordered_groups import (
     Block,
     GroupStructure,
     ValueGroup,
-    coset_label,
     subgroup_index,
 )
 from .ramification import ExtensionRecord, unramified_criterion
@@ -137,6 +136,8 @@ def load_scenario(data) -> Scenario:
         extensions.append((name, dec_extension(data["extension"])))
     if "random" in data:
         spec = data["random"]
+        if not isinstance(spec, dict):
+            raise ParseError("random section must be an object")
         seed = dec_int(spec.get("seed", "0"))
         count = dec_int(spec.get("count", "5"))
         e_max = dec_int(spec.get("e_max", "24"))
@@ -190,8 +191,7 @@ def _run_extension_case(label, me, f, invariant_limit=24):
     checks.append(("rank_is_e_times_f", len(labels) == cs.e * f))
     counts = {}
     for lbl in labels:
-        rep = coset_label(mod.value_map(lbl.sigma), cs.big_group,
-                          cs.small_group)
+        rep = cs.quotient.label(mod.value_map(lbl.sigma))
         counts[rep.flat()] = counts.get(rep.flat(), 0) + 1
     checks.append(("cosets_exhausted",
                    len(counts) == cs.e

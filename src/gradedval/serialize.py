@@ -12,7 +12,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .exact_lattice import ExactMatrix
 from .monomial_extension import BlockStructure, MonomialExtension
 from .monomialization import TransformStep
@@ -24,9 +24,13 @@ def enc_int(n):
 
 
 def dec_int(s):
+    """Integer from its string encoding; a JSON number, bool or any other
+    type is rejected, so the number 1.5 is never truncated to 1."""
+    if not isinstance(s, str):
+        raise ParseError(f"not an integer string: {s!r}")
     try:
         return int(s)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ParseError(f"not an integer: {s!r}")
 
 
@@ -35,9 +39,13 @@ def enc_frac(x):
 
 
 def dec_frac(s):
+    """Rational from its string encoding ("3/2"); non-strings are
+    rejected like in dec_int."""
+    if not isinstance(s, str):
+        raise ParseError(f"not a rational string: {s!r}")
     try:
         return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational: {s!r}")
 
 
@@ -46,11 +54,14 @@ def enc_matrix(m: ExactMatrix):
 
 
 def dec_matrix(data):
+    if not isinstance(data, list) or not all(
+            isinstance(row, list) for row in data):
+        raise ParseError("matrix must be a list of rows")
     try:
         return ExactMatrix.from_rows([[dec_int(x) for x in row]
                                       for row in data])
-    except TypeError:
-        raise ParseError("matrix must be a list of rows")
+    except DimensionMismatch:
+        raise ParseError("matrix rows differ in length")
 
 
 def enc_structure(s: GroupStructure):
@@ -159,3 +170,12 @@ def load_json(text):
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}")
+
+
+def load_object(text):
+    """load_json for documents whose top level must be a JSON object."""
+    data = load_json(text)
+    if not isinstance(data, dict):
+        raise ParseError(
+            f"top level must be a JSON object, not {type(data).__name__}")
+    return data

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -49,6 +51,39 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_missing_key_exits_2(tmp_path, capsys):
     src = write(tmp_path, "bad.json", {"wrong": []})
     assert main(["snf", "--in", src, "--json"]) == 2
+
+
+@pytest.mark.parametrize("entry", [1.5, 1, True, None, ["1"]])
+def test_snf_rejects_non_string_numbers(tmp_path, capsys, entry):
+    # a JSON number is never truncated or coerced: 1.5 used to become 1
+    src = write(tmp_path, "m.json", {"matrix": [[entry]]})
+    assert main(["snf", "--in", src, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_ragged_matrix_is_a_parse_error(tmp_path, capsys):
+    src = write(tmp_path, "m.json", {"matrix": [["1", "2"], ["3"]]})
+    assert main(["snf", "--in", src, "--json"]) == 2
+    assert "differ in length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["snf", "monomialize", "cosets",
+                                     "semigroup", "ledger", "pipeline"])
+@pytest.mark.parametrize("document", [b"[]", b'"text"', b"3"])
+def test_non_object_top_level_exits_2(monkeypatch, capsys, command,
+                                      document):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(document)))
+    argv = [command, "--in", "-", "--json"]
+    assert main(argv) == 2
+    assert "top level must be a JSON object" in capsys.readouterr().err
+
+
+def test_non_object_random_section_exits_2(tmp_path, capsys):
+    src = write(tmp_path, "s.json", {"name": "x", "random": []})
+    assert main(["pipeline", "--scenario", src, "--json"]) == 2
+    assert "random section" in capsys.readouterr().err
 
 
 def test_monomialize_and_replay(tmp_path, capsys):
@@ -149,3 +184,15 @@ def test_pipeline_seed_override(tmp_path, capsys):
     assert main(["pipeline", "--scenario", src, "--json"]) == 0
     default = capsys.readouterr().out
     assert five != default
+
+
+def test_decoders_accept_only_strings():
+    from gradedval.errors import ParseError
+    from gradedval.serialize import dec_frac, dec_int
+    assert dec_int("-7") == -7
+    assert dec_frac("3/2") == dec_frac("1.5")
+    for bad in (7, 1.5, True, None, ["1"], "x", "1/0"):
+        with pytest.raises(ParseError):
+            dec_frac(bad)
+        with pytest.raises(ParseError):
+            dec_int(bad)

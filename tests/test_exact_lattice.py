@@ -6,6 +6,7 @@ from gradedval.exact_lattice import (
     ExactMatrix,
     determinant,
     determinant_cofactor,
+    in_column_lattice,
     is_unimodular,
     lattice_index,
     quotient_invariants,
@@ -206,3 +207,15 @@ def test_unimodular_inverse():
         for M in (snf.U, snf.V):
             inv = unimodular_inverse(M)
             assert M.matmul(inv).entries == ExactMatrix.identity(n).entries
+
+
+def test_residue_membership_examples():
+    D = ExactMatrix.from_rows([[2, 0], [0, 3]])
+    snf = smith_normal_form(D)
+    assert in_column_lattice(snf, (4, 9))
+    assert not in_column_lattice(snf, (1, 0))
+    # rank-deficient: only multiples of (1, 2) are reachable
+    R = ExactMatrix.from_rows([[1, 2], [2, 4]])
+    snf = smith_normal_form(R)
+    assert in_column_lattice(snf, (3, 6))
+    assert not in_column_lattice(snf, (1, 1))

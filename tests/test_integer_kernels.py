@@ -1,0 +1,285 @@
+"""Differential tests for the integer kernels behind coset systems.
+
+ValueGroup.coordinates (integer back-substitution) is checked against a
+rational Gauss-Jordan solve, in_column_lattice (one Smith form, residues)
+against solve_integer (a fresh Smith form and a solve per vector), and
+Quotient against per-call coset_label, brute-force coset enumeration and
+sympy's normal forms.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from gradedval.exact_lattice import (  # noqa: E402
+    ExactMatrix,
+    determinant,
+    hermite_row_basis,
+    in_column_lattice,
+    smith_normal_form,
+    solve_integer,
+)
+from gradedval.ordered_groups import (  # noqa: E402
+    Block,
+    GroupStructure,
+    Quotient,
+    ValueGroup,
+    _element_from_flat,
+    coset_label,
+    quotient_invariant_factors,
+    subgroup_index,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+STRUCTURES = (
+    GroupStructure((Block(),)),
+    GroupStructure((Block(), Block())),
+    GroupStructure((Block(quad=5),)),
+    GroupStructure((Block(quad=2), Block())),
+)
+
+
+def row_space_solve(rows, target):
+    """Rational x with x * rows = target, or None.  rows: integer tuples.
+
+    Gauss-Jordan elimination over Fraction on the transposed system; the
+    reference for ValueGroup.coordinates.
+    """
+    if not rows:
+        return () if all(t == 0 for t in target) else None
+    m = len(target)
+    k = len(rows)
+    aug = [[Fraction(rows[j][c]) for j in range(k)] + [Fraction(target[c])]
+           for c in range(m)]
+    pivots = []
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, m) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, m):
+        if aug[i][k] != 0:
+            return None
+    x = [Fraction(0)] * k
+    for row_idx, col in enumerate(pivots):
+        x[col] = aug[row_idx][k]
+    return tuple(x)
+
+
+def coordinates_oracle(group, gamma):
+    L, basis, _ = group._lattice
+    x = row_space_solve(basis, tuple(c * L for c in gamma.flat()))
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    return tuple(int(c) for c in x)
+
+
+def combine(structure, coeffs, elements):
+    out = structure.zero()
+    for c, g in zip(coeffs, elements):
+        out = out + g.scale(c)
+    return out
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def group_and_element(draw):
+    structure = draw(st.sampled_from(STRUCTURES))
+    m = structure.rational_rank
+
+    def element():
+        flat = draw(st.lists(fractions, min_size=m, max_size=m))
+        pos, coords = 0, []
+        for block in structure.blocks:
+            coords.append(flat[pos:pos + block.rational_rank])
+            pos += block.rational_rank
+        return structure.element(coords)
+
+    gens = [element() for _ in range(draw(st.integers(0, 4)))]
+    group = ValueGroup(structure, tuple(gens))
+    if gens and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                               max_size=len(gens)))
+        gamma = combine(structure, coeffs, gens)
+    else:
+        gamma = element()
+    return group, gamma
+
+
+@SETTINGS
+@given(group_and_element())
+def test_coordinates_match_rational_solve(data):
+    group, gamma = data
+    x = group.coordinates(gamma)
+    assert x == coordinates_oracle(group, gamma)
+    if x is not None:
+        basis = group.basis_elements()
+        assert combine(group.structure, x, basis) == gamma
+
+
+@st.composite
+def matrix_and_vector(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    A = ExactMatrix.from_rows(rows)
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        b = A.apply(tuple(x))
+    else:
+        b = tuple(draw(st.lists(st.integers(-9, 9), min_size=m,
+                                max_size=m)))
+    return A, b
+
+
+@SETTINGS
+@given(matrix_and_vector())
+def test_residue_membership_matches_solve_integer(data):
+    A, b = data
+    expected = solve_integer(A, b) is not None
+    assert in_column_lattice(smith_normal_form(A), b) == expected
+
+
+nonzero_fractions = st.builds(
+    Fraction, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 4))
+
+
+@st.composite
+def finite_quotient(draw):
+    """big = <independent rationals>, small = M * big-basis.
+
+    Every sublattice of finite index has an upper-triangular basis, so M
+    is drawn triangular with a positive diagonal; one row operation varies
+    the presentation without changing the lattice.
+    """
+    structure = draw(st.sampled_from(STRUCTURES))
+    m = structure.rational_rank
+
+    def triangular(diagonal, entries):
+        return [[draw(diagonal) if j == i else
+                 (draw(entries) if j > i else 0) for j in range(m)]
+                for i in range(m)]
+
+    big = ValueGroup(structure, tuple(
+        _element_from_flat(structure, row)
+        for row in triangular(nonzero_fractions, fractions)))
+    M = triangular(st.integers(1, 4), st.integers(-3, 3))
+    index = 1
+    for i in range(m):
+        index *= M[i][i]
+    if m == 2:
+        k = draw(st.integers(-2, 2))
+        M[1] = [a + k * b for a, b in zip(M[1], M[0])]
+    small = ValueGroup(structure, tuple(
+        combine(structure, r, big.basis_elements()) for r in M))
+    return big, small, index
+
+
+def brute_force_classes(big, small, index):
+    """Points of big over a coefficient box, grouped by difference in
+    small; the box reaches every coset."""
+    basis = big.basis_elements()
+    structure = big.structure
+    span = range(-1, index)
+    if len(basis) == 1:
+        points = [combine(structure, (a,), basis) for a in span]
+    else:
+        points = [combine(structure, (a, b), basis)
+                  for a in span for b in span]
+    reps, classes = [], []
+    for p in points:
+        for k, r in enumerate(reps):
+            if small.contains(p - r):
+                classes.append(k)
+                break
+        else:
+            classes.append(len(reps))
+            reps.append(p)
+    return points, classes, len(reps)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(finite_quotient())
+def test_quotient_labels_against_brute_force(data):
+    big, small, index = data
+    q = Quotient(big, small)
+    assert q.index == index == subgroup_index(big, small)
+    assert q.invariant_factors == quotient_invariant_factors(big, small)
+    points, classes, count = brute_force_classes(big, small, index)
+    assert count == index
+    labels = [q.label(p) for p in points]
+    for p, lbl in zip(points, labels):
+        assert lbl == coset_label(p, big, small)
+        assert small.contains(lbl - p)
+        assert q.label(lbl) == lbl
+    by_class = {}
+    for k, lbl in zip(classes, labels):
+        by_class.setdefault(k, set()).add(lbl.flat())
+    assert all(len(v) == 1 for v in by_class.values())
+    assert len({lbl.flat() for lbl in labels}) == index
+
+
+@SETTINGS
+@given(finite_quotient())
+def test_quotient_against_sympy_smith_form(data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    big, small, index = data
+    q = Quotient(big, small)
+    D = sympy_snf(sympy.Matrix(q.inclusion.entries), domain=sympy.ZZ)
+    diag = [abs(int(D[i, i])) for i in range(min(D.shape))]
+    assert tuple(d for d in diag if d > 1) == q.invariant_factors
+    prod = 1
+    for d in diag:
+        prod *= d
+    assert prod == q.index
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=1, max_size=n + 2)))
+def test_hermite_basis_against_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+    M = sympy.Matrix(rows)
+    n = M.cols
+    if M.rank() < n:
+        return
+    ours = hermite_row_basis([tuple(r) for r in rows])
+    # sympy's column-style form, read with rows and columns reversed, is
+    # the row-style echelon form used here
+    theirs = hermite_normal_form(M.T[::-1, ::-1]).T[::-1, ::-1]
+    assert [ours[i][i] for i in range(n)] == \
+        [int(theirs[i, i]) for i in range(n)]
+    # the same lattice: each basis lies in the other's row lattice
+    structure = GroupStructure(tuple(Block() for _ in range(n)))
+
+    def group(vectors):
+        return ValueGroup(structure, tuple(
+            structure.element(tuple((x,) for x in v)) for v in vectors))
+
+    a = group(ours)
+    b = group([[int(x) for x in theirs.row(i)] for i in range(n)])
+    assert all(a.contains(g) for g in b.generators)
+    assert all(b.contains(g) for g in a.generators)

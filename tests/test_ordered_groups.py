@@ -7,12 +7,14 @@ from gradedval.errors import (
     AmbientMismatch,
     InfiniteIndex,
     NotASubgroup,
+    NotInGroup,
     UnsupportedBlockRank,
 )
 from gradedval.ordered_groups import (
     Block,
     GroupStructure,
     IsolatedChain,
+    Quotient,
     ValueGroup,
     coset_label,
     isolated_level,
@@ -191,3 +193,34 @@ def test_basis_from_redundant_generators():
     # the generated group is (1/2) Z
     assert subgroup_index(
         g, ValueGroup(RANK1, (el(RANK1, (Fraction(1, 2),)),))) == 1
+
+
+def test_coordinates_of_generators_and_outsiders():
+    s = RANK2
+    g = ValueGroup(s, (s.element(((Fraction(1, 2),), (1,))),
+                       s.element(((0,), (3,)))))
+    assert g.contains(s.element(((1,), (5,))))
+    assert not g.contains(s.element(((1,), (4,))))
+    assert not g.contains(s.element(((Fraction(1, 3),), (0,))))
+    assert g.coordinates(s.zero()) == (0, 0)
+    empty = ValueGroup(s, ())
+    assert empty.coordinates(s.zero()) == ()
+    assert not empty.contains(s.element(((1,), (0,))))
+
+
+def test_quotient_errors_match_wrappers():
+    s = RANK1
+    one = ValueGroup(s, (s.element(((1,),)),))
+    third = ValueGroup(s, (s.element(((Fraction(1, 3),),)),))
+    with pytest.raises(NotASubgroup):
+        Quotient(one, third)
+    q = Quotient(third, one)
+    assert q.index == 3
+    with pytest.raises(NotInGroup):
+        q.label(s.element(((Fraction(1, 2),),)))
+    two = RANK2
+    full = ValueGroup(two, (two.element(((1,), (0,))),
+                            two.element(((0,), (1,)))))
+    line = ValueGroup(two, (two.element(((1,), (0,))),))
+    with pytest.raises(InfiniteIndex):
+        Quotient(full, line)
