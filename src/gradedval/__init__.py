@@ -11,6 +11,7 @@ from .errors import GradedValError
 from .exact_lattice import (
     ExactMatrix,
     SmithDecomposition,
+    adjugate,
     determinant,
     in_column_lattice,
     lattice_index,

@@ -3,7 +3,9 @@
 Saturation membership, fundamental-parallelepiped generator sets and the
 disjoint coset decomposition of the saturation.  Pointedness is certified at
 construction by a strictly positive linear functional, which makes exact
-membership decidable by bounded search.
+membership decidable by bounded search.  For n independent generators the
+parallelepiped points and the decomposition check use exact integer
+coordinates from one adjugate instead.
 """
 
 from __future__ import annotations
@@ -16,15 +18,20 @@ from .errors import (
     BoundTooSmall,
     DependentGenerators,
     DimensionMismatch,
+    EnumerationOverflow,
+    InconsistentParallelepiped,
     NotPointed,
+    SingularLattice,
 )
 from .exact_lattice import (
     ExactMatrix,
-    determinant,
+    adjugate,
     smith_normal_form,
-    solve_rational,
     unimodular_inverse,
 )
+
+# search nodes one general membership query may visit before giving up
+_SEARCH_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -56,33 +63,41 @@ class AffineMonoid:
         object.__setattr__(self, "positivity_functional", phi)
 
     def contains(self, v):
-        """Exact membership: v a nonnegative integer combination of gens."""
+        """Exact membership: v a nonnegative integer combination of gens.
+
+        Bounded search over the coefficients; raises EnumerationOverflow
+        when the search would visit more than _SEARCH_BUDGET nodes.
+        """
         v = tuple(int(x) for x in v)
         if len(v) != self.dim:
             raise DimensionMismatch("query of wrong dimension")
-        return _member(v, self.generators, self.positivity_functional)
+        return _member(v, self.generators, self.positivity_functional,
+                       [_SEARCH_BUDGET])
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _member(v, gens, phi):
+def _member(v, gens, phi, budget):
     if all(x == 0 for x in v):
         return True
     if _dot(phi, v) <= 0:
         return False
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise EnumerationOverflow("monoid membership search budget exhausted")
     g = gens[0]
     rest = gens[1:]
-    cap = int(_dot(phi, v) / _dot(phi, g))
     if not rest:
-        for c in range(cap + 1):
-            if all(x == c * y for x, y in zip(v, g)):
-                return True
-        return False
+        # v = c * g has at most one solution c, read off a nonzero entry
+        j = next(i for i, y in enumerate(g) if y)
+        c, r = divmod(v[j], g[j])
+        return r == 0 and c >= 0 and all(x == c * y for x, y in zip(v, g))
+    cap = int(_dot(phi, v) / _dot(phi, g))
     for c in range(cap + 1):
         u = tuple(x - c * y for x, y in zip(v, g))
-        if _member(u, rest, phi):
+        if _member(u, rest, phi, budget):
             return True
     return False
 
@@ -203,34 +218,45 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
 
     Walks the |det| residue classes of Z^n modulo the generator lattice
     (via the Smith normal form) and maps each class to its unique
-    representative with exact rational coordinates 0 <= q_i < 1.
+    representative x - W floor(W^{-1} x), with the floors taken in integers
+    from the adjugate of the generator matrix W.
     """
     vectors = tuple(tuple(int(x) for x in v) for v in vectors)
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")
     W = ExactMatrix.from_rows(vectors).transpose()  # columns are generators
-    d = determinant(W)
-    if d == 0:
-        raise DependentGenerators("parallelepiped generators are dependent")
+    index, coords = _cone_coordinates(W)
     snf = smith_normal_form(W)
     u_inv = unimodular_inverse(snf.U)
     diag = snf.D.diagonal_entries()
-    # rational inverse of W, as rows of Fractions
-    w_inv = [solve_rational(W.transpose(), tuple(
-        1 if j == i else 0 for j in range(n))) for i in range(n)]
     pts = []
     for r in product(*[range(di) for di in diag]):
         x = u_inv.apply(r)
-        q = tuple(_dot(row, x) for row in w_inv)
-        floors = tuple(qi.numerator // qi.denominator for qi in q)
-        pts.append(tuple(
-            xi - sum(W[i, j] * floors[j] for j in range(n))
-            for i, xi in enumerate(x)))
+        floors = tuple(c // index for c in coords.apply(x))
+        pts.append(tuple(a - b for a, b in zip(x, W.apply(floors))))
     pts.sort()
     basis = tuple(pts)
-    assert len(basis) == abs(d) and (0,) * n in basis
-    return ParallelepipedBasis(vectors=vectors, points=basis, index=abs(d))
+    if len(basis) != index or (0,) * n not in basis:
+        raise InconsistentParallelepiped(
+            f"{len(basis)} points for index {index}, or 0 missing")
+    return ParallelepipedBasis(vectors=vectors, points=basis, index=index)
+
+
+def _cone_coordinates(W: ExactMatrix):
+    """(|det W|, C) with C = sign(det W) * adj W, so C x = |det W| W^{-1} x.
+
+    x lies in the rational cone of the columns of W exactly when C x >= 0,
+    and in the monoid they generate when moreover C x = 0 mod |det W|.
+    """
+    try:
+        d, adj = adjugate(W)
+    except SingularLattice:
+        raise DependentGenerators(
+            "parallelepiped generators are dependent") from None
+    if d < 0:
+        adj = ExactMatrix(tuple(tuple(-x for x in row) for row in adj.entries))
+    return abs(d), adj
 
 
 @dataclass(frozen=True)
@@ -259,23 +285,38 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     The monoid must be simplicial, generated by the parallelepiped vectors.
     Violations list (point, coset_count) pairs; an empty list certifies the
     decomposition on the box.
+
+    With C = sign(det W) adj W for the generator matrix W, a box point w is
+    in the cone exactly when C w >= 0, and w - x lies in M exactly when
+    C w - C x >= 0 and = 0 mod |det W| componentwise.  The hits of w are
+    counted over every listed point x (kept by residue of C x, since only
+    the class of C w can hit), so a missing, repeated or wrong point shows
+    up as a violation.
     """
     if set(M.generators) != set(basis.vectors):
         raise DependentGenerators(
             "monoid must be generated by the parallelepiped vectors")
     if box_bound is None:
         box_bound = default_box_bound(basis)
+    if box_bound < 1:
+        raise ValueError("box_bound must be positive")
     n = basis.dim
+    index, coords = _cone_coordinates(
+        ExactMatrix.from_rows(basis.vectors).transpose())
+    by_residue = {}
+    for x in basis.points:
+        cx = coords.apply(x)
+        by_residue.setdefault(tuple(c % index for c in cx), []).append(cx)
     checked = 0
     violations = []
     for w in product(range(box_bound), repeat=n):
-        if not in_rational_cone(w, basis.vectors):
+        cw = coords.apply(w)
+        if any(c < 0 for c in cw):
             continue
         checked += 1
         hits = sum(
-            1 for x in basis.points
-            if M.contains(tuple(a - b for a, b in zip(w, x)))
-        )
+            1 for cx in by_residue.get(tuple(c % index for c in cw), ())
+            if all(a >= b for a, b in zip(cw, cx)))
         if hits != 1:
             violations.append((w, hits))
     return DecompositionReport(box_bound=box_bound, checked_points=checked,

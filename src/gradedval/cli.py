@@ -130,6 +130,8 @@ def cmd_replay(args, raw=None):
 
 
 def cmd_cosets(args):
+    if args.box_bound is not None and args.box_bound < 1:
+        raise ParseError("--box-bound must be at least 1")
     raw = _read_input(args.infile)
     data = load_object(raw)
     me = dec_extension(data.get("extension", data))

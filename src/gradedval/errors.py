@@ -47,6 +47,10 @@ class DependentGenerators(GradedValError):
     """Parallelepiped generators are linearly dependent."""
 
 
+class InconsistentParallelepiped(GradedValError):
+    """The enumerated parallelepiped points do not number |det| or miss 0."""
+
+
 class BoundTooSmall(GradedValError):
     """The element lies in the rational cone but no multiplier within the
     configured bound certifies saturation membership."""
@@ -117,7 +121,7 @@ class NonIncreasingTail(GradedValError):
 
 
 class EnumerationOverflow(GradedValError):
-    """Semigroup enumeration exceeded the safety cap."""
+    """Semigroup enumeration or monoid membership search exceeded its cap."""
 
 
 # -- ramification ledger ----------------------------------------------------

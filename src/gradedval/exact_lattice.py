@@ -1,8 +1,9 @@
 """Exact integer linear algebra.
 
-Smith normal form, determinants, lattice indices, quotient invariant factors
-and integer linear solving, all over arbitrary-precision integers.  Floating
-point never enters; every operation is a pure function of immutable inputs.
+Smith normal form, determinants, adjugates, lattice indices, quotient
+invariant factors and integer linear solving, all over arbitrary-precision
+integers.  Floating point never enters; every operation is a pure function
+of immutable inputs.
 """
 
 from __future__ import annotations
@@ -328,18 +329,52 @@ def quotient_invariants(A: ExactMatrix):
     return tuple(d for d in diag if d > 1)
 
 
+def adjugate(A: ExactMatrix):
+    """(det A, adj A) with adj A * A = det A * I, for nonsingular square A.
+
+    One fraction-free (Bareiss) Gauss-Jordan pass over [A | I]: every
+    division is exact, and at the end the left block is p * I with
+    p = +-det A and the right block is the accumulated row transform
+    T = p * A^{-1}.  The identity is checked before returning.  Raises
+    SingularLattice when det A = 0.
+    """
+    if not A.is_square():
+        raise DimensionMismatch("adjugate of non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1, A
+    M = [list(row) + [1 if j == i else 0 for j in range(n)]
+         for i, row in enumerate(A.entries)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if M[i][k]), None)
+        if pivot is None:
+            raise SingularLattice("adjugate of singular matrix")
+        if pivot != k:
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        pk = M[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                ri = M[i]
+                f = ri[k]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(ri, pk)]
+        prev = p
+    det = sign * prev
+    adj = ExactMatrix(tuple(tuple(sign * x for x in row[n:]) for row in M))
+    if adj.matmul(A).entries != ExactMatrix.diagonal((det,) * n).entries:
+        raise SingularLattice("adjugate identity failed")
+    return det, adj
+
+
 def unimodular_inverse(A: ExactMatrix) -> ExactMatrix:
-    """Exact integer inverse of a unimodular matrix."""
-    d = determinant(A)
+    """Exact integer inverse of a unimodular matrix: det A * adj A."""
+    d, adj = adjugate(A)
     if d not in (1, -1):
         raise SingularLattice("matrix is not unimodular")
-    n = A.rows
-    sol = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        col = solve_rational(A, e)
-        sol.append([int(x) for x in col])
-    return ExactMatrix.from_rows(sol).transpose()
+    return ExactMatrix(tuple(tuple(d * x for x in row) for row in adj.entries))
 
 
 def solve_rational(A: ExactMatrix, b):

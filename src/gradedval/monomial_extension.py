@@ -13,8 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidExtension, NonPositiveValue, SingularBlock
-from .exact_lattice import ExactMatrix, determinant
+from .errors import (
+    InvalidExtension,
+    NonPositiveValue,
+    SingularBlock,
+    SingularLattice,
+)
+from .exact_lattice import ExactMatrix, adjugate, determinant
 from .ordered_groups import GroupStructure, isolated_level
 
 
@@ -263,24 +268,15 @@ class AdjointRelations:
 
 def adjoint_relations(me: MonomialExtension) -> AdjointRelations:
     AT = me.t_submatrix()
-    d = determinant(AT)
-    if d == 0:
-        raise SingularBlock("T-submatrix is singular")
+    try:
+        d, adj = adjugate(AT)
+    except SingularLattice:
+        raise SingularBlock("T-submatrix is singular") from None
     e = abs(d)
     sign = 1 if d > 0 else -1
     k = AT.rows
-    # sign-adjusted adjugate via cofactors
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            minor = ExactMatrix.from_rows(
-                [[AT[a, b] for b in range(k) if b != i]
-                 for a in range(k) if a != j])
-            cof = (-1) ** (i + j) * (determinant(minor) if k > 1 else 1)
-            row.append(sign * cof)
-        rows.append(row)
-    B = ExactMatrix.from_rows(rows)
+    # sign-adjusted adjugate
+    B = ExactMatrix(tuple(tuple(sign * x for x in row) for row in adj.entries))
     # B * A_T = e * identity makes prod_j x_j^{B_ij} collapse to y_i^e
     prod = B.matmul(AT)
     if prod.entries != ExactMatrix.diagonal((e,) * k).entries:

@@ -22,10 +22,10 @@ from .errors import (
 )
 from .exact_lattice import (
     ExactMatrix,
+    adjugate,
     determinant,
     in_column_lattice,
     smith_normal_form,
-    solve_rational,
     unimodular_inverse,
 )
 from .affine_monoids import parallelepiped_points
@@ -198,12 +198,14 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
         h = [me.A[m, j] for j in later_t]
         sub = ExactMatrix.from_rows(
             [[me.A[i, j] for j in later_t] for i in later_t])
+        # c = adj / det * (h + b); one adjugate serves every candidate b
+        det, adj = adjugate(sub.transpose())
         choice = None
         for b in _graded_vectors(len(later_t), bound):
             rhs = tuple(hj + bj for hj, bj in zip(h, b))
-            c = solve_rational(sub.transpose(), rhs)
-            if all(x.denominator == 1 and x >= 0 for x in c):
-                choice = (b, tuple(int(x) for x in c))
+            num = adj.apply(rhs)
+            if all(x % det == 0 and x // det >= 0 for x in num):
+                choice = (b, tuple(x // det for x in num))
                 break
         if choice is None:
             raise NoNonnegativeLift(

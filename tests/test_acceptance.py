@@ -9,6 +9,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval.exact_lattice import (
@@ -19,6 +20,7 @@ from gradedval.exact_lattice import (
     lattice_index,
     quotient_invariants,
     smith_normal_form,
+    solve_rational,
 )
 from gradedval.affine_monoids import (
     AffineMonoid,
@@ -116,7 +118,6 @@ def test_criterion_2_parallelepiped_suite():
         assert len(pb.points) == pb.index == abs(d)
         assert pb.index == lattice_index(M.transpose())
         # strictly positive certificate: phi with phi . v_i = 1 for all i
-        from gradedval.exact_lattice import solve_rational
         phi = solve_rational(M, (1,) * n)
         monoid = AffineMonoid(dim=n, generators=vecs,
                               positivity_functional=phi)
@@ -125,6 +126,30 @@ def test_criterion_2_parallelepiped_suite():
         assert report.ok
         done += 1
     assert time.monotonic() - start < 30
+
+
+def test_criterion_2_decomposition_e35_box6():
+    """A 4-dim simplicial basis with e = 35 on the box [0, 6)^4 in < 1 s.
+
+    The per-point membership search took several seconds here; the
+    checked-point count is compared with an independent rational cone
+    count outside the timed region.
+    """
+    vecs = ((5, 0, 0, 0), (1, 7, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1))
+    start = time.monotonic()
+    pb = parallelepiped_points(vecs)
+    monoid = AffineMonoid(dim=4, generators=vecs,
+                          positivity_functional=(1,) * 4)
+    report = verify_disjoint_decomposition(pb, monoid, box_bound=6)
+    elapsed = time.monotonic() - start
+    assert pb.index == 35
+    assert report.ok
+    W = ExactMatrix.from_rows(vecs).transpose()
+    in_cone = sum(
+        1 for w in product(range(6), repeat=4)
+        if all(c >= 0 for c in solve_rational(W, w)))
+    assert report.checked_points == in_cone == 301
+    assert elapsed < 1
 
 
 def test_criterion_3_coset_system_suite():

@@ -1,24 +1,75 @@
 import random
+import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from gradedval import affine_monoids
 from gradedval.affine_monoids import (
     AffineMonoid,
+    DecompositionReport,
     DependentGenerators,
     in_rational_cone,
     parallelepiped_points,
     saturation_membership,
     verify_disjoint_decomposition,
 )
-from gradedval.errors import BoundTooSmall, NotPointed
-from gradedval.exact_lattice import ExactMatrix, determinant
+from gradedval.errors import (
+    BoundTooSmall,
+    EnumerationOverflow,
+    InconsistentParallelepiped,
+    NotPointed,
+)
+from gradedval.exact_lattice import ExactMatrix, determinant, solve_rational
 
 
 def monoid(*gens):
     dim = len(gens[0])
     return AffineMonoid(dim=dim, generators=tuple(gens),
                         positivity_functional=(1,) * dim)
+
+
+def simplicial_monoid(vecs):
+    """Monoid of independent vectors, certified by phi with phi . v_i = 1."""
+    n = len(vecs)
+    phi = solve_rational(ExactMatrix.from_rows(vecs), (1,) * n)
+    return AffineMonoid(dim=n, generators=vecs, positivity_functional=phi)
+
+
+def brute_force_decomposition(basis, M, box_bound):
+    """Reference for verify_disjoint_decomposition: the Fourier-Motzkin
+    cone test per box point and a membership search per (point, lambda)."""
+    n = basis.dim
+    checked = 0
+    violations = []
+    for w in product(range(box_bound), repeat=n):
+        if not in_rational_cone(w, basis.vectors):
+            continue
+        checked += 1
+        hits = sum(
+            1 for x in basis.points
+            if M.contains(tuple(a - b for a, b in zip(w, x)))
+        )
+        if hits != 1:
+            violations.append((w, hits))
+    return DecompositionReport(box_bound=box_bound, checked_points=checked,
+                               violations=tuple(violations))
+
+
+def random_simplicial_bases(rng, count, max_index=40):
+    """Independent integer bases, n <= 3, with both determinant signs."""
+    done = 0
+    while done < count:
+        n = rng.randint(1, 3)
+        span = 4 if n <= 2 else 2
+        vecs = tuple(tuple(rng.randint(-span, span) for _ in range(n))
+                     for _ in range(n))
+        d = determinant(ExactMatrix.from_rows(vecs))
+        if d == 0 or abs(d) > max_index:
+            continue
+        done += 1
+        yield vecs, d
 
 
 def test_pointedness_certificate():
@@ -136,3 +187,80 @@ def test_saturation_reachable_from_parallelepiped():
             assert any(
                 M.contains(tuple(a - b for a, b in zip(w, x)))
                 for x in pb.points)
+
+
+def test_decomposition_matches_brute_force_random():
+    signs = set()
+    for vecs, d in random_simplicial_bases(random.Random(41), 60):
+        pb = parallelepiped_points(vecs)
+        M = simplicial_monoid(vecs)
+        box = 4 if len(vecs) <= 2 else 3
+        fast = verify_disjoint_decomposition(pb, M, box_bound=box)
+        assert fast == brute_force_decomposition(pb, M, box)
+        assert fast.ok
+        signs.add(d > 0)
+    assert signs == {True, False}
+
+
+def tampered_bases():
+    vecs = ((2, 1), (0, 3))
+    pb = parallelepiped_points(vecs)
+    pts = list(pb.points)
+    translate = tuple(a + b for a, b in zip(pts[2], vecs[0]))
+    return vecs, {
+        "dropped": pts[:2] + pts[3:],
+        "translated": pts[:2] + [translate] + pts[3:],
+        "duplicated": pts + [pts[4]],
+    }, pb
+
+
+@pytest.mark.parametrize("kind", ["dropped", "translated", "duplicated"])
+def test_tampered_points_give_oracle_violations(kind):
+    vecs, tampered, pb = tampered_bases()
+    bad = replace(pb, points=tuple(tampered[kind]))
+    M = simplicial_monoid(vecs)
+    fast = verify_disjoint_decomposition(bad, M, box_bound=7)
+    assert fast == brute_force_decomposition(bad, M, 7)
+    assert not fast.ok
+    counts = {hits for _, hits in fast.violations}
+    # a translate leaves its class uncovered below it, like a dropped point
+    assert counts == ({2} if kind == "duplicated" else {0})
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_decomposition_rejects_non_positive_box(bound):
+    pb = parallelepiped_points(((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        verify_disjoint_decomposition(pb, monoid((1, 0), (0, 1)),
+                                      box_bound=bound)
+
+
+def test_decomposition_rejects_dependent_basis():
+    bad = affine_monoids.ParallelepipedBasis(
+        vectors=((1, 1), (2, 2)), points=((0, 0),), index=1)
+    with pytest.raises(DependentGenerators):
+        verify_disjoint_decomposition(bad, monoid((1, 1), (2, 2)),
+                                      box_bound=3)
+
+
+def test_parallelepiped_count_check_is_typed(monkeypatch):
+    real = affine_monoids._cone_coordinates
+
+    def wrong_index(W):
+        index, coords = real(W)
+        return index + 1, coords
+
+    monkeypatch.setattr(affine_monoids, "_cone_coordinates", wrong_index)
+    with pytest.raises(InconsistentParallelepiped):
+        parallelepiped_points(((2, 0), (0, 3)))
+
+
+def test_membership_search_is_budgeted():
+    M = monoid((2, 0), (0, 2), (2, 2), (4, 4))
+    start = time.monotonic()
+    with pytest.raises(EnumerationOverflow):
+        M.contains((401, 401))
+    assert time.monotonic() - start < 10
+    # a single generator is solved directly, however large the multiple
+    assert monoid((3, 5)).contains((3 * 10 ** 12, 5 * 10 ** 12))
+    assert not monoid((3, 5)).contains((3 * 10 ** 12, 5 * 10 ** 12 + 1))

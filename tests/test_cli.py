@@ -117,6 +117,16 @@ def test_cosets_command(tmp_path, capsys):
     assert out["decomposition"]["ok"] is True
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_cosets_rejects_non_positive_box_bound(tmp_path, capsys, bound):
+    src = scenario_path(tmp_path, "rank2_h2.json")
+    assert main(["cosets", "--in", src, "--box-bound", bound,
+                 "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--box-bound" in captured.err
+
+
 def test_graded_command(tmp_path, capsys):
     src = scenario_path(tmp_path, "diag23.json")
     assert main(["graded", "--scenario", src, "--json"]) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from gradedval.exact_lattice import (
     ExactMatrix,
+    adjugate,
     determinant,
     determinant_cofactor,
     in_column_lattice,
@@ -14,7 +15,7 @@ from gradedval.exact_lattice import (
     solve_integer,
     unimodular_inverse,
 )
-from gradedval.errors import SingularLattice
+from gradedval.errors import DimensionMismatch, SingularLattice
 
 
 def snf_oracle_diag(A):
@@ -207,6 +208,60 @@ def test_unimodular_inverse():
         for M in (snf.U, snf.V):
             inv = unimodular_inverse(M)
             assert M.matmul(inv).entries == ExactMatrix.identity(n).entries
+
+
+def cofactor_adjugate(A):
+    """adj A from the cofactor minors, each by cofactor expansion."""
+    n = A.rows
+    if n == 1:
+        return ((1,),)
+    return tuple(tuple(
+        (-1) ** (i + j) * determinant_cofactor(ExactMatrix.from_rows(
+            [[A[a, b] for b in range(n) if b != i]
+             for a in range(n) if a != j]))
+        for j in range(n)) for i in range(n))
+
+
+def random_nonsingular(rng, count, span=6, n_max=5):
+    done = 0
+    while done < count:
+        n = rng.randint(1, n_max)
+        A = ExactMatrix.from_rows(
+            [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)])
+        if determinant(A):
+            done += 1
+            yield A
+
+
+def test_adjugate_matches_cofactor_minors():
+    negative = 0
+    for A in random_nonsingular(random.Random(31), 80):
+        d, adj = adjugate(A)
+        assert d == determinant_cofactor(A)
+        assert adj.entries == cofactor_adjugate(A)
+        negative += d < 0
+    assert negative > 10
+
+
+def test_adjugate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for A in random_nonsingular(random.Random(32), 60, span=9, n_max=6):
+        d, adj = adjugate(A)
+        M = sympy.Matrix(A.entries)
+        assert d == int(M.det())
+        assert [list(r) for r in adj.entries] == M.adjugate().tolist()
+
+
+def test_adjugate_edge_cases():
+    assert adjugate(ExactMatrix.from_rows([[-7]])) == (
+        -7, ExactMatrix.from_rows([[1]]))
+    # zero leading entry forces a row swap, which flips the sign
+    d, adj = adjugate(ExactMatrix.from_rows([[0, 1], [1, 0]]))
+    assert d == -1 and adj.entries == ((0, -1), (-1, 0))
+    with pytest.raises(SingularLattice):
+        adjugate(ExactMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(DimensionMismatch):
+        adjugate(ExactMatrix.from_rows([[1, 2]]))
 
 
 def test_residue_membership_examples():

@@ -2,9 +2,11 @@
 
 ValueGroup.coordinates (integer back-substitution) is checked against a
 rational Gauss-Jordan solve, in_column_lattice (one Smith form, residues)
-against solve_integer (a fresh Smith form and a solve per vector), and
+against solve_integer (a fresh Smith form and a solve per vector),
 Quotient against per-call coset_label, brute-force coset enumeration and
-sympy's normal forms.
+sympy's normal forms, adjugate against sympy and the cofactor minors, and
+the adjugate-based verify_disjoint_decomposition against the brute-force
+search it replaced.
 """
 
 from fractions import Fraction
@@ -13,11 +15,21 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_affine_monoids import (  # noqa: E402
+    brute_force_decomposition,
+    simplicial_monoid,
+)
+from test_exact_lattice import cofactor_adjugate  # noqa: E402
 
+from gradedval.affine_monoids import (  # noqa: E402
+    parallelepiped_points,
+    verify_disjoint_decomposition,
+)
 from gradedval.exact_lattice import (  # noqa: E402
     ExactMatrix,
+    adjugate,
     determinant,
     hermite_row_basis,
     in_column_lattice,
@@ -283,3 +295,36 @@ def test_hermite_basis_against_sympy(rows):
     b = group([[int(x) for x in theirs.row(i)] for i in range(n)])
     assert all(a.contains(g) for g in b.generators)
     assert all(b.contains(g) for g in a.generators)
+
+
+def square(n_max, span):
+    return st.integers(1, n_max).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-span, span), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@SETTINGS
+@given(square(5, 9))
+def test_adjugate_against_cofactors_and_sympy(rows):
+    A = ExactMatrix.from_rows(rows)
+    d = determinant(A)
+    assume(d != 0)
+    det, adj = adjugate(A)
+    assert det == d
+    assert adj.entries == cofactor_adjugate(A)
+    sympy = pytest.importorskip("sympy")
+    assert [list(r) for r in adj.entries] == \
+        sympy.Matrix(rows).adjugate().tolist()
+
+
+@settings(SETTINGS, max_examples=80)
+@given(square(3, 3), st.integers(1, 4))
+def test_decomposition_against_brute_force(rows, box):
+    vecs = tuple(tuple(r) for r in rows)
+    d = determinant(ExactMatrix.from_rows(vecs))
+    assume(d != 0 and abs(d) <= 30)
+    pb = parallelepiped_points(vecs)
+    M = simplicial_monoid(vecs)
+    fast = verify_disjoint_decomposition(pb, M, box_bound=box)
+    assert fast == brute_force_decomposition(pb, M, box)
+    assert fast.ok
