@@ -26,6 +26,7 @@ from .errors import (
 from .exact_lattice import (
     ExactMatrix,
     adjugate,
+    rref,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -102,45 +103,6 @@ def _member(v, gens, phi, budget):
     return False
 
 
-def _solve_rational_system(columns, target):
-    """Rational lambda with sum lambda_i * columns[i] = target, via
-    elimination; returns (particular, nullspace basis) or None."""
-    k = len(columns)
-    n = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    particular = [Fraction(0)] * k
-    for row, col in enumerate(pivots):
-        particular[col] = aug[row][k]
-    free = [j for j in range(k) if j not in pivots]
-    null = []
-    for f in free:
-        vec = [Fraction(0)] * k
-        vec[f] = Fraction(1)
-        for row, col in enumerate(pivots):
-            vec[col] = -aug[row][f]
-        null.append(vec)
-    return particular, null
-
-
 def _fm_feasible(ineqs, nvars):
     """Fourier-Motzkin feasibility of {coeffs . t + const >= 0}."""
     if nvars == 0:
@@ -164,16 +126,27 @@ def _fm_feasible(ineqs, nvars):
 
 def in_rational_cone(v, gens):
     """True iff v is a nonnegative rational combination of gens (exact)."""
-    sol = _solve_rational_system(gens, v)
-    if sol is None:
+    k = len(gens)
+    R, pivots = rref([[g[i] for g in gens] + [v[i]] for i in range(len(v))],
+                     k)
+    if any(row[k] for row in R[len(pivots):]):
         return False
-    particular, null = sol
-    if not null:
+    # lambda = particular + sum_f t_f null_f over the free columns f
+    particular = [Fraction(0)] * k
+    for row, col in zip(R, pivots):
+        particular[col] = row[k]
+    free = [j for j in range(k) if j not in pivots]
+    if not free:
         return all(x >= 0 for x in particular)
-    # lambda = particular + N t >= 0, eliminate t by Fourier-Motzkin
-    ineqs = []
-    for i in range(len(particular)):
-        ineqs.append(([vec[i] for vec in null], particular[i]))
+    null = []
+    for f in free:
+        vec = [Fraction(0)] * k
+        vec[f] = Fraction(1)
+        for row, col in zip(R, pivots):
+            vec[col] = -row[f]
+        null.append(vec)
+    # lambda >= 0, eliminate t by Fourier-Motzkin
+    ineqs = [([vec[i] for vec in null], particular[i]) for i in range(k)]
     return _fm_feasible(ineqs, len(null))
 
 
@@ -272,14 +245,9 @@ class DecompositionReport:
         return not self.violations
 
 
-def default_box_bound(basis: ParallelepipedBasis):
-    coord_max = max((abs(x) for v in basis.vectors for x in v), default=1)
-    return 4 * max(basis.index, coord_max)
-
-
 def verify_disjoint_decomposition(basis: ParallelepipedBasis,
                                   M: AffineMonoid,
-                                  box_bound=None) -> DecompositionReport:
+                                  box_bound) -> DecompositionReport:
     """Check every saturation point of [0, box)^n lies in exactly one coset.
 
     The monoid must be simplicial, generated by the parallelepiped vectors.
@@ -296,8 +264,6 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     if set(M.generators) != set(basis.vectors):
         raise DependentGenerators(
             "monoid must be generated by the parallelepiped vectors")
-    if box_bound is None:
-        box_bound = default_box_bound(basis)
     if box_bound < 1:
         raise ValueError("box_bound must be positive")
     n = basis.dim

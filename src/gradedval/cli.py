@@ -223,10 +223,15 @@ def cmd_pipeline(args):
         return cmd_replay(args)
     raw = _read_input(args.scenario or args.infile)
     data = load_object(raw)
+    effective_sha256 = None
     if args.seed is not None and "random" in data:
         data["random"]["seed"] = str(args.seed)
+        # input_sha256 names the bytes read; this names the scenario run
+        effective_sha256 = sha256_hex(canonical_dumps(data).encode())
     scenario = load_scenario(data)
     report = run_pipeline(scenario, input_sha256=sha256_hex(raw))
+    if effective_sha256 is not None:
+        report["effective_sha256"] = effective_sha256
     _emit(report, args)
     verdict = "ok" if report["ok"] else "FAILED"
     _summary(args, f"pipeline {scenario.name}: {len(report['cases'])} "

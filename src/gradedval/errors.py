@@ -88,10 +88,6 @@ class HypothesisA6Failed(GradedValError):
     """|det A| does not equal the subgroup index of the value groups."""
 
 
-class HypothesisA7Failed(GradedValError):
-    """The exponent map does not induce the expected quotient isomorphism."""
-
-
 # -- graded modules ---------------------------------------------------------
 
 class ZeroElement(GradedValError):

@@ -2,8 +2,9 @@
 
 Smith normal form, determinants, adjugates, lattice indices, quotient
 invariant factors and integer linear solving, all over arbitrary-precision
-integers.  Floating point never enters; every operation is a pure function
-of immutable inputs.
+integers, plus the one rational elimination (rref) behind every rational
+solve and rank.  Floating point never enters; every operation is a pure
+function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -117,26 +118,6 @@ def determinant(A: ExactMatrix):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def determinant_cofactor(A: ExactMatrix):
-    """Cofactor-expansion determinant; the independent oracle for tests."""
-    if not A.is_square():
-        raise DimensionMismatch("determinant of non-square matrix")
-    rows = A.entries
-
-    def det(rs, cols):
-        if len(cols) == 1:
-            return rs[0][cols[0]]
-        total = 0
-        for pos, c in enumerate(cols):
-            if rs[0][c] == 0:
-                continue
-            rest = cols[:pos] + cols[pos + 1:]
-            total += (-1) ** pos * rs[0][c] * det(rs[1:], rest)
-        return total
-
-    return det(rows, tuple(range(A.rows))) if A.rows else 1
 
 
 def is_unimodular(A: ExactMatrix):
@@ -377,25 +358,44 @@ def unimodular_inverse(A: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(tuple(tuple(d * x for x in row) for row in adj.entries))
 
 
+def rref(rows, pivot_cols=None):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Pivots are sought only in the first pivot_cols columns (all columns by
+    default), so an augmented right-hand side is carried along but never
+    pivoted on (Cohen, A Course in Computational Algebraic Number Theory,
+    GTM 138, sections 2.2-2.3).  Returns (R, pivots): the reduced rows as
+    Fractions, zero rows last, and the tuple of pivot columns.
+    """
+    M = [[Fraction(x) for x in row] for row in rows]
+    if pivot_cols is None:
+        pivot_cols = len(M[0]) if M else 0
+    pivots = []
+    for col in range(pivot_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][col]
+        M[r] = [x * inv for x in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[col]:
+                f = row[col]
+                M[i] = [x - f * y for x, y in zip(row, M[r])]
+        pivots.append(col)
+    return M, tuple(pivots)
+
+
 def solve_rational(A: ExactMatrix, b):
     """Unique rational solution of A x = b for nonsingular square A."""
     if not A.is_square() or A.rows != len(b):
         raise DimensionMismatch("square system required")
     n = A.rows
-    M = [[Fraction(x) for x in row] + [Fraction(v)]
-         for row, v in zip(A.entries, b)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if M[i][k]), None)
-        if pivot is None:
-            raise SingularLattice("singular system")
-        M[k], M[pivot] = M[pivot], M[k]
-        inv = 1 / M[k][k]
-        M[k] = [x * inv for x in M[k]]
-        for i in range(n):
-            if i != k and M[i][k]:
-                f = M[i][k]
-                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
-    return tuple(M[i][n] for i in range(n))
+    R, pivots = rref([row + (v,) for row, v in zip(A.entries, b)], n)
+    if len(pivots) < n:
+        raise SingularLattice("singular system")
+    return tuple(row[n] for row in R)
 
 
 def in_column_lattice(snf: SmithDecomposition, b):

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import (
+    DimensionMismatch,
     GradingMismatch,
-    HypothesisA7Failed,
     NegativeQuery,
     ZeroElement,
 )
@@ -223,7 +223,7 @@ def galois_character(cs: CosetSystem, g_bar, sigma) -> Fraction:
     diag = snf.D.diagonal_entries()
     n = len(diag)
     if len(g_bar) != n or len(sigma) != n:
-        raise HypothesisA7Failed("vector length differs from the rank")
+        raise DimensionMismatch("vector length differs from the rank")
     ug = snf.U.apply(g_bar)
     us = snf.U.apply(sigma)
     total = sum(Fraction(a * b, d) for a, b, d in zip(ug, us, diag))

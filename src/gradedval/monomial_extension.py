@@ -19,7 +19,7 @@ from .errors import (
     SingularBlock,
     SingularLattice,
 )
-from .exact_lattice import ExactMatrix, adjugate, determinant
+from .exact_lattice import ExactMatrix, adjugate, determinant, rref
 from .ordered_groups import GroupStructure, isolated_level
 
 
@@ -170,7 +170,7 @@ def validate(me: MonomialExtension):
     # T y-values rationally independent
     tlist = bs.t_indices()
     vecs = [me.y_values[j].flat() for j in tlist]
-    if _rational_rank(vecs) != len(tlist):
+    if len(rref(vecs)[1]) != len(tlist):
         out.append(Violation(
             "dependent_values", tuple(tlist),
             "T-indexed y-values are rationally dependent"))
@@ -186,28 +186,6 @@ def validate(me: MonomialExtension):
                 f"value of y_{j} lives at isolated level {isolated_level(v)},"
                 f" expected {bs.block_of(j)}"))
     return out
-
-
-def _rational_rank(vecs):
-    from fractions import Fraction
-    rows = [list(map(Fraction, v)) for v in vecs]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 def is_valid(me: MonomialExtension):

@@ -11,11 +11,12 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from test_exact_lattice import determinant_cofactor
+
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval.exact_lattice import (
     ExactMatrix,
     determinant,
-    determinant_cofactor,
     is_unimodular,
     lattice_index,
     quotient_invariants,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -264,3 +265,46 @@ def test_membership_search_is_budgeted():
     # a single generator is solved directly, however large the multiple
     assert monoid((3, 5)).contains((3 * 10 ** 12, 5 * 10 ** 12))
     assert not monoid((3, 5)).contains((3 * 10 ** 12, 5 * 10 ** 12 + 1))
+
+
+# outcomes of the separate elimination that rref replaced
+CONE_CASES = (
+    ((1, 1), ((1, 0), (0, 1)), True),
+    ((-1, 1), ((1, 0), (0, 1)), False),
+    ((1, 1), ((1, 0), (2, 0)), False),            # singular, off the span
+    ((3, 0), ((1, 0), (2, 0)), True),             # singular, inside
+    ((-3, 0), ((1, 0), (2, 0)), False),           # singular, wrong side
+    ((1, 1), ((1, 0), (0, 1), (1, 1)), True),     # underdetermined
+    ((0, 1), ((1, 0), (-1, 1), (1, 1)), True),
+    ((0, -1), ((1, 0), (-1, 0), (0, 1)), False),  # line plus ray
+    ((5, 2), ((1, 0), (-1, 0), (0, 1)), True),
+    ((1, 2, 3), ((1, 0, 0), (0, 1, 0)), False),   # inconsistent
+    ((0, 0), (), True),
+    ((1, 0), (), False),
+    ((2, 3, 1), ((1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 0, 0)), True),
+    ((0, 0, 0), ((1, 2, 3), (-1, -2, -3)), True),
+)
+
+# (members, sha256 of the 0/1 outcomes) of the sweep below
+CONE_SWEEP = (
+    121, "38ea1302fdfd1c6a5cfe0226937ddd0001ce653bf13fed5aef365ac18534f6c6")
+
+
+def test_in_rational_cone_outcomes():
+    for v, gens, expected in CONE_CASES:
+        assert in_rational_cone(v, gens) is expected, (v, gens)
+
+
+def test_in_rational_cone_seeded_outcomes_are_pinned():
+    rng = random.Random(2024)
+    bits = []
+    for _ in range(400):
+        n, k = rng.randint(1, 4), rng.randint(1, 5)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+        if rng.random() < 0.5 and k >= 2:
+            gens[-1] = tuple(a + b for a, b in zip(gens[0], gens[1]))
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        bits.append("1" if in_rational_cone(v, gens) else "0")
+    out = "".join(bits)
+    assert out.count("1") == CONE_SWEEP[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == CONE_SWEEP[1]

@@ -196,6 +196,25 @@ def test_pipeline_seed_override(tmp_path, capsys):
     assert five != default
 
 
+def test_pipeline_seed_hashes_the_scenario_that_ran(tmp_path, capsys):
+    from gradedval.serialize import canonical_dumps, sha256_hex
+    src = scenario_path(tmp_path, "random_a.json")
+    reports = {}
+    for seed in ("5", "6", None):
+        argv = ["pipeline", "--scenario", src, "--json"]
+        assert main(argv + (["--seed", seed] if seed else [])) == 0
+        reports[seed] = json.loads(capsys.readouterr().out)
+    raw = bundled_scenario_bytes("random_a.json")
+    assert {r["input_sha256"] for r in reports.values()} == {sha256_hex(raw)}
+    assert "effective_sha256" not in reports[None]
+    assert reports["5"]["effective_sha256"] != \
+        reports["6"]["effective_sha256"]
+    ran = json.loads(raw)
+    ran["random"]["seed"] = "5"
+    assert reports["5"]["effective_sha256"] == \
+        sha256_hex(canonical_dumps(ran).encode())
+
+
 def test_decoders_accept_only_strings():
     from gradedval.errors import ParseError
     from gradedval.serialize import dec_frac, dec_int

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,16 +8,37 @@ from gradedval.exact_lattice import (
     ExactMatrix,
     adjugate,
     determinant,
-    determinant_cofactor,
     in_column_lattice,
     is_unimodular,
     lattice_index,
     quotient_invariants,
+    rref,
     smith_normal_form,
     solve_integer,
+    solve_rational,
     unimodular_inverse,
 )
 from gradedval.errors import DimensionMismatch, SingularLattice
+
+
+def determinant_cofactor(A):
+    """Cofactor-expansion determinant; the independent oracle for tests."""
+    if not A.is_square():
+        raise DimensionMismatch("determinant of non-square matrix")
+    rows = A.entries
+
+    def det(rs, cols):
+        if len(cols) == 1:
+            return rs[0][cols[0]]
+        total = 0
+        for pos, c in enumerate(cols):
+            if rs[0][c] == 0:
+                continue
+            rest = cols[:pos] + cols[pos + 1:]
+            total += (-1) ** pos * rs[0][c] * det(rs[1:], rest)
+        return total
+
+    return det(rows, tuple(range(A.rows))) if A.rows else 1
 
 
 def snf_oracle_diag(A):
@@ -274,3 +297,119 @@ def test_residue_membership_examples():
     snf = smith_normal_form(R)
     assert in_column_lattice(snf, (3, 6))
     assert not in_column_lattice(snf, (1, 1))
+
+
+def check_rref_against_sympy(rows):
+    """rref equals sympy's Matrix.rref(); with the last column augmented,
+    the left block and its pivots are those of the left block alone, a
+    nonzero right-hand side past the pivots marks an inconsistent system,
+    and otherwise the pivot entries solve it."""
+    sympy = pytest.importorskip("sympy")
+
+    def exact(M):
+        return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)]
+                for i in range(M.rows)]
+
+    R, pivots = rref(rows)
+    theirs, their_pivots = sympy.Matrix(rows).rref()
+    assert pivots == their_pivots
+    assert R == exact(theirs)
+    k = len(rows[0]) - 1
+    if k == 0:
+        return
+    R, pivots = rref(rows, k)
+    left, left_pivots = sympy.Matrix([r[:k] for r in rows]).rref()
+    assert pivots == left_pivots
+    assert [r[:k] for r in R] == exact(left)
+    inconsistent = any(r[k] for r in R[len(pivots):])
+    assert inconsistent == (k in their_pivots)
+    if not inconsistent:
+        x = [Fraction(0)] * k
+        for r, col in zip(R, pivots):
+            x[col] = r[k]
+        assert all(sum(a * xi for a, xi in zip(row, x)) == row[k]
+                   for row in rows)
+
+
+def random_rows(rng):
+    """Small integer matrix, often rank-deficient: a row may be the sum of
+    two others, a column may be zero."""
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)]
+            for _ in range(m)]
+    if m >= 3 and rng.random() < 0.4:
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    if rng.random() < 0.2:
+        zero = rng.randrange(n)
+        for row in rows:
+            row[zero] = 0
+    return rows
+
+
+def test_rref_against_sympy_seeded():
+    rng = random.Random(12)
+    deficient = 0
+    for _ in range(250):
+        rows = random_rows(rng)
+        check_rref_against_sympy(rows)
+        deficient += len(rref(rows)[1]) < min(len(rows), len(rows[0]))
+    assert deficient > 50
+
+
+def test_rref_edge_cases():
+    assert rref([]) == ([], ())
+    assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], ())
+    R, pivots = rref([[0, 2, 4], [0, 1, 3]])
+    assert pivots == (1, 2) and R == [[0, 1, 0], [0, 0, 1]]
+    # pivot_cols stops before the augmented column
+    R, pivots = rref([[1, 2, 5], [2, 4, 7]], 2)
+    assert pivots == (0,) and R == [[1, 2, 5], [0, 0, -3]]
+    assert rref([[Fraction(1, 2), 1]]) == ([[1, 2]], (0,))
+
+
+# outcomes of the separate eliminations that rref replaced
+SOLVE_CASES = (
+    ([[2, 1], [1, 1]], (3, 2), (1, 1)),
+    ([[0, 1], [1, 0]], (5, 7), (7, 5)),
+    ([[2, 0, 0], [0, 3, 0], [1, 1, 1]], (1, 1, 1),
+     (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+    ([], (), ()),
+    ([[1, 2], [2, 4]], (1, 2), SingularLattice),
+    ([[1, 2], [2, 4]], (1, 3), SingularLattice),
+    ([[0, 0], [0, 0]], (0, 0), SingularLattice),
+    ([[1, 2, 3]], (1,), DimensionMismatch),
+    ([[1], [2]], (1, 2), DimensionMismatch),
+    ([[1, 1], [1, 1]], (1,), DimensionMismatch),
+)
+
+
+def test_solve_rational_outcomes():
+    for rows, b, expected in SOLVE_CASES:
+        A = ExactMatrix.from_rows(rows)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                solve_rational(A, b)
+        else:
+            assert solve_rational(A, b) == expected
+
+
+# (singular count, sha256 of the outcomes) of the sweep below
+SOLVE_SWEEP = (
+    35, "15d3b6f31b9ac223661611f5a1a128fd74b4f9e17e67d76b68517c36c63e7e96")
+
+
+def test_solve_rational_seeded_outcomes_are_pinned():
+    rng = random.Random(7)
+    out = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        A = ExactMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        b = tuple(rng.randint(-3, 3) for _ in range(n))
+        try:
+            out.append(repr(solve_rational(A, b)))
+        except SingularLattice:
+            out.append("SingularLattice")
+    assert out.count("SingularLattice") == SOLVE_SWEEP[0]
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == \
+        SOLVE_SWEEP[1]

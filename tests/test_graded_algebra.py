@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedval.errors import GradingMismatch, ZeroElement
+from gradedval.errors import DimensionMismatch, GradingMismatch, ZeroElement
 from gradedval.exact_lattice import ExactMatrix
 from gradedval.graded_algebra import (
     GradedAlgebra,
@@ -186,6 +186,13 @@ def test_galois_nontrivial_action_e2():
     phases = {t.sigma: t.phase for t in y.terms}
     assert phases[(0,)] == 0
     assert phases[(1,)] == Fraction(1, 2)
+
+
+def test_galois_character_rejects_wrong_lengths():
+    cs = diag_system(2, 3)
+    for g, sigma in (((1,), (0, 1)), ((1, 0), (0, 1, 0)), ((), ())):
+        with pytest.raises(DimensionMismatch):
+            galois_character(cs, g, sigma)
 
 
 def test_sigma_zero_support_fixed_by_all():

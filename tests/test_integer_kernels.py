@@ -4,11 +4,13 @@ ValueGroup.coordinates (integer back-substitution) is checked against a
 rational Gauss-Jordan solve, in_column_lattice (one Smith form, residues)
 against solve_integer (a fresh Smith form and a solve per vector),
 Quotient against per-call coset_label, brute-force coset enumeration and
-sympy's normal forms, adjugate against sympy and the cofactor minors, and
-the adjugate-based verify_disjoint_decomposition against the brute-force
-search it replaced.
+sympy's normal forms, adjugate against sympy and the cofactor minors, the
+adjugate-based verify_disjoint_decomposition against the brute-force
+search it replaced, rref against sympy, and coset systems of random
+extensions against the sampled hypothesis-A7 checks.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,11 @@ from test_affine_monoids import (  # noqa: E402
     brute_force_decomposition,
     simplicial_monoid,
 )
-from test_exact_lattice import cofactor_adjugate  # noqa: E402
+from test_exact_lattice import (  # noqa: E402
+    check_rref_against_sympy,
+    cofactor_adjugate,
+)
+from test_monomialization import a7_oracle  # noqa: E402
 
 from gradedval.affine_monoids import (  # noqa: E402
     parallelepiped_points,
@@ -36,6 +42,10 @@ from gradedval.exact_lattice import (  # noqa: E402
     smith_normal_form,
     solve_integer,
 )
+from gradedval.monomialization import (  # noqa: E402
+    coset_system,
+    strong_monomialize,
+)
 from gradedval.ordered_groups import (  # noqa: E402
     Block,
     GroupStructure,
@@ -46,6 +56,7 @@ from gradedval.ordered_groups import (  # noqa: E402
     quotient_invariant_factors,
     subgroup_index,
 )
+from gradedval.scenarios import random_extension_bounded  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None,
@@ -328,3 +339,30 @@ def test_decomposition_against_brute_force(rows, box):
     fast = verify_disjoint_decomposition(pb, M, box_bound=box)
     assert fast == brute_force_decomposition(pb, M, box)
     assert fast.ok
+
+
+@st.composite
+def rational_rows(draw):
+    """Integer matrices up to 5 x 6, often rank-deficient."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@SETTINGS
+@given(rational_rows())
+def test_rref_against_sympy(rows):
+    check_rref_against_sympy(rows)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 5))
+def test_a7_oracle_on_random_extensions(seed, r_max, t_max, g_max):
+    me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
+                                  t_max=t_max, g_max=g_max)
+    a7_oracle(coset_system(strong_monomialize(me).final))

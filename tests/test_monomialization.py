@@ -1,13 +1,16 @@
 import random
+from itertools import product
 
 import pytest
+from test_golden_reports import ladder_scenario
 
+from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval.errors import (
     HypothesisA6Failed,
     NotAlongValuation,
     NotTheorem48Form,
 )
-from gradedval.exact_lattice import ExactMatrix, determinant
+from gradedval.exact_lattice import ExactMatrix, determinant, in_column_lattice
 from gradedval.monomial_extension import (
     BlockStructure,
     MonomialExtension,
@@ -21,7 +24,13 @@ from gradedval.monomialization import (
     strong_monomialize,
     verify_adjoint_invariance,
 )
-from gradedval.ordered_groups import Block, GroupStructure
+from gradedval.ordered_groups import (
+    Block,
+    GroupStructure,
+    quotient_invariant_factors,
+)
+from gradedval.scenarios import load_scenario
+from gradedval.serialize import load_json
 
 
 def two_block_extension(A_rows):
@@ -242,3 +251,55 @@ def test_random_coset_systems():
         assert len(cs.lattice_points) == e
         assert len(set(l.flat() for l in cs.labels)) == e
         done += 1
+
+
+def value_of(me, b):
+    """sum_j b_j nu*(y_j)."""
+    gamma = me.structure.zero()
+    for bj, y in zip(b, me.y_values):
+        gamma = gamma + y.scale(bj)
+    return gamma
+
+
+def a7_oracle(cs):
+    """The sampled hypothesis-A7 checks coset_system ran before A6 was
+    shown to imply them, kept as a brute-force oracle.
+
+    On a spanning sample (and every vector of [-2, 2]^n when n <= 3), b
+    lies in A^t Z^n exactly when sum_j b_j nu*(y_j) lies in the small
+    group; big/small has the invariant factors of Z^n / A^t Z^n; the e
+    lattice points get e distinct labels, each in the coset of its value
+    and unchanged by adding a generator of the small group.
+    """
+    me = cs.extension
+    n = me.blocks.n
+    At = me.A.transpose()
+    samples = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    samples += [At.column(j) for j in range(n)]
+    if n <= 3:
+        samples += product(range(-2, 3), repeat=n)
+    for b in samples:
+        assert cs.small_group.contains(value_of(me, b)) == \
+            in_column_lattice(cs.snf_at, b), b
+    assert quotient_invariant_factors(cs.big_group, cs.small_group) == \
+        cs.invariant_factors
+    assert len({lbl.flat() for lbl in cs.labels}) == cs.e
+    for val, lbl in zip(cs.values, cs.labels):
+        assert cs.small_group.contains(val - lbl)
+        for s in cs.small_group.generators:
+            assert cs.quotient.label(val + s) == lbl
+
+
+def test_a7_oracle_on_bundled_scenarios():
+    systems = 0
+    for name in bundled_scenario_names():
+        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
+        for _, me in scenario.extensions:
+            a7_oracle(coset_system(strong_monomialize(me).final))
+            systems += 1
+    assert systems == 22
+
+
+def test_a7_oracle_on_golden_ladder():
+    for _, me in ladder_scenario().extensions:
+        a7_oracle(coset_system(strong_monomialize(me).final))
