@@ -180,6 +180,7 @@ class ParallelepipedBasis:
     vectors: tuple      # the n independent generators
     points: tuple       # lambda: lattice points, lex sorted, 0 first
     index: int
+    snf: object         # SmithDecomposition of W, columns the generators
 
     @property
     def dim(self):
@@ -213,7 +214,8 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     if len(basis) != index or (0,) * n not in basis:
         raise InconsistentParallelepiped(
             f"{len(basis)} points for index {index}, or 0 missing")
-    return ParallelepipedBasis(vectors=vectors, points=basis, index=index)
+    return ParallelepipedBasis(vectors=vectors, points=basis, index=index,
+                               snf=snf)
 
 
 def _cone_coordinates(W: ExactMatrix):

@@ -181,7 +181,7 @@ def cmd_graded(args):
         "cases": [
             {k: case.get(k) for k in
              ("case", "e", "f", "rank", "lattice_points", "sigma_trivial",
-              "ok") if k in case}
+              "failure", "ok") if k in case}
             for case in report["cases"]],
         "ok": all(c["ok"] for c in report["cases"]) if report["cases"]
         else True,

@@ -283,8 +283,9 @@ def hermite_row_basis(rows):
             pivot_row[:] = [-x for x in pivot_row]
         basis.append(pivot_row)
         work = [r for r in work if r is not pivot_row and any(r)]
-    # reduce entries above each pivot into [0, pivot)
-    for k in range(len(basis) - 1, -1, -1):
+    # reduce entries above each pivot into [0, pivot), top-down: row k
+    # vanishes on the earlier pivot columns, so they stay reduced
+    for k in range(len(basis)):
         col = next(j for j, x in enumerate(basis[k]) if x)
         for j in range(k):
             q = basis[j][col] // basis[k][col]

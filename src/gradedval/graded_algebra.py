@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import (
     DimensionMismatch,
@@ -202,21 +201,6 @@ def free_rank(cs: CosetSystem, f: int) -> int:
     return cs.e * f
 
 
-def quotient_group_elements(cs: CosetSystem):
-    """Representatives of Z^n / A^t Z^n, one per residue class.
-
-    Uses the Smith decomposition U A^t V = D: classes correspond to residue
-    vectors c with 0 <= c_i < d_i, lifted back through U^{-1}, which the
-    coset system inverts once.
-    """
-    diag = cs.snf_at.D.diagonal_entries()
-    uinv = cs.u_inverse
-    out = []
-    for residues in product(*[range(d) for d in diag]):
-        out.append(tuple(uinv.apply(residues)))
-    return tuple(out)
-
-
 def galois_character(cs: CosetSystem, g_bar, sigma) -> Fraction:
     """chi(g, sigma) in Q/Z via the Smith-adapted pairing of the quotient."""
     snf = cs.snf_at
@@ -263,8 +247,10 @@ def invariant_projection(x: GradedModuleElement):
 
 
 def fixed_by_all_characters(module: GradedModule, sigma):
-    """Brute force over the full quotient group: is sigma's phase trivial?"""
+    """Brute force over the full quotient group: is sigma's phase trivial?
+
+    chi(g, sigma) depends only on g's class in Z^n / A^t Z^n, and the
+    lattice points are one representative per class (count checked)."""
     cs = module.system
     return all(
-        galois_character(cs, g, sigma) == 0
-        for g in quotient_group_elements(cs))
+        galois_character(cs, g, sigma) == 0 for g in cs.lattice_points)

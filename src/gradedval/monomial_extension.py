@@ -11,9 +11,14 @@ non-T row is its own variable times a monomial in strictly later T-columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import (
+    DimensionMismatch,
     InvalidExtension,
     NonPositiveValue,
     SingularBlock,
@@ -115,6 +120,22 @@ class MonomialExtension:
     @property
     def structure(self) -> GroupStructure:
         return self.y_values[0].structure
+
+    @cached_property
+    def _value_columns(self):
+        """(L, columns): the integer matrix of L * nu*(y_j), L the least
+        common denominator, stored by column.  Computed once."""
+        flats = [v.flat() for v in self.y_values]
+        L = math.lcm(*(c.denominator for v in flats for c in v))
+        return L, tuple(zip(*[[int(c * L) for c in v] for v in flats]))
+
+    def value(self, b):
+        """nu*(y^b) = sum_j b_j nu*(y_j): integer sums, one element built."""
+        if len(b) != len(self.y_values):
+            raise DimensionMismatch("exponent vector length != n")
+        L, columns = self._value_columns
+        return self.structure.from_flat(
+            [Fraction(sum(map(mul, b, col)), L) for col in columns])
 
     def t_submatrix(self):
         T = self.blocks.t_indices()
@@ -218,17 +239,11 @@ class SSMForm:
 
 def induced_x_values(me: MonomialExtension):
     """Values of the x monomials: nu(x_i) = sum_j a_ij * nu*(y_j)."""
-    out = []
-    for i in range(me.blocks.n):
-        v = me.structure.zero()
-        for j in range(me.blocks.n):
-            a = me.A[i, j]
-            if a:
-                v = v + me.y_values[j].scale(a)
+    out = tuple(me.value(row) for row in me.A.entries)
+    for i, v in enumerate(out):
         if v.sign() <= 0:
             raise NonPositiveValue(f"nu(x_{i}) is not strictly positive")
-        out.append(v)
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ unit rescale; the trace of steps replays deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     HypothesisA6Failed,
@@ -18,13 +17,7 @@ from .errors import (
     NotAlongValuation,
     NotTheorem48Form,
 )
-from .exact_lattice import (
-    ExactMatrix,
-    adjugate,
-    determinant,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .exact_lattice import ExactMatrix, adjugate
 from .affine_monoids import parallelepiped_points
 from .monomial_extension import (
     MonomialExtension,
@@ -250,28 +243,22 @@ class CosetSystem:
     small_group: ValueGroup
     quotient: Quotient = field(compare=False, repr=False)  # big / small
 
-    @cached_property
-    def u_inverse(self):
-        """U^{-1} for snf_at = (U, D, V): lifts Smith residues to Z^n."""
-        return unimodular_inverse(self.snf_at.U)
-
-
-def _value_of(me, b):
-    """sum_j b_j nu*(y_j), the value of the monomial y^b."""
-    gamma = me.structure.zero()
-    for j, bj in enumerate(b):
-        if bj:
-            gamma = gamma + me.y_values[j].scale(bj)
-    return gamma
-
 
 def coset_system(ssm: SSMForm) -> CosetSystem:
     """Build the coset representative system of a strong monomial form.
 
-    Checks hypothesis A6 before constructing anything: |det A| must equal
-    the index [big : small] of the value group of x in the value group of
-    y.  Hypothesis A7, that b -> sum_j b_j nu*(y_j) induces an isomorphism
-    Z^n / A^t Z^n -> big/small, then holds without further checks:
+    The parallelepiped of the rows of A is built first; its Smith form of
+    A^t and its point count e = |det A^t| = |det A| are used as they are.
+    A is nonsingular without a further check: variables are ordered by
+    block and validate admits a_ij != 0 only when j's block is not before
+    i's, so A is block upper triangular with diagonal blocks
+    [[G_b, 0], [0, I]], det A = prod_b det G_b, and validate rejects a
+    singular G_b.
+
+    Hypothesis A6, that e equals the index [big : small] of the value
+    group of x in the value group of y, is checked.  Hypothesis A7, that
+    b -> sum_j b_j nu*(y_j) induces an isomorphism Z^n / A^t Z^n ->
+    big/small, then holds without further checks:
 
     - the map phi: Z^n -> big is onto, because the y-values generate big;
     - phi(A^t Z^n) = small, because nu(x_i) is phi of the i-th row of A;
@@ -281,25 +268,18 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     Hence the e parallelepiped points receive e distinct coset labels and
     the invariant factors of A^t are those of big/small.  Quotient's own
     checks (small lies in big, with finite index) are what the proof rests
-    on.  The quotient and the Smith form of A^t are each computed once and
-    answer every query.
+    on.
     """
     me = ssm.extension
     big = ValueGroup(me.structure, me.y_values)
     small = ValueGroup(me.structure, induced_x_values(me))
-    e = abs(determinant(me.A))
-    if e == 0:
-        raise HypothesisA6Failed("exponent matrix is singular")
+    pb = parallelepiped_points(me.A.entries)
+    e = pb.index
     quotient = Quotient(big, small)
     if quotient.index != e:
         raise HypothesisA6Failed(
             f"|det A| = {e} but subgroup index is {quotient.index}")
-    snf_at = smith_normal_form(me.A.transpose())
-    pb = parallelepiped_points(me.A.entries)
-    if pb.index != e:
-        raise HypothesisA6Failed(
-            f"parallelepiped count {pb.index} != e = {e}")
-    values = tuple(_value_of(me, sigma) for sigma in pb.points)
+    values = tuple(me.value(sigma) for sigma in pb.points)
     return CosetSystem(
         extension=me,
         e=e,
@@ -308,8 +288,8 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         values=values,
         # det A^t = +-e != 0, so every diagonal entry is nonzero
         invariant_factors=tuple(
-            d for d in snf_at.D.diagonal_entries() if d > 1),
-        snf_at=snf_at,
+            d for d in pb.snf.D.diagonal_entries() if d > 1),
+        snf_at=pb.snf,
         big_group=big,
         small_group=small,
         quotient=quotient,

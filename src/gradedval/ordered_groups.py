@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .errors import (
     AmbientMismatch,
@@ -77,6 +78,12 @@ class GroupStructure:
     def element(self, coords):
         return GroupElement(self, tuple(
             tuple(Fraction(c) for c in block) for block in coords))
+
+    def from_flat(self, flat):
+        """The element whose block coordinates, concatenated, are flat."""
+        it = iter(flat)
+        return GroupElement(self, tuple(
+            tuple(islice(it, b.rational_rank)) for b in self.blocks))
 
 
 def _block_sign(block: Block, comp):
@@ -206,13 +213,6 @@ class IsolatedChain:
         return isolated_level(gamma) >= level
 
 
-def _lcm(values):
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 @dataclass(frozen=True)
 class ValueGroup:
     """Finitely generated subgroup of a block group, given by generators."""
@@ -232,8 +232,7 @@ class ValueGroup:
         """(scale L, HNF basis rows, pivot columns): the group is
         (1/L) * row-lattice(basis).  Computed once per group."""
         vecs = [g.flat() for g in self.generators]
-        denoms = [c.denominator for v in vecs for c in v] or [1]
-        L = _lcm(denoms)
+        L = math.lcm(*(c.denominator for v in vecs for c in v))
         rows = [tuple(int(c * L) for c in v) for v in vecs]
         rows = [r for r in rows if any(r)]
         basis = hermite_row_basis(rows) if rows else ()
@@ -277,22 +276,13 @@ class ValueGroup:
         """Group elements forming a lattice basis of this subgroup."""
         L, basis, _ = self._lattice
         return tuple(
-            _element_from_flat(self.structure, [Fraction(x, L) for x in row])
+            self.structure.from_flat([Fraction(x, L) for x in row])
             for row in basis)
 
 
 def _pivot_columns(echelon_rows):
     return tuple(next(j for j, x in enumerate(row) if x)
                  for row in echelon_rows)
-
-
-def _element_from_flat(structure, flat):
-    coords = []
-    pos = 0
-    for block in structure.blocks:
-        coords.append(tuple(flat[pos:pos + block.rational_rank]))
-        pos += block.rational_rank
-    return GroupElement(structure, tuple(coords))
 
 
 def _inclusion_matrix(big: ValueGroup, small: ValueGroup):
@@ -362,8 +352,7 @@ class Quotient:
         for c, row in zip(v, basis):
             if c:
                 flat = [a + c * b for a, b in zip(flat, row)]
-        return _element_from_flat(self.big.structure,
-                                  [Fraction(x, L) for x in flat])
+        return self.big.structure.from_flat([Fraction(x, L) for x in flat])
 
 
 def subgroup_index(big: ValueGroup, small: ValueGroup):

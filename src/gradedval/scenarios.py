@@ -164,60 +164,70 @@ def load_scenario(data) -> Scenario:
 
 
 def _run_extension_case(label, me, f, invariant_limit=24):
-    report = {"case": label}
-    checks = []
-    problems = validate(me)
-    report["validation"] = [
-        {"kind": v.kind, "location": [enc_int(x) for x in v.location],
-         "message": v.message} for v in problems]
-    checks.append(("valid_input", not problems))
-    if problems:
-        report["ok"] = False
+    """Report of one extension.  A GradedValError ends this case, not the
+    pipeline: the case then records the stage it failed in and the error.
+    """
+    stage = "validate"
+    try:
+        report = {"case": label}
+        checks = []
+        problems = validate(me)
+        report["validation"] = [
+            {"kind": v.kind, "location": [enc_int(x) for x in v.location],
+             "message": v.message} for v in problems]
+        checks.append(("valid_input", not problems))
+        if problems:
+            report["ok"] = False
+            report["checks"] = [{"name": n, "passed": p} for n, p in checks]
+            return report
+        e0 = adjoint_relations(me).e
+        stage = "monomialize"
+        trace = strong_monomialize(me)
+        final = trace.final.extension
+        stage = "replay"
+        redone = replay(trace.initial, trace.steps)
+        checks.append(("replay_matches", redone == final))
+        checks.append(("values_positive",
+                       all(v.sign() > 0 for v in final.y_values)))
+        checks.append(("t_determinant_preserved",
+                       adjoint_relations(final).e == e0))
+        report["steps"] = enc_int(len(trace.steps))
+        stage = "coset_system"
+        cs = coset_system(trace.final)
+        stage = "graded"
+        mod = GradedModule(system=cs, residue_degree=f)
+        labels = mod.basis_labels()
+        checks.append(("rank_is_e_times_f", len(labels) == cs.e * f))
+        # each basis label repeats its lattice point's coset label f times,
+        # so the e*f labels fill every coset f times iff e labels differ
+        checks.append(("cosets_exhausted",
+                       len({lbl.flat() for lbl in cs.labels}) == cs.e))
+        inv = invariant_part(mod)
+        checks.append(("invariant_rank_f", len(inv) == f))
+        if cs.e <= invariant_limit:
+            fixed = [lbl for lbl in labels
+                     if fixed_by_all_characters(mod, lbl.sigma)]
+            checks.append(("invariant_is_fixed_set", fixed == list(inv)))
+        report.update({
+            "e": enc_int(cs.e),
+            "f": enc_int(f),
+            "rank": enc_int(cs.e * f),
+            "invariant_factors": [enc_int(d) for d in cs.invariant_factors],
+            "lattice_points": [[enc_int(x) for x in p]
+                               for p in cs.lattice_points],
+            "coset_labels": [enc_element(l) for l in cs.labels],
+            "sigma_trivial": [
+                [enc_int(x) for x in p] for p in cs.lattice_points
+                if is_sigma_trivial(cs, p)],
+            "final_A": enc_matrix(final.A),
+        })
         report["checks"] = [{"name": n, "passed": p} for n, p in checks]
+        report["ok"] = all(p for _, p in checks)
         return report
-    e0 = adjoint_relations(me).e
-    trace = strong_monomialize(me)
-    final = trace.final.extension
-    redone = replay(trace.initial, trace.steps)
-    checks.append(("replay_matches", redone == final))
-    checks.append(("values_positive",
-                   all(v.sign() > 0 for v in final.y_values)))
-    checks.append(("t_determinant_preserved",
-                   adjoint_relations(final).e == e0))
-    report["steps"] = enc_int(len(trace.steps))
-    cs = coset_system(trace.final)
-    mod = GradedModule(system=cs, residue_degree=f)
-    labels = mod.basis_labels()
-    checks.append(("rank_is_e_times_f", len(labels) == cs.e * f))
-    counts = {}
-    for lbl in labels:
-        rep = cs.quotient.label(mod.value_map(lbl.sigma))
-        counts[rep.flat()] = counts.get(rep.flat(), 0) + 1
-    checks.append(("cosets_exhausted",
-                   len(counts) == cs.e
-                   and all(c == f for c in counts.values())))
-    inv = invariant_part(mod)
-    checks.append(("invariant_rank_f", len(inv) == f))
-    if cs.e <= invariant_limit:
-        fixed = [lbl for lbl in labels
-                 if fixed_by_all_characters(mod, lbl.sigma)]
-        checks.append(("invariant_is_fixed_set", fixed == list(inv)))
-    report.update({
-        "e": enc_int(cs.e),
-        "f": enc_int(f),
-        "rank": enc_int(cs.e * f),
-        "invariant_factors": [enc_int(d) for d in cs.invariant_factors],
-        "lattice_points": [[enc_int(x) for x in p]
-                           for p in cs.lattice_points],
-        "coset_labels": [enc_element(l) for l in cs.labels],
-        "sigma_trivial": [
-            [enc_int(x) for x in p] for p in cs.lattice_points
-            if is_sigma_trivial(cs, p)],
-        "final_A": enc_matrix(final.A),
-    })
-    report["checks"] = [{"name": n, "passed": p} for n, p in checks]
-    report["ok"] = all(p for _, p in checks)
-    return report
+    except GradedValError as exc:
+        return {"case": label, "ok": False,
+                "failure": {"stage": stage,
+                            "error": f"{exc.__class__.__name__}: {exc}"}}
 
 
 def _run_semigroup_section(sg):

@@ -10,7 +10,10 @@ generator's tail coordinates may be negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     AmbientMismatch,
@@ -116,57 +119,51 @@ def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
     return _search(gamma, gens_by_level, 0, [_SEARCH_BUDGET])
 
 
-def _coefficient_cap(g, bound, budget):
-    """Largest c with c * (leading component of g) <= bound in value."""
-    level = isolated_level(g)
-    block = g.structure.blocks[level]
-    comp = g.coords[level]
-    bound_comp = (bound,) + (0,) * (block.rational_rank - 1)
-    c = 0
-    while True:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationOverflow("enumeration budget exhausted")
-        rem = tuple(b - (c + 1) * a for a, b in zip(comp, bound_comp))
-        if _block_sign(block, rem) < 0:
-            return c
-        c += 1
-
-
 def enumerate_elements(S: ValueSemigroup, bound):
     """All semigroup elements within the box bound, lex sorted.
 
     The bound is a rational box applied per block: an element qualifies when
-    each of its block components has value at most the bound.  Coefficient
-    caps come from each generator's leading block, so the enumeration is
-    finite and exhaustive inside the box.
+    each of its block components has value at most the bound.  Partial sums
+    are built one generator at a time, in order of level, in integers over
+    a common denominator, and deduplicated.  While level-l generators are
+    added, blocks below l are final and block l only grows (they are
+    positive there, later ones vanish), so a sum outside the box there is
+    dropped and each generator is added until block l leaves the box.  No
+    cap comes from a tail, which may be negative: the result is exhaustive.
     """
-    budget = [_SEARCH_BUDGET]
-    caps = [_coefficient_cap(g, bound, budget) for g in S.generators]
-    total = 1
-    for c in caps:
-        total *= c + 1
-        if total > _SEARCH_BUDGET:
-            raise EnumerationOverflow("too many coefficient combinations")
     structure = S.structure
-    out = {}
-    stack = [(structure.zero(), 0)]
-    while stack:
-        current, i = stack.pop()
-        if i == len(S.generators):
-            if all(
-                _block_sign(
-                    block,
-                    tuple((bound if k == 0 else 0) - x
-                          for k, x in enumerate(comp))) >= 0
-                for block, comp in zip(structure.blocks, current.coords)
-            ):
-                out[current.flat()] = current
-            continue
-        g = S.generators[i]
-        for c in range(caps[i] + 1):
-            stack.append((current + g.scale(c) if c else current, i + 1))
-    return tuple(v for _, v in sorted(out.items()))
+    flats = [g.flat() for g in S.generators]
+    bound = Fraction(bound)
+    L = math.lcm(bound.denominator,
+                 *(c.denominator for v in flats for c in v))
+    top = int(bound * L)
+    blocks = structure.blocks
+    starts = tuple(accumulate((b.rational_rank for b in blocks), initial=0))
+
+    def in_box(p, levels):
+        return all(_block_sign(blocks[b], tuple(
+            (top if k == starts[b] else 0) - p[k]
+            for k in range(starts[b], starts[b + 1]))) >= 0 for b in levels)
+
+    budget = _SEARCH_BUDGET
+    sums = {(0,) * starts[-1]}
+    done = 0            # blocks below done are final and inside the box
+    for level, g in sorted(zip(map(isolated_level, S.generators), flats)):
+        sums = {p for p in sums if in_box(p, range(done, level))}
+        done = level
+        row = [int(c * L) for c in g]
+        grown = set()
+        for p in sums:
+            while in_box(p, (level,)):
+                budget -= 1
+                if budget < 0:
+                    raise EnumerationOverflow("enumeration budget exhausted")
+                grown.add(p)
+                p = tuple(a + x for a, x in zip(p, row))
+        sums = grown
+    kept = sorted(p for p in sums if in_box(p, range(done, len(blocks))))
+    return tuple(structure.from_flat([Fraction(x, L) for x in p])
+                 for p in kept)
 
 
 def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,

@@ -225,3 +225,35 @@ def test_decoders_accept_only_strings():
             dec_frac(bad)
         with pytest.raises(ParseError):
             dec_int(bad)
+
+
+def test_pipeline_records_a_failing_case_and_runs_the_rest(tmp_path, capsys):
+    # the A6-failing extension: duplicate values make the y-group too
+    # small for |det A| = 2; the random section adds one good case
+    bad = {
+        "blocks": {"r": "1", "t": ["2"], "s": ["1"]},
+        "structure": {"blocks": [{"quad": None}]},
+        "A": [["2", "0"], ["0", "1"]],
+        "unit_markers": ["1", "1"],
+        "y_values": [[["1"]], [["1"]]],
+    }
+    good = {"seed": "3", "count": "1"}
+    both = write(tmp_path, "both.json",
+                 {"name": "mixed", "extension": bad, "random": good})
+    alone = write(tmp_path, "alone.json", {"name": "mixed", "random": good})
+    assert main(["pipeline", "--scenario", both, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    failed, passed = report["cases"]
+    assert failed == {
+        "case": "mixed", "ok": False,
+        "failure": {"stage": "coset_system",
+                    "error": "HypothesisA6Failed: |det A| = 2 but subgroup "
+                             "index is 1"}}
+    assert main(["pipeline", "--scenario", alone, "--json"]) == 0
+    assert passed == json.loads(capsys.readouterr().out)["cases"][0]
+    assert passed["ok"] is True
+    # the graded summary carries the failure too
+    assert main(["graded", "--scenario", both, "--json"]) == 1
+    graded = json.loads(capsys.readouterr().out)
+    assert graded["cases"][0]["failure"]["stage"] == "coset_system"

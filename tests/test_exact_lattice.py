@@ -8,6 +8,7 @@ from gradedval.exact_lattice import (
     ExactMatrix,
     adjugate,
     determinant,
+    hermite_row_basis,
     in_column_lattice,
     is_unimodular,
     lattice_index,
@@ -285,6 +286,37 @@ def test_adjugate_edge_cases():
         adjugate(ExactMatrix.from_rows([[1, 2], [2, 4]]))
     with pytest.raises(DimensionMismatch):
         adjugate(ExactMatrix.from_rows([[1, 2]]))
+
+
+def test_hermite_basis_is_canonical():
+    # reducing above the pivots bottom-up gave (1, 0, -234) as first row
+    basis = hermite_row_basis([(1, 7, 4), (7, -3, 0), (0, 9, 6)])
+    assert basis == ((1, 0, 6), (0, 1, 34), (0, 0, 60))
+    assert hermite_row_basis(basis) == basis
+
+
+def sympy_row_hermite(sympy, rows):
+    """sympy's column-style Hermite form, read with rows and columns
+    reversed: the row-style echelon form of hermite_row_basis."""
+    from sympy.matrices.normalforms import hermite_normal_form
+    H = hermite_normal_form(sympy.Matrix(rows).T[::-1, ::-1]).T[::-1, ::-1]
+    return tuple(tuple(int(x) for x in H.row(i)) for i in range(H.rows))
+
+
+def test_hermite_basis_matches_sympy_seeded():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-9, 9) for _ in range(n))
+                for _ in range(rng.randint(n, n + 2))]
+        if sympy.Matrix(rows).rank() < n:
+            continue
+        basis = hermite_row_basis(rows)
+        assert basis == sympy_row_hermite(sympy, rows), rows
+        assert hermite_row_basis(basis) == basis
+        checked += 1
 
 
 def test_residue_membership_examples():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from gradedval.errors import DimensionMismatch, GradingMismatch, ZeroElement
-from gradedval.exact_lattice import ExactMatrix
+from gradedval.exact_lattice import ExactMatrix, unimodular_inverse
 from gradedval.graded_algebra import (
     GradedAlgebra,
     GradedModule,
@@ -18,7 +19,6 @@ from gradedval.graded_algebra import (
     invariant_part,
     invariant_projection,
     is_sigma_trivial,
-    quotient_group_elements,
 )
 from gradedval.monomial_extension import (
     BlockStructure,
@@ -33,6 +33,16 @@ from gradedval.ordered_groups import (
     coset_label,
 )
 from gradedval.value_semigroups import ValueSemigroup
+
+
+def quotient_group_elements(cs):
+    """Representatives of Z^n / A^t Z^n, one per residue class: the Smith
+    residue vectors c with 0 <= c_i < d_i of U A^t V = D, lifted back
+    through U^{-1}.  An oracle independent of the parallelepiped points."""
+    diag = cs.snf_at.D.diagonal_entries()
+    uinv = unimodular_inverse(cs.snf_at.U)
+    return tuple(tuple(uinv.apply(residues))
+                 for residues in product(*[range(d) for d in diag]))
 
 
 def rank1_system(a):

@@ -7,7 +7,8 @@ Quotient against per-call coset_label, brute-force coset enumeration and
 sympy's normal forms, adjugate against sympy and the cofactor minors, the
 adjugate-based verify_disjoint_decomposition against the brute-force
 search it replaced, rref against sympy, and coset systems of random
-extensions against the sampled hypothesis-A7 checks.
+extensions against the sampled hypothesis-A7 checks and against the
+invariants and values they reuse, recomputed from scratch.
 """
 
 import random
@@ -27,7 +28,10 @@ from test_exact_lattice import (  # noqa: E402
     check_rref_against_sympy,
     cofactor_adjugate,
 )
-from test_monomialization import a7_oracle  # noqa: E402
+from test_monomialization import (  # noqa: E402
+    a7_oracle,
+    coset_system_oracle,
+)
 
 from gradedval.affine_monoids import (  # noqa: E402
     parallelepiped_points,
@@ -51,7 +55,6 @@ from gradedval.ordered_groups import (  # noqa: E402
     GroupStructure,
     Quotient,
     ValueGroup,
-    _element_from_flat,
     coset_label,
     quotient_invariant_factors,
     subgroup_index,
@@ -204,7 +207,7 @@ def finite_quotient(draw):
                 for i in range(m)]
 
     big = ValueGroup(structure, tuple(
-        _element_from_flat(structure, row)
+        structure.from_flat(row)
         for row in triangular(nonzero_fractions, fractions)))
     M = triangular(st.integers(1, 4), st.integers(-3, 3))
     index = 1
@@ -291,10 +294,10 @@ def test_hermite_basis_against_sympy(rows):
         return
     ours = hermite_row_basis([tuple(r) for r in rows])
     # sympy's column-style form, read with rows and columns reversed, is
-    # the row-style echelon form used here
+    # the row-style echelon form used here, entry for entry
     theirs = hermite_normal_form(M.T[::-1, ::-1]).T[::-1, ::-1]
-    assert [ours[i][i] for i in range(n)] == \
-        [int(theirs[i, i]) for i in range(n)]
+    assert ours == tuple(tuple(int(x) for x in theirs.row(i))
+                         for i in range(n))
     # the same lattice: each basis lies in the other's row lattice
     structure = GroupStructure(tuple(Block() for _ in range(n)))
 
@@ -366,3 +369,12 @@ def test_a7_oracle_on_random_extensions(seed, r_max, t_max, g_max):
     me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
                                   t_max=t_max, g_max=g_max)
     a7_oracle(coset_system(strong_monomialize(me).final))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 5))
+def test_coset_system_oracle_on_random_extensions(seed, r_max, t_max, g_max):
+    me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
+                                  t_max=t_max, g_max=g_max)
+    coset_system_oracle(coset_system(strong_monomialize(me).final))

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 from test_golden_reports import ladder_scenario
+from test_graded_algebra import quotient_group_elements
 
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval.errors import (
@@ -10,11 +11,22 @@ from gradedval.errors import (
     NotAlongValuation,
     NotTheorem48Form,
 )
-from gradedval.exact_lattice import ExactMatrix, determinant, in_column_lattice
+from gradedval.exact_lattice import (
+    ExactMatrix,
+    determinant,
+    in_column_lattice,
+    smith_normal_form,
+)
+from gradedval.graded_algebra import (
+    GradedModule,
+    fixed_by_all_characters,
+    galois_character,
+)
 from gradedval.monomial_extension import (
     BlockStructure,
     MonomialExtension,
     SSMForm,
+    induced_x_values,
 )
 from gradedval.monomialization import (
     TransformStep,
@@ -303,3 +315,40 @@ def test_a7_oracle_on_bundled_scenarios():
 def test_a7_oracle_on_golden_ladder():
     for _, me in ladder_scenario().extensions:
         a7_oracle(coset_system(strong_monomialize(me).final))
+
+
+def coset_system_oracle(cs, character_limit=64):
+    """What coset_system takes from the parallelepiped and the integer
+    value map, recomputed independently: the Smith form of A^t, e = |det A|,
+    the values as Fraction sums of scaled y-values, and (for e up to the
+    limit) the character check over the lattice points against the walk
+    over the Smith residues."""
+    me = cs.extension
+    assert cs.snf_at == smith_normal_form(me.A.transpose())
+    assert cs.e == abs(determinant(me.A))
+    assert cs.values == tuple(value_of(me, s) for s in cs.lattice_points)
+    assert induced_x_values(me) == tuple(value_of(me, row)
+                                         for row in me.A.entries)
+    if cs.e > character_limit:
+        return
+    mod = GradedModule(system=cs, residue_degree=1)
+    reps = quotient_group_elements(cs)
+    assert len(reps) == cs.e
+    for sigma in cs.lattice_points:
+        walk = all(galois_character(cs, g, sigma) == 0 for g in reps)
+        assert fixed_by_all_characters(mod, sigma) == walk
+
+
+def test_coset_system_oracle_on_bundled_scenarios():
+    systems = 0
+    for name in bundled_scenario_names():
+        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
+        for _, me in scenario.extensions:
+            coset_system_oracle(coset_system(strong_monomialize(me).final))
+            systems += 1
+    assert systems == 22
+
+
+def test_coset_system_oracle_on_golden_ladder():
+    for _, me in ladder_scenario().extensions:
+        coset_system_oracle(coset_system(strong_monomialize(me).final))

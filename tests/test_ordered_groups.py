@@ -181,6 +181,24 @@ def test_coset_label_partitions():
             assert same == small.contains(y - x)
 
 
+def test_coset_label_independent_of_presentation():
+    # one lattice, presented by its generators and by its Hermite basis
+    three = GroupStructure((Block(), Block(), Block()))
+    rows = [(1, 7, 4), (7, -3, 0), (0, 9, 6)]
+
+    def group(vectors):
+        return ValueGroup(three, tuple(
+            el(three, *((x,) for x in v)) for v in vectors))
+
+    small = group([tuple(2 * x for x in r) for r in rows])
+    a = group(rows)
+    b = group([(1, 0, 6), (0, 1, 34), (0, 0, 60)])
+    for k in [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (3, -2, 5)]:
+        gamma = el(three, *(
+            (sum(c * r[j] for c, r in zip(k, rows)),) for j in range(3)))
+        assert coset_label(gamma, a, small) == coset_label(gamma, b, small)
+
+
 def test_quotient_invariant_factors():
     two = GroupStructure((Block(quad=5),))
     big = ValueGroup(two, (el(two, (1, 0)), el(two, (0, 1))))

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from gradedval import value_semigroups
 from gradedval.errors import (
+    EnumerationOverflow,
     NegativeQuery,
     NonIncreasingTail,
     NonPositiveGenerator,
@@ -13,6 +16,7 @@ from gradedval.ordered_groups import (
     Block,
     GroupStructure,
     ValueGroup,
+    _block_sign,
     subgroup_index,
 )
 from gradedval.value_semigroups import (
@@ -164,3 +168,101 @@ def test_composite_rank_two_level_one_knapsack():
     assert semigroup_membership(el(1, 4), S)
     assert not semigroup_membership(el(0, Fraction(1, 2)), S)
     assert not semigroup_membership(el(2, Fraction(7, 2)), S)
+
+
+def semigroup(structure, gens):
+    gens = tuple(structure.element(g) for g in gens)
+    return ValueSemigroup(ambient=ValueGroup(structure, gens),
+                          generators=gens)
+
+
+def brute_force_elements(S, bound, caps):
+    """Every sum_i c_i g_i with 0 <= c_i <= caps[i] whose block components
+    all have value at most bound, as a set of flat coordinates."""
+    flats = [g.flat() for g in S.generators]
+    out = set()
+    for coeffs in product(*[range(c + 1) for c in caps]):
+        total = tuple(sum(c * f[k] for c, f in zip(coeffs, flats))
+                      for k in range(len(flats[0])))
+        pos, inside = 0, True
+        for block in S.structure.blocks:
+            comp = total[pos:pos + block.rational_rank]
+            pos += block.rational_rank
+            gap = (bound - comp[0],) + tuple(-x for x in comp[1:])
+            inside = inside and _block_sign(block, gap) >= 0
+        if inside:
+            out.add(total)
+    return out
+
+
+def test_enumeration_reaches_past_a_negative_tail():
+    # (1 | 1) = g1 + 6 g2, with 6 above g2's cap from its own block alone
+    structure = GroupStructure((Block(), Block()))
+    S = semigroup(structure, [((1,), (-5,)), ((0,), (1,))])
+    flats = {el.flat() for el in enumerate_elements(S, 4)}
+    assert (1, 1) in flats
+    assert (1, -5) in flats and (0, 4) in flats and (0, 5) not in flats
+    # (3 | -1) = g1 + g2 although g1 alone has its tail above the bound
+    S = semigroup(structure, [((1,), (4,)), ((2,), (-5,))])
+    assert (3, -1) in {el.flat() for el in enumerate_elements(S, 3)}
+
+
+def test_enumeration_matches_generous_caps_on_two_block_semigroups():
+    # generators are integral with leading entries >= 1 and tails in
+    # [-5, 5], so inside the box the level-0 coefficients sum to at most
+    # the bound, their tails to at least -5 * bound, and each level-1
+    # coefficient is at most 6 * bound: generous caps
+    structure = GroupStructure((Block(), Block()))
+    rng = random.Random(23)
+    bound = 3
+    for _ in range(25):
+        lead = [((rng.randint(1, 3),), (rng.randint(-5, 5),))
+                for _ in range(rng.randint(1, 2))]
+        tail = [((0,), (rng.randint(1, 3),))
+                for _ in range(rng.randint(1, 2))]
+        S = semigroup(structure, lead + tail)
+        caps = [bound if g.coords[0][0] else 6 * bound
+                for g in S.generators]
+        got = [el.flat() for el in enumerate_elements(S, bound)]
+        assert got == sorted(brute_force_elements(S, bound, caps))
+
+
+def test_enumeration_matches_generous_caps_with_sqrt2_block():
+    # the shape of the benchmark's two-block section: h = u - v has a
+    # negative tail, the second block has weights {1, sqrt(2)}
+    structure = GroupStructure((Block(), Block(quad=2)))
+    u, v, w = ((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))
+    h = ((1,), (-1, 0))
+    small = semigroup(structure, [u, v, w])
+    big = semigroup(structure, [u, v, w, h])
+    got = [el.flat() for el in enumerate_elements(big, 7)]
+    # v <= 7 + 7 and sqrt(2) w <= 7 + 7 inside the box
+    assert got == sorted(brute_force_elements(big, 7, (7, 20, 20, 7)))
+    # bottom-block caps alone found 140 of these witnesses
+    assert len(semigroup_difference(small, big, 7)) == 213
+
+
+def reachable(gens, top):
+    ok = [True] + [False] * top
+    for x in range(1, top + 1):
+        ok[x] = any(x >= g and ok[x - g] for g in gens)
+    return ok
+
+
+def test_rank1_witness_count_matches_dynamic_programming():
+    # small = <4, 11>, big = <4, 3, 11> in units of 1/4, bound 28
+    unit = Fraction(1, 4)
+    S_small = rank1_semigroup(4 * unit, 11 * unit)
+    S_big = rank1_semigroup(4 * unit, 3 * unit, 11 * unit)
+    witnesses = semigroup_difference(S_small, S_big, 28)
+    small, big = reachable((4, 11), 112), reachable((4, 3, 11), 112)
+    expected = [Fraction(x, 4) for x in range(1, 113)
+                if big[x] and not small[x]]
+    assert [w.flat()[0] for w in witnesses] == expected
+
+
+def test_enumeration_is_budgeted(monkeypatch):
+    monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", 10)
+    with pytest.raises(EnumerationOverflow):
+        enumerate_elements(rank1_semigroup(1), 20)
+    assert len(enumerate_elements(rank1_semigroup(1), 8)) == 9
