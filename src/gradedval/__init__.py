@@ -3,8 +3,10 @@
 Integer/rational linear algebra (Smith normal form), lex-ordered block
 value groups, pointed affine monoids with parallelepiped decompositions,
 monomial extension rewriting into strong monomial form, coset systems,
-graded free-module decompositions, value semigroups, and ramification
-index bookkeeping.  All arithmetic is exact.
+the free graded module of rank e * f with its invariant part, value
+semigroups enumerated in a box (membership and the growth witnesses
+S_big minus S_small), and ramification index bookkeeping.  All arithmetic
+is exact.
 """
 
 from .errors import GradedValError
@@ -25,7 +27,6 @@ from .ordered_groups import (
     Block,
     GroupElement,
     GroupStructure,
-    IsolatedChain,
     Quotient,
     ValueGroup,
     coset_label,
@@ -38,7 +39,6 @@ from .affine_monoids import (
     AffineMonoid,
     ParallelepipedBasis,
     parallelepiped_points,
-    saturation_membership,
     verify_disjoint_decomposition,
 )
 from .monomial_extension import (
@@ -48,7 +48,6 @@ from .monomial_extension import (
     SSMForm,
     adjoint_relations,
     induced_x_values,
-    is_valid,
     validate,
 )
 from .monomialization import (
@@ -60,20 +59,15 @@ from .monomialization import (
     strong_monomialize,
 )
 from .graded_algebra import (
-    GradedAlgebra,
     GradedBasisLabel,
     GradedModule,
-    GradedModuleElement,
-    base_change_unramified,
-    element_value,
-    expand,
-    free_rank,
-    galois_character_action,
+    fixed_by_all_characters,
     invariant_part,
+    is_sigma_trivial,
 )
 from .value_semigroups import (
     ValueSemigroup,
-    generating_sequence_semigroup,
+    enumerate_elements,
     semigroup_difference,
     semigroup_membership,
 )

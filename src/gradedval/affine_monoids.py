@@ -1,9 +1,9 @@
 """Finitely generated pointed submonoids of Z^n.
 
-Saturation membership, fundamental-parallelepiped generator sets and the
-disjoint coset decomposition of the saturation.  Pointedness is certified at
-construction by a strictly positive linear functional, which makes exact
-membership decidable by bounded search.  For n independent generators the
+Fundamental-parallelepiped generator sets and the disjoint coset
+decomposition of the saturation.  Pointedness is certified at construction
+by a strictly positive linear functional, which makes exact membership
+decidable by bounded search.  For n independent generators the
 parallelepiped points and the decomposition check use exact integer
 coordinates from one adjugate instead.
 """
@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import (
-    BoundTooSmall,
     DependentGenerators,
     DimensionMismatch,
     EnumerationOverflow,
@@ -148,29 +147,6 @@ def in_rational_cone(v, gens):
     # lambda >= 0, eliminate t by Fourier-Motzkin
     ineqs = [([vec[i] for vec in null], particular[i]) for i in range(k)]
     return _fm_feasible(ineqs, len(null))
-
-
-def saturation_membership(v, M: AffineMonoid, box_bound):
-    """True iff m*v lies in M for some 1 <= m <= box_bound.
-
-    Raises BoundTooSmall when v passes the exact rational cone test but no
-    multiplier within the bound certifies membership; a plain False means v
-    is outside the saturation.
-    """
-    v = tuple(int(x) for x in v)
-    if len(v) != M.dim:
-        raise DimensionMismatch("query of wrong dimension")
-    if all(x == 0 for x in v):
-        return True
-    if box_bound < 1:
-        raise ValueError("box_bound must be positive")
-    for m in range(1, box_bound + 1):
-        if M.contains(tuple(m * x for x in v)):
-            return True
-    if in_rational_cone(v, M.generators):
-        raise BoundTooSmall(
-            f"{v} lies in the rational cone; no multiplier <= {box_bound}")
-    return False
 
 
 @dataclass(frozen=True)

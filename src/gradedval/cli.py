@@ -14,11 +14,7 @@ from importlib import resources
 
 from .errors import GradedValError, ParseError
 from .exact_lattice import determinant, smith_normal_form
-from .affine_monoids import (
-    AffineMonoid,
-    parallelepiped_points,
-    verify_disjoint_decomposition,
-)
+from .affine_monoids import AffineMonoid, verify_disjoint_decomposition
 from .monomialization import coset_system, replay, strong_monomialize
 from .monomial_extension import SSMForm
 from .scenarios import (
@@ -32,7 +28,6 @@ from .serialize import (
     dec_element,
     dec_extension,
     dec_frac,
-    dec_int,
     dec_matrix,
     dec_step,
     dec_structure,
@@ -148,11 +143,10 @@ def cmd_cosets(args):
     }
     if args.box_bound is not None:
         A = trace.final.extension.A
-        basis = parallelepiped_points(A.entries)
         monoid = AffineMonoid(
             dim=A.rows, generators=A.entries,
             positivity_functional=_positive_functional(A))
-        decomp = verify_disjoint_decomposition(basis, monoid,
+        decomp = verify_disjoint_decomposition(cs.parallelepiped, monoid,
                                                box_bound=args.box_bound)
         report["decomposition"] = {
             "box_bound": enc_int(decomp.box_bound),

@@ -51,11 +51,6 @@ class InconsistentParallelepiped(GradedValError):
     """The enumerated parallelepiped points do not number |det| or miss 0."""
 
 
-class BoundTooSmall(GradedValError):
-    """The element lies in the rational cone but no multiplier within the
-    configured bound certifies saturation membership."""
-
-
 # -- monomial extensions ----------------------------------------------------
 
 class InvalidExtension(GradedValError):
@@ -90,10 +85,6 @@ class HypothesisA6Failed(GradedValError):
 
 # -- graded modules ---------------------------------------------------------
 
-class ZeroElement(GradedValError):
-    """Operation undefined on the zero module element."""
-
-
 class GradingMismatch(GradedValError):
     """A term's data is inconsistent with the grading."""
 
@@ -110,10 +101,6 @@ class NotASubsemigroup(GradedValError):
 
 class NonPositiveGenerator(GradedValError):
     """Semigroup generators must be strictly positive."""
-
-
-class NonIncreasingTail(GradedValError):
-    """Generating-sequence values must strictly increase after the start."""
 
 
 class EnumerationOverflow(GradedValError):

@@ -57,9 +57,6 @@ class ExactMatrix:
     def row(self, i):
         return self.entries[i]
 
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self):
         return ExactMatrix(tuple(zip(*self.entries))) if self.entries else self
 

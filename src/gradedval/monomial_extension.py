@@ -209,10 +209,6 @@ def validate(me: MonomialExtension):
     return out
 
 
-def is_valid(me: MonomialExtension):
-    return not validate(me)
-
-
 @dataclass(frozen=True)
 class SSMForm:
     """A valid monomial extension whose non-T rows are trivial unit rows."""

@@ -18,11 +18,10 @@ from .errors import (
     NotTheorem48Form,
 )
 from .exact_lattice import ExactMatrix, adjugate
-from .affine_monoids import parallelepiped_points
+from .affine_monoids import ParallelepipedBasis, parallelepiped_points
 from .monomial_extension import (
     MonomialExtension,
     SSMForm,
-    adjoint_relations,
     induced_x_values,
     validate,
 )
@@ -242,6 +241,7 @@ class CosetSystem:
     big_group: ValueGroup
     small_group: ValueGroup
     quotient: Quotient = field(compare=False, repr=False)  # big / small
+    parallelepiped: ParallelepipedBasis = field(compare=False, repr=False)
 
 
 def coset_system(ssm: SSMForm) -> CosetSystem:
@@ -293,10 +293,6 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         big_group=big,
         small_group=small,
         quotient=quotient,
+        parallelepiped=pb,
     )
 
-
-def verify_adjoint_invariance(trace: MonomializationTrace):
-    """|det A_T| agrees between the initial and final extensions."""
-    return (adjoint_relations(trace.initial).e
-            == adjoint_relations(trace.final.extension).e)

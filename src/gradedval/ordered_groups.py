@@ -47,12 +47,6 @@ class Block:
     def rational_rank(self):
         return 1 if self.quad is None else 2
 
-    @property
-    def weights(self):
-        if self.quad is None:
-            return ("1",)
-        return ("1", f"sqrt({self.quad})")
-
 
 @dataclass(frozen=True)
 class GroupStructure:
@@ -181,36 +175,18 @@ def lex_compare(a: GroupElement, b: GroupElement):
     return (a - b).sign()
 
 
-def isolated_level(gamma: GroupElement, chain=None):
-    """Largest i such that the first i blocks of gamma vanish (r for zero)."""
-    if chain is not None and chain.structure != gamma.structure:
-        raise AmbientMismatch("chain over a different ambient group")
+def isolated_level(gamma: GroupElement):
+    """Largest i such that the first i blocks of gamma vanish (r for zero).
+
+    Level i is the convex subgroup of elements whose first i blocks vanish;
+    level 0 is the whole group and level rank is zero.
+    """
     level = 0
     for comp in gamma.coords:
         if any(c != 0 for c in comp):
             break
         level += 1
     return level
-
-
-@dataclass(frozen=True)
-class IsolatedChain:
-    """The chain of convex subgroups of a block group.
-
-    Level i is the subgroup of elements whose first i leading blocks vanish;
-    level 0 is the whole group and level rank is zero.
-    """
-
-    structure: GroupStructure
-
-    @property
-    def length(self):
-        return self.structure.rank
-
-    def contains(self, gamma, level):
-        if not 0 <= level <= self.length:
-            raise IndexError("level out of range")
-        return isolated_level(gamma) >= level
 
 
 @dataclass(frozen=True)

@@ -125,12 +125,3 @@ def unramified_criterion(rec: ExtensionRecord) -> bool:
     """True iff r = d / g equals 1."""
     return rec.r == 1
 
-
-def verify_index_relation(rec: ExtensionRecord, full_index, sub_index):
-    """Check [K*:K^i] = r * [K*:(K')^i]; raises Inconsistent on mismatch."""
-    if sub_index < 1 or full_index < 1:
-        raise Inconsistent("indices must be positive")
-    if full_index != rec.r * sub_index:
-        raise Inconsistent(
-            f"index relation fails: {full_index} != {rec.r} * {sub_index}")
-    return True

@@ -1,11 +1,10 @@
 """Finitely generated sub-semigroups of ordered block groups.
 
-Membership is decided by exact search, block by block: generators are
-grouped by the isolated level where their value sits, the leading block is
-matched by a bounded knapsack (each generator is strictly positive there,
-capping its coefficient), and every exact match recurses on the residual at
-the next level.  This stays correct for composite valuations where a
-generator's tail coordinates may be negative.
+One algorithm decides everything: enumerate_elements lists every element
+of a semigroup inside a rational box, exhaustively, also for composite
+valuations where a generator's tail coordinates are negative.  Membership
+is a lookup in the enumeration of a box that holds the query, and the
+difference of two semigroups is the difference of their enumerations.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import (
     AmbientMismatch,
     EnumerationOverflow,
     NegativeQuery,
-    NonIncreasingTail,
     NonPositiveGenerator,
     NotASubsemigroup,
     NotInGroup,
@@ -63,60 +61,6 @@ class ValueSemigroup:
 
     def contains(self, gamma):
         return semigroup_membership(gamma, self)
-
-
-def _block_combos(comp, comps, block, budget):
-    """Coefficient tuples c >= 0 with sum c_i * comps[i] == comp exactly."""
-    if not comps:
-        if all(x == 0 for x in comp):
-            yield ()
-        return
-    g = comps[0]
-    c = 0
-    while True:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationOverflow("membership search budget exhausted")
-        rem = tuple(a - c * b for a, b in zip(comp, g))
-        if _block_sign(block, rem) < 0:
-            return
-        for rest in _block_combos(rem, comps[1:], block, budget):
-            yield (c,) + rest
-        c += 1
-
-
-def _search(target, gens_by_level, level, budget):
-    structure = target.structure
-    if level == structure.rank:
-        return target.is_zero()
-    block = structure.blocks[level]
-    comp = target.coords[level]
-    if _block_sign(block, comp) < 0:
-        return False
-    lgens = gens_by_level.get(level, ())
-    comps = [g.coords[level] for g in lgens]
-    for combo in _block_combos(comp, comps, block, budget):
-        residual = target
-        for c, g in zip(combo, lgens):
-            if c:
-                residual = residual - g.scale(c)
-        if _search(residual, gens_by_level, level + 1, budget):
-            return True
-    return False
-
-
-def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
-    """True iff gamma is a nonnegative integer combination of generators."""
-    if gamma.structure != S.structure:
-        raise AmbientMismatch("query outside the ambient group")
-    if gamma.sign() < 0:
-        raise NegativeQuery("membership queries must be nonnegative")
-    if gamma.is_zero():
-        return True
-    gens_by_level = {}
-    for g in S.generators:
-        gens_by_level.setdefault(isolated_level(g), []).append(g)
-    return _search(gamma, gens_by_level, 0, [_SEARCH_BUDGET])
 
 
 def enumerate_elements(S: ValueSemigroup, bound):
@@ -166,40 +110,45 @@ def enumerate_elements(S: ValueSemigroup, bound):
                  for p in kept)
 
 
+def _block_bound(block, comp):
+    """A rational upper bound on the value of one block component."""
+    if block.quad is None:
+        return comp[0]
+    p, q = comp
+    return p + abs(q) * (math.isqrt(block.quad) + 1)
+
+
+def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
+    """True iff gamma is a nonnegative integer combination of generators.
+
+    Decided as gamma in enumerate_elements(S, B), with B a rational upper
+    bound on every block value of gamma: gamma lies in that box, and the
+    enumeration is exhaustive there.
+    """
+    if gamma.structure != S.structure:
+        raise AmbientMismatch("query outside the ambient group")
+    if gamma.sign() < 0:
+        raise NegativeQuery("membership queries must be nonnegative")
+    if gamma.is_zero():
+        return True
+    bound = max(_block_bound(block, comp)
+                for block, comp in zip(S.structure.blocks, gamma.coords))
+    return gamma in enumerate_elements(S, bound)
+
+
 def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
                          bound):
-    """Elements of S_big within the bound that are missing from S_small."""
+    """Elements of S_big within the bound that are missing from S_small.
+
+    Both enumerations are exhaustive in the same box, so this is a set
+    difference, in the lex order of the big one.
+    """
     if S_small.structure != S_big.structure:
         raise AmbientMismatch("semigroups over different ambient groups")
     for g in S_small.generators:
         if not S_big.contains(g):
             raise NotASubsemigroup(
                 "small semigroup generator outside the big semigroup")
-    witnesses = []
-    for el in enumerate_elements(S_big, bound):
-        if not el.is_zero() and not S_small.contains(el):
-            witnesses.append(el)
-    return witnesses
-
-
-def generating_sequence_semigroup(values) -> ValueSemigroup:
-    """Semigroup of a generating sequence of values P_0, P_1, P_2, ...
-
-    Values must be strictly positive and weakly increasing, strictly from
-    the third entry on (repetitions are allowed only at the start, as with
-    two parameters of equal value).
-    """
-    values = tuple(values)
-    if not values:
-        raise NonPositiveGenerator("need at least one value")
-    for v in values:
-        if v.sign() <= 0:
-            raise NonPositiveGenerator(
-                "generating sequence values must be strictly positive")
-    for i in range(len(values) - 1):
-        cmp = (values[i + 1] - values[i]).sign()
-        if cmp < 0 or (i >= 2 and cmp == 0):
-            raise NonIncreasingTail(
-                f"value {i + 1} of the sequence does not increase")
-    ambient = ValueGroup(values[0].structure, values)
-    return ValueSemigroup(ambient=ambient, generators=values)
+    small = set(enumerate_elements(S_small, bound))
+    return [el for el in enumerate_elements(S_big, bound)
+            if el not in small]

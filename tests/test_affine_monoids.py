@@ -13,11 +13,9 @@ from gradedval.affine_monoids import (
     DependentGenerators,
     in_rational_cone,
     parallelepiped_points,
-    saturation_membership,
     verify_disjoint_decomposition,
 )
 from gradedval.errors import (
-    BoundTooSmall,
     EnumerationOverflow,
     InconsistentParallelepiped,
     NotPointed,
@@ -84,33 +82,6 @@ def test_membership_basic():
     assert M.contains((1, 1))
     assert M.contains((3, 1))
     assert not M.contains((1, 0))
-
-
-def test_saturation_membership_examples():
-    M = monoid((2, 0), (0, 2), (1, 1))
-    assert saturation_membership((0, 0), M, 4)
-    assert saturation_membership((1, 1), M, 4)
-    M2 = monoid((2, 0), (0, 2))
-    assert saturation_membership((1, 1), M2, 4)  # 2*(1,1) = (2,0)+(0,2)
-    assert not saturation_membership((-1, 0), M2, 4)
-
-
-def test_saturation_membership_bound_too_small():
-    M = monoid((5, 1), (5, -1))
-    # (2, 0) is in the cone; smallest multiplier with 2m*(1,0) in M is 5
-    with pytest.raises(BoundTooSmall):
-        saturation_membership((2, 0), M, 2)
-    assert saturation_membership((2, 0), M, 5)
-
-
-def test_saturation_monotone():
-    rng = random.Random(12)
-    M = monoid((2, 1), (1, 3))
-    for _ in range(50):
-        a = rng.randint(0, 3)
-        b = rng.randint(0, 3)
-        v = tuple(a * x + b * y for x, y in zip((2, 1), (1, 3)))
-        assert saturation_membership(v, M, 4)
 
 
 def test_parallelepiped_unit_vectors():

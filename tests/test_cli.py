@@ -117,6 +117,36 @@ def test_cosets_command(tmp_path, capsys):
     assert out["decomposition"]["ok"] is True
 
 
+def test_cosets_box_bound_builds_the_parallelepiped_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # the box check takes the coset system's own parallelepiped
+    from gradedval import affine_monoids
+    real = affine_monoids.parallelepiped_points
+    calls = []
+
+    def counting(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedval") and \
+                getattr(module, "parallelepiped_points", None) is real:
+            monkeypatch.setattr(module, "parallelepiped_points", counting)
+    src = scenario_path(tmp_path, "diag23.json")
+    assert main(["cosets", "--in", src, "--box-bound", "3", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    # the same check on a freshly built basis gives the same counts
+    monoid = affine_monoids.AffineMonoid(
+        dim=len(calls[0]), generators=calls[0],
+        positivity_functional=(1,) * len(calls[0]))
+    fresh = affine_monoids.verify_disjoint_decomposition(
+        real(calls[0]), monoid, box_bound=3)
+    assert out["decomposition"] == {
+        "box_bound": "3", "checked_points": str(fresh.checked_points),
+        "ok": True}
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_cosets_rejects_non_positive_box_bound(tmp_path, capsys, bound):
     src = scenario_path(tmp_path, "rank2_h2.json")

@@ -4,11 +4,14 @@ ValueGroup.coordinates (integer back-substitution) is checked against a
 rational Gauss-Jordan solve, in_column_lattice (one Smith form, residues)
 against solve_integer (a fresh Smith form and a solve per vector),
 Quotient against per-call coset_label, brute-force coset enumeration and
-sympy's normal forms, adjugate against sympy and the cofactor minors, the
+sympy's normal forms, smith_normal_form against its defining properties
+and sympy's diagonal, adjugate against sympy and the cofactor minors, the
 adjugate-based verify_disjoint_decomposition against the brute-force
 search it replaced, rref against sympy, and coset systems of random
 extensions against the sampled hypothesis-A7 checks and against the
-invariants and values they reuse, recomputed from scratch.
+invariants and values they reuse, recomputed from scratch, and semigroup
+membership (a lookup in one box enumeration) against the block-by-block
+search it replaced.
 """
 
 import random
@@ -26,12 +29,14 @@ from test_affine_monoids import (  # noqa: E402
 )
 from test_exact_lattice import (  # noqa: E402
     check_rref_against_sympy,
+    check_snf,
     cofactor_adjugate,
 )
 from test_monomialization import (  # noqa: E402
     a7_oracle,
     coset_system_oracle,
 )
+from test_value_semigroups import search_membership_oracle  # noqa: E402
 
 from gradedval.affine_monoids import (  # noqa: E402
     parallelepiped_points,
@@ -60,6 +65,10 @@ from gradedval.ordered_groups import (  # noqa: E402
     subgroup_index,
 )
 from gradedval.scenarios import random_extension_bounded  # noqa: E402
+from gradedval.value_semigroups import (  # noqa: E402
+    ValueSemigroup,
+    semigroup_membership,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None,
@@ -378,3 +387,51 @@ def test_coset_system_oracle_on_random_extensions(seed, r_max, t_max, g_max):
     me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
                                   t_max=t_max, g_max=g_max)
     coset_system_oracle(coset_system(strong_monomialize(me).final))
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=m, max_size=m))))
+def test_smith_normal_form_properties(rows):
+    # U A V = D, U and V unimodular, D diagonal with d_1 | d_2 | ...
+    snf = check_snf(ExactMatrix.from_rows(rows))
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    D = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    assert snf.D.diagonal_entries() == tuple(
+        abs(int(D[i, i])) for i in range(min(D.shape)))
+
+
+@st.composite
+def semigroup_and_query(draw):
+    """Generators with entries in [-2, 2], strictly positive; the query is
+    either a combination of them or a nonnegative element with halves."""
+    structure = draw(st.sampled_from(STRUCTURES))
+    m = structure.rational_rank
+
+    def flat(span):
+        return draw(st.lists(st.integers(-span, span), min_size=m,
+                             max_size=m))
+
+    gens = [structure.from_flat(flat(2))
+            for _ in range(draw(st.integers(1, 3)))]
+    gens = tuple(g for g in gens if g.sign() > 0)
+    assume(gens)
+    S = ValueSemigroup(ambient=ValueGroup(structure, gens), generators=gens)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=len(gens),
+                               max_size=len(gens)))
+        gamma = combine(structure, coeffs, gens)
+    else:
+        gamma = structure.from_flat([Fraction(x, 2) for x in flat(4)])
+        assume(gamma.sign() >= 0)
+    return S, gamma
+
+
+@SETTINGS
+@given(semigroup_and_query())
+def test_semigroup_membership_against_search(data):
+    S, gamma = data
+    assert semigroup_membership(gamma, S) == search_membership_oracle(gamma,
+                                                                      S)

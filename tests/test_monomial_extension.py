@@ -11,7 +11,6 @@ from gradedval.monomial_extension import (
     SSMForm,
     adjoint_relations,
     induced_x_values,
-    is_valid,
     validate,
 )
 from gradedval.ordered_groups import Block, GroupStructure
@@ -48,7 +47,6 @@ def _group_coords(structure, flat):
 def test_identity_extension_valid():
     me = simple_extension([[1, 0], [0, 1]])
     assert validate(me) == []
-    assert is_valid(me)
 
 
 def test_zero_pattern_breach_on_non_t_column():
@@ -167,7 +165,7 @@ def test_ssm_form_certificate():
         unit_markers=("1", "1", "1"),
         y_values=values,
     )
-    assert is_valid(bad)  # Theorem-4.8 shape is fine
+    assert validate(bad) == []  # Theorem-4.8 shape is fine
     with pytest.raises(InvalidExtension):
         SSMForm(bad)
 

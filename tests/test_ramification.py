@@ -10,7 +10,6 @@ from gradedval.ramification import (
     ostrowski_defect,
     trivial_record,
     unramified_criterion,
-    verify_index_relation,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -126,9 +125,3 @@ def test_unramified_criterion():
     assert not unramified_criterion(
         ExtensionRecord(N=2, e=2, f=1, p=0, d=Fraction(2), g=Fraction(1)))
 
-
-def test_index_relation():
-    rec = ExtensionRecord(N=2, e=2, f=1, p=0, d=Fraction(4), g=Fraction(2))
-    assert verify_index_relation(rec, 6, 3)
-    with pytest.raises(Inconsistent):
-        verify_index_relation(rec, 6, 2)

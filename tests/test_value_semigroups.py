@@ -8,7 +8,6 @@ from gradedval import value_semigroups
 from gradedval.errors import (
     EnumerationOverflow,
     NegativeQuery,
-    NonIncreasingTail,
     NonPositiveGenerator,
     NotASubsemigroup,
 )
@@ -17,17 +16,67 @@ from gradedval.ordered_groups import (
     GroupStructure,
     ValueGroup,
     _block_sign,
+    isolated_level,
     subgroup_index,
 )
 from gradedval.value_semigroups import (
     ValueSemigroup,
     enumerate_elements,
-    generating_sequence_semigroup,
     semigroup_difference,
     semigroup_membership,
 )
 
 RANK1 = GroupStructure((Block(),))
+
+
+def search_membership_oracle(gamma, S, budget=2_000_000):
+    """Membership by exact search, block by block: the generators are
+    grouped by the isolated level where their value sits, the leading block
+    is matched by a bounded knapsack (each generator is strictly positive
+    there, capping its coefficient), and every exact match recurses on the
+    residual at the next level.  Independent of enumerate_elements."""
+    budget = [budget]
+
+    def block_combos(comp, comps, block):
+        # coefficient tuples c >= 0 with sum c_i * comps[i] == comp exactly
+        if not comps:
+            if all(x == 0 for x in comp):
+                yield ()
+            return
+        c = 0
+        while True:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise EnumerationOverflow("oracle search budget exhausted")
+            rem = tuple(a - c * b for a, b in zip(comp, comps[0]))
+            if _block_sign(block, rem) < 0:
+                return
+            for rest in block_combos(rem, comps[1:], block):
+                yield (c,) + rest
+            c += 1
+
+    def search(target, level):
+        if level == target.structure.rank:
+            return target.is_zero()
+        block = target.structure.blocks[level]
+        comp = target.coords[level]
+        if _block_sign(block, comp) < 0:
+            return False
+        lgens = by_level.get(level, ())
+        for combo in block_combos(comp, [g.coords[level] for g in lgens],
+                                  block):
+            residual = target
+            for c, g in zip(combo, lgens):
+                if c:
+                    residual = residual - g.scale(c)
+            if search(residual, level + 1):
+                return True
+        return False
+
+    by_level = {}
+    for g in S.generators:
+        by_level.setdefault(isolated_level(g), []).append(g)
+    return gamma.is_zero() or search(gamma, 0)
 
 
 def q(x):
@@ -101,36 +150,28 @@ def test_difference_requires_containment():
         semigroup_difference(S_small, S_big, 4)
 
 
+# the semigroups of generating sequences of values P_0, P_1, P_2, ...
+
 def test_generating_sequence_basic():
-    S = generating_sequence_semigroup((q(1),))
+    S = rank1_semigroup(1)
     assert semigroup_membership(q(7), S)
     assert not semigroup_membership(q(Fraction(1, 2)), S)
 
 
 def test_generating_sequence_counterexample_values():
-    S = generating_sequence_semigroup((q(1), q(1), q(Fraction(5, 2))))
+    S = rank1_semigroup(1, 1, Fraction(5, 2))
     assert [g.flat()[0] for g in S.generators] == [1, Fraction(5, 2)]
     assert not semigroup_membership(q(Fraction(3, 2)), S)
 
 
 def test_generating_sequence_longer():
-    S = generating_sequence_semigroup(
-        (q(1), q(1), q(Fraction(5, 2)), q(Fraction(11, 2))))
+    S = rank1_semigroup(1, 1, Fraction(5, 2), Fraction(11, 2))
     assert semigroup_membership(q(Fraction(9, 2)), S)
-
-
-def test_generating_sequence_tail_must_increase():
-    with pytest.raises(NonIncreasingTail):
-        generating_sequence_semigroup(
-            (q(1), q(1), q(Fraction(5, 2)), q(2)))
-    with pytest.raises(NonIncreasingTail):
-        generating_sequence_semigroup(
-            (q(1), q(1), q(Fraction(5, 2)), q(Fraction(5, 2))))
 
 
 def test_generating_sequence_rejects_nonpositive():
     with pytest.raises(NonPositiveGenerator):
-        generating_sequence_semigroup((q(0), q(1)))
+        rank1_semigroup(0, 1)
 
 
 def test_value_groups_of_counterexample_pair_coincide():
@@ -266,3 +307,52 @@ def test_enumeration_is_budgeted(monkeypatch):
     with pytest.raises(EnumerationOverflow):
         enumerate_elements(rank1_semigroup(1), 20)
     assert len(enumerate_elements(rank1_semigroup(1), 8)) == 9
+
+
+def assert_membership_matches_oracle(S, queries):
+    for gamma in queries:
+        assert semigroup_membership(gamma, S) == \
+            search_membership_oracle(gamma, S), gamma.flat()
+
+
+def test_membership_matches_search_on_rank1_semigroups():
+    rng = random.Random(41)
+    for _ in range(25):
+        d = rng.randint(1, 4)
+        S = rank1_semigroup(*(Fraction(rng.randint(1, 12), d)
+                              for _ in range(rng.randint(1, 3))))
+        queries = [q(Fraction(k, 2 * d)) for k in range(0, 8 * d + 1)]
+        assert_membership_matches_oracle(S, queries)
+
+
+def test_membership_matches_search_on_two_block_semigroups():
+    # leading entries >= 1, tails in [-5, 5], as in the enumeration check
+    structure = GroupStructure((Block(), Block()))
+    rng = random.Random(43)
+    for _ in range(25):
+        lead = [((rng.randint(1, 3),), (rng.randint(-5, 5),))
+                for _ in range(rng.randint(1, 2))]
+        tail = [((0,), (rng.randint(1, 3),))
+                for _ in range(rng.randint(1, 2))]
+        S = semigroup(structure, lead + tail)
+        queries = [structure.element(((a,), (Fraction(b, 2),)))
+                   for a in range(0, 4) for b in range(-16, 17)
+                   if a or b >= 0]
+        assert_membership_matches_oracle(S, queries)
+
+
+def test_membership_matches_search_with_sqrt2_block():
+    # the benchmark's two-block shape; queries with a large sqrt(2) part
+    # need the sqrt part of the box bound
+    structure = GroupStructure((Block(), Block(quad=2)))
+    u, v, w = ((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))
+    h = ((1,), (-1, 0))
+    queries = [structure.from_flat((a, b, c))
+               for a in range(0, 3) for b in range(-3, 4)
+               for c in range(-2, 5)]
+    queries = [g for g in queries if g.sign() >= 0]
+    for gens in ([u, v, w], [u, v, w, h], [h, w], [v, w]):
+        assert_membership_matches_oracle(semigroup(structure, gens), queries)
+    S = semigroup(structure, [w])
+    assert semigroup_membership(structure.from_flat((0, 0, 5)), S)
+    assert not semigroup_membership(structure.from_flat((0, 1, 5)), S)
