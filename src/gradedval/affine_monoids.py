@@ -30,7 +30,7 @@ from .exact_lattice import (
     unimodular_inverse,
 )
 
-# search nodes one general membership query may visit before giving up
+# most nodes one membership search, or box points one decomposition, visits
 _SEARCH_BUDGET = 100_000
 
 
@@ -154,7 +154,7 @@ class ParallelepipedBasis:
     """Lattice points of the half-open fundamental parallelepiped."""
 
     vectors: tuple      # the n independent generators
-    points: tuple       # lambda: lattice points, lex sorted, 0 first
+    points: tuple       # lambda: lattice points, lex sorted, 0 among them
     index: int
     snf: object         # SmithDecomposition of W, columns the generators
 
@@ -245,6 +245,8 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     if box_bound < 1:
         raise ValueError("box_bound must be positive")
     n = basis.dim
+    if box_bound ** n > _SEARCH_BUDGET:
+        raise EnumerationOverflow(f"{box_bound}^{n} box points over budget")
     index, coords = _cone_coordinates(
         ExactMatrix.from_rows(basis.vectors).transpose())
     by_residue = {}

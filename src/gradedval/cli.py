@@ -177,8 +177,7 @@ def cmd_graded(args):
              ("case", "e", "f", "rank", "lattice_points", "sigma_trivial",
               "failure", "ok") if k in case}
             for case in report["cases"]],
-        "ok": all(c["ok"] for c in report["cases"]) if report["cases"]
-        else True,
+        "ok": all(c["ok"] for c in report["cases"]),
     }
     _emit(graded, args)
     _summary(args, f"graded: {len(graded['cases'])} case(s)")

@@ -104,7 +104,7 @@ class NonPositiveGenerator(GradedValError):
 
 
 class EnumerationOverflow(GradedValError):
-    """Semigroup enumeration or monoid membership search exceeded its cap."""
+    """A semigroup enumeration, monoid search or box check exceeded its cap."""
 
 
 # -- ramification ledger ----------------------------------------------------

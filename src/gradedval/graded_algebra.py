@@ -1,19 +1,21 @@
 """The free graded module of a coset system and its invariant part.
 
 The graded module of a coset system has one basis label per pair (lattice
-point sigma, residue index); its rank is e * f.  The quotient group of the
-coset system acts on the label of sigma through an explicit character
-chi(g, sigma) valued in Q/Z, computed exactly from the Smith form of A^t;
-the invariant part is spanned by the labels whose sigma is in the trivial
-coset.
+point sigma, residue index); its rank is e * f.  The quotient group
+Z^n / A^t Z^n acts on the label of sigma through the character
+chi(g, sigma) = sum_i (U g)_i (U sigma)_i / d_i in Q/Z, from the Smith
+form U A^t V = diag(d_1 | ... | d_n).  The invariant part is spanned by
+the labels whose sigma lies in the trivial coset A^t Z^n, and that is the
+origin alone: parallelepiped_points maps each of the e distinct Smith
+residues within its own class and checks that 0 is among the points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
-from .errors import DimensionMismatch, GradingMismatch
+from .errors import GradingMismatch
 from .exact_lattice import in_column_lattice
 from .monomialization import CosetSystem
 
@@ -41,18 +43,11 @@ class GradedModule:
             for sigma in self.system.lattice_points
             for i in range(1, self.residue_degree + 1))
 
-
-def galois_character(cs: CosetSystem, g_bar, sigma) -> Fraction:
-    """chi(g, sigma) in Q/Z via the Smith-adapted pairing of the quotient."""
-    snf = cs.snf_at
-    diag = snf.D.diagonal_entries()
-    n = len(diag)
-    if len(g_bar) != n or len(sigma) != n:
-        raise DimensionMismatch("vector length differs from the rank")
-    ug = snf.U.apply(g_bar)
-    us = snf.U.apply(sigma)
-    total = sum(Fraction(a * b, d) for a, b, d in zip(ug, us, diag))
-    return total % 1
+    @cached_property
+    def character_rows(self):
+        """U g for every lattice point g: computed once per module."""
+        U = self.system.snf_at.U
+        return tuple(U.apply(g) for g in self.system.lattice_points)
 
 
 def is_sigma_trivial(cs: CosetSystem, sigma):
@@ -61,21 +56,28 @@ def is_sigma_trivial(cs: CosetSystem, sigma):
 
 
 def invariant_part(module: GradedModule):
-    """Basis labels spanning the fixed submodule: sigma in the trivial coset.
+    """Basis labels spanning the fixed submodule: the f labels at 0.
 
-    Verified elsewhere (and in the acceptance suite) to coincide with the
-    simultaneous fixed set of all character actions.
+    The lattice points are the e distinct Smith residues of Z^n / A^t Z^n,
+    each mapped within its own class, so each class holds exactly one of
+    them; 0 is one (checked by parallelepiped_points), so it is the only
+    point in the trivial coset.
     """
-    return tuple(
-        lbl for lbl in module.basis_labels()
-        if is_sigma_trivial(module.system, lbl.sigma))
+    origin = (0,) * len(module.system.snf_at.D.diagonal_entries())
+    return tuple(GradedBasisLabel(sigma=origin, residue_index=i)
+                 for i in range(1, module.residue_degree + 1))
 
 
 def fixed_by_all_characters(module: GradedModule, sigma):
     """Brute force over the full quotient group: is sigma's phase trivial?
 
-    chi(g, sigma) depends only on g's class in Z^n / A^t Z^n, and the
-    lattice points are one representative per class (count checked)."""
-    cs = module.system
-    return all(
-        galois_character(cs, g, sigma) == 0 for g in cs.lattice_points)
+    chi(g, sigma) depends only on g's class, and the lattice points are one
+    representative per class.  It vanishes exactly when sum_i (U g)_i
+    (U sigma)_i (d_n / d_i) = 0 mod d_n, as every d_i divides d_n: an
+    integer test against the character rows.
+    """
+    snf = module.system.snf_at
+    diag = snf.D.diagonal_entries()
+    weights = [b * (diag[-1] // d) for b, d in zip(snf.U.apply(sigma), diag)]
+    return all(sum(a * w for a, w in zip(row, weights)) % diag[-1] == 0
+               for row in module.character_rows)

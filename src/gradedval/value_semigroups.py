@@ -110,20 +110,20 @@ def enumerate_elements(S: ValueSemigroup, bound):
                  for p in kept)
 
 
-def _block_bound(block, comp):
-    """A rational upper bound on the value of one block component."""
-    if block.quad is None:
-        return comp[0]
-    p, q = comp
-    return p + abs(q) * (math.isqrt(block.quad) + 1)
+def _query_bound(gamma: GroupElement):
+    """A rational upper bound on every block value of gamma: a box in
+    which enumerate_elements decides gamma's membership."""
+    return max(
+        comp[0] if block.quad is None
+        else comp[0] + abs(comp[1]) * (math.isqrt(block.quad) + 1)
+        for block, comp in zip(gamma.structure.blocks, gamma.coords))
 
 
 def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
     """True iff gamma is a nonnegative integer combination of generators.
 
-    Decided as gamma in enumerate_elements(S, B), with B a rational upper
-    bound on every block value of gamma: gamma lies in that box, and the
-    enumeration is exhaustive there.
+    Decided as gamma in enumerate_elements(S, _query_bound(gamma)): gamma
+    lies in that box, and the enumeration is exhaustive there.
     """
     if gamma.structure != S.structure:
         raise AmbientMismatch("query outside the ambient group")
@@ -131,9 +131,7 @@ def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
         raise NegativeQuery("membership queries must be nonnegative")
     if gamma.is_zero():
         return True
-    bound = max(_block_bound(block, comp)
-                for block, comp in zip(S.structure.blocks, gamma.coords))
-    return gamma in enumerate_elements(S, bound)
+    return gamma in enumerate_elements(S, _query_bound(gamma))
 
 
 def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
@@ -141,14 +139,16 @@ def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
     """Elements of S_big within the bound that are missing from S_small.
 
     Both enumerations are exhaustive in the same box, so this is a set
-    difference, in the lex order of the big one.
+    difference, in the lex order of the big one.  The small generators are
+    looked up in one enumeration of S_big at their largest query bound.
     """
     if S_small.structure != S_big.structure:
         raise AmbientMismatch("semigroups over different ambient groups")
-    for g in S_small.generators:
-        if not S_big.contains(g):
-            raise NotASubsemigroup(
-                "small semigroup generator outside the big semigroup")
+    big = set(enumerate_elements(
+        S_big, max(map(_query_bound, S_small.generators), default=0)))
+    if not big.issuperset(S_small.generators):
+        raise NotASubsemigroup(
+            "small semigroup generator outside the big semigroup")
     small = set(enumerate_elements(S_small, bound))
     return [el for el in enumerate_elements(S_big, bound)
             if el not in small]

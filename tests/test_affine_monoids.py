@@ -279,3 +279,14 @@ def test_in_rational_cone_seeded_outcomes_are_pinned():
     out = "".join(bits)
     assert out.count("1") == CONE_SWEEP[0]
     assert hashlib.sha256(out.encode()).hexdigest() == CONE_SWEEP[1]
+
+
+def test_decomposition_box_is_budgeted(monkeypatch):
+    # box_bound ** n points are checked at most; a larger box is refused
+    # before the loop
+    pb = parallelepiped_points(((2, 0), (0, 3)))
+    M = monoid((2, 0), (0, 3))
+    monkeypatch.setattr(affine_monoids, "_SEARCH_BUDGET", 16)
+    assert verify_disjoint_decomposition(pb, M, box_bound=4).ok
+    with pytest.raises(EnumerationOverflow):
+        verify_disjoint_decomposition(pb, M, box_bound=5)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -145,6 +146,18 @@ def test_cosets_box_bound_builds_the_parallelepiped_once(tmp_path, capsys,
     assert out["decomposition"] == {
         "box_bound": "3", "checked_points": str(fresh.checked_points),
         "ok": True}
+
+
+def test_cosets_box_beyond_the_budget_exits_1_at_once(tmp_path, capsys):
+    # 100000^2 box points: refused before the loop, not a hang
+    src = scenario_path(tmp_path, "diag23.json")
+    start = time.monotonic()
+    assert main(["cosets", "--in", src, "--box-bound", "100000",
+                 "--json"]) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "EnumerationOverflow" in captured.err
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])

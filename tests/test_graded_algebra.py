@@ -1,14 +1,16 @@
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from gradedval import exact_lattice
+from gradedval.cli import bundled_scenario_bytes
 from gradedval.errors import DimensionMismatch, GradingMismatch
 from gradedval.exact_lattice import ExactMatrix, unimodular_inverse
 from gradedval.graded_algebra import (
     GradedModule,
     fixed_by_all_characters,
-    galois_character,
     invariant_part,
     is_sigma_trivial,
 )
@@ -23,6 +25,23 @@ from gradedval.ordered_groups import (
     GroupStructure,
     coset_label,
 )
+from gradedval.scenarios import load_scenario, run_pipeline
+from gradedval.serialize import load_json
+
+
+def galois_character(cs, g_bar, sigma):
+    """chi(g, sigma) in Q/Z via the Smith-adapted pairing of the quotient,
+    in Fractions: the reference for the integer character table of
+    fixed_by_all_characters."""
+    snf = cs.snf_at
+    diag = snf.D.diagonal_entries()
+    n = len(diag)
+    if len(g_bar) != n or len(sigma) != n:
+        raise DimensionMismatch("vector length differs from the rank")
+    ug = snf.U.apply(g_bar)
+    us = snf.U.apply(sigma)
+    total = sum(Fraction(a * b, d) for a, b, d in zip(ug, us, diag))
+    return total % 1
 
 
 def quotient_group_elements(cs):
@@ -142,3 +161,25 @@ def test_invariant_part_is_fixed_set():
 def test_residue_degree_validation():
     with pytest.raises(GradingMismatch):
         GradedModule(system=rank1_system(2), residue_degree=0)
+
+
+def test_pipeline_decides_the_invariant_part_without_membership_tests(
+        monkeypatch):
+    # the invariant part is proven, and the character table runs in
+    # integers: no Smith-residue membership test per lattice point
+    real = exact_lattice.in_column_lattice
+    calls = []
+
+    def counting(snf, b):
+        calls.append(b)
+        return real(snf, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedval") and \
+                getattr(module, "in_column_lattice", None) is real:
+            monkeypatch.setattr(module, "in_column_lattice", counting)
+    scenario = load_scenario(load_json(bundled_scenario_bytes("diag23.json")))
+    report = run_pipeline(scenario)
+    assert report["ok"]
+    assert report["cases"][0]["sigma_trivial"] == [["0", "0"]]
+    assert calls == []

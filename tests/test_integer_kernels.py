@@ -11,10 +11,16 @@ search it replaced, rref against sympy, and coset systems of random
 extensions against the sampled hypothesis-A7 checks and against the
 invariants and values they reuse, recomputed from scratch, and semigroup
 membership (a lookup in one box enumeration) against the block-by-block
-search it replaced.
+search it replaced.  Monomialization traces of random extensions replay
+to their final extension, in memory and from a trace file through the CLI.
 """
 
+import contextlib
+import io
+import json
 import random
+import tempfile
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -51,8 +57,10 @@ from gradedval.exact_lattice import (  # noqa: E402
     smith_normal_form,
     solve_integer,
 )
+from gradedval.cli import main  # noqa: E402
 from gradedval.monomialization import (  # noqa: E402
     coset_system,
+    replay,
     strong_monomialize,
 )
 from gradedval.ordered_groups import (  # noqa: E402
@@ -65,6 +73,7 @@ from gradedval.ordered_groups import (  # noqa: E402
     subgroup_index,
 )
 from gradedval.scenarios import random_extension_bounded  # noqa: E402
+from gradedval.serialize import canonical_dumps, enc_trace  # noqa: E402
 from gradedval.value_semigroups import (  # noqa: E402
     ValueSemigroup,
     semigroup_membership,
@@ -387,6 +396,24 @@ def test_coset_system_oracle_on_random_extensions(seed, r_max, t_max, g_max):
     me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
                                   t_max=t_max, g_max=g_max)
     coset_system_oracle(coset_system(strong_monomialize(me).final))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 5))
+def test_replay_reproduces_random_traces(seed, r_max, t_max, g_max):
+    me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
+                                  t_max=t_max, g_max=g_max)
+    trace = strong_monomialize(me)
+    assert replay(trace.initial, trace.steps) == trace.final.extension
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.json"
+        path.write_text(canonical_dumps(enc_trace(trace)))
+        with contextlib.redirect_stdout(out):
+            code = main(["pipeline", "--replay", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out.getvalue())["replay_matches"] is True
 
 
 @SETTINGS

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 from test_golden_reports import ladder_scenario
-from test_graded_algebra import quotient_group_elements
+from test_graded_algebra import galois_character, quotient_group_elements
 
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval.errors import (
@@ -20,7 +20,8 @@ from gradedval.exact_lattice import (
 from gradedval.graded_algebra import (
     GradedModule,
     fixed_by_all_characters,
-    galois_character,
+    invariant_part,
+    is_sigma_trivial,
 )
 from gradedval.monomial_extension import (
     BlockStructure,
@@ -320,15 +321,21 @@ def test_a7_oracle_on_golden_ladder():
 def coset_system_oracle(cs, character_limit=64):
     """What coset_system takes from the parallelepiped and the integer
     value map, recomputed independently: the Smith form of A^t, e = |det A|,
-    the values as Fraction sums of scaled y-values, and (for e up to the
-    limit) the character check over the lattice points against the walk
-    over the Smith residues."""
+    the values as Fraction sums of scaled y-values; the proven invariant
+    part against the Smith-residue membership test of every basis label;
+    and (for e up to the limit) the integer character table over the
+    lattice points against the Fraction walk over the Smith residues."""
     me = cs.extension
     assert cs.snf_at == smith_normal_form(me.A.transpose())
     assert cs.e == abs(determinant(me.A))
     assert cs.values == tuple(value_of(me, s) for s in cs.lattice_points)
     assert induced_x_values(me) == tuple(value_of(me, row)
                                          for row in me.A.entries)
+    for f in (1, 2):
+        mod = GradedModule(system=cs, residue_degree=f)
+        assert invariant_part(mod) == tuple(
+            lbl for lbl in mod.basis_labels()
+            if is_sigma_trivial(cs, lbl.sigma))
     if cs.e > character_limit:
         return
     mod = GradedModule(system=cs, residue_degree=1)
