@@ -22,13 +22,7 @@ from .errors import (
     NotPointed,
     SingularLattice,
 )
-from .exact_lattice import (
-    ExactMatrix,
-    adjugate,
-    rref,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .exact_lattice import ExactMatrix, adjugate, hermite_row_basis, rref
 
 # most nodes one membership search, or box points one decomposition, visits
 _SEARCH_BUDGET = 100_000
@@ -156,7 +150,6 @@ class ParallelepipedBasis:
     vectors: tuple      # the n independent generators
     points: tuple       # lambda: lattice points, lex sorted, 0 among them
     index: int
-    snf: object         # SmithDecomposition of W, columns the generators
 
     @property
     def dim(self):
@@ -166,10 +159,13 @@ class ParallelepipedBasis:
 def parallelepiped_points(vectors) -> ParallelepipedBasis:
     """Lambda = Z^n intersect par(v_1..v_n) for independent integer vectors.
 
-    Walks the |det| residue classes of Z^n modulo the generator lattice
-    (via the Smith normal form) and maps each class to its unique
-    representative x - W floor(W^{-1} x), with the floors taken in integers
-    from the adjugate of the generator matrix W.
+    The generators are independent, so their Hermite row basis H is upper
+    triangular with positive diagonal, and the box prod [0, h_ii) holds
+    one residue of each of the |det| classes of Z^n modulo the generator
+    lattice (reduce x_1 mod h_11 by row 1, then x_2 mod h_22 by row 2, ...).
+    Each class maps to its unique representative x - W floor(W^{-1} x),
+    with the floors taken in integers from the adjugate of the generator
+    matrix W.
     """
     vectors = tuple(tuple(int(x) for x in v) for v in vectors)
     n = len(vectors)
@@ -177,12 +173,9 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
         raise DimensionMismatch("need n vectors in Z^n")
     W = ExactMatrix.from_rows(vectors).transpose()  # columns are generators
     index, coords = _cone_coordinates(W)
-    snf = smith_normal_form(W)
-    u_inv = unimodular_inverse(snf.U)
-    diag = snf.D.diagonal_entries()
+    H = hermite_row_basis(vectors)
     pts = []
-    for r in product(*[range(di) for di in diag]):
-        x = u_inv.apply(r)
+    for x in product(*[range(H[i][i]) for i in range(n)]):
         floors = tuple(c // index for c in coords.apply(x))
         pts.append(tuple(a - b for a, b in zip(x, W.apply(floors))))
     pts.sort()
@@ -190,8 +183,7 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     if len(basis) != index or (0,) * n not in basis:
         raise InconsistentParallelepiped(
             f"{len(basis)} points for index {index}, or 0 missing")
-    return ParallelepipedBasis(vectors=vectors, points=basis, index=index,
-                               snf=snf)
+    return ParallelepipedBasis(vectors=vectors, points=basis, index=index)
 
 
 def _cone_coordinates(W: ExactMatrix):

@@ -78,14 +78,18 @@ def cmd_snf(args):
         "U": enc_matrix(snf.U),
         "D": enc_matrix(snf.D),
         "V": enc_matrix(snf.V),
-        "determinant": enc_int(determinant(A)),
         "invariant_factors": [enc_int(d)
                               for d in snf.D.diagonal_entries() if d > 1],
         "ok": check,
     }
+    summary = f"snf: diagonal {snf.D.diagonal_entries()}"
+    # a non-square matrix has a Smith form but no determinant
+    if A.is_square():
+        det = determinant(A)
+        report["determinant"] = enc_int(det)
+        summary += f", det {det}"
     _emit(report, args)
-    _summary(args, f"snf: diagonal {snf.D.diagonal_entries()}, "
-                   f"det {determinant(A)}")
+    _summary(args, summary)
     return EXIT_OK if check else EXIT_CHECK_FAILED
 
 

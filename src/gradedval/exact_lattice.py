@@ -2,9 +2,11 @@
 
 Smith normal form, determinants, adjugates, lattice indices, quotient
 invariant factors and integer linear solving, all over arbitrary-precision
-integers, plus the one rational elimination (rref) behind every rational
-solve and rank.  Floating point never enters; every operation is a pure
-function of immutable inputs.
+integers, on two integer eliminations: the extgcd Hermite echelon (the
+Smith form alternates it over rows and columns) and one Bareiss pass
+(determinants and adjugates).  The one rational elimination (rref) is
+behind every rational solve and rank.  Floating point never enters; every
+operation is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -92,57 +94,47 @@ class SmithDecomposition:
     V: ExactMatrix
 
 
+def _bareiss(rows, k):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the first k columns.
+
+    Every division is exact.  Returns (det, M) for k rows: det is the
+    determinant of the leading k x k block and the first k columns of M are
+    det * I, so on [A | I] the right block is adj A.  Returns (0, M) as soon
+    as a column has no pivot.  This is the one Bareiss pass: determinants
+    and adjugates both run it.
+    """
+    M = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for c in range(k):
+        pivot = next((i for i in range(c, len(M)) if M[i][c]), None)
+        if pivot is None:
+            return 0, M
+        if pivot != c:
+            M[c], M[pivot] = M[pivot], M[c]
+            sign = -sign
+        pk = M[c]
+        p = pk[c]
+        for i in range(len(M)):
+            if i != c:
+                ri = M[i]
+                f = ri[c]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(ri, pk)]
+        prev = p
+    if sign < 0:
+        M = [[-x for x in row] for row in M]
+    return sign * prev, M
+
+
 def determinant(A: ExactMatrix):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not A.is_square():
         raise DimensionMismatch("determinant of non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = [list(row) for row in A.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    return _bareiss(A.entries, A.rows)[0]
 
 
 def is_unimodular(A: ExactMatrix):
     return A.is_square() and determinant(A) in (1, -1)
-
-
-def _swap_rows(M, U, i, j):
-    M[i], M[j] = M[j], M[i]
-    U[i], U[j] = U[j], U[i]
-
-
-def _swap_cols(M, V, i, j):
-    for row in M:
-        row[i], row[j] = row[j], row[i]
-    for row in V:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(M, U, dst, src, factor):
-    M[dst] = [a + factor * b for a, b in zip(M[dst], M[src])]
-    U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
-
-
-def _add_col(M, V, dst, src, factor):
-    for row in M:
-        row[dst] += factor * row[src]
-    for row in V:
-        row[dst] += factor * row[src]
 
 
 def _extgcd(x, y):
@@ -159,113 +151,26 @@ def _extgcd(x, y):
     return x, a0, b0
 
 
-def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms.
-
-    Pivoting picks the minimal-absolute-value nonzero entry of the working
-    submatrix, scanning left-to-right/top-to-bottom on ties, so the transform
-    matrices are reproducible.  Row and column clearing uses 2x2 unimodular
-    gcd transforms, which keeps intermediate entries small.  Diagonal
-    entries are normalized nonnegative and satisfy the divisibility chain
-    d_1 | d_2 | ... .
-    """
-    m, n = A.rows, A.cols
-    M = [list(row) for row in A.entries]
-    U = [list(row) for row in ExactMatrix.identity(m).entries]
-    V = [list(row) for row in ExactMatrix.identity(n).entries]
-
-    t = 0
-    while t < min(m, n):
-        # minimal |entry| nonzero pivot in the trailing submatrix
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(M[i][j])
-                if v and (pivot is None or v < pivot[0]):
-                    pivot = (v, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            _swap_rows(M, U, t, pi)
-        if pj != t:
-            _swap_cols(M, V, t, pj)
-
-        # clear row/column t; each gcd transform replaces the pivot by a
-        # divisor, so spoiled entries re-clear in finitely many passes
-        while True:
-            for i in range(t + 1, m):
-                if M[i][t] == 0:
-                    continue
-                if M[i][t] % M[t][t] == 0:
-                    _add_row(M, U, i, t, -(M[i][t] // M[t][t]))
-                    continue
-                g, a, b = _extgcd(M[t][t], M[i][t])
-                p, q = M[t][t] // g, M[i][t] // g
-                rt, ri = M[t], M[i]
-                M[t] = [a * x + b * y for x, y in zip(rt, ri)]
-                M[i] = [p * y - q * x for x, y in zip(rt, ri)]
-                ut, ui = U[t], U[i]
-                U[t] = [a * x + b * y for x, y in zip(ut, ui)]
-                U[i] = [p * y - q * x for x, y in zip(ut, ui)]
-            spoiled = False
-            for j in range(t + 1, n):
-                if M[t][j] == 0:
-                    continue
-                if M[t][j] % M[t][t] == 0:
-                    _add_col(M, V, j, t, -(M[t][j] // M[t][t]))
-                    continue
-                g, a, b = _extgcd(M[t][t], M[t][j])
-                p, q = M[t][t] // g, M[t][j] // g
-                for row in M:
-                    ct, cj = row[t], row[j]
-                    row[t] = a * ct + b * cj
-                    row[j] = p * cj - q * ct
-                for row in V:
-                    ct, cj = row[t], row[j]
-                    row[t] = a * ct + b * cj
-                    row[j] = p * cj - q * ct
-                spoiled = True
-            if not spoiled and all(M[i][t] == 0 for i in range(t + 1, m)):
-                break
-
-        # enforce divisibility of the remaining submatrix by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if M[i][j] % M[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(M, U, t, offender, 1)
-            continue
-
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-
-    return SmithDecomposition(
-        U=ExactMatrix.from_rows(U),
-        D=ExactMatrix.from_rows(M),
-        V=ExactMatrix.from_rows(V),
-    )
-
-
-def hermite_row_basis(rows):
+def hermite_row_basis(rows, pivot_cols=None):
     """Canonical basis of the row lattice (row-style Hermite normal form).
 
     Returns echelon rows with positive pivots; entries above each pivot are
     reduced into [0, pivot).  The result depends only on the lattice, not on
     the presentation, so it is safe to use wherever a canonical basis or
     canonical coset representative is needed.
+
+    Pivots are sought only in the first pivot_cols columns (all columns by
+    default), as in rref; rows that get no pivot follow the basis unless
+    they vanish.  On [A | I] the right block is then a unimodular T with
+    T * A the left block.  This extgcd echelon is the one integer row
+    reduction; smith_normal_form alternates it over rows and columns.
     """
     work = [list(r) for r in rows if any(r)]
-    n = len(rows[0]) if rows else 0
+    if pivot_cols is None:
+        pivot_cols = len(rows[0]) if rows else 0
     basis = []
-    for col in range(n):
+    pivots = []
+    for col in range(pivot_cols):
         live = [r for r in work if r[col]]
         if not live:
             continue
@@ -279,16 +184,62 @@ def hermite_row_basis(rows):
         if pivot_row[col] < 0:
             pivot_row[:] = [-x for x in pivot_row]
         basis.append(pivot_row)
+        pivots.append(col)
         work = [r for r in work if r is not pivot_row and any(r)]
     # reduce entries above each pivot into [0, pivot), top-down: row k
     # vanishes on the earlier pivot columns, so they stay reduced
-    for k in range(len(basis)):
-        col = next(j for j, x in enumerate(basis[k]) if x)
+    for k, col in enumerate(pivots):
         for j in range(k):
             q = basis[j][col] // basis[k][col]
             if q:
                 basis[j] = [a - q * b for a, b in zip(basis[j], basis[k])]
-    return tuple(tuple(r) for r in basis)
+    return tuple(tuple(r) for r in basis + work)
+
+
+def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
+    """Smith normal form with unimodular transforms.
+
+    Alternating Hermite passes (Cohen, A Course in Computational Algebraic
+    Number Theory, GTM 138, section 2.4): one over the rows of [M | U],
+    one over the rows of [M^t | V^t], until M is diagonal.  The first pivot
+    only shrinks, and once it divides its row and column both passes keep
+    them cleared, so this ends.  While some d_i does not divide a later
+    d_j, column j is added to column i; the next row pass replaces d_i by
+    gcd(d_i, d_j), a proper divisor, so that ends too.  (Adding row j to
+    row i instead would be reduced straight back by the canonical row
+    pass.)  Every pass is canonical, so the transforms are reproducible.
+    Diagonal entries are nonnegative and satisfy d_1 | d_2 | ... .
+    """
+    m, n = A.rows, A.cols
+    M = [list(row) for row in A.entries]
+    U = [list(row) for row in ExactMatrix.identity(m).entries]
+    V = [list(row) for row in ExactMatrix.identity(n).entries]
+    while True:
+        # U is unimodular, so no row of [M | U] vanishes; likewise for V
+        rows = hermite_row_basis([r + u for r, u in zip(M, U)], n)
+        M = [list(r[:n]) for r in rows]
+        U = [list(r[n:]) for r in rows]
+        cols = hermite_row_basis(
+            [[r[j] for r in M] + [r[j] for r in V] for j in range(n)], m)
+        M = [[c[i] for c in cols] for i in range(m)]
+        V = [[c[m + j] for c in cols] for j in range(n)]
+        if any(x for i, r in enumerate(M) for j, x in enumerate(r) if i != j):
+            continue
+        # the column pass puts zero columns last, so zero d_i come last
+        diag = [M[i][i] for i in range(min(m, n))]
+        offender = next(((i, j) for i in range(len(diag))
+                         for j in range(i + 1, len(diag))
+                         if diag[i] and diag[j] % diag[i]), None)
+        if offender is None:
+            break
+        i, j = offender
+        for row in M + V:
+            row[i] += row[j]
+    return SmithDecomposition(
+        U=ExactMatrix.from_rows(U),
+        D=ExactMatrix.from_rows(M),
+        V=ExactMatrix.from_rows(V),
+    )
 
 
 def lattice_index(A: ExactMatrix):
@@ -311,38 +262,18 @@ def quotient_invariants(A: ExactMatrix):
 def adjugate(A: ExactMatrix):
     """(det A, adj A) with adj A * A = det A * I, for nonsingular square A.
 
-    One fraction-free (Bareiss) Gauss-Jordan pass over [A | I]: every
-    division is exact, and at the end the left block is p * I with
-    p = +-det A and the right block is the accumulated row transform
-    T = p * A^{-1}.  The identity is checked before returning.  Raises
-    SingularLattice when det A = 0.
+    One Bareiss Gauss-Jordan pass over [A | I] leaves det A * I on the left
+    and adj A on the right.  The identity is checked before returning.
+    Raises SingularLattice when det A = 0.
     """
     if not A.is_square():
         raise DimensionMismatch("adjugate of non-square matrix")
     n = A.rows
-    if n == 0:
-        return 1, A
-    M = [list(row) + [1 if j == i else 0 for j in range(n)]
-         for i, row in enumerate(A.entries)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if M[i][k]), None)
-        if pivot is None:
-            raise SingularLattice("adjugate of singular matrix")
-        if pivot != k:
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        pk = M[k]
-        p = pk[k]
-        for i in range(n):
-            if i != k:
-                ri = M[i]
-                f = ri[k]
-                M[i] = [(p * a - f * b) // prev for a, b in zip(ri, pk)]
-        prev = p
-    det = sign * prev
-    adj = ExactMatrix(tuple(tuple(sign * x for x in row[n:]) for row in M))
+    det, M = _bareiss([row + tuple(1 if j == i else 0 for j in range(n))
+                       for i, row in enumerate(A.entries)], n)
+    if det == 0:
+        raise SingularLattice("adjugate of singular matrix")
+    adj = ExactMatrix(tuple(tuple(row[n:]) for row in M))
     if adj.matmul(A).entries != ExactMatrix.diagonal((det,) * n).entries:
         raise SingularLattice("adjugate identity failed")
     return det, adj

@@ -17,7 +17,7 @@ from .errors import (
     NotAlongValuation,
     NotTheorem48Form,
 )
-from .exact_lattice import ExactMatrix, adjugate
+from .exact_lattice import ExactMatrix, adjugate, smith_normal_form
 from .affine_monoids import ParallelepipedBasis, parallelepiped_points
 from .monomial_extension import (
     MonomialExtension,
@@ -247,8 +247,9 @@ class CosetSystem:
 def coset_system(ssm: SSMForm) -> CosetSystem:
     """Build the coset representative system of a strong monomial form.
 
-    The parallelepiped of the rows of A is built first; its Smith form of
-    A^t and its point count e = |det A^t| = |det A| are used as they are.
+    The parallelepiped of the rows of A is built first; its point count
+    e = |det A^t| = |det A| is used as it is, and the Smith form of A^t is
+    taken once, for the invariant factors and as snf_at.
     A is nonsingular without a further check: variables are ordered by
     block and validate admits a_ij != 0 only when j's block is not before
     i's, so A is block upper triangular with diagonal blocks
@@ -280,6 +281,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         raise HypothesisA6Failed(
             f"|det A| = {e} but subgroup index is {quotient.index}")
     values = tuple(me.value(sigma) for sigma in pb.points)
+    snf_at = smith_normal_form(me.A.transpose())
     return CosetSystem(
         extension=me,
         e=e,
@@ -288,8 +290,8 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         values=values,
         # det A^t = +-e != 0, so every diagonal entry is nonzero
         invariant_factors=tuple(
-            d for d in pb.snf.D.diagonal_entries() if d > 1),
-        snf_at=pb.snf,
+            d for d in snf_at.D.diagonal_entries() if d > 1),
+        snf_at=snf_at,
         big_group=big,
         small_group=small,
         quotient=quotient,

@@ -209,7 +209,7 @@ def test_decomposition_rejects_non_positive_box(bound):
 
 def test_decomposition_rejects_dependent_basis():
     bad = affine_monoids.ParallelepipedBasis(
-        vectors=((1, 1), (2, 2)), points=((0, 0),), index=1, snf=None)
+        vectors=((1, 1), (2, 2)), points=((0, 0),), index=1)
     with pytest.raises(DependentGenerators):
         verify_disjoint_decomposition(bad, monoid((1, 1), (2, 2)),
                                       box_bound=3)

@@ -10,6 +10,7 @@ from gradedval.cli import (
     bundled_scenario_names,
     main,
 )
+from gradedval.serialize import dec_matrix
 
 SCENARIOS = ("identity.json", "diag23.json", "rank2_h1.json",
              "rank2_h2.json", "section5.json", "random_a.json",
@@ -41,6 +42,19 @@ def test_snf_command(tmp_path, capsys):
     assert out["D"] == [["2", "0"], ["0", "4"]]
     assert out["determinant"] == "-8"
     assert "input_sha256" in out
+
+
+def test_snf_command_non_square(tmp_path, capsys):
+    # a 2x3 matrix has a Smith form but no determinant; it used to exit 1
+    rows = [["1", "2", "3"], ["4", "5", "6"]]
+    src = write(tmp_path, "m.json", {"matrix": rows})
+    assert main(["snf", "--in", src, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    U, A, D, V = (dec_matrix(m) for m in (out["U"], rows, out["D"], out["V"]))
+    assert U.matmul(A).matmul(V) == D
+    assert D.entries == ((1, 0, 0), (0, 3, 0))
+    assert out["invariant_factors"] == ["3"]
+    assert "determinant" not in out
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -148,6 +148,71 @@ def test_snf_random_matches_oracle():
         assert diag == snf_oracle_diag(A)
 
 
+def random_matrix(rng, m, n, span):
+    return ExactMatrix.from_rows(
+        [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)])
+
+
+def smith_sweep():
+    """Seeded matrices past the 5 x 5 Hypothesis range: square 6-10 with
+    entries in [-50, 50], 3 x 7 and 7 x 3, rank-deficient products, zero
+    matrices and the empty shapes."""
+    rng = random.Random(8)
+    out = [random_matrix(rng, n, n, 50) for n in range(6, 11)
+           for _ in range(3)]
+    out += [random_matrix(rng, m, n, 50) for m, n in ((3, 7), (7, 3))
+            for _ in range(4)]
+    for m, k, n in ((6, 2, 6), (7, 3, 5), (4, 1, 8), (9, 4, 9), (5, 3, 3)):
+        out.append(random_matrix(rng, m, k, 9).matmul(
+            random_matrix(rng, k, n, 9)))
+    out += [ExactMatrix.from_rows([[0] * n for _ in range(m)])
+            for m, n in ((1, 1), (3, 3), (2, 5), (5, 2))]
+    out += [ExactMatrix(()), ExactMatrix(((),))]
+    return out
+
+
+def test_snf_sweep_beyond_hypothesis_range():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    for A in smith_sweep():
+        diag = check_snf(A).D.diagonal_entries()
+        if not A.rows:
+            assert diag == ()   # the oracles need a first row
+            continue
+        assert [d for d in diag if d] == snf_oracle_diag(A), A
+        if A.cols:
+            theirs = invariant_factors(sympy.Matrix(A.entries),
+                                       domain=sympy.ZZ)
+            assert diag == tuple(abs(int(d)) for d in theirs), A
+
+
+def test_snf_column_fix_terminates():
+    # adding the offending row, not the column, loops here forever: the
+    # canonical row pass reduces the added row straight back
+    A = ExactMatrix.from_rows([[6, 3, -3, -6], [6, -9, 3, 4],
+                               [-9, 5, -1, -2], [9, -6, 1, -9]])
+    assert check_snf(A).D.diagonal_entries() == (1, 1, 1, 528)
+    assert snf_oracle_diag(A) == [1, 1, 1, 528]
+
+
+def test_hermite_pivot_cols_carries_the_transform():
+    rng = random.Random(12)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = random_matrix(rng, m, n, 9)
+        if rng.random() < 0.3:   # rank-deficient
+            A = random_matrix(rng, m, 1, 5).matmul(random_matrix(rng, 1, n, 5))
+        rows = hermite_row_basis(
+            [row + tuple(1 if j == i else 0 for j in range(m))
+             for i, row in enumerate(A.entries)], n)
+        left = ExactMatrix.from_rows([r[:n] for r in rows])
+        T = ExactMatrix.from_rows([r[n:] for r in rows])
+        assert is_unimodular(T)
+        assert T.matmul(A) == left
+        assert tuple(r for r in left.entries if any(r)) == \
+            hermite_row_basis(A.entries)
+
+
 def test_lattice_index_trivial_and_diag():
     assert lattice_index(ExactMatrix.identity(3)) == 1
     assert lattice_index(ExactMatrix.diagonal((2, 3))) == 6

@@ -25,3 +25,27 @@ def test_package_imports_only_the_standard_library():
                 if top != "gradedval" and top not in sys.stdlib_module_names:
                     outside.append((path.name, name))
     assert outside == []
+
+
+def test_package_modules_use_every_name_they_import():
+    # __init__.py imports names only to re-export them
+    files = sorted(Path(gradedval.__file__).resolve().parent.glob("*.py"))
+    unused = []
+    for path in files:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported += [alias.asname or alias.name
+                             for alias in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in imported
+                   if name not in used]
+    assert unused == []
