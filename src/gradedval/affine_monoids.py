@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .errors import (
     DependentGenerators,
@@ -165,7 +166,8 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     lattice (reduce x_1 mod h_11 by row 1, then x_2 mod h_22 by row 2, ...).
     Each class maps to its unique representative x - W floor(W^{-1} x),
     with the floors taken in integers from the adjugate of the generator
-    matrix W.
+    matrix W.  The box is walked in mixed radix, one coordinate at a time,
+    and C x = |det W| W^{-1} x is carried along by one column add per step.
     """
     vectors = tuple(tuple(int(x) for x in v) for v in vectors)
     n = len(vectors)
@@ -174,10 +176,22 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     W = ExactMatrix.from_rows(vectors).transpose()  # columns are generators
     index, coords = _cone_coordinates(W)
     H = hermite_row_basis(vectors)
+    walk = [((), (0,) * n)]         # (box point prefix x, C x)
+    for i, column in enumerate(zip(*coords.entries)):
+        grown = []
+        for x, cx in walk:
+            for k in range(H[i][i]):
+                grown.append((x + (k,), cx))
+                cx = tuple(map(add, cx, column))
+        walk = grown
     pts = []
-    for x in product(*[range(H[i][i]) for i in range(n)]):
-        floors = tuple(c // index for c in coords.apply(x))
-        pts.append(tuple(a - b for a, b in zip(x, W.apply(floors))))
+    for x, cx in walk:
+        # x - W floor(C x / |det W|), one generator per nonzero floor
+        for c, v in zip(cx, vectors):
+            q = c // index
+            if q:
+                x = tuple(a - q * b for a, b in zip(x, v))
+        pts.append(x)
     pts.sort()
     basis = tuple(pts)
     if len(basis) != index or (0,) * n not in basis:

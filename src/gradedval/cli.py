@@ -31,7 +31,7 @@ from .serialize import (
     dec_matrix,
     dec_step,
     dec_structure,
-    enc_element,
+    enc_coset_labels,
     enc_int,
     enc_matrix,
     enc_trace,
@@ -142,7 +142,7 @@ def cmd_cosets(args):
         "invariant_factors": [enc_int(d) for d in cs.invariant_factors],
         "lattice_points": [[enc_int(x) for x in p]
                            for p in cs.lattice_points],
-        "coset_labels": [enc_element(l) for l in cs.labels],
+        "coset_labels": enc_coset_labels(cs),
         "ok": True,
     }
     if args.box_bound is not None:

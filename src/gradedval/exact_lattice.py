@@ -60,7 +60,13 @@ class ExactMatrix:
         return self.entries[i]
 
     def transpose(self):
-        return ExactMatrix(tuple(zip(*self.entries))) if self.entries else self
+        """The transpose; an n x 0 matrix (n > 0) has none here, since its
+        transpose 0 x n has no rows to carry the width."""
+        if self.entries and not self.cols:
+            raise DimensionMismatch(
+                f"{self.rows}x0 matrix: a 0x{self.rows} transpose has no "
+                f"rows to hold its shape")
+        return ExactMatrix(tuple(zip(*self.entries)))
 
     def is_square(self):
         return self.rows == self.cols
@@ -69,7 +75,7 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        ot = other.transpose().entries
+        ot = tuple(zip(*other.entries))      # other's columns
         return ExactMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
             for row in self.entries))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -134,8 +133,70 @@ class MonomialExtension:
         if len(b) != len(self.y_values):
             raise DimensionMismatch("exponent vector length != n")
         L, columns = self._value_columns
-        return self.structure.from_flat(
-            [Fraction(sum(map(mul, b, col)), L) for col in columns])
+        return self.structure.from_row(
+            [sum(map(mul, b, col)) for col in columns], L)
+
+    @cached_property
+    def _violations(self):
+        """Violations of the required shape, checked once per extension."""
+        bs = self.blocks
+        n = bs.n
+        out = []
+        tset = set(bs.t_indices())
+        for i in range(n):
+            bi = bs.block_of(i)
+            i_is_t = i in tset
+            for j in range(n):
+                a = self.A[i, j]
+                if a == 0:
+                    continue
+                if a < 0:
+                    out.append(Violation(
+                        "negative_exponent", (i, j),
+                        f"exponent a[{i}][{j}] = {a} is negative"))
+                    continue
+                if j in tset:
+                    bj = bs.block_of(j)
+                    if i_is_t:
+                        ok = bj >= bi
+                    else:
+                        ok = bj > bi or (j == i)
+                else:
+                    ok = j == i and a == 1
+                if not ok:
+                    out.append(Violation(
+                        "zero_pattern", (i, j),
+                        f"exponent a[{i}][{j}] = {a} breaks the block "
+                        f"pattern"))
+            if not i_is_t and self.A[i, i] != 1:
+                out.append(Violation(
+                    "zero_pattern", (i, i),
+                    f"non-T row {i} must carry its own variable with "
+                    f"exponent 1"))
+        for b in range(bs.r):
+            if determinant(self.g_block(b)) == 0:
+                out.append(Violation(
+                    "singular_block", (b,),
+                    f"diagonal exponent block of block {b} is singular"))
+        # T y-values rationally independent
+        tlist = bs.t_indices()
+        vecs = [self.y_values[j].flat() for j in tlist]
+        if len(rref(vecs)[1]) != len(tlist):
+            out.append(Violation(
+                "dependent_values", tuple(tlist),
+                "T-indexed y-values are rationally dependent"))
+        for j in range(n):
+            v = self.y_values[j]
+            if v.sign() <= 0:
+                out.append(Violation(
+                    "nonpositive_value", (j,),
+                    f"value of y_{j} is not strictly positive"))
+            elif isolated_level(v) != bs.block_of(j):
+                out.append(Violation(
+                    "misplaced_value", (j,),
+                    f"value of y_{j} lives at isolated level "
+                    f"{isolated_level(v)}, expected {bs.block_of(j)}"))
+        return tuple(out)
 
     def t_submatrix(self):
         T = self.blocks.t_indices()
@@ -150,63 +211,11 @@ class MonomialExtension:
 
 
 def validate(me: MonomialExtension):
-    """All violations of the required shape; an empty list means valid."""
-    bs = me.blocks
-    n = bs.n
-    out = []
-    tset = set(bs.t_indices())
-    for i in range(n):
-        bi = bs.block_of(i)
-        i_is_t = i in tset
-        for j in range(n):
-            a = me.A[i, j]
-            if a == 0:
-                continue
-            if a < 0:
-                out.append(Violation(
-                    "negative_exponent", (i, j),
-                    f"exponent a[{i}][{j}] = {a} is negative"))
-                continue
-            if j in tset:
-                bj = bs.block_of(j)
-                if i_is_t:
-                    ok = bj >= bi
-                else:
-                    ok = bj > bi or (j == i)
-            else:
-                ok = j == i and a == 1
-            if not ok:
-                out.append(Violation(
-                    "zero_pattern", (i, j),
-                    f"exponent a[{i}][{j}] = {a} breaks the block pattern"))
-        if not i_is_t and me.A[i, i] != 1:
-            out.append(Violation(
-                "zero_pattern", (i, i),
-                f"non-T row {i} must carry its own variable with exponent 1"))
-    for b in range(bs.r):
-        if determinant(me.g_block(b)) == 0:
-            out.append(Violation(
-                "singular_block", (b,),
-                f"diagonal exponent block of block {b} is singular"))
-    # T y-values rationally independent
-    tlist = bs.t_indices()
-    vecs = [me.y_values[j].flat() for j in tlist]
-    if len(rref(vecs)[1]) != len(tlist):
-        out.append(Violation(
-            "dependent_values", tuple(tlist),
-            "T-indexed y-values are rationally dependent"))
-    for j in range(n):
-        v = me.y_values[j]
-        if v.sign() <= 0:
-            out.append(Violation(
-                "nonpositive_value", (j,),
-                f"value of y_{j} is not strictly positive"))
-        elif isolated_level(v) != bs.block_of(j):
-            out.append(Violation(
-                "misplaced_value", (j,),
-                f"value of y_{j} lives at isolated level {isolated_level(v)},"
-                f" expected {bs.block_of(j)}"))
-    return out
+    """All violations of the required shape; an empty list means valid.
+
+    The check runs once per extension; each call returns a fresh list.
+    """
+    return list(me._violations)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,14 @@ unit rescale; the trace of steps replays deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 
 from .errors import (
     HypothesisA6Failed,
     NoNonnegativeLift,
     NotAlongValuation,
+    NotInGroup,
     NotTheorem48Form,
 )
 from .exact_lattice import ExactMatrix, adjugate, smith_normal_form
@@ -229,19 +232,42 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
 
 @dataclass(frozen=True)
 class CosetSystem:
-    """Parallelepiped generators with their value-group coset labels."""
+    """Parallelepiped generators with their value-group coset labels.
+
+    The labels are kept as integer rows over the denominator L of the big
+    group: label_rows[i] is L times the flat coordinates of the canonical
+    coset representative of lattice_points[i].  labels and values build
+    the group elements on first use.
+    """
 
     extension: MonomialExtension
     e: int
     lattice_points: tuple          # Lambda, lex sorted
-    labels: tuple                  # canonical coset representatives
-    values: tuple                  # nu*(y^sigma) for sigma in Lambda
+    label_rows: tuple              # L * canonical coset representatives
     invariant_factors: tuple       # of Z^n / A^t Z^n
     snf_at: object                 # SmithDecomposition of A^t
     big_group: ValueGroup
     small_group: ValueGroup
     quotient: Quotient = field(compare=False, repr=False)  # big / small
     parallelepiped: ParallelepipedBasis = field(compare=False, repr=False)
+
+    @property
+    def denominator(self):
+        """L, the common denominator of the label rows."""
+        return self.quotient.denominator
+
+    @cached_property
+    def labels(self):
+        """Canonical coset representatives, one per lattice point."""
+        structure = self.big_group.structure
+        return tuple(structure.from_row(row, self.denominator)
+                     for row in self.label_rows)
+
+    @cached_property
+    def values(self):
+        """nu*(y^sigma) for sigma in Lambda."""
+        return tuple(self.extension.value(sigma)
+                     for sigma in self.lattice_points)
 
 
 def coset_system(ssm: SSMForm) -> CosetSystem:
@@ -270,6 +296,11 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     the invariant factors of A^t are those of big/small.  Quotient's own
     checks (small lies in big, with finite index) are what the proof rests
     on.
+
+    Coordinates in big's lattice basis are linear, so the coordinates of
+    phi(sigma) are sigma M, with M the integer matrix whose rows are the
+    coordinates of the y-values: they are taken once, and each label is
+    one Hermite reduction of the integer row sigma M.
     """
     me = ssm.extension
     big = ValueGroup(me.structure, me.y_values)
@@ -280,14 +311,18 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     if quotient.index != e:
         raise HypothesisA6Failed(
             f"|det A| = {e} but subgroup index is {quotient.index}")
-    values = tuple(me.value(sigma) for sigma in pb.points)
+    M = [big.coordinates(y) for y in me.y_values]
+    if None in M:
+        raise NotInGroup("y-value outside its own value group")
+    columns = tuple(zip(*M))
     snf_at = smith_normal_form(me.A.transpose())
     return CosetSystem(
         extension=me,
         e=e,
         lattice_points=pb.points,
-        labels=tuple(quotient.label(val) for val in values),
-        values=values,
+        label_rows=tuple(
+            quotient.label_row([sum(map(mul, sigma, col)) for col in columns])
+            for sigma in pb.points),
         # det A^t = +-e != 0, so every diagonal entry is nonzero
         invariant_factors=tuple(
             d for d in snf_at.D.diagonal_entries() if d > 1),
@@ -297,4 +332,3 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         quotient=quotient,
         parallelepiped=pb,
     )
-

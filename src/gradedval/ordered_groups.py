@@ -79,6 +79,10 @@ class GroupStructure:
         return GroupElement(self, tuple(
             tuple(islice(it, b.rational_rank)) for b in self.blocks))
 
+    def from_row(self, row, L):
+        """The element whose flat coordinates are the integers row over L."""
+        return self.from_flat([Fraction(x, L) for x in row])
+
 
 def _block_sign(block: Block, comp):
     """Exact sign of sum(comp[i] * weight[i]) within one block."""
@@ -111,7 +115,8 @@ class GroupElement:
             raise AmbientMismatch("coordinate blocks != structure blocks")
         fixed = []
         for block, comp in zip(blocks, self.coords):
-            comp = tuple(Fraction(c) for c in comp)
+            comp = tuple(c if isinstance(c, Fraction) else Fraction(c)
+                         for c in comp)
             if len(comp) != block.rational_rank:
                 raise AmbientMismatch("component length != block rank")
             fixed.append(comp)
@@ -251,9 +256,7 @@ class ValueGroup:
     def basis_elements(self):
         """Group elements forming a lattice basis of this subgroup."""
         L, basis, _ = self._lattice
-        return tuple(
-            self.structure.from_flat([Fraction(x, L) for x in row])
-            for row in basis)
+        return tuple(self.structure.from_row(row, L) for row in basis)
 
 
 def _pivot_columns(echelon_rows):
@@ -307,28 +310,42 @@ class Quotient:
         snf = smith_normal_form(self.inclusion.transpose())
         return tuple(d for d in snf.D.diagonal_entries() if d > 1)
 
-    def label(self, gamma: GroupElement):
-        """Canonical representative of gamma + small inside big.
+    @property
+    def denominator(self):
+        """L with big = (1/L) * row-lattice of its Hermite basis."""
+        return self.big._lattice[0]
 
-        Coordinates in big's canonical lattice basis are reduced through
-        the Hermite basis of small, giving the unique representative whose
-        entry at each pivot column lies in [0, pivot).  Two elements
-        receive equal labels iff their difference lies in small.
+    def label_row(self, v):
+        """L * the canonical representative of the coset whose coordinates
+        in big's lattice basis are the integers v, L = denominator.
+
+        v is reduced through the Hermite basis of small, giving the unique
+        representative whose entry at each pivot column lies in [0, pivot);
+        its flat coordinates are then summed in integers.
         """
-        v = self.big.coordinates(gamma)
-        if v is None:
-            raise NotInGroup("element outside the big group")
         v = list(v)
         for row, p in zip(self.hnf, self.pivots):
             q = v[p] // row[p]
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
-        L, basis, _ = self.big._lattice
+        _, basis, _ = self.big._lattice
         flat = [0] * self.big.structure.rational_rank
         for c, row in zip(v, basis):
             if c:
                 flat = [a + c * b for a, b in zip(flat, row)]
-        return self.big.structure.from_flat([Fraction(x, L) for x in flat])
+        return tuple(flat)
+
+    def label(self, gamma: GroupElement):
+        """Canonical representative of gamma + small inside big.
+
+        Two elements receive equal labels iff their difference lies in
+        small.
+        """
+        v = self.big.coordinates(gamma)
+        if v is None:
+            raise NotInGroup("element outside the big group")
+        return self.big.structure.from_row(self.label_row(v),
+                                           self.denominator)
 
 
 def subgroup_index(big: ValueGroup, small: ValueGroup):

@@ -38,6 +38,7 @@ from .serialize import (
     dec_frac,
     dec_int,
     dec_structure,
+    enc_coset_labels,
     enc_element,
     enc_int,
     enc_matrix,
@@ -192,7 +193,7 @@ def _run_extension_case(label, me, f):
         # each basis label repeats its lattice point's coset label f times,
         # so the e*f labels fill every coset f times iff e labels differ
         checks.append(("cosets_exhausted",
-                       len({lbl.flat() for lbl in cs.labels}) == cs.e))
+                       len(set(cs.label_rows)) == cs.e))
         inv = invariant_part(mod)
         checks.append(("invariant_rank_f", len(inv) == f))
         trivial = list(dict.fromkeys(lbl.sigma for lbl in inv))
@@ -207,7 +208,7 @@ def _run_extension_case(label, me, f):
             "invariant_factors": [enc_int(d) for d in cs.invariant_factors],
             "lattice_points": [[enc_int(x) for x in p]
                                for p in cs.lattice_points],
-            "coset_labels": [enc_element(l) for l in cs.labels],
+            "coset_labels": enc_coset_labels(cs),
             "sigma_trivial": [[enc_int(x) for x in p] for p in trivial],
             "final_A": enc_matrix(final.A),
         })

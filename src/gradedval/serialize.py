@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DimensionMismatch, ParseError
 from .exact_lattice import ExactMatrix
 from .monomial_extension import BlockStructure, MonomialExtension
-from .monomialization import TransformStep
+from .monomialization import CosetSystem, TransformStep
 from .ordered_groups import Block, GroupStructure
 
 
@@ -36,6 +38,12 @@ def dec_int(s):
 
 def enc_frac(x):
     return str(Fraction(x))
+
+
+def enc_ratio(x, L):
+    """str(Fraction(x, L)) for integers x and L > 0, without the Fraction."""
+    g = math.gcd(x, L)
+    return str(x // g) if g == L else f"{x // g}/{L // g}"
 
 
 def dec_frac(s):
@@ -78,6 +86,20 @@ def dec_structure(data):
 
 def enc_element(el):
     return [[enc_frac(c) for c in comp] for comp in el.coords]
+
+
+def enc_row(structure: GroupStructure, row, L):
+    """enc_element of the element with flat coordinates row / L, encoded
+    straight from the integers."""
+    it = iter(row)
+    return [[enc_ratio(x, L) for x in islice(it, b.rational_rank)]
+            for b in structure.blocks]
+
+
+def enc_coset_labels(cs: CosetSystem):
+    """The coset labels of a coset system, encoded from its label rows."""
+    structure, L = cs.big_group.structure, cs.denominator
+    return [enc_row(structure, row, L) for row in cs.label_rows]
 
 
 def dec_element(structure, data):

@@ -63,7 +63,29 @@ class ValueSemigroup:
         return semigroup_membership(gamma, self)
 
 
-def enumerate_elements(S: ValueSemigroup, bound):
+def _box(structure, top):
+    """in_box(p, levels): every block b in levels of the integer row p has
+    value at most top, the bound times the row's denominator."""
+    blocks = structure.blocks
+    starts = tuple(accumulate((b.rational_rank for b in blocks), initial=0))
+
+    def in_box(p, levels):
+        return all(_block_sign(blocks[b], tuple(
+            (top if k == starts[b] else 0) - p[k]
+            for k in range(starts[b], starts[b + 1]))) >= 0 for b in levels)
+
+    return in_box
+
+
+def _denominators(elements):
+    return (c.denominator for el in elements for c in el.flat())
+
+
+def _scaled(gamma, L):
+    return tuple(int(c * L) for c in gamma.flat())
+
+
+def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     """All semigroup elements within the box bound, lex sorted.
 
     The bound is a rational box applied per block: an element qualifies when
@@ -74,28 +96,26 @@ def enumerate_elements(S: ValueSemigroup, bound):
     positive there, later ones vanish), so a sum outside the box there is
     dropped and each generator is added until block l leaves the box.  No
     cap comes from a tail, which may be negative: the result is exhaustive.
+
+    With scale L, a multiple of the bound's and of every generator's
+    denominators, the sorted integer rows L * gamma are returned instead
+    of the elements gamma.
     """
     structure = S.structure
-    flats = [g.flat() for g in S.generators]
     bound = Fraction(bound)
-    L = math.lcm(bound.denominator,
-                 *(c.denominator for v in flats for c in v))
-    top = int(bound * L)
-    blocks = structure.blocks
-    starts = tuple(accumulate((b.rational_rank for b in blocks), initial=0))
-
-    def in_box(p, levels):
-        return all(_block_sign(blocks[b], tuple(
-            (top if k == starts[b] else 0) - p[k]
-            for k in range(starts[b], starts[b + 1]))) >= 0 for b in levels)
-
+    L = math.lcm(bound.denominator, *_denominators(S.generators))
+    if scale is not None:
+        if scale % L:
+            raise ValueError(f"scale {scale} does not clear denominator {L}")
+        L = scale
+    in_box = _box(structure, int(bound * L))
     budget = _SEARCH_BUDGET
-    sums = {(0,) * starts[-1]}
+    sums = {(0,) * structure.rational_rank}
     done = 0            # blocks below done are final and inside the box
-    for level, g in sorted(zip(map(isolated_level, S.generators), flats)):
+    for level, row in sorted((isolated_level(g), _scaled(g, L))
+                             for g in S.generators):
         sums = {p for p in sums if in_box(p, range(done, level))}
         done = level
-        row = [int(c * L) for c in g]
         grown = set()
         for p in sums:
             while in_box(p, (level,)):
@@ -105,9 +125,11 @@ def enumerate_elements(S: ValueSemigroup, bound):
                 grown.add(p)
                 p = tuple(a + x for a, x in zip(p, row))
         sums = grown
-    kept = sorted(p for p in sums if in_box(p, range(done, len(blocks))))
-    return tuple(structure.from_flat([Fraction(x, L) for x in p])
-                 for p in kept)
+    kept = sorted(p for p in sums
+                  if in_box(p, range(done, structure.rank)))
+    if scale is not None:
+        return tuple(kept)
+    return tuple(structure.from_row(p, L) for p in kept)
 
 
 def _query_bound(gamma: GroupElement):
@@ -123,7 +145,8 @@ def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
     """True iff gamma is a nonnegative integer combination of generators.
 
     Decided as gamma in enumerate_elements(S, _query_bound(gamma)): gamma
-    lies in that box, and the enumeration is exhaustive there.
+    lies in that box, and the enumeration is exhaustive there.  The lookup
+    is on integer rows over a denominator that clears gamma's too.
     """
     if gamma.structure != S.structure:
         raise AmbientMismatch("query outside the ambient group")
@@ -131,24 +154,34 @@ def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
         raise NegativeQuery("membership queries must be nonnegative")
     if gamma.is_zero():
         return True
-    return gamma in enumerate_elements(S, _query_bound(gamma))
+    bound = _query_bound(gamma)
+    L = math.lcm(bound.denominator, *_denominators((gamma, *S.generators)))
+    return _scaled(gamma, L) in enumerate_elements(S, bound, scale=L)
 
 
 def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
                          bound):
     """Elements of S_big within the bound that are missing from S_small.
 
-    Both enumerations are exhaustive in the same box, so this is a set
-    difference, in the lex order of the big one.  The small generators are
-    looked up in one enumeration of S_big at their largest query bound.
+    Both enumerations are exhaustive in their boxes, so this is a set
+    difference, in the lex order of the big one.  S_big is enumerated
+    once, at the larger of the bound and the small generators' largest
+    query bound: the small generators are looked up in all of it, the
+    difference is taken in the bound's box.  Elements are built only for
+    the witnesses.
     """
     if S_small.structure != S_big.structure:
         raise AmbientMismatch("semigroups over different ambient groups")
-    big = set(enumerate_elements(
-        S_big, max(map(_query_bound, S_small.generators), default=0)))
-    if not big.issuperset(S_small.generators):
+    structure = S_big.structure
+    bound = Fraction(bound)
+    reach = max([bound, *map(_query_bound, S_small.generators)])
+    L = math.lcm(bound.denominator, reach.denominator,
+                 *_denominators(S_small.generators + S_big.generators))
+    big = enumerate_elements(S_big, reach, scale=L)
+    if not set(big).issuperset(_scaled(g, L) for g in S_small.generators):
         raise NotASubsemigroup(
             "small semigroup generator outside the big semigroup")
-    small = set(enumerate_elements(S_small, bound))
-    return [el for el in enumerate_elements(S_big, bound)
-            if el not in small]
+    small = set(enumerate_elements(S_small, bound, scale=L))
+    in_box = _box(structure, int(bound * L))
+    return [structure.from_row(p, L) for p in big
+            if p not in small and in_box(p, range(structure.rank))]

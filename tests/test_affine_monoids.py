@@ -20,7 +20,13 @@ from gradedval.errors import (
     InconsistentParallelepiped,
     NotPointed,
 )
-from gradedval.exact_lattice import ExactMatrix, determinant, solve_rational
+from gradedval.exact_lattice import (
+    ExactMatrix,
+    adjugate,
+    determinant,
+    hermite_row_basis,
+    solve_rational,
+)
 
 
 def monoid(*gens):
@@ -54,6 +60,23 @@ def brute_force_decomposition(basis, M, box_bound):
             violations.append((w, hits))
     return DecompositionReport(box_bound=box_bound, checked_points=checked,
                                violations=tuple(violations))
+
+
+def parallelepiped_oracle(vectors):
+    """The box walk parallelepiped_points replaced: every point x of the
+    Hermite box prod [0, h_ii) is mapped to x - W floor(C x / |det W|)
+    with a full product C x against the sign-adjusted adjugate."""
+    n = len(vectors)
+    W = ExactMatrix.from_rows(vectors).transpose()
+    d, adj = adjugate(W)
+    C = ExactMatrix(tuple(tuple(x if d > 0 else -x for x in row)
+                          for row in adj.entries))
+    H = hermite_row_basis(vectors)
+    pts = []
+    for x in product(*[range(H[i][i]) for i in range(n)]):
+        floors = tuple(c // abs(d) for c in C.apply(x))
+        pts.append(tuple(a - b for a, b in zip(x, W.apply(floors))))
+    return tuple(sorted(pts))
 
 
 def random_simplicial_bases(rng, count, max_index=40):
@@ -121,6 +144,27 @@ def test_parallelepiped_count_matches_index_random():
         pb = parallelepiped_points(vecs)
         assert len(pb.points) == pb.index == abs(d)
         done += 1
+
+
+def test_parallelepiped_walk_matches_oracle_on_seeded_bases():
+    signs = set()
+    for vecs, d in random_simplicial_bases(random.Random(78), 80):
+        signs.add(d > 0)
+        assert parallelepiped_points(vecs).points == \
+            parallelepiped_oracle(vecs), vecs
+    assert signs == {True, False}
+
+
+def test_parallelepiped_walk_matches_oracle_at_e_10000():
+    # the exponent matrix of a t = (3, 3), g = (100, 100) extension:
+    # T-rows 0 and 3, the first block's rows also on T-column 3
+    rows = [[0] * 6 for _ in range(6)]
+    for i, h in zip(range(6), (2, 1, 3, 0, 0, 0)):
+        rows[i][i] = 100 if i in (0, 3) else 1
+        rows[i][3] += h
+    pb = parallelepiped_points(rows)
+    assert pb.index == 10_000
+    assert pb.points == parallelepiped_oracle(rows)
 
 
 def test_disjoint_decomposition_unit():

@@ -284,6 +284,19 @@ def test_decoders_accept_only_strings():
             dec_int(bad)
 
 
+def test_row_encoder_matches_fraction_strings():
+    from fractions import Fraction
+    from gradedval.ordered_groups import Block, GroupStructure
+    from gradedval.serialize import enc_element, enc_ratio, enc_row
+    for L in (1, 2, 6, 35):
+        for x in range(-80, 81):
+            assert enc_ratio(x, L) == str(Fraction(x, L)), (x, L)
+    structure = GroupStructure((Block(), Block(quad=2), Block()))
+    for row, L in (((0, -3, 4, 7), 6), ((0, 0, 0, 0), 1), ((-5, 1, 2, 9), 1)):
+        assert enc_row(structure, row, L) == \
+            enc_element(structure.from_row(row, L))
+
+
 def test_pipeline_records_a_failing_case_and_runs_the_rest(tmp_path, capsys):
     # the A6-failing extension: duplicate values make the y-group too
     # small for |det A| = 2; the random section adds one good case

@@ -353,6 +353,20 @@ def test_adjugate_edge_cases():
         adjugate(ExactMatrix.from_rows([[1, 2]]))
 
 
+def test_transpose_of_an_empty_column_matrix_is_refused():
+    # a 1 x 0 matrix has a 0 x 1 transpose, which the row tuple cannot
+    # hold; it used to come back as 0 x 0
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.from_rows([[]]).transpose()
+    assert ExactMatrix(()).transpose() == ExactMatrix(())
+    assert ExactMatrix.from_rows([[1, 2]]).transpose().entries == \
+        ((1,), (2,))
+    # a product whose right factor has no columns keeps its shape
+    product_ = ExactMatrix.from_rows([[5], [6]]).matmul(
+        ExactMatrix.from_rows([[]]))
+    assert (product_.rows, product_.cols) == (2, 0)
+
+
 def test_hermite_basis_is_canonical():
     # reducing above the pivots bottom-up gave (1, 0, -234) as first row
     basis = hermite_row_basis([(1, 7, 4), (7, -3, 0), (0, 9, 6)])

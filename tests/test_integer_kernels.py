@@ -31,6 +31,7 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_affine_monoids import (  # noqa: E402
     brute_force_decomposition,
+    parallelepiped_oracle,
     simplicial_monoid,
 )
 from test_exact_lattice import (  # noqa: E402
@@ -360,6 +361,16 @@ def test_decomposition_against_brute_force(rows, box):
     fast = verify_disjoint_decomposition(pb, M, box_bound=box)
     assert fast == brute_force_decomposition(pb, M, box)
     assert fast.ok
+
+
+@SETTINGS
+@given(square(4, 6))
+def test_parallelepiped_walk_against_oracle(rows):
+    d = determinant(ExactMatrix.from_rows(rows))
+    assume(d != 0 and abs(d) <= 2000)
+    pb = parallelepiped_points(rows)
+    assert pb.points == parallelepiped_oracle(rows)
+    assert pb.index == abs(d)
 
 
 @st.composite

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedval import monomial_extension
 from gradedval.errors import InvalidExtension, NonPositiveValue
 from gradedval.exact_lattice import ExactMatrix
 from gradedval.monomial_extension import (
@@ -47,6 +48,26 @@ def _group_coords(structure, flat):
 def test_identity_extension_valid():
     me = simple_extension([[1, 0], [0, 1]])
     assert validate(me) == []
+
+
+def test_validate_checks_once_and_returns_fresh_lists(monkeypatch):
+    me = simple_extension([[2, -1], [0, 3]])     # one negative exponent
+    calls = []
+    real = monomial_extension.determinant
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(monomial_extension, "determinant", counting)
+    first = validate(me)
+    assert calls and first
+    done = len(calls)
+    second = validate(me)
+    assert len(calls) == done       # no new work on the same object
+    assert second == first and second is not first
+    first.clear()
+    assert validate(me) == second
 
 
 def test_zero_pattern_breach_on_non_t_column():

@@ -39,10 +39,11 @@ from gradedval.monomialization import (
 )
 from gradedval.ordered_groups import (
     Block,
+    GroupElement,
     GroupStructure,
     quotient_invariant_factors,
 )
-from gradedval.scenarios import load_scenario
+from gradedval.scenarios import Scenario, load_scenario, run_pipeline
 from gradedval.serialize import load_json
 
 
@@ -321,7 +322,9 @@ def test_a7_oracle_on_golden_ladder():
 def coset_system_oracle(cs, character_limit=64):
     """What coset_system takes from the parallelepiped and the integer
     value map, recomputed independently: the Smith form of A^t, e = |det A|,
-    the values as Fraction sums of scaled y-values; the proven invariant
+    the values as Fraction sums of scaled y-values; each label read from
+    its integer row against the quotient's reduction of sigma's value; the
+    proven invariant
     part against the Smith-residue membership test of every basis label;
     and (for e up to the limit) the integer character table over the
     lattice points against the Fraction walk over the Smith residues."""
@@ -329,6 +332,8 @@ def coset_system_oracle(cs, character_limit=64):
     assert cs.snf_at == smith_normal_form(me.A.transpose())
     assert cs.e == abs(determinant(me.A))
     assert cs.values == tuple(value_of(me, s) for s in cs.lattice_points)
+    assert cs.labels == tuple(cs.quotient.label(me.value(s))
+                              for s in cs.lattice_points)
     assert induced_x_values(me) == tuple(value_of(me, row)
                                          for row in me.A.entries)
     for f in (1, 2):
@@ -359,3 +364,45 @@ def test_coset_system_oracle_on_bundled_scenarios():
 def test_coset_system_oracle_on_golden_ladder():
     for _, me in ladder_scenario().extensions:
         coset_system_oracle(coset_system(strong_monomialize(me).final))
+
+
+def pipeline_extension(g):
+    """t = (3, 2) blocks (the smallest ladder rung's) with T-diagonal g.
+
+    Rows 1 and 2 carry g[1] on the second block's T-column, a multiple of
+    its diagonal, so monomialization takes the same steps for every g."""
+    blocks = BlockStructure(r=2, t=(3, 2), s=(1, 1))
+    rows = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        rows[i][i] = g[i // 3] if i in (0, 3) else 1
+    rows[0][3], rows[1][3], rows[2][3] = 1, g[1], 2 * g[1]
+    A = ExactMatrix.from_rows(rows)
+    structure = GroupStructure((Block(), Block()))
+    t_values = (structure.element(((1,), (1,))),
+                structure.element(((0,), (1,))))
+    return MonomialExtension(blocks=blocks, A=A, unit_markers=("1",) * 5,
+                             y_values=compatible_values(blocks, A, t_values))
+
+
+def test_group_elements_built_do_not_grow_with_e(monkeypatch):
+    # labels and values stay integer rows up to the report, so one
+    # pipeline run builds as many elements at e = 200 as at e = 25
+    built = []
+    real = GroupElement.__post_init__
+
+    def counting(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    counts = {}
+    for g in ((5, 5), (10, 20)):
+        scenario = Scenario(name="count", extensions=(
+            ("count", pipeline_extension(g)),), residue_degree=1,
+            semigroup=None, records=(), expect={})
+        built.clear()
+        report = run_pipeline(scenario)
+        assert report["ok"]
+        assert report["cases"][0]["e"] == str(g[0] * g[1])
+        counts[g] = (len(built), report["cases"][0]["steps"])
+    assert counts[(5, 5)] == counts[(10, 20)]

@@ -283,6 +283,35 @@ def test_enumeration_matches_generous_caps_with_sqrt2_block():
     assert len(semigroup_difference(small, big, 7)) == 213
 
 
+def test_difference_enumerates_each_semigroup_once(monkeypatch):
+    structure = GroupStructure((Block(), Block(quad=2)))
+    u, v, w = ((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))
+    h = ((1,), (-1, 0))
+    small = semigroup(structure, [u, v, w])
+    big = semigroup(structure, [u, v, w, h])
+    calls = []
+    real = value_semigroups.enumerate_elements
+
+    def counting(S, bound, **kwargs):
+        calls.append(S)
+        return real(S, bound, **kwargs)
+
+    monkeypatch.setattr(value_semigroups, "enumerate_elements", counting)
+    witnesses = semigroup_difference(small, big, 7)
+    assert calls == [big, small]
+    # the witnesses of one enumeration per semigroup, filtered to the box
+    members = set(real(small, 7))
+    assert witnesses == [el for el in real(big, 7) if el not in members]
+
+
+def test_enumeration_scale_must_clear_the_denominators():
+    S = rank1_semigroup(Fraction(1, 2), Fraction(1, 3))
+    assert enumerate_elements(S, 1, scale=12) == tuple(
+        (int(el.flat()[0] * 12),) for el in enumerate_elements(S, 1))
+    with pytest.raises(ValueError):
+        enumerate_elements(S, 1, scale=4)
+
+
 def reachable(gens, top):
     ok = [True] + [False] * top
     for x in range(1, top + 1):
