@@ -125,3 +125,8 @@ class MissingIndex(GradedValError):
 
 class ParseError(GradedValError):
     """Malformed input document."""
+
+
+class MalformedStep(ParseError):
+    """A transform step has an unknown kind, or names a row, target or
+    exponent row outside the extension."""

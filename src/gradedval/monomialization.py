@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from operator import mul
 
 from .errors import (
+    EnumerationOverflow,
     HypothesisA6Failed,
+    MalformedStep,
     NoNonnegativeLift,
     NotAlongValuation,
     NotInGroup,
@@ -48,73 +51,113 @@ class TransformStep:
     exponents: tuple = ()
 
 
-def apply_s_transform(me: MonomialExtension, step: TransformStep):
-    bs = me.blocks
-    m, c = step.row, step.target
-    bi, bk = bs.block_of(m), bs.block_of(c)
-    if bi >= bk:
-        raise NotAlongValuation(
-            f"target column {c} must lie in a strictly later block than {m}")
-    if not bs.is_t_index(c):
-        raise NotTheorem48Form(f"target column {c} is not a T-index")
-    new_value = me.y_values[m] - me.y_values[c]
-    if new_value.sign() <= 0:
-        raise NotAlongValuation(
-            f"value of y'_{m} would not be strictly positive")
-    rows = [list(r) for r in me.A.entries]
-    for row in rows:
-        row[c] += row[m]
-    values = list(me.y_values)
-    values[m] = new_value
-    return MonomialExtension(
-        blocks=bs,
-        A=ExactMatrix.from_rows(rows),
-        unit_markers=me.unit_markers,
-        y_values=tuple(values),
-    )
+STEP_KINDS = ("s", "r", "rescale")
+# lift candidates tried per row; the tests (bundled scenarios included)
+# need at most 275 and the benchmark workloads at most 110
+_SEARCH_BUDGET = 100_000
 
 
-def apply_r_transform(me: MonomialExtension, step: TransformStep):
-    rows = [list(r) for r in me.A.entries]
-    m = step.row
-    for col_row, exp in step.exponents:
-        rows[m] = [a - exp * b for a, b in zip(rows[m], rows[col_row])]
-    markers = list(me.unit_markers)
-    markers[m] = "gamma*delta" if step.exponents else markers[m]
-    return MonomialExtension(
-        blocks=me.blocks,
-        A=ExactMatrix.from_rows(rows),
-        unit_markers=tuple(markers),
-        y_values=me.y_values,
-    )
+def _check_steps(steps, n):
+    """Reject a step of unknown kind, or one whose row, target or exponent
+    row lies outside [0, n), before any step is applied."""
+    for step in steps:
+        if step.kind not in STEP_KINDS:
+            raise MalformedStep(f"unknown step kind {step.kind!r}")
+        named = [step.row]
+        if step.kind == "s":
+            named.append(step.target)
+        elif step.kind == "r":
+            named.extend(row for row, _ in step.exponents)
+        for i in named:
+            if not (isinstance(i, int) and 0 <= i < n):
+                raise MalformedStep(
+                    f"{step.kind!r} step names row {i!r}, outside "
+                    f"[0, {n})")
 
 
-def apply_rescale(me: MonomialExtension, step: TransformStep):
-    markers = list(me.unit_markers)
-    markers[step.row] = "1"
-    return MonomialExtension(
-        blocks=me.blocks,
-        A=me.A,
-        unit_markers=tuple(markers),
-        y_values=me.y_values,
-    )
+class _Rewrite:
+    """An extension under rewriting: the integer rows of A, the y-values
+    and the unit markers, changed in place; build() makes the extension."""
 
+    def __init__(self, me: MonomialExtension):
+        self.blocks = me.blocks
+        self.rows = [list(row) for row in me.A.entries]
+        self.values = list(me.y_values)
+        self.markers = list(me.unit_markers)
 
-def apply_step(me: MonomialExtension, step: TransformStep):
-    if step.kind == "s":
-        return apply_s_transform(me, step)
-    if step.kind == "r":
-        return apply_r_transform(me, step)
-    if step.kind == "rescale":
-        return apply_rescale(me, step)
-    raise ValueError(f"unknown step kind {step.kind!r}")
+    def apply(self, step: TransformStep, reps=1):
+        """Apply a range-checked step reps times."""
+        m = step.row
+        if step.kind == "s":
+            self._substitute(m, step.target, reps)
+        elif step.kind == "r":
+            rows = self.rows
+            for _ in range(reps):
+                for col_row, exp in step.exponents:
+                    rows[m] = [a - exp * b
+                               for a, b in zip(rows[m], rows[col_row])]
+            if step.exponents:
+                self.markers[m] = "gamma*delta"
+        else:
+            self.markers[m] = "1"
+
+    def _substitute(self, m, c, reps):
+        """reps substitutions y_m = y'_m * y_c as one burst: column c gains
+        reps times column m, and nu(y_m) drops by reps * nu(y_c).
+
+        nu(y_m) - k nu(y_c) is linear in k, so it is positive for every
+        k <= reps exactly when it is positive at the end where it is least:
+        k = reps when nu(y_c) > 0, else k = 1.  The burst therefore raises
+        exactly when one of its single steps would, with the same message.
+        """
+        bs = self.blocks
+        if bs.block_of(m) >= bs.block_of(c):
+            raise NotAlongValuation(
+                f"target column {c} must lie in a strictly later block "
+                f"than {m}")
+        if not bs.is_t_index(c):
+            raise NotTheorem48Form(f"target column {c} is not a T-index")
+        ym, yc = self.values[m], self.values[c]
+        least = reps if yc.sign() > 0 else 1
+        value = ym - yc.scale(least)
+        if value.sign() <= 0:
+            raise NotAlongValuation(
+                f"value of y'_{m} would not be strictly positive")
+        if least != reps:
+            value = ym - yc.scale(reps)
+        for row in self.rows:
+            row[c] += reps * row[m]
+        self.values[m] = value
+
+    def build(self):
+        return MonomialExtension(
+            blocks=self.blocks,
+            A=ExactMatrix.from_rows(self.rows),
+            unit_markers=tuple(self.markers),
+            y_values=tuple(self.values),
+        )
 
 
 def replay(initial: MonomialExtension, steps):
-    me = initial
-    for step in steps:
-        me = apply_step(me, step)
-    return me
+    """The extension that the steps of a trace make of initial.
+
+    Every step is range-checked before any is applied.  Each run of equal
+    consecutive steps is applied as one burst, and the extension is built
+    once; an empty trace returns initial itself.
+    """
+    steps = tuple(steps)
+    if not steps:
+        return initial
+    _check_steps(steps, initial.blocks.n)
+    state = _Rewrite(initial)
+    for step, run in groupby(steps):
+        state.apply(step, sum(1 for _ in run))
+    return state.build()
+
+
+def apply_step(me: MonomialExtension, step: TransformStep):
+    """The extension after one step."""
+    return replay(me, (step,))
 
 
 @dataclass(frozen=True)
@@ -164,6 +207,11 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     nonnegative integer exponents c on the later T-rows; b is realized by
     column substitutions, c by one row transform, and a final rescale
     restores the trivial unit marker.
+
+    The lift search tries at most _SEARCH_BUDGET candidates b per row and
+    raises EnumerationOverflow past it.  The substitutions of each burst
+    are applied at once to one integer state, and the extension is built
+    once, at the end.
     """
     problems = validate(me)
     if problems:
@@ -174,26 +222,31 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
         if m not in tset and not _is_theorem48_row(me, m):
             raise NotTheorem48Form(f"row {m} is not in Theorem-4.8 shape")
 
-    initial = me
+    state = _Rewrite(me)
+    rows = state.rows
     steps = []
-    max_entry = max((abs(x) for row in me.A.entries for x in row), default=1)
+    max_entry = max((abs(x) for row in rows for x in row), default=1)
     bound = 8 * max(max_entry, 1)
 
     for m in range(bs.n):
         if m in tset:
             continue
-        unit_row = tuple(1 if j == m else 0 for j in range(bs.n))
-        if me.A.row(m) == unit_row:
+        unit_row = [1 if j == m else 0 for j in range(bs.n)]
+        if rows[m] == unit_row:
             continue
         bi = bs.block_of(m)
         later_t = [j for j in bs.t_indices() if bs.block_of(j) > bi]
-        h = [me.A[m, j] for j in later_t]
+        h = [rows[m][j] for j in later_t]
         sub = ExactMatrix.from_rows(
-            [[me.A[i, j] for j in later_t] for i in later_t])
+            [[rows[i][j] for j in later_t] for i in later_t])
         # c = adj / det * (h + b); one adjugate serves every candidate b
         det, adj = adjugate(sub.transpose())
         choice = None
-        for b in _graded_vectors(len(later_t), bound):
+        for tried, b in enumerate(_graded_vectors(len(later_t), bound)):
+            if tried == _SEARCH_BUDGET:
+                raise EnumerationOverflow(
+                    f"lift search for row {m} exhausted its budget of "
+                    f"{_SEARCH_BUDGET} candidates")
             rhs = tuple(hj + bj for hj, bj in zip(h, b))
             num = adj.apply(rhs)
             if all(x % det == 0 and x // det >= 0 for x in num):
@@ -205,29 +258,31 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
                 f"{bound}")
         b, c = choice
         for col, reps in zip(later_t, b):
-            for _ in range(reps):
-                step = TransformStep(
-                    kind="s", row=m, target=col,
-                    blocks=(bi + 1, m - bs.offset(bi) + 1,
-                            bs.block_of(col) + 1,
-                            col - bs.offset(bs.block_of(col)) + 1))
-                me = apply_s_transform(me, step)
-                steps.append(step)
+            if not reps:
+                continue
+            step = TransformStep(
+                kind="s", row=m, target=col,
+                blocks=(bi + 1, m - bs.offset(bi) + 1,
+                        bs.block_of(col) + 1,
+                        col - bs.offset(bs.block_of(col)) + 1))
+            state.apply(step, reps)
+            steps.extend([step] * reps)
         r_step = TransformStep(
             kind="r", row=m,
             exponents=tuple((row, exp) for row, exp in zip(later_t, c)
                             if exp))
-        me = apply_r_transform(me, r_step)
+        state.apply(r_step)
         steps.append(r_step)
-        if me.A.row(m) != unit_row:
+        if rows[m] != unit_row:
             raise NoNonnegativeLift(
                 f"row {m} failed to normalize: lift was inconsistent")
         rescale = TransformStep(kind="rescale", row=m)
-        me = apply_rescale(me, rescale)
+        state.apply(rescale)
         steps.append(rescale)
 
+    final = state.build() if steps else me
     return MonomializationTrace(
-        initial=initial, steps=tuple(steps), final=SSMForm(me))
+        initial=me, steps=tuple(steps), final=SSMForm(final))
 
 
 @dataclass(frozen=True)

@@ -253,53 +253,38 @@ class ValueGroup:
     def contains(self, gamma: GroupElement):
         return self.coordinates(gamma) is not None
 
-    def basis_elements(self):
-        """Group elements forming a lattice basis of this subgroup."""
-        L, basis, _ = self._lattice
-        return tuple(self.structure.from_row(row, L) for row in basis)
-
 
 def _pivot_columns(echelon_rows):
     return tuple(next(j for j, x in enumerate(row) if x)
                  for row in echelon_rows)
 
 
-def _inclusion_matrix(big: ValueGroup, small: ValueGroup):
-    """Integer matrix of small's lattice basis in big's lattice basis."""
-    if big.structure != small.structure:
-        raise AmbientMismatch("groups over different ambient structures")
-    for g in small.generators:
-        if big.coordinates(g) is None:
-            raise NotASubgroup("small generator outside big group")
-    small_basis = small.basis_elements()
-    if len(small_basis) != big.rational_rank:
-        raise InfiniteIndex("rational spans differ")
-    rows = []
-    for el in small_basis:
-        coords = big.coordinates(el)
-        if coords is None:
-            raise NotASubgroup("small basis vector outside big group")
-        rows.append(coords)
-    return ExactMatrix.from_rows(rows)
-
-
 class Quotient:
     """The finite quotient big/small of two value groups, built once.
 
-    Holds the inclusion matrix C of small's lattice basis in big's, the
-    Hermite basis H of C's row lattice (small inside big's coordinates)
-    and its pivot columns.  [big : small] = |det C| is the product of H's
-    pivots, and a coset label is one reduction through H (Cohen, A Course
-    in Computational Algebraic Number Theory, GTM 138, section 2.4).
+    Holds the Hermite basis H of the lattice spanned by the coordinates of
+    small's generators in big's lattice basis (the coordinates that the
+    subgroup check computes), and its pivot columns.  H is canonical, so
+    it does not depend on how small is generated.  [big : small] is the
+    product of H's pivots, and a coset label is one reduction through H
+    (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    section 2.4).
     """
 
     def __init__(self, big: ValueGroup, small: ValueGroup):
+        if big.structure != small.structure:
+            raise AmbientMismatch("groups over different ambient structures")
         self.big = big
         self.small = small
-        self.inclusion = _inclusion_matrix(big, small)
-        self.hnf = hermite_row_basis(self.inclusion.entries)
-        if len(self.hnf) < self.inclusion.rows:
-            raise InfiniteIndex("small group has lower rank")
+        rows = []
+        for g in small.generators:
+            coords = big.coordinates(g)
+            if coords is None:
+                raise NotASubgroup("small generator outside big group")
+            rows.append(coords)
+        self.hnf = hermite_row_basis(rows)
+        if len(self.hnf) < big.rational_rank:
+            raise InfiniteIndex("rational spans differ")
         self.pivots = _pivot_columns(self.hnf)
         self.index = math.prod(
             row[p] for row, p in zip(self.hnf, self.pivots))
@@ -307,7 +292,7 @@ class Quotient:
     @cached_property
     def invariant_factors(self):
         """Invariant factors (> 1) of big/small."""
-        snf = smith_normal_form(self.inclusion.transpose())
+        snf = smith_normal_form(ExactMatrix.from_rows(self.hnf))
         return tuple(d for d in snf.D.diagonal_entries() if d > 1)
 
     @property

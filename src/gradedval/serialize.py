@@ -17,7 +17,7 @@ from itertools import islice
 from .errors import DimensionMismatch, ParseError
 from .exact_lattice import ExactMatrix
 from .monomial_extension import BlockStructure, MonomialExtension
-from .monomialization import CosetSystem, TransformStep
+from .monomialization import STEP_KINDS, CosetSystem, TransformStep
 from .ordered_groups import Block, GroupStructure
 
 
@@ -155,8 +155,11 @@ def enc_step(step: TransformStep):
 
 def dec_step(data):
     try:
+        kind = data["kind"]
+        if kind not in STEP_KINDS:
+            raise ParseError(f"unknown step kind {kind!r}")
         return TransformStep(
-            kind=str(data["kind"]),
+            kind=kind,
             row=dec_int(data["row"]),
             target=dec_int(data["target"]) if "target" in data else None,
             blocks=(tuple(dec_int(x) for x in data["blocks"])

@@ -122,6 +122,33 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert main(["pipeline", "--replay", tampered, "--json"]) == 1
 
 
+@pytest.mark.parametrize("step, first", [
+    ({"kind": "zap", "row": "0"}, False),
+    ({"kind": "r", "row": "99"}, False),
+    ({"kind": "s", "row": "-1", "target": "2"}, True),
+    ({"kind": "rescale", "row": "-1"}, False),
+    ({"kind": "r", "row": "1", "exponents": [["-1", "1"]]}, False),
+])
+def test_replay_rejects_malformed_steps(tmp_path, capsys, step, first):
+    # each used to give a traceback, or a result read from the last row
+    src = scenario_path(tmp_path, "rank2_h2.json")
+    trace = tmp_path / "trace.json"
+    assert main(["monomialize", "--in", src, "--out", str(trace),
+                 "--json"]) == 0
+    data = json.loads(trace.read_text())
+    if first:
+        data["steps"].insert(0, step)
+    else:
+        data["steps"].append(step)
+    capsys.readouterr()
+    probe = write(tmp_path, "probe.json", data)
+    assert main(["pipeline", "--replay", probe, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cosets_command(tmp_path, capsys):
     src = scenario_path(tmp_path, "rank2_h2.json")
     assert main(["cosets", "--in", src, "--box-bound", "4",

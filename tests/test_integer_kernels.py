@@ -3,8 +3,9 @@
 ValueGroup.coordinates (integer back-substitution) is checked against a
 rational Gauss-Jordan solve, in_column_lattice (one Smith form, residues)
 against solve_integer (a fresh Smith form and a solve per vector),
-Quotient against per-call coset_label, brute-force coset enumeration and
-sympy's normal forms, smith_normal_form against its defining properties
+Quotient against per-call coset_label, brute-force coset enumeration,
+the inclusion matrix of small's own lattice basis and sympy's normal
+forms, smith_normal_form against its defining properties
 and sympy's diagonal, adjugate against sympy and the cofactor minors, the
 adjugate-based verify_disjoint_decomposition against the brute-force
 search it replaced, rref against sympy, and coset systems of random
@@ -12,7 +13,8 @@ extensions against the sampled hypothesis-A7 checks and against the
 invariants and values they reuse, recomputed from scratch, and semigroup
 membership (a lookup in one box enumeration) against the block-by-block
 search it replaced.  Monomialization traces of random extensions replay
-to their final extension, in memory and from a trace file through the CLI.
+to their final extension, in memory, step by step and from a trace file
+through the CLI.
 """
 
 import contextlib
@@ -41,7 +43,9 @@ from test_exact_lattice import (  # noqa: E402
 )
 from test_monomialization import (  # noqa: E402
     a7_oracle,
+    compatible_extension,
     coset_system_oracle,
+    replay_oracle,
 )
 from test_value_semigroups import search_membership_oracle  # noqa: E402
 
@@ -136,6 +140,12 @@ def coordinates_oracle(group, gamma):
     return tuple(int(c) for c in x)
 
 
+def basis_elements(group):
+    """Group elements forming the lattice basis of a value group."""
+    L, basis, _ = group._lattice
+    return tuple(group.structure.from_row(row, L) for row in basis)
+
+
 def combine(structure, coeffs, elements):
     out = structure.zero()
     for c, g in zip(coeffs, elements):
@@ -177,7 +187,7 @@ def test_coordinates_match_rational_solve(data):
     x = group.coordinates(gamma)
     assert x == coordinates_oracle(group, gamma)
     if x is not None:
-        basis = group.basis_elements()
+        basis = basis_elements(group)
         assert combine(group.structure, x, basis) == gamma
 
 
@@ -215,7 +225,8 @@ def finite_quotient(draw):
 
     Every sublattice of finite index has an upper-triangular basis, so M
     is drawn triangular with a positive diagonal; one row operation varies
-    the presentation without changing the lattice.
+    the presentation without changing the lattice, and so do a zero
+    generator and the sum of two generators, appended.
     """
     structure = draw(st.sampled_from(STRUCTURES))
     m = structure.rational_rank
@@ -235,15 +246,35 @@ def finite_quotient(draw):
     if m == 2:
         k = draw(st.integers(-2, 2))
         M[1] = [a + k * b for a, b in zip(M[1], M[0])]
-    small = ValueGroup(structure, tuple(
-        combine(structure, r, big.basis_elements()) for r in M))
-    return big, small, index
+    small_gens = tuple(combine(structure, r, basis_elements(big)) for r in M)
+    if draw(st.booleans()):
+        small_gens += (structure.zero(), small_gens[0] + small_gens[-1])
+    return big, ValueGroup(structure, small_gens), index
+
+
+def inclusion_oracle(big, small):
+    """The integer matrix of small's own lattice basis in big's lattice
+    basis: the inclusion matrix Quotient was built from before it took the
+    coordinates of small's generators."""
+    rows = [big.coordinates(el) for el in basis_elements(small)]
+    assert None not in rows and len(rows) == big.rational_rank
+    return ExactMatrix.from_rows(rows)
+
+
+def reduce_through(hnf, v):
+    """v reduced through an echelon basis into [0, pivot) at each pivot."""
+    v = list(v)
+    for row in hnf:
+        p = next(j for j, x in enumerate(row) if x)
+        q = v[p] // row[p]
+        v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)
 
 
 def brute_force_classes(big, small, index):
     """Points of big over a coefficient box, grouped by difference in
     small; the box reaches every coset."""
-    basis = big.basis_elements()
+    basis = basis_elements(big)
     structure = big.structure
     span = range(-1, index)
     if len(basis) == 1:
@@ -282,6 +313,17 @@ def test_quotient_labels_against_brute_force(data):
         by_class.setdefault(k, set()).add(lbl.flat())
     assert all(len(v) == 1 for v in by_class.values())
     assert len({lbl.flat() for lbl in labels}) == index
+    # against the inclusion matrix of small's lattice basis
+    C = inclusion_oracle(big, small)
+    hnf = hermite_row_basis(C.entries)
+    assert q.hnf == hnf
+    assert q.index == abs(determinant(C))
+    snf = smith_normal_form(C.transpose())
+    assert q.invariant_factors == tuple(
+        d for d in snf.D.diagonal_entries() if d > 1)
+    for p, lbl in zip(points, labels):
+        assert big.coordinates(lbl) == reduce_through(
+            hnf, big.coordinates(p))
 
 
 @SETTINGS
@@ -291,7 +333,8 @@ def test_quotient_against_sympy_smith_form(data):
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     big, small, index = data
     q = Quotient(big, small)
-    D = sympy_snf(sympy.Matrix(q.inclusion.entries), domain=sympy.ZZ)
+    C = inclusion_oracle(big, small)
+    D = sympy_snf(sympy.Matrix(C.entries), domain=sympy.ZZ)
     diag = [abs(int(D[i, i])) for i in range(min(D.shape))]
     assert tuple(d for d in diag if d > 1) == q.invariant_factors
     prod = 1
@@ -417,6 +460,7 @@ def test_replay_reproduces_random_traces(seed, r_max, t_max, g_max):
                                   t_max=t_max, g_max=g_max)
     trace = strong_monomialize(me)
     assert replay(trace.initial, trace.steps) == trace.final.extension
+    assert replay_oracle(trace.initial, trace.steps) == trace.final.extension
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.json"
@@ -425,6 +469,33 @@ def test_replay_reproduces_random_traces(seed, r_max, t_max, g_max):
             code = main(["pipeline", "--replay", str(path), "--json"])
     assert code == 0
     assert json.loads(out.getvalue())["replay_matches"] is True
+
+
+@st.composite
+def theorem48_extension(draw):
+    """A Theorem-4.8-shaped extension with one T-variable per block, T-row
+    tails up to 2, non-T tails up to 8 and T-diagonal entries up to 9, so
+    the lift often needs bursts of several equal substitutions."""
+    r = draw(st.integers(2, 3))
+    t = tuple(draw(st.integers(1, 2)) for _ in range(r))
+    n = sum(t)
+    offsets = [sum(t[:b]) for b in range(r)]
+    block = [b for b in range(r) for _ in range(t[b])]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(1, 9)) if i in offsets else 1
+        tail = 2 if i in offsets else 8
+        for b in range(block[i] + 1, r):
+            rows[i][offsets[b]] = draw(st.integers(0, tail))
+    return compatible_extension(t, (1,) * r, rows)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(theorem48_extension())
+def test_replay_matches_step_fold_on_hypothesis_extensions(me):
+    trace = strong_monomialize(me)
+    assert replay(me, trace.steps) == replay_oracle(me, trace.steps) == \
+        trace.final.extension
 
 
 @SETTINGS

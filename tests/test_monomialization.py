@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -6,8 +7,11 @@ from test_golden_reports import ladder_scenario
 from test_graded_algebra import galois_character, quotient_group_elements
 
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
+from gradedval import monomialization
 from gradedval.errors import (
+    EnumerationOverflow,
     HypothesisA6Failed,
+    MalformedStep,
     NotAlongValuation,
     NotTheorem48Form,
 )
@@ -32,7 +36,7 @@ from gradedval.monomial_extension import (
 )
 from gradedval.monomialization import (
     TransformStep,
-    apply_s_transform,
+    apply_step,
     coset_system,
     replay,
     strong_monomialize,
@@ -111,7 +115,174 @@ def test_already_strong_form_yields_empty_trace():
 def test_s_transform_requires_later_block():
     me = two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
     with pytest.raises(NotAlongValuation):
-        apply_s_transform(me, TransformStep(kind="s", row=2, target=0))
+        apply_step(me, TransformStep(kind="s", row=2, target=0))
+
+
+def replay_oracle(initial, steps):
+    """replay as a fold of apply_step: one extension built per step, the
+    way traces were replayed before bursts."""
+    me = initial
+    for step in steps:
+        me = apply_step(me, step)
+    return me
+
+
+def test_burst_replays_like_single_steps():
+    # x_2 = y_2^9: the lift needs b = 8, one burst of eight substitutions
+    me = two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, 9]])
+    trace = strong_monomialize(me)
+    assert [s.kind for s in trace.steps] == ["s"] * 8 + ["r", "rescale"]
+    assert len(set(trace.steps[:8])) == 1
+    final = trace.final.extension
+    assert final.A.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 9))
+    assert final.y_values[1].flat() == (1, -8)
+    assert replay(me, trace.steps) == replay_oracle(me, trace.steps) == final
+
+
+def test_replay_matches_step_fold_on_random_traces():
+    rng = random.Random(2025)
+    for _ in range(60):
+        me = random_extension(rng)
+        trace = strong_monomialize(me)
+        assert replay(me, trace.steps) == replay_oracle(me, trace.steps)
+
+
+def test_empty_trace_replays_to_initial_itself():
+    me = two_block_extension([[2, 0, 1], [0, 1, 0], [0, 0, 3]])
+    assert replay(me, ()) is me
+
+
+def valued_extension(v1, v2):
+    """two_block_extension with nu(y_1) = v1 and nu(y_2) = v2, first block
+    coordinates; replay does not re-check the values of its input."""
+    me = two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    structure = me.structure
+    return MonomialExtension(
+        blocks=me.blocks, A=me.A, unit_markers=me.unit_markers,
+        y_values=(me.y_values[0], structure.element(((v1,), (0,))),
+                  structure.element(((v2,), (0,)))))
+
+
+@pytest.mark.parametrize("v1, v2", [
+    (3, 1),     # the last of three substitutions reaches nu(y'_1) = 0
+    (-2, -1),   # nu(y_2) < 0: the first one fails, the last would not
+])
+def test_tampered_burst_raises_like_single_steps(v1, v2):
+    me = valued_extension(v1, v2)
+    steps = (TransformStep(kind="s", row=1, target=2),) * 3
+    with pytest.raises(NotAlongValuation) as burst:
+        replay(me, steps)
+    with pytest.raises(NotAlongValuation) as single:
+        replay_oracle(me, steps)
+    assert str(burst.value) == str(single.value)
+    assert "y'_1" in str(burst.value)
+
+
+def test_positive_burst_matches_single_steps():
+    # nu(y_2) < 0 and every substitution stays positive
+    me = valued_extension(1, -1)
+    steps = (TransformStep(kind="s", row=1, target=2),) * 3
+    assert replay(me, steps) == replay_oracle(me, steps)
+    assert replay(me, steps).y_values[1].flat() == (4, 0)
+
+
+@pytest.mark.parametrize("step", [
+    TransformStep(kind="zap", row=0),
+    TransformStep(kind="r", row=99, exponents=((2, 1),)),
+    TransformStep(kind="s", row=-1, target=2),
+    TransformStep(kind="s", row=1, target=None),
+    TransformStep(kind="rescale", row=-1),
+    TransformStep(kind="r", row=1, exponents=((-1, 1),)),
+])
+def test_malformed_steps_are_rejected_before_any_is_applied(step):
+    # the first step would raise NotAlongValuation if it were applied
+    me = valued_extension(1, 1)
+    steps = (TransformStep(kind="s", row=1, target=2), step)
+    with pytest.raises(MalformedStep):
+        replay(me, steps)
+    with pytest.raises(MalformedStep):
+        apply_step(me, step)
+
+
+def count_builds(monkeypatch):
+    built = []
+    real = MonomialExtension.__post_init__
+
+    def counting(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(MonomialExtension, "__post_init__", counting)
+    return built
+
+
+def test_one_extension_built_per_trace(monkeypatch):
+    extensions = [two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, g]])
+                  for g in (2, 9, 40)]
+    extensions += [me for _, me in ladder_scenario().extensions]
+    built = count_builds(monkeypatch)
+    longest = 0
+    for me in extensions:
+        built.clear()
+        trace = strong_monomialize(me)
+        # an extension already in strong form is returned as it is
+        expected = 1 if trace.steps else 0
+        assert len(built) == expected
+        built.clear()
+        assert replay(me, trace.steps) == trace.final.extension
+        assert len(built) == expected
+        longest = max(longest, len(trace.steps))
+    assert longest >= 40
+
+
+def unit_t_values(blocks):
+    structure = GroupStructure(tuple(Block() for _ in range(blocks.r)))
+    return tuple(
+        structure.element(tuple((1,) if k == b else (0,)
+                                for k in range(blocks.r)))
+        for b in range(blocks.r))
+
+
+def compatible_extension(t, s, rows):
+    blocks = BlockStructure(r=len(t), t=t, s=s)
+    A = ExactMatrix.from_rows(rows)
+    return MonomialExtension(
+        blocks=blocks, A=A, unit_markers=("1",) * blocks.n,
+        y_values=compatible_values(blocks, A, unit_t_values(blocks)))
+
+
+def test_lift_search_picks_smallest_b_not_greedy():
+    # greedy forward substitution would pick b = (0, 4)
+    me = compatible_extension((2, 1, 1), (1, 1, 1), [
+        [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 5]])
+    trace = strong_monomialize(me)
+    assert [(s.kind, s.row, s.target) for s in trace.steps] == [
+        ("s", 1, 2), ("r", 1, None), ("rescale", 1, None)]
+
+
+def test_lift_search_is_budgeted():
+    # the unbudgeted search tried 11,505,047 candidates on row 1 of this
+    # matrix (98 s) before it found a lift
+    me = compatible_extension((2, 1, 1, 2, 1), (1, 1, 1, 1, 1), [
+        [7, 0, 3, 0, 1, 0, 6], [0, 1, 9, 9, 3, 0, 7],
+        [0, 0, 1, 8, 4, 0, 5], [0, 0, 0, 2, 4, 0, 1],
+        [0, 0, 0, 0, 8, 0, 7], [0, 0, 0, 0, 0, 1, 3],
+        [0, 0, 0, 0, 0, 0, 1]])
+    start = time.monotonic()
+    with pytest.raises(EnumerationOverflow, match="row 1"):
+        strong_monomialize(me)
+    assert time.monotonic() - start < 5
+
+
+def test_lift_budget_counts_candidates(monkeypatch):
+    # b = (1, 0) is the third candidate, after (0, 0) and (0, 1)
+    me = compatible_extension((2, 1, 1), (1, 1, 1), [
+        [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 5]])
+    monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 2)
+    with pytest.raises(EnumerationOverflow):
+        strong_monomialize(me)
+    monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 3)
+    assert len(strong_monomialize(me).steps) == 3
 
 
 def test_rejects_invalid_extension():
