@@ -4,16 +4,18 @@ Fundamental-parallelepiped generator sets and the disjoint coset
 decomposition of the saturation.  Pointedness is certified at construction
 by a strictly positive linear functional, which makes exact membership
 decidable by bounded search.  For n independent generators the
-parallelepiped points and the decomposition check use exact integer
-coordinates from one adjugate instead.
+parallelepiped points and the decomposition check use exact integer cone
+coordinates from one adjugate per basis instead, and both walk their box
+with one streaming mixed-radix walk that carries those coordinates along.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import add
+from functools import cached_property
+from operator import add, ge
 
 from .errors import (
     DependentGenerators,
@@ -50,8 +52,12 @@ class AffineMonoid:
         phi = tuple(Fraction(x) for x in self.positivity_functional)
         if len(phi) != self.dim:
             raise DimensionMismatch("functional of wrong dimension")
+        # L * phi is integral for L the lcm of the denominators, and has
+        # the signs of phi on Z^n
+        L = math.lcm(*(x.denominator for x in phi))
+        scaled = tuple(x.numerator * (L // x.denominator) for x in phi)
         for g in gens:
-            if _dot(phi, g) <= 0:
+            if _dot(scaled, g) <= 0:
                 raise NotPointed(
                     f"functional not strictly positive on generator {g}")
         object.__setattr__(self, "generators", tuple(gens))
@@ -156,6 +162,17 @@ class ParallelepipedBasis:
     def dim(self):
         return len(self.vectors)
 
+    @cached_property
+    def cone(self):
+        """(|det W|, C) of the generator matrix W, from _cone_coordinates.
+
+        Derived from vectors alone and computed once per instance;
+        parallelepiped_points stores the pair it has already computed, and
+        dataclasses.replace gives a fresh instance that computes its own.
+        """
+        return _cone_coordinates(
+            ExactMatrix.from_rows(self.vectors).transpose())
+
 
 def parallelepiped_points(vectors) -> ParallelepipedBasis:
     """Lambda = Z^n intersect par(v_1..v_n) for independent integer vectors.
@@ -166,26 +183,18 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     lattice (reduce x_1 mod h_11 by row 1, then x_2 mod h_22 by row 2, ...).
     Each class maps to its unique representative x - W floor(W^{-1} x),
     with the floors taken in integers from the adjugate of the generator
-    matrix W.  The box is walked in mixed radix, one coordinate at a time,
-    and C x = |det W| W^{-1} x is carried along by one column add per step.
+    matrix W.  The box is walked by _box_walk, which carries
+    C x = |det W| W^{-1} x along by one column add per step.
     """
     vectors = tuple(tuple(int(x) for x in v) for v in vectors)
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")
     W = ExactMatrix.from_rows(vectors).transpose()  # columns are generators
-    index, coords = _cone_coordinates(W)
+    index, coords = cone = _cone_coordinates(W)
     H = hermite_row_basis(vectors)
-    walk = [((), (0,) * n)]         # (box point prefix x, C x)
-    for i, column in enumerate(zip(*coords.entries)):
-        grown = []
-        for x, cx in walk:
-            for k in range(H[i][i]):
-                grown.append((x + (k,), cx))
-                cx = tuple(map(add, cx, column))
-        walk = grown
     pts = []
-    for x, cx in walk:
+    for x, cx in _box_walk([H[i][i] for i in range(n)], coords):
         # x - W floor(C x / |det W|), one generator per nonzero floor
         for c, v in zip(cx, vectors):
             q = c // index
@@ -197,7 +206,35 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     if len(basis) != index or (0,) * n not in basis:
         raise InconsistentParallelepiped(
             f"{len(basis)} points for index {index}, or 0 missing")
-    return ParallelepipedBasis(vectors=vectors, points=basis, index=index)
+    result = ParallelepipedBasis(vectors=vectors, points=basis, index=index)
+    result.__dict__["cone"] = cone   # the cached_property, already computed
+    return result
+
+
+def _box_walk(radices, C: ExactMatrix):
+    """(x, C x) for every x in prod range(r_i), in itertools.product order.
+
+    Stepping x_i by one adds column i of C to C x.  Only the prefixes over
+    the first n - 1 coordinates are held; the last coordinate is streamed,
+    so memory stays a 1/r_n share of the box.
+    """
+    if not radices:
+        yield (), ()
+        return
+    columns = tuple(zip(*C.entries))
+    walk = [((), (0,) * C.rows)]     # (prefix of x, C prefix)
+    for r, column in zip(radices[:-1], columns):
+        grown = []
+        for x, cx in walk:
+            for k in range(r):
+                grown.append((x + (k,), cx))
+                cx = tuple(map(add, cx, column))
+        walk = grown
+    last, column = radices[-1], columns[-1]
+    for x, cx in walk:
+        for k in range(last):
+            yield x + (k,), cx
+            cx = tuple(map(add, cx, column))
 
 
 def _cone_coordinates(W: ExactMatrix):
@@ -235,12 +272,14 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     """Check every saturation point of [0, box)^n lies in exactly one coset.
 
     The monoid must be simplicial, generated by the parallelepiped vectors.
-    Violations list (point, coset_count) pairs; an empty list certifies the
-    decomposition on the box.
+    Violations list (point, coset_count) pairs in itertools.product order
+    of the box; an empty list certifies the decomposition on the box.
 
-    With C = sign(det W) adj W for the generator matrix W, a box point w is
-    in the cone exactly when C w >= 0, and w - x lies in M exactly when
-    C w - C x >= 0 and = 0 mod |det W| componentwise.  The hits of w are
+    With C = sign(det W) adj W for the generator matrix W (basis.cone,
+    one adjugate per basis), a box point w is in the cone exactly when
+    C w >= 0, and w - x lies in M exactly when C w - C x >= 0 and
+    = 0 mod |det W| componentwise.  The box is walked by _box_walk, which
+    carries C w along by one column add per step.  The hits of w are
     counted over every listed point x (kept by residue of C x, since only
     the class of C w can hit), so a missing, repeated or wrong point shows
     up as a violation.
@@ -253,22 +292,20 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     n = basis.dim
     if box_bound ** n > _SEARCH_BUDGET:
         raise EnumerationOverflow(f"{box_bound}^{n} box points over budget")
-    index, coords = _cone_coordinates(
-        ExactMatrix.from_rows(basis.vectors).transpose())
+    index, coords = basis.cone
     by_residue = {}
     for x in basis.points:
         cx = coords.apply(x)
         by_residue.setdefault(tuple(c % index for c in cx), []).append(cx)
     checked = 0
     violations = []
-    for w in product(range(box_bound), repeat=n):
-        cw = coords.apply(w)
-        if any(c < 0 for c in cw):
+    for w, cw in _box_walk((box_bound,) * n, coords):
+        if min(cw, default=0) < 0:
             continue
         checked += 1
         hits = sum(
             1 for cx in by_residue.get(tuple(c % index for c in cw), ())
-            if all(a >= b for a, b in zip(cw, cx)))
+            if all(map(ge, cw, cx)))
         if hits != 1:
             violations.append((w, hits))
     return DecompositionReport(box_bound=box_bound, checked_points=checked,

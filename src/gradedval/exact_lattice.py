@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, SingularLattice
 
@@ -84,8 +85,7 @@ class ExactMatrix:
         """Matrix-vector product over the integers (or Fractions)."""
         if self.cols != len(vector):
             raise DimensionMismatch("vector length != column count")
-        return tuple(sum(a * b for a, b in zip(row, vector))
-                     for row in self.entries)
+        return tuple(sum(map(mul, row, vector)) for row in self.entries)
 
     def diagonal_entries(self):
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))

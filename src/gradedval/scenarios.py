@@ -130,6 +130,9 @@ def load_scenario(data) -> Scenario:
         seed = dec_int(spec.get("seed", "0"))
         count = dec_int(spec.get("count", "5"))
         e_max = dec_int(spec.get("e_max", "24"))
+        if e_max < 1:
+            # no extension has |det A| < 1, so the sampling would not end
+            raise ParseError(f"random.e_max must be at least 1, not {e_max}")
         rng = random.Random(seed)
         for k in range(count):
             extensions.append(

@@ -76,9 +76,19 @@ def enc_structure(s: GroupStructure):
     return {"blocks": [{"quad": b.quad} for b in s.blocks]}
 
 
+def _dec_quad(q):
+    """A block's quad: null, an integer string, or the bare JSON integer
+    enc_structure writes; a float, a bool or a non-integer string is
+    rejected, so 2.5 is never truncated to 2."""
+    if q is None or (isinstance(q, int) and not isinstance(q, bool)):
+        return q
+    return dec_int(q)
+
+
 def dec_structure(data):
     try:
-        blocks = tuple(Block(quad=b.get("quad")) for b in data["blocks"])
+        blocks = tuple(Block(quad=_dec_quad(b.get("quad")))
+                       for b in data["blocks"])
     except (TypeError, KeyError, AttributeError):
         raise ParseError("malformed group structure")
     return GroupStructure(blocks)

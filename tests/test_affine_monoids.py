@@ -1,7 +1,9 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -100,6 +102,31 @@ def test_pointedness_certificate():
                      positivity_functional=(1, 1))
 
 
+def test_integer_certificate_matches_fraction_signs():
+    # phi scaled by the lcm of its denominators, against Fraction dots
+    rng = random.Random(80)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        phi = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                    for _ in range(n))
+        gens = tuple(tuple(rng.randint(-2, 3) for _ in range(n))
+                     for _ in range(rng.randint(1, 3)))
+        pointed = all(sum(a * b for a, b in zip(phi, g)) > 0 for g in gens)
+        outcomes.add(pointed)
+        if pointed:
+            M = AffineMonoid(dim=n, generators=gens, positivity_functional=phi)
+            assert M.positivity_functional == phi
+        else:
+            with pytest.raises(NotPointed):
+                AffineMonoid(dim=n, generators=gens, positivity_functional=phi)
+    assert outcomes == {True, False}
+    # zero on a generator, with no integral multiple of phi in sight
+    with pytest.raises(NotPointed):
+        AffineMonoid(dim=2, generators=((3, 2),),
+                     positivity_functional=(Fraction(2, 3), Fraction(-1)))
+
+
 def test_membership_basic():
     M = monoid((2, 0), (0, 2), (1, 1))
     assert M.contains((1, 1))
@@ -124,6 +151,78 @@ def test_parallelepiped_skew():
     pb = parallelepiped_points(((1, 1), (0, 2)))
     assert pb.points == ((0, 0), (0, 1))
     assert pb.index == 2
+
+
+def test_parallelepiped_rank_zero():
+    # Z^0 is its own parallelepiped: one point, the empty tuple
+    pb = parallelepiped_points(())
+    assert pb.points == ((),)
+    assert pb.index == 1
+    report = verify_disjoint_decomposition(
+        pb, AffineMonoid(dim=0, generators=(), positivity_functional=()),
+        box_bound=3)
+    assert report.ok
+    assert report.checked_points == 1
+
+
+def test_box_walk_matches_product_order():
+    # the shared walk against itertools.product and a full product C x,
+    # radix 1 and n = 0, 1 included
+    rng = random.Random(79)
+    seen_n, seen_radix_1 = set(), False
+    for _ in range(120):
+        n = rng.randint(0, 4)
+        C = ExactMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(n))
+                              for _ in range(n)))
+        radices = [rng.randint(1, 4) for _ in range(n)]
+        walked = list(affine_monoids._box_walk(radices, C))
+        expected = [(x, C.apply(x))
+                    for x in product(*(range(r) for r in radices))]
+        assert walked == expected, (C, radices)
+        seen_n.add(n)
+        seen_radix_1 |= 1 in radices
+    assert seen_n == {0, 1, 2, 3, 4} and seen_radix_1
+
+
+def test_decomposition_box_walk_streams():
+    # 10^5 box points at the budget: the walk holds the 10^4 prefixes of
+    # the first four coordinates, not a list of every point
+    vecs = ((2, 0, 0, 0, 0), (1, 3, 0, 0, 0), (0, 1, 1, 0, 0),
+            (0, 0, 1, 2, 0), (1, 0, 0, 1, 1))
+    pb = parallelepiped_points(vecs)
+    M = monoid(*vecs)
+    assert 10 ** 5 == affine_monoids._SEARCH_BUDGET
+    tracemalloc.start()
+    try:
+        report = verify_disjoint_decomposition(pb, M, box_bound=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert report.checked_points == 14523
+    assert peak < 10 * 2 ** 20, peak
+
+
+def test_one_adjugate_per_basis(monkeypatch):
+    # the check reads the cone coordinates parallelepiped_points computed;
+    # a replaced basis is a fresh instance and computes its own
+    real = affine_monoids.adjugate
+    calls = []
+
+    def counting(W):
+        calls.append(W)
+        return real(W)
+
+    monkeypatch.setattr(affine_monoids, "adjugate", counting)
+    vecs = ((2, 1), (0, 3))
+    pb = parallelepiped_points(vecs)
+    M = simplicial_monoid(vecs)
+    assert verify_disjoint_decomposition(pb, M, box_bound=5).ok
+    assert verify_disjoint_decomposition(pb, M, box_bound=6).ok
+    assert len(calls) == 1
+    fresh = replace(pb)
+    assert fresh.cone == pb.cone
+    assert len(calls) == 2
 
 
 def test_parallelepiped_dependent():

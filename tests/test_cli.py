@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gradedval
 from gradedval.cli import (
     bundled_scenario_bytes,
     bundled_scenario_names,
@@ -235,6 +239,61 @@ def test_semigroup_command(tmp_path, capsys):
     payload["expect_growth"] = False
     src2 = write(tmp_path, "sg2.json", payload)
     assert main(["semigroup", "--in", src2, "--json"]) == 1
+
+
+def sqrt2_semigroup(quad):
+    # the sqrt(2) section of the benchmark's mixed workload, with its quad
+    u, v, w = [["2"], ["0", "0"]], [["0"], ["2", "0"]], [["0"], ["0", "2"]]
+    return {"structure": {"blocks": [{"quad": None}, {"quad": quad}]},
+            "small": [u, v, w], "big": [u, v, w, [["2"], ["-2", "0"]]],
+            "bound": "8", "expect_growth": True}
+
+
+def test_structure_quad_accepts_string_and_integer(tmp_path, capsys):
+    # the encoder writes a bare integer quad, so it is read back as one
+    outputs = []
+    for quad in ("2", 2):
+        src = write(tmp_path, "sg.json", sqrt2_semigroup(quad))
+        assert main(["semigroup", "--in", src, "--json"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0]["witnesses"] == outputs[1]["witnesses"] != []
+
+
+@pytest.mark.parametrize("quad", [2.5, True, "2/3", "1/0", ""])
+@pytest.mark.parametrize("command", ["semigroup", "cosets"])
+def test_structure_quad_rejects_non_integers(tmp_path, capsys, command, quad):
+    # 2.5 used to run as sqrt(2), true as sqrt(1), and "2/3" or "" to
+    # end in a ValueError traceback
+    if command == "semigroup":
+        data = sqrt2_semigroup(quad)
+    else:
+        data = json.loads(bundled_scenario_bytes("rank2_h2.json"))
+        data["extension"]["structure"]["blocks"][0]["quad"] = quad
+    src = write(tmp_path, "in.json", data)
+    assert main([command, "--in", src, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("e_max", ["0", "-0", "-3"])
+def test_random_e_max_below_1_exits_2_at_once(tmp_path, e_max):
+    # no extension has |det A| < 1: the sampler used to loop forever, so
+    # the run gets a wall bound of its own process, under -O when this is
+    src = write(tmp_path, "s.json", {
+        "name": "r", "random": {"seed": "1", "count": "2", "e_max": e_max}})
+    env = dict(os.environ)
+    src_dir = str(Path(gradedval.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-m", "gradedval.cli",
+         "pipeline", "--scenario", src, "--json"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == \
+        f"error: random.e_max must be at least 1, not {int(e_max)}\n"
 
 
 def test_ledger_command(tmp_path, capsys):
