@@ -30,6 +30,7 @@ from .ordered_groups import (
     Quotient,
     ValueGroup,
     coset_label,
+    generator_rows,
     isolated_level,
     lex_compare,
     quotient_invariant_factors,

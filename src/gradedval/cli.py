@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from importlib import resources
 
 from .errors import GradedValError, ParseError
@@ -299,9 +300,15 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """build_parser() on the first main call, then the same parser:
+    parse_args leaves it unchanged, and importing the module builds none."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

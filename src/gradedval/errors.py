@@ -15,6 +15,10 @@ class DimensionMismatch(GradedValError):
     """Incompatible matrix/vector dimensions."""
 
 
+class NonIntegerEntry(GradedValError):
+    """A matrix entry is not an int, so it is refused rather than truncated."""
+
+
 # -- ordered groups ---------------------------------------------------------
 
 class AmbientMismatch(GradedValError):

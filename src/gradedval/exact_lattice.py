@@ -15,20 +15,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionMismatch, SingularLattice
+from .errors import DimensionMismatch, NonIntegerEntry, SingularLattice
+
+
+def _check_ints(entries):
+    for x in entries:
+        if type(x) is not int:
+            raise NonIntegerEntry(
+                f"matrix entry {x!r} is a {type(x).__name__}, not an int")
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable integer matrix; entries are a tuple of row tuples."""
+    """Immutable integer matrix; entries are a tuple of row tuples.
+
+    The constructor is the checked boundary: every entry must be an int
+    (a float, Fraction, bool or str is refused, never truncated) and the
+    rows must have one length.  Matrices whose rows the package derives
+    itself from checked ones are built by _of, which skips the check.
+    """
 
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise DimensionMismatch("ragged entry grid")
+        for row in rows:
+            _check_ints(row)
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _of(cls, rows):
+        """The matrix of rows that are already a rectangular tuple of int
+        tuples, unchecked: only for rows derived inside the package."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        return m
 
     @property
     def rows(self):
@@ -44,14 +67,16 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n)))
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n))
+                             for i in range(n)))
 
     @classmethod
     def diagonal(cls, diag):
+        """The diagonal matrix of diag; only its n entries are checked."""
+        _check_ints(diag)
         n = len(diag)
-        return cls(tuple(tuple(diag[i] if i == j else 0 for j in range(n))
-                         for i in range(n)))
+        return cls._of(tuple(tuple(diag[i] if i == j else 0
+                                   for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -67,7 +92,7 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"{self.rows}x0 matrix: a 0x{self.rows} transpose has no "
                 f"rows to hold its shape")
-        return ExactMatrix(tuple(zip(*self.entries)))
+        return ExactMatrix._of(tuple(zip(*self.entries)))
 
     def is_square(self):
         return self.rows == self.cols
@@ -77,7 +102,7 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         ot = tuple(zip(*other.entries))      # other's columns
-        return ExactMatrix(tuple(
+        return ExactMatrix._of(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
             for row in self.entries))
 
@@ -242,9 +267,9 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
         for row in M + V:
             row[i] += row[j]
     return SmithDecomposition(
-        U=ExactMatrix.from_rows(U),
-        D=ExactMatrix.from_rows(M),
-        V=ExactMatrix.from_rows(V),
+        U=ExactMatrix._of(tuple(map(tuple, U))),
+        D=ExactMatrix._of(tuple(map(tuple, M))),
+        V=ExactMatrix._of(tuple(map(tuple, V))),
     )
 
 
@@ -279,7 +304,7 @@ def adjugate(A: ExactMatrix):
                        for i, row in enumerate(A.entries)], n)
     if det == 0:
         raise SingularLattice("adjugate of singular matrix")
-    adj = ExactMatrix(tuple(tuple(row[n:]) for row in M))
+    adj = ExactMatrix._of(tuple(tuple(row[n:]) for row in M))
     if adj.matmul(A).entries != ExactMatrix.diagonal((det,) * n).entries:
         raise SingularLattice("adjugate identity failed")
     return det, adj

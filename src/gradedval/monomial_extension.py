@@ -200,14 +200,15 @@ class MonomialExtension:
 
     def t_submatrix(self):
         T = self.blocks.t_indices()
-        return ExactMatrix.from_rows(
-            [[self.A[i, j] for j in T] for i in T])
+        rows = self.A.entries
+        return ExactMatrix._of(tuple(tuple(rows[i][j] for j in T)
+                                     for i in T))
 
     def g_block(self, block):
         off = self.blocks.offset(block)
         s = self.blocks.s[block]
-        return ExactMatrix.from_rows(
-            [[self.A[off + u, off + v] for v in range(s)] for u in range(s)])
+        return ExactMatrix._of(tuple(row[off:off + s]
+                                     for row in self.A.entries[off:off + s]))
 
 
 def validate(me: MonomialExtension):
@@ -242,13 +243,23 @@ class SSMForm:
                     f"row {m} is not in strong monomial form")
 
 
+def _x_value_rows(me: MonomialExtension):
+    """(L, rows): rows[i] is L * nu(x_i) = sum_j a_ij * L * nu*(y_j) as a
+    flat integer row, over the denominator L of the y-values.  Raises
+    NonPositiveValue unless every nu(x_i) is strictly positive."""
+    L, columns = me._value_columns
+    rows = [[sum(map(mul, row, col)) for col in columns]
+            for row in me.A.entries]
+    for i, row in enumerate(rows):
+        if me.structure.row_sign(row) <= 0:
+            raise NonPositiveValue(f"nu(x_{i}) is not strictly positive")
+    return L, rows
+
+
 def induced_x_values(me: MonomialExtension):
     """Values of the x monomials: nu(x_i) = sum_j a_ij * nu*(y_j)."""
-    out = tuple(me.value(row) for row in me.A.entries)
-    for i, v in enumerate(out):
-        if v.sign() <= 0:
-            raise NonPositiveValue(f"nu(x_{i}) is not strictly positive")
-    return out
+    L, rows = _x_value_rows(me)
+    return tuple(me.structure.from_row(row, L) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .affine_monoids import ParallelepipedBasis, parallelepiped_points
 from .monomial_extension import (
     MonomialExtension,
     SSMForm,
+    _x_value_rows,
     induced_x_values,
     validate,
 )
@@ -58,8 +59,9 @@ _SEARCH_BUDGET = 100_000
 
 
 def _check_steps(steps, n):
-    """Reject a step of unknown kind, or one whose row, target or exponent
-    row lies outside [0, n), before any step is applied."""
+    """Reject a step of unknown kind, one whose row, target or exponent
+    row lies outside [0, n), or an "r" step with an exponent that is not
+    an int, before any step is applied."""
     for step in steps:
         if step.kind not in STEP_KINDS:
             raise MalformedStep(f"unknown step kind {step.kind!r}")
@@ -68,6 +70,10 @@ def _check_steps(steps, n):
             named.append(step.target)
         elif step.kind == "r":
             named.extend(row for row, _ in step.exponents)
+            for _, exp in step.exponents:
+                if not isinstance(exp, int):
+                    raise MalformedStep(
+                        f"'r' step has exponent {exp!r}, not an integer")
         for i in named:
             if not (isinstance(i, int) and 0 <= i < n):
                 raise MalformedStep(
@@ -130,9 +136,11 @@ class _Rewrite:
         self.values[m] = value
 
     def build(self):
+        # the rows are the checked A's, changed by int column adds and by
+        # the int exponents _check_steps admits
         return MonomialExtension(
             blocks=self.blocks,
-            A=ExactMatrix.from_rows(self.rows),
+            A=ExactMatrix._of(tuple(map(tuple, self.rows))),
             unit_markers=tuple(self.markers),
             y_values=tuple(self.values),
         )
@@ -302,9 +310,14 @@ class CosetSystem:
     invariant_factors: tuple       # of Z^n / A^t Z^n
     snf_at: object                 # SmithDecomposition of A^t
     big_group: ValueGroup
-    small_group: ValueGroup
     quotient: Quotient = field(compare=False, repr=False)  # big / small
     parallelepiped: ParallelepipedBasis = field(compare=False, repr=False)
+
+    @cached_property
+    def small_group(self):
+        """The value group of x, generated by the nu(x_i)."""
+        me = self.extension
+        return ValueGroup(me.structure, induced_x_values(me))
 
     @property
     def denominator(self):
@@ -348,28 +361,37 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     - both sides have e elements by A6, so it is a bijection.
 
     Hence the e parallelepiped points receive e distinct coset labels and
-    the invariant factors of A^t are those of big/small.  Quotient's own
-    checks (small lies in big, with finite index) are what the proof rests
-    on.
+    the invariant factors of A^t are those of big/small.
 
-    Coordinates in big's lattice basis are linear, so the coordinates of
-    phi(sigma) are sigma M, with M the integer matrix whose rows are the
-    coordinates of the y-values: they are taken once, and each label is
-    one Hermite reduction of the integer row sigma M.
+    small lies in big by construction, so the quotient is built from
+    coordinate rows, not from small's generators.  The y-values generate
+    big and nu(x_i) = sum_j a_ij nu*(y_j) with integer a_ij, so nu(x_i)
+    is in big.  Coordinates in big's lattice basis are unique, so they are
+    additive: with M the integer matrix whose rows are the coordinates of
+    the y-values, the coordinates of nu(x_i) are row i of A M.  That big
+    and small have the same rational span (finite index) is still checked,
+    by Quotient (InfiniteIndex), and so is A6.  nu(x_i) > 0 is checked
+    first, on the integer rows of the y-values' value matrix.
+
+    Coordinates are linear for the same reason, so the coordinates of
+    phi(sigma) are sigma M: M is taken once, and each label is one
+    Hermite reduction of the integer row sigma M.
     """
     me = ssm.extension
+    _x_value_rows(me)  # raises NonPositiveValue unless every nu(x_i) > 0
+    A = me.A.entries
     big = ValueGroup(me.structure, me.y_values)
-    small = ValueGroup(me.structure, induced_x_values(me))
-    pb = parallelepiped_points(me.A.entries)
+    pb = parallelepiped_points(A)
     e = pb.index
-    quotient = Quotient(big, small)
-    if quotient.index != e:
-        raise HypothesisA6Failed(
-            f"|det A| = {e} but subgroup index is {quotient.index}")
     M = [big.coordinates(y) for y in me.y_values]
     if None in M:
         raise NotInGroup("y-value outside its own value group")
     columns = tuple(zip(*M))
+    quotient = Quotient(
+        big, [[sum(map(mul, row, col)) for col in columns] for row in A])
+    if quotient.index != e:
+        raise HypothesisA6Failed(
+            f"|det A| = {e} but subgroup index is {quotient.index}")
     snf_at = smith_normal_form(me.A.transpose())
     return CosetSystem(
         extension=me,
@@ -383,7 +405,6 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
             d for d in snf_at.D.diagonal_entries() if d > 1),
         snf_at=snf_at,
         big_group=big,
-        small_group=small,
         quotient=quotient,
         parallelepiped=pb,
     )

@@ -83,6 +83,17 @@ class GroupStructure:
         """The element whose flat coordinates are the integers row over L."""
         return self.from_flat([Fraction(x, L) for x in row])
 
+    def row_sign(self, row):
+        """The sign of from_row(row, L), for any L > 0, in integers."""
+        k = 0
+        for block in self.blocks:
+            width = block.rational_rank
+            s = _block_sign(block, row[k:k + width])
+            if s:
+                return s
+            k += width
+        return 0
+
 
 def _block_sign(block: Block, comp):
     """Exact sign of sum(comp[i] * weight[i]) within one block."""
@@ -259,29 +270,39 @@ def _pivot_columns(echelon_rows):
                  for row in echelon_rows)
 
 
+def generator_rows(big: ValueGroup, small: ValueGroup):
+    """The integer coordinates of small's generators in big's lattice
+    basis: the rows a Quotient of big by small is built from.
+
+    Raises AmbientMismatch for groups over different ambient structures
+    and NotASubgroup when a generator of small lies outside big.
+    """
+    if big.structure != small.structure:
+        raise AmbientMismatch("groups over different ambient structures")
+    rows = []
+    for g in small.generators:
+        coords = big.coordinates(g)
+        if coords is None:
+            raise NotASubgroup("small generator outside big group")
+        rows.append(coords)
+    return rows
+
+
 class Quotient:
     """The finite quotient big/small of two value groups, built once.
 
-    Holds the Hermite basis H of the lattice spanned by the coordinates of
-    small's generators in big's lattice basis (the coordinates that the
-    subgroup check computes), and its pivot columns.  H is canonical, so
-    it does not depend on how small is generated.  [big : small] is the
-    product of H's pivots, and a coset label is one reduction through H
-    (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
-    section 2.4).
+    Built from big and rows, the integer coordinates in big's lattice
+    basis of a generating set of small (generator_rows computes them from
+    the generators; a caller that knows them by construction passes them
+    straight).  Holds the Hermite basis H of their row lattice and its
+    pivot columns.  H is canonical, so it does not depend on how small is
+    generated.  [big : small] is the product of H's pivots, and a coset
+    label is one reduction through H (Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, section 2.4).
     """
 
-    def __init__(self, big: ValueGroup, small: ValueGroup):
-        if big.structure != small.structure:
-            raise AmbientMismatch("groups over different ambient structures")
+    def __init__(self, big: ValueGroup, rows):
         self.big = big
-        self.small = small
-        rows = []
-        for g in small.generators:
-            coords = big.coordinates(g)
-            if coords is None:
-                raise NotASubgroup("small generator outside big group")
-            rows.append(coords)
         self.hnf = hermite_row_basis(rows)
         if len(self.hnf) < big.rational_rank:
             raise InfiniteIndex("rational spans differ")
@@ -335,14 +356,14 @@ class Quotient:
 
 def subgroup_index(big: ValueGroup, small: ValueGroup):
     """e = [big : small] for subgroups spanning the same rational space."""
-    return Quotient(big, small).index
+    return Quotient(big, generator_rows(big, small)).index
 
 
 def quotient_invariant_factors(big: ValueGroup, small: ValueGroup):
     """Invariant factors (> 1) of big/small."""
-    return Quotient(big, small).invariant_factors
+    return Quotient(big, generator_rows(big, small)).invariant_factors
 
 
 def coset_label(gamma: GroupElement, big: ValueGroup, small: ValueGroup):
     """Canonical representative of gamma + small inside big."""
-    return Quotient(big, small).label(gamma)
+    return Quotient(big, generator_rows(big, small)).label(gamma)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import GradedValError, ParseError
+from .errors import EnumerationOverflow, GradedValError, ParseError
 from .exact_lattice import ExactMatrix, determinant
 from .graded_algebra import (
     GradedModule,
@@ -97,12 +97,31 @@ def random_theorem48_extension(rng, r_max=3, t_max=2, h_max=3, g_max=3):
     )
 
 
+# draws random_extension_bounded makes before it gives up; with the
+# default shape a draw has |det A| = 1 with probability at least 1/27, so
+# a valid e_max exhausts it with probability below 10^-160
+_RANDOM_ATTEMPTS = 10_000
+# most extensions one random section may ask for (the bundled ones ask for
+# 5 and 8); they are all drawn at decode, before any case runs
+_RANDOM_COUNT_MAX = 1_000
+
+
 def random_extension_bounded(rng, e_max=24, **kwargs):
-    """Random extension whose exponent determinant stays within e_max."""
-    while True:
+    """Random extension whose exponent determinant stays within e_max.
+
+    Draws until one fits, at most _RANDOM_ATTEMPTS times, then raises
+    EnumerationOverflow; for e_max < 1 it raises at once, since no
+    extension has |det A| < 1.
+    """
+    if e_max < 1:
+        raise EnumerationOverflow(
+            f"no extension has |det A| <= e_max = {e_max}")
+    for _ in range(_RANDOM_ATTEMPTS):
         me = random_theorem48_extension(rng, **kwargs)
         if 1 <= abs(determinant(me.A)) <= e_max:
             return me
+    raise EnumerationOverflow(
+        f"no extension with |det A| <= {e_max} in {_RANDOM_ATTEMPTS} draws")
 
 
 @dataclass(frozen=True)
@@ -129,6 +148,9 @@ def load_scenario(data) -> Scenario:
             raise ParseError("random section must be an object")
         seed = dec_int(spec.get("seed", "0"))
         count = dec_int(spec.get("count", "5"))
+        if not 0 <= count <= _RANDOM_COUNT_MAX:
+            raise ParseError(f"random.count must be in [0, "
+                             f"{_RANDOM_COUNT_MAX}], not {count}")
         e_max = dec_int(spec.get("e_max", "24"))
         if e_max < 1:
             # no extension has |det A| < 1, so the sampling would not end

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import (
     AmbientMismatch,
@@ -64,17 +63,24 @@ class ValueSemigroup:
 
 
 def _box(structure, top):
-    """in_box(p, levels): every block b in levels of the integer row p has
-    value at most top, the bound times the row's denominator."""
-    blocks = structure.blocks
-    starts = tuple(accumulate((b.rational_rank for b in blocks), initial=0))
+    """One test per block b of an integer row p: block b has value at most
+    top, the bound times the row's denominator.  A rational block is the
+    integer comparison p[k] <= top; a sqrt(d) block is the exact sign of
+    its 2-tuple top - p."""
+    tests = []
+    k = 0
+    for block in structure.blocks:
+        if block.quad is None:
+            tests.append(lambda p, k=k: p[k] <= top)
+        else:
+            tests.append(lambda p, k=k, block=block: _block_sign(
+                block, (top - p[k], -p[k + 1])) >= 0)
+        k += block.rational_rank
+    return tuple(tests)
 
-    def in_box(p, levels):
-        return all(_block_sign(blocks[b], tuple(
-            (top if k == starts[b] else 0) - p[k]
-            for k in range(starts[b], starts[b + 1]))) >= 0 for b in levels)
 
-    return in_box
+def _in_box(tests, p):
+    return all(test(p) for test in tests)
 
 
 def _denominators(elements):
@@ -108,25 +114,28 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
         if scale % L:
             raise ValueError(f"scale {scale} does not clear denominator {L}")
         L = scale
-    in_box = _box(structure, int(bound * L))
+    box = _box(structure, int(bound * L))
     budget = _SEARCH_BUDGET
     sums = {(0,) * structure.rational_rank}
     done = 0            # blocks below done are final and inside the box
     for level, row in sorted((isolated_level(g), _scaled(g, L))
                              for g in S.generators):
-        sums = {p for p in sums if in_box(p, range(done, level))}
+        if level > done:
+            below = box[done:level]
+            sums = {p for p in sums if _in_box(below, p)}
         done = level
+        fits = box[level]
         grown = set()
         for p in sums:
-            while in_box(p, (level,)):
+            while fits(p):
                 budget -= 1
                 if budget < 0:
                     raise EnumerationOverflow("enumeration budget exhausted")
                 grown.add(p)
                 p = tuple(a + x for a, x in zip(p, row))
         sums = grown
-    kept = sorted(p for p in sums
-                  if in_box(p, range(done, structure.rank)))
+    rest = box[done:]
+    kept = sorted(p for p in sums if _in_box(rest, p))
     if scale is not None:
         return tuple(kept)
     return tuple(structure.from_row(p, L) for p in kept)
@@ -182,6 +191,6 @@ def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
         raise NotASubsemigroup(
             "small semigroup generator outside the big semigroup")
     small = set(enumerate_elements(S_small, bound, scale=L))
-    in_box = _box(structure, int(bound * L))
+    box = _box(structure, int(bound * L))
     return [structure.from_row(p, L) for p in big
-            if p not in small and in_box(p, range(structure.rank))]
+            if p not in small and _in_box(box, p)]

@@ -1,6 +1,9 @@
+import contextlib
+import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import gradedval
+from gradedval import cli, scenarios
+from gradedval.errors import EnumerationOverflow
+from gradedval.exact_lattice import ExactMatrix
 from gradedval.cli import (
     bundled_scenario_bytes,
     bundled_scenario_names,
@@ -294,6 +300,131 @@ def test_random_e_max_below_1_exits_2_at_once(tmp_path, e_max):
     assert proc.stdout == ""
     assert proc.stderr == \
         f"error: random.e_max must be at least 1, not {int(e_max)}\n"
+
+
+def run_cli(argv):
+    """(stdout, stderr, exit code) of one main call; an argparse usage
+    error exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
+    scenario = scenario_path(tmp_path, "diag23.json")
+    matrix = write(tmp_path, "m.json", {"matrix": [["2", "4"], ["6", "8"]]})
+    calls = [["pipeline", "--scenario", scenario],
+             ["snf", "--in", matrix],
+             ["snf", "--in", matrix, "--no-such-flag"],
+             ["pipeline", "--scenario", scenario, "--json"]]
+    # the reference: a fresh parser for every call
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(argv) for argv in calls]
+    assert [code for _, _, code in fresh] == [0, 0, 2, 0]
+    assert fresh[2][0] == "" and "unrecognized arguments" in fresh[2][1]
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    assert [run_cli(argv) for argv in calls] == fresh
+    assert [run_cli(argv) for argv in calls] == fresh
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    src_dir = str(Path(gradedval.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gradedval.cli as c; "
+         "print(c._parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("count", ["99999999999", "1001", "-1"])
+def test_random_count_out_of_range_exits_2_at_once(tmp_path, count):
+    # "99999999999" used to be accepted and ran until killed, so the run
+    # gets a wall bound of its own process
+    src = write(tmp_path, "s.json", {
+        "name": "r", "random": {"seed": "1", "count": count}})
+    env = dict(os.environ)
+    src_dir = str(Path(gradedval.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-m", "gradedval.cli",
+         "pipeline", "--scenario", src, "--json"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == \
+        f"error: random.count must be in [0, 1000], not {int(count)}\n"
+
+
+def test_random_count_zero_runs_no_case(tmp_path, capsys):
+    src = write(tmp_path, "s.json", {
+        "name": "r", "random": {"seed": "1", "count": "0"}})
+    assert main(["pipeline", "--scenario", src, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"] == []
+
+
+@pytest.mark.parametrize("e_max", [0, -3])
+def test_random_extension_bounded_refuses_e_max_below_1_at_once(e_max):
+    rng = random.Random(1)
+    state = rng.getstate()
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationOverflow):
+        scenarios.random_extension_bounded(rng, e_max=e_max)
+    assert time.perf_counter() - t0 < 1.0
+    assert rng.getstate() == state
+
+
+def test_random_extension_bounded_gives_up_after_its_budget(monkeypatch):
+    # every draw has |det A| = 2, so e_max = 1 is never met
+    me = scenarios.random_theorem48_extension(random.Random(0), g_max=1)
+    rows = [list(row) for row in me.A.entries]
+    rows[0][0] = 2
+    two = dataclasses.replace(me, A=ExactMatrix.from_rows(rows))
+    drawn = []
+
+    def draw(rng, **kwargs):
+        drawn.append(1)
+        return two
+
+    monkeypatch.setattr(scenarios, "random_theorem48_extension", draw)
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationOverflow, match="10000 draws"):
+        scenarios.random_extension_bounded(random.Random(1), e_max=1)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(drawn) == scenarios._RANDOM_ATTEMPTS == 10_000
+
+
+def test_random_extension_bounded_draws_like_the_unbounded_loop():
+    # the budget changes no draw: the bundled random specs (and so the
+    # golden digests) read the same extensions from the same seeds
+    def unbounded(rng, e_max):
+        while True:
+            me = scenarios.random_theorem48_extension(rng)
+            if 1 <= abs(scenarios.determinant(me.A)) <= e_max:
+                return me
+
+    for seed in range(10):
+        for e_max in (1, 5, 12, 24):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert scenarios.random_extension_bounded(
+                    ours, e_max=e_max) == unbounded(theirs, e_max)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_ledger_command(tmp_path, capsys):

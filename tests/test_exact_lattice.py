@@ -19,7 +19,12 @@ from gradedval.exact_lattice import (
     solve_rational,
     unimodular_inverse,
 )
-from gradedval.errors import DimensionMismatch, SingularLattice
+from gradedval.errors import (
+    DimensionMismatch,
+    GradedValError,
+    NonIntegerEntry,
+    SingularLattice,
+)
 
 
 def determinant_cofactor(A):
@@ -365,6 +370,60 @@ def test_transpose_of_an_empty_column_matrix_is_refused():
     product_ = ExactMatrix.from_rows([[5], [6]]).matmul(
         ExactMatrix.from_rows([[]]))
     assert (product_.rows, product_.cols) == (2, 0)
+
+
+@pytest.mark.parametrize("entry", [
+    2.5, 2.0, Fraction(5, 2), Fraction(4, 1), True, False, "7", None])
+def test_checked_constructor_refuses_non_integers(entry):
+    # these used to be truncated: 2.5 and Fraction(5, 2) became 2, True 1
+    # and "7" 7; the refusal is typed, so it survives python -O
+    for build in (lambda: ExactMatrix(((1, entry), (3, 4))),
+                  lambda: ExactMatrix.from_rows([[entry]]),
+                  lambda: ExactMatrix.diagonal((1, entry))):
+        with pytest.raises(NonIntegerEntry) as info:
+            build()
+        assert isinstance(info.value, GradedValError)
+        assert type(entry).__name__ in str(info.value)
+
+
+def test_checked_constructor_refuses_a_ragged_grid():
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix(((1, 2), (3,)))
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.from_rows([[1], [2, 3]])
+    # lists are taken as rows and stored as tuples
+    assert ExactMatrix([[1, -2], [3, 4]]).entries == ((1, -2), (3, 4))
+
+
+def derived_matrices(rng):
+    """(site, matrix) from every exact_lattice site that builds its result
+    with the unchecked constructor, on one seeded square matrix."""
+    n = rng.randint(1, 4)
+    A = ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)]
+                               for _ in range(n)])
+    B = ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(2)]
+                               for _ in range(n)])
+    snf = smith_normal_form(B)
+    out = [("transpose", A.transpose()), ("transpose", B.transpose()),
+           ("matmul", A.matmul(B)), ("identity", ExactMatrix.identity(n)),
+           ("diagonal", ExactMatrix.diagonal(A.diagonal_entries())),
+           ("smith U", snf.U), ("smith D", snf.D), ("smith V", snf.V)]
+    if determinant(A):
+        out.append(("adjugate", adjugate(A)[1]))
+    return out
+
+
+def test_unchecked_sites_build_what_the_checked_constructor_would():
+    rng = random.Random(20261018)
+    sites = set()
+    for _ in range(200):
+        for site, m in derived_matrices(rng):
+            sites.add(site)
+            assert type(m.entries) is tuple
+            assert all(type(row) is tuple for row in m.entries)
+            assert all(type(x) is int for row in m.entries for x in row)
+            assert m == ExactMatrix(m.entries)
+    assert len(sites) == 8
 
 
 def test_hermite_basis_is_canonical():

@@ -19,6 +19,7 @@ through the CLI.
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -74,6 +75,7 @@ from gradedval.ordered_groups import (  # noqa: E402
     Quotient,
     ValueGroup,
     coset_label,
+    generator_rows,
     quotient_invariant_factors,
     subgroup_index,
 )
@@ -273,15 +275,16 @@ def reduce_through(hnf, v):
 
 def brute_force_classes(big, small, index):
     """Points of big over a coefficient box, grouped by difference in
-    small; the box reaches every coset."""
+    small.  Axis i spans [-1, k_i), k_i the least k > 0 with k * b_i in
+    small (at most index): every coset has a representative with each
+    coefficient in [0, k_i), so the box reaches every coset, at every
+    rank."""
     basis = basis_elements(big)
     structure = big.structure
-    span = range(-1, index)
-    if len(basis) == 1:
-        points = [combine(structure, (a,), basis) for a in span]
-    else:
-        points = [combine(structure, (a, b), basis)
-                  for a in span for b in span]
+    orders = [next(k for k in range(1, index + 1)
+                   if small.contains(b.scale(k))) for b in basis]
+    points = [combine(structure, c, basis)
+              for c in itertools.product(*(range(-1, k) for k in orders))]
     reps, classes = [], []
     for p in points:
         for k, r in enumerate(reps):
@@ -298,7 +301,7 @@ def brute_force_classes(big, small, index):
 @given(finite_quotient())
 def test_quotient_labels_against_brute_force(data):
     big, small, index = data
-    q = Quotient(big, small)
+    q = Quotient(big, generator_rows(big, small))
     assert q.index == index == subgroup_index(big, small)
     assert q.invariant_factors == quotient_invariant_factors(big, small)
     points, classes, count = brute_force_classes(big, small, index)
@@ -332,7 +335,7 @@ def test_quotient_against_sympy_smith_form(data):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     big, small, index = data
-    q = Quotient(big, small)
+    q = Quotient(big, generator_rows(big, small))
     C = inclusion_oracle(big, small)
     D = sympy_snf(sympy.Matrix(C.entries), domain=sympy.ZZ)
     diag = [abs(int(D[i, i])) for i in range(min(D.shape))]

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from gradedval.errors import (
     EnumerationOverflow,
     HypothesisA6Failed,
     MalformedStep,
+    NonPositiveValue,
     NotAlongValuation,
     NotTheorem48Form,
 )
@@ -45,6 +47,9 @@ from gradedval.ordered_groups import (
     Block,
     GroupElement,
     GroupStructure,
+    Quotient,
+    ValueGroup,
+    generator_rows,
     quotient_invariant_factors,
 )
 from gradedval.scenarios import Scenario, load_scenario, run_pipeline
@@ -193,6 +198,9 @@ def test_positive_burst_matches_single_steps():
     TransformStep(kind="s", row=1, target=None),
     TransformStep(kind="rescale", row=-1),
     TransformStep(kind="r", row=1, exponents=((-1, 1),)),
+    TransformStep(kind="r", row=1, exponents=((2, 1.5),)),
+    TransformStep(kind="r", row=1, exponents=((2, Fraction(1, 2)),)),
+    TransformStep(kind="r", row=1, exponents=((2, "1"),)),
 ])
 def test_malformed_steps_are_rejected_before_any_is_applied(step):
     # the first step would raise NotAlongValuation if it were applied
@@ -535,6 +543,68 @@ def test_coset_system_oracle_on_bundled_scenarios():
 def test_coset_system_oracle_on_golden_ladder():
     for _, me in ladder_scenario().extensions:
         coset_system_oracle(coset_system(strong_monomialize(me).final))
+
+
+def corpus_extensions():
+    """Every extension of the bundled corpus, then 20 seeded ones."""
+    out = []
+    for name in bundled_scenario_names():
+        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
+        out += [me for _, me in scenario.extensions]
+    rng = random.Random(11)
+    out += [random_extension(rng) for _ in range(20)]
+    return out
+
+
+def test_quotient_from_coordinate_rows_matches_generators():
+    # coset_system builds the quotient from the rows of A M; built from
+    # the coordinates of small's generators it is the same quotient
+    for me in corpus_extensions():
+        cs = coset_system(strong_monomialize(me).final)
+        final = cs.extension
+        small = ValueGroup(final.structure, induced_x_values(final))
+        assert cs.small_group == small
+        q = Quotient(cs.big_group, generator_rows(cs.big_group, small))
+        assert cs.quotient.hnf == q.hnf
+        assert cs.quotient.index == q.index == cs.e
+
+
+def test_unchecked_extension_matrices_equal_checked_ones():
+    # t_submatrix, g_block and the rewrite's build skip the entry check;
+    # what they build is what the checked constructor would
+    def check(m):
+        assert all(type(row) is tuple for row in m.entries)
+        assert all(type(x) is int for row in m.entries for x in row)
+        assert m == ExactMatrix(m.entries)
+
+    for me in corpus_extensions():
+        trace = strong_monomialize(me)
+        for ext in (me, trace.final.extension,
+                    replay(me, trace.steps)):
+            check(ext.A)
+            check(ext.t_submatrix())
+            for b in range(ext.blocks.r):
+                check(ext.g_block(b))
+
+
+def test_nonpositive_x_value_is_refused_before_the_parallelepiped(
+        monkeypatch):
+    ssm = strong_monomialize(
+        a6_extension([[1, 0, 0], [0, 1, 1], [0, 0, 2]])).final
+    me = ssm.extension
+    # a valid extension has every nu(x_i) > 0; negate the y-values after
+    # the form is checked to reach the check coset_system still makes
+    object.__setattr__(me, "y_values", tuple(-v for v in me.y_values))
+    walked = []
+    monkeypatch.setattr(monomialization, "parallelepiped_points",
+                        lambda rows: walked.append(rows))
+    with pytest.raises(NonPositiveValue) as info:
+        coset_system(ssm)
+    assert str(info.value) == "nu(x_0) is not strictly positive"
+    assert walked == []
+    with pytest.raises(NonPositiveValue) as again:
+        induced_x_values(me)
+    assert str(again.value) == str(info.value)
 
 
 def pipeline_extension(g):

@@ -16,6 +16,7 @@ from gradedval.ordered_groups import (
     Quotient,
     ValueGroup,
     coset_label,
+    generator_rows,
     isolated_level,
     lex_compare,
     quotient_invariant_factors,
@@ -229,8 +230,8 @@ def test_quotient_errors_match_wrappers():
     one = ValueGroup(s, (s.element(((1,),)),))
     third = ValueGroup(s, (s.element(((Fraction(1, 3),),)),))
     with pytest.raises(NotASubgroup):
-        Quotient(one, third)
-    q = Quotient(third, one)
+        generator_rows(one, third)
+    q = Quotient(third, generator_rows(third, one))
     assert q.index == 3
     with pytest.raises(NotInGroup):
         q.label(s.element(((Fraction(1, 2),),)))
@@ -239,4 +240,4 @@ def test_quotient_errors_match_wrappers():
                             two.element(((0,), (1,)))))
     line = ValueGroup(two, (two.element(((1,), (0,))),))
     with pytest.raises(InfiniteIndex):
-        Quotient(full, line)
+        Quotient(full, generator_rows(full, line))

@@ -385,3 +385,54 @@ def test_membership_matches_search_with_sqrt2_block():
     S = semigroup(structure, [w])
     assert semigroup_membership(structure.from_flat((0, 0, 5)), S)
     assert not semigroup_membership(structure.from_flat((0, 1, 5)), S)
+
+
+def generic_box_oracle(structure, top):
+    """The box test enumerate_elements ran before it took one test per
+    block: the exact sign of (top, 0) - p on every block of levels."""
+    blocks = structure.blocks
+    starts = [0]
+    for b in blocks:
+        starts.append(starts[-1] + b.rational_rank)
+
+    def in_box(p, levels):
+        return all(_block_sign(blocks[b], tuple(
+            (top if k == starts[b] else 0) - p[k]
+            for k in range(starts[b], starts[b + 1]))) >= 0 for b in levels)
+
+    return in_box
+
+
+def test_block_box_tests_match_the_generic_sign_form():
+    rng = random.Random(12)
+    structures = [
+        RANK1,
+        GroupStructure((Block(), Block())),
+        GroupStructure((Block(quad=2),)),
+        GroupStructure((Block(quad=3), Block())),
+        GroupStructure((Block(), Block(quad=2), Block(quad=3))),
+    ]
+    checked = 0
+    for structure in structures:
+        width = structure.rational_rank
+        for _ in range(400):
+            top = rng.randint(-3, 12)
+            # zero components and negative tails are common
+            p = tuple(rng.choice((0, 0, rng.randint(-15, 15)))
+                      for _ in range(width))
+            tests = value_semigroups._box(structure, top)
+            oracle = generic_box_oracle(structure, top)
+            assert len(tests) == structure.rank
+            for b, test in enumerate(tests):
+                assert test(p) == oracle(p, (b,)), (structure, top, p, b)
+            assert value_semigroups._in_box(tests, p) == \
+                oracle(p, range(structure.rank))
+            checked += 1
+    # every sign case of a sqrt(d) block is reached: both signs of each
+    # component, a zero component, and both signs of p^2 - d q^2
+    quad = GroupStructure((Block(quad=2),))
+    tests = value_semigroups._box(quad, 5)
+    oracle = generic_box_oracle(quad, 5)
+    for p in product(range(-8, 9), repeat=2):
+        assert tests[0](p) == oracle(p, (0,)), p
+    assert checked == 2000
