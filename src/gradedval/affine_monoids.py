@@ -170,6 +170,7 @@ class ParallelepipedBasis:
         parallelepiped_points stores the pair it has already computed, and
         dataclasses.replace gives a fresh instance that computes its own.
         """
+        # checked: a hand-built basis's vectors are not normalised
         return _cone_coordinates(
             ExactMatrix.from_rows(self.vectors).transpose())
 
@@ -190,7 +191,7 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")
-    W = ExactMatrix.from_rows(vectors).transpose()  # columns are generators
+    W = ExactMatrix._of(vectors).transpose()  # columns are generators
     index, coords = cone = _cone_coordinates(W)
     H = hermite_row_basis(vectors)
     pts = []
@@ -249,7 +250,8 @@ def _cone_coordinates(W: ExactMatrix):
         raise DependentGenerators(
             "parallelepiped generators are dependent") from None
     if d < 0:
-        adj = ExactMatrix(tuple(tuple(-x for x in row) for row in adj.entries))
+        adj = ExactMatrix._of(tuple(tuple(-x for x in row)
+                                    for row in adj.entries))
     return abs(d), adj
 
 

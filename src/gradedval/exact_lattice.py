@@ -32,7 +32,9 @@ class ExactMatrix:
     The constructor is the checked boundary: every entry must be an int
     (a float, Fraction, bool or str is refused, never truncated) and the
     rows must have one length.  Matrices whose rows the package derives
-    itself from checked ones are built by _of, which skips the check.
+    itself from checked ones, or from ints it has normalised, are built by
+    _of, which skips the check; rows a caller hands over unnormalised go
+    through the constructor.
     """
 
     entries: tuple
@@ -315,7 +317,8 @@ def unimodular_inverse(A: ExactMatrix) -> ExactMatrix:
     d, adj = adjugate(A)
     if d not in (1, -1):
         raise SingularLattice("matrix is not unimodular")
-    return ExactMatrix(tuple(tuple(d * x for x in row) for row in adj.entries))
+    return ExactMatrix._of(tuple(tuple(d * x for x in row)
+                                 for row in adj.entries))
 
 
 def rref(rows, pivot_cols=None):

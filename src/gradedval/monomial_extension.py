@@ -285,7 +285,8 @@ def adjoint_relations(me: MonomialExtension) -> AdjointRelations:
     sign = 1 if d > 0 else -1
     k = AT.rows
     # sign-adjusted adjugate
-    B = ExactMatrix(tuple(tuple(sign * x for x in row) for row in adj.entries))
+    B = ExactMatrix._of(tuple(tuple(sign * x for x in row)
+                              for row in adj.entries))
     # B * A_T = e * identity makes prod_j x_j^{B_ij} collapse to y_i^e
     prod = B.matmul(AT)
     if prod.entries != ExactMatrix.diagonal((e,) * k).entries:

@@ -61,7 +61,8 @@ _SEARCH_BUDGET = 100_000
 def _check_steps(steps, n):
     """Reject a step of unknown kind, one whose row, target or exponent
     row lies outside [0, n), or an "r" step with an exponent that is not
-    an int, before any step is applied."""
+    exactly an int (a bool is refused, as ExactMatrix refuses it), before
+    any step is applied."""
     for step in steps:
         if step.kind not in STEP_KINDS:
             raise MalformedStep(f"unknown step kind {step.kind!r}")
@@ -71,7 +72,7 @@ def _check_steps(steps, n):
         elif step.kind == "r":
             named.extend(row for row, _ in step.exponents)
             for _, exp in step.exponents:
-                if not isinstance(exp, int):
+                if type(exp) is not int:
                     raise MalformedStep(
                         f"'r' step has exponent {exp!r}, not an integer")
         for i in named:
@@ -245,8 +246,8 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
         bi = bs.block_of(m)
         later_t = [j for j in bs.t_indices() if bs.block_of(j) > bi]
         h = [rows[m][j] for j in later_t]
-        sub = ExactMatrix.from_rows(
-            [[rows[i][j] for j in later_t] for i in later_t])
+        sub = ExactMatrix._of(tuple(tuple(rows[i][j] for j in later_t)
+                                    for i in later_t))
         # c = adj / det * (h + b); one adjugate serves every candidate b
         det, adj = adjugate(sub.transpose())
         choice = None

@@ -85,14 +85,19 @@ class GroupStructure:
 
     def row_sign(self, row):
         """The sign of from_row(row, L), for any L > 0, in integers."""
-        k = 0
-        for block in self.blocks:
-            width = block.rational_rank
-            s = _block_sign(block, row[k:k + width])
-            if s:
-                return s
-            k += width
-        return 0
+        it = iter(row)
+        return _lex_sign(self.blocks, (tuple(islice(it, b.rational_rank))
+                                       for b in self.blocks))
+
+
+def _lex_sign(blocks, comps):
+    """Sign of the element with per-block components comps: the sign of
+    its first nonzero block, the earlier block dominating."""
+    for block, comp in zip(blocks, comps):
+        s = _block_sign(block, comp)
+        if s:
+            return s
+    return 0
 
 
 def _block_sign(block: Block, comp):
@@ -134,11 +139,7 @@ class GroupElement:
         object.__setattr__(self, "coords", tuple(fixed))
 
     def sign(self):
-        for block, comp in zip(self.structure.blocks, self.coords):
-            s = _block_sign(block, comp)
-            if s:
-                return s
-        return 0
+        return _lex_sign(self.structure.blocks, self.coords)
 
     def is_zero(self):
         return all(c == 0 for comp in self.coords for c in comp)
@@ -313,6 +314,7 @@ class Quotient:
     @cached_property
     def invariant_factors(self):
         """Invariant factors (> 1) of big/small."""
+        # checked: the rows come from Quotient's caller
         snf = smith_normal_form(ExactMatrix.from_rows(self.hnf))
         return tuple(d for d in snf.D.diagonal_entries() if d > 1)
 

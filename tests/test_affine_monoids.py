@@ -225,6 +225,37 @@ def test_one_adjugate_per_basis(monkeypatch):
     assert len(calls) == 2
 
 
+def test_unchecked_cone_matrices_equal_checked_ones(monkeypatch):
+    # parallelepiped_points builds W, and _cone_coordinates the negated
+    # adjugate when det W < 0, without the entry check; both are what
+    # the checked constructor would build
+    def check(m):
+        assert all(type(row) is tuple for row in m.entries)
+        assert all(type(x) is int for row in m.entries for x in row)
+        assert m == ExactMatrix(m.entries)
+
+    real = affine_monoids.adjugate
+
+    def checking(W):
+        check(W)
+        return real(W)
+
+    monkeypatch.setattr(affine_monoids, "adjugate", checking)
+    rng = random.Random(1018)
+    signs = set()
+    while len(signs) < 2 or rng.random() < 0.98:
+        n = rng.randint(1, 3)
+        vecs = tuple(tuple(rng.randint(-4, 4) for _ in range(n))
+                     for _ in range(n))
+        d = determinant(ExactMatrix.from_rows(vecs))
+        if not d or abs(d) > 40:
+            continue
+        signs.add(d > 0)
+        index, C = parallelepiped_points(vecs).cone
+        check(C)
+        assert index == abs(d)
+
+
 def test_parallelepiped_dependent():
     with pytest.raises(DependentGenerators):
         parallelepiped_points(((1, 1), (2, 2)))

@@ -18,6 +18,7 @@ from gradedval.exact_lattice import (
     solve_integer,
     solve_rational,
     unimodular_inverse,
+    unimodular_inverse,
 )
 from gradedval.errors import (
     DimensionMismatch,
@@ -407,7 +408,8 @@ def derived_matrices(rng):
     out = [("transpose", A.transpose()), ("transpose", B.transpose()),
            ("matmul", A.matmul(B)), ("identity", ExactMatrix.identity(n)),
            ("diagonal", ExactMatrix.diagonal(A.diagonal_entries())),
-           ("smith U", snf.U), ("smith D", snf.D), ("smith V", snf.V)]
+           ("smith U", snf.U), ("smith D", snf.D), ("smith V", snf.V),
+           ("unimodular_inverse", unimodular_inverse(snf.U))]
     if determinant(A):
         out.append(("adjugate", adjugate(A)[1]))
     return out
@@ -423,7 +425,7 @@ def test_unchecked_sites_build_what_the_checked_constructor_would():
             assert all(type(row) is tuple for row in m.entries)
             assert all(type(x) is int for row in m.entries for x in row)
             assert m == ExactMatrix(m.entries)
-    assert len(sites) == 8
+    assert len(sites) == 9
 
 
 def test_hermite_basis_is_canonical():

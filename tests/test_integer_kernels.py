@@ -275,16 +275,19 @@ def reduce_through(hnf, v):
 
 def brute_force_classes(big, small, index):
     """Points of big over a coefficient box, grouped by difference in
-    small.  Axis i spans [-1, k_i), k_i the least k > 0 with k * b_i in
-    small (at most index): every coset has a representative with each
-    coefficient in [0, k_i), so the box reaches every coset, at every
-    rank."""
+    small.  The first two axes span [-1, index), past each pivot, so the
+    reduction also meets positive quotients; a further axis i spans
+    [-1, k_i), k_i the least k > 0 with k * b_i in small.  k_i bounds the
+    pivot of the upper-triangular Hermite basis of small at i, so every
+    coset has a representative in the box, at every rank."""
     basis = basis_elements(big)
     structure = big.structure
-    orders = [next(k for k in range(1, index + 1)
-                   if small.contains(b.scale(k))) for b in basis]
+    spans = [range(-1, index) if i < 2 else
+             range(-1, next(k for k in range(1, index + 1)
+                            if small.contains(b.scale(k))))
+             for i, b in enumerate(basis)]
     points = [combine(structure, c, basis)
-              for c in itertools.product(*(range(-1, k) for k in orders))]
+              for c in itertools.product(*spans)]
     reps, classes = [], []
     for p in points:
         for k, r in enumerate(reps):

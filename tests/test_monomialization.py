@@ -201,6 +201,7 @@ def test_positive_burst_matches_single_steps():
     TransformStep(kind="r", row=1, exponents=((2, 1.5),)),
     TransformStep(kind="r", row=1, exponents=((2, Fraction(1, 2)),)),
     TransformStep(kind="r", row=1, exponents=((2, "1"),)),
+    TransformStep(kind="r", row=1, exponents=((2, True),)),
 ])
 def test_malformed_steps_are_rejected_before_any_is_applied(step):
     # the first step would raise NotAlongValuation if it were applied
@@ -569,22 +570,34 @@ def test_quotient_from_coordinate_rows_matches_generators():
         assert cs.quotient.index == q.index == cs.e
 
 
-def test_unchecked_extension_matrices_equal_checked_ones():
-    # t_submatrix, g_block and the rewrite's build skip the entry check;
+def test_unchecked_extension_matrices_equal_checked_ones(monkeypatch):
+    # t_submatrix, g_block, the rewrite's build, the sign-adjusted
+    # adjugate and the lift search's sub-matrix skip the entry check;
     # what they build is what the checked constructor would
     def check(m):
         assert all(type(row) is tuple for row in m.entries)
         assert all(type(x) is int for row in m.entries for x in row)
         assert m == ExactMatrix(m.entries)
 
+    real = monomialization.adjugate
+    lifted = []
+
+    def checking(W):
+        check(W)
+        lifted.append(W)
+        return real(W)
+
+    monkeypatch.setattr(monomialization, "adjugate", checking)
     for me in corpus_extensions():
         trace = strong_monomialize(me)
         for ext in (me, trace.final.extension,
                     replay(me, trace.steps)):
             check(ext.A)
             check(ext.t_submatrix())
+            check(adjoint_relations(ext).B)
             for b in range(ext.blocks.r):
                 check(ext.g_block(b))
+    assert lifted
 
 
 def test_nonpositive_x_value_is_refused_before_the_parallelepiped(
