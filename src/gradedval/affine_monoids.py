@@ -29,6 +29,10 @@ from .exact_lattice import ExactMatrix, adjugate, hermite_row_basis, rref
 
 # most nodes one membership search, or box points one decomposition, visits
 _SEARCH_BUDGET = 100_000
+# most points one parallelepiped may hold; a pipeline case costs about
+# 10 us and 600 resident bytes per point (tools/points_scaling.py), so a
+# full budget takes seconds and hundreds of MB, not hours
+_POINT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,8 @@ class ParallelepipedBasis:
     def cone(self):
         """(|det W|, C) of the generator matrix W, from _cone_coordinates.
 
-        Derived from vectors alone and computed once per instance;
-        parallelepiped_points stores the pair it has already computed, and
+        Derived from vectors alone and computed once per instance; the
+        parallelepiped walk stores the pair it has already computed, and
         dataclasses.replace gives a fresh instance that computes its own.
         """
         # checked: a hand-built basis's vectors are not normalised
@@ -185,29 +189,74 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     Each class maps to its unique representative x - W floor(W^{-1} x),
     with the floors taken in integers from the adjugate of the generator
     matrix W.  The box is walked by _box_walk, which carries
-    C x = |det W| W^{-1} x along by one column add per step.
+    C x = |det W| W^{-1} x along by one column add per step.  A basis of
+    more than _POINT_BUDGET points is refused before the walk.
     """
+    vectors, cone, walk = _parallelepiped_walk(vectors, ())
+    points = sorted(x for x, _ in walk)
+    return _checked_basis(vectors, tuple(points), cone)
+
+
+def labelled_parallelepiped(vectors, M, label):
+    """(parallelepiped_points(vectors), labels), labels[i] = label(sigma M)
+    for the i-th point sigma, walking the box once.
+
+    M is a list of n integer rows, and label must be constant on each
+    class of Z^k modulo the row lattice of V M, with V the matrix whose
+    rows are the vectors.  The walk carries x M beside C x: stacking the
+    columns of M under the rows of C, one column add per step moves both.
+    A box point x is sent to sigma = x - sum_i q_i v_i, with q_i the
+    integer floors, so sigma M = x M - sum_i q_i (v_i M), and v_i M is
+    row i of V M; hence label(x M) = label(sigma M), and the label is read
+    from the carried x M without the product sigma M.
+    """
+    vectors, cone, walk = _parallelepiped_walk(vectors, M)
+    n = len(vectors)
+    # the points are distinct, so the sort never compares two labels
+    pairs = sorted((x, label(cx[n:])) for x, cx in walk)
+    points, labels = zip(*pairs)
+    return _checked_basis(vectors, points, cone), labels
+
+
+def _parallelepiped_walk(vectors, M):
+    """(vectors as int tuples, (|det W|, C), the box walk carrying C x and
+    x M), refusing dependent vectors and a box over _POINT_BUDGET."""
     vectors = tuple(tuple(int(x) for x in v) for v in vectors)
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")
     W = ExactMatrix._of(vectors).transpose()  # columns are generators
     index, coords = cone = _cone_coordinates(W)
+    if index > _POINT_BUDGET:
+        raise EnumerationOverflow(
+            f"parallelepiped of {index} points over the budget of "
+            f"{_POINT_BUDGET}")
     H = hermite_row_basis(vectors)
-    pts = []
-    for x, cx in _box_walk([H[i][i] for i in range(n)], coords):
-        # x - W floor(C x / |det W|), one generator per nonzero floor
+    carried = coords
+    if M:
+        carried = ExactMatrix._of(coords.entries + tuple(zip(*M)))
+    walk = _box_walk([H[i][i] for i in range(n)], carried)
+    return vectors, cone, _reduced(walk, vectors, index)
+
+
+def _reduced(walk, vectors, index):
+    """(x - W floor(C x / |det W|), carried) for each (x, carried) of the
+    walk: one generator subtracted per nonzero floor."""
+    for x, cx in walk:
         for c, v in zip(cx, vectors):
             q = c // index
             if q:
-                x = tuple(a - q * b for a, b in zip(x, v))
-        pts.append(x)
-    pts.sort()
-    basis = tuple(pts)
-    if len(basis) != index or (0,) * n not in basis:
+                x = tuple([a - q * b for a, b in zip(x, v)])
+        yield x, cx
+
+
+def _checked_basis(vectors, points, cone):
+    index = cone[0]
+    n = len(vectors)
+    if len(points) != index or (0,) * n not in points:
         raise InconsistentParallelepiped(
-            f"{len(basis)} points for index {index}, or 0 missing")
-    result = ParallelepipedBasis(vectors=vectors, points=basis, index=index)
+            f"{len(points)} points for index {index}, or 0 missing")
+    result = ParallelepipedBasis(vectors=vectors, points=points, index=index)
     result.__dict__["cone"] = cone   # the cached_property, already computed
     return result
 
@@ -215,26 +264,32 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
 def _box_walk(radices, C: ExactMatrix):
     """(x, C x) for every x in prod range(r_i), in itertools.product order.
 
-    Stepping x_i by one adds column i of C to C x.  Only the prefixes over
-    the first n - 1 coordinates are held; the last coordinate is streamed,
-    so memory stays a 1/r_n share of the box.
+    Stepping x_i by one adds column i of C to C x.  The last coordinate
+    of radix above 1 is streamed, and only the prefixes before it are
+    held, so memory stays a 1/r share of the box, r that radix; the
+    coordinates after it have radix 1 and stay 0.
     """
     if not radices:
         yield (), ()
         return
+    m = len(radices)
+    while m > 1 and radices[m - 1] == 1:
+        m -= 1
     columns = tuple(zip(*C.entries))
     walk = [((), (0,) * C.rows)]     # (prefix of x, C prefix)
-    for r, column in zip(radices[:-1], columns):
+    for r, column in zip(radices[:m - 1], columns):
         grown = []
         for x, cx in walk:
             for k in range(r):
                 grown.append((x + (k,), cx))
                 cx = tuple(map(add, cx, column))
         walk = grown
-    last, column = radices[-1], columns[-1]
+    zeros = (0,) * (len(radices) - m)
+    steps = [(k,) + zeros for k in range(radices[m - 1])]
+    column = columns[m - 1]
     for x, cx in walk:
-        for k in range(last):
-            yield x + (k,), cx
+        for step in steps:
+            yield x + step, cx
             cx = tuple(map(add, cx, column))
 
 

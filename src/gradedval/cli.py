@@ -32,7 +32,7 @@ from .serialize import (
     dec_matrix,
     dec_step,
     dec_structure,
-    enc_coset_labels,
+    enc_coset_system,
     enc_int,
     enc_matrix,
     enc_trace,
@@ -137,15 +137,9 @@ def cmd_cosets(args):
     me = dec_extension(data.get("extension", data))
     trace = strong_monomialize(me)
     cs = coset_system(trace.final)
-    report = {
-        "input_sha256": sha256_hex(raw),
-        "e": enc_int(cs.e),
-        "invariant_factors": [enc_int(d) for d in cs.invariant_factors],
-        "lattice_points": [[enc_int(x) for x in p]
-                           for p in cs.lattice_points],
-        "coset_labels": enc_coset_labels(cs),
-        "ok": True,
-    }
+    report = enc_coset_system(cs)
+    report["input_sha256"] = sha256_hex(raw)
+    report["ok"] = True
     if args.box_bound is not None:
         A = trace.final.extension.A
         monoid = AffineMonoid(

@@ -6,7 +6,7 @@ Z^n / A^t Z^n acts on the label of sigma through the character
 chi(g, sigma) = sum_i (U g)_i (U sigma)_i / d_i in Q/Z, from the Smith
 form U A^t V = diag(d_1 | ... | d_n).  The invariant part is spanned by
 the labels whose sigma lies in the trivial coset A^t Z^n, and that is the
-origin alone: parallelepiped_points maps each of the e distinct Smith
+origin alone: the parallelepiped walk maps each of the e distinct Smith
 residues within its own class and checks that 0 is among the points.
 """
 
@@ -15,9 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GradingMismatch
+from .errors import EnumerationOverflow, GradingMismatch
 from .exact_lattice import in_column_lattice
 from .monomialization import CosetSystem
+
+# most basis labels (e * f) one module may have: the rank check builds
+# them all, and a residue degree beyond it is refused before any is built
+_LABEL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,11 @@ class GradedModule:
     def __post_init__(self):
         if self.residue_degree < 1:
             raise GradingMismatch("residue degree must be at least 1")
+        rank = self.system.e * self.residue_degree
+        if rank > _LABEL_BUDGET:
+            raise EnumerationOverflow(
+                f"rank e * f = {rank} over the budget of {_LABEL_BUDGET} "
+                f"basis labels")
 
     def basis_labels(self):
         return tuple(
@@ -60,7 +69,7 @@ def invariant_part(module: GradedModule):
 
     The lattice points are the e distinct Smith residues of Z^n / A^t Z^n,
     each mapped within its own class, so each class holds exactly one of
-    them; 0 is one (checked by parallelepiped_points), so it is the only
+    them; 0 is one (checked by the parallelepiped walk), so it is the only
     point in the trivial coset.
     """
     origin = (0,) * len(module.system.snf_at.D.diagonal_entries())

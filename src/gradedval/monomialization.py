@@ -24,7 +24,7 @@ from .errors import (
     NotTheorem48Form,
 )
 from .exact_lattice import ExactMatrix, adjugate, smith_normal_form
-from .affine_monoids import ParallelepipedBasis, parallelepiped_points
+from .affine_monoids import ParallelepipedBasis, labelled_parallelepiped
 from .monomial_extension import (
     MonomialExtension,
     SSMForm,
@@ -342,9 +342,10 @@ class CosetSystem:
 def coset_system(ssm: SSMForm) -> CosetSystem:
     """Build the coset representative system of a strong monomial form.
 
-    The parallelepiped of the rows of A is built first; its point count
-    e = |det A^t| = |det A| is used as it is, and the Smith form of A^t is
-    taken once, for the invariant factors and as snf_at.
+    The parallelepiped of the rows of A is walked once, labelling each
+    point as it goes; its point count e = |det A^t| = |det A| is used as
+    it is, and the Smith form of A^t is taken once, for the invariant
+    factors and as snf_at.
     A is nonsingular without a further check: variables are ordered by
     block and validate admits a_ij != 0 only when j's block is not before
     i's, so A is block upper triangular with diagonal blocks
@@ -376,20 +377,31 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
 
     Coordinates are linear for the same reason, so the coordinates of
     phi(sigma) are sigma M: M is taken once, and each label is one
-    Hermite reduction of the integer row sigma M.
+    Hermite reduction of the integer row sigma M.  That row is not
+    computed: labelled_parallelepiped carries x M through its box walk by
+    one column add per step, x the box point that sigma represents, and
+    labels it instead.  This is exact.  sigma = x - sum_i q_i (row i of A)
+    for integers q_i, so sigma M = x M - sum_i q_i (row i of A M); row i
+    of A M is the coordinate row of nu(x_i), which lies in small, so x M
+    and sigma M are in one coset of big/small and label_row, which reduces
+    through the Hermite basis of small's rows, gives both the same
+    canonical representative.
+
+    The walk refuses a parallelepiped of more than
+    affine_monoids._POINT_BUDGET points before it starts.
     """
     me = ssm.extension
     _x_value_rows(me)  # raises NonPositiveValue unless every nu(x_i) > 0
     A = me.A.entries
     big = ValueGroup(me.structure, me.y_values)
-    pb = parallelepiped_points(A)
-    e = pb.index
     M = [big.coordinates(y) for y in me.y_values]
     if None in M:
         raise NotInGroup("y-value outside its own value group")
     columns = tuple(zip(*M))
     quotient = Quotient(
         big, [[sum(map(mul, row, col)) for col in columns] for row in A])
+    pb, label_rows = labelled_parallelepiped(A, M, quotient.label_row)
+    e = pb.index
     if quotient.index != e:
         raise HypothesisA6Failed(
             f"|det A| = {e} but subgroup index is {quotient.index}")
@@ -398,9 +410,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         extension=me,
         e=e,
         lattice_points=pb.points,
-        label_rows=tuple(
-            quotient.label_row([sum(map(mul, sigma, col)) for col in columns])
-            for sigma in pb.points),
+        label_rows=label_rows,
         # det A^t = +-e != 0, so every diagonal entry is nonzero
         invariant_factors=tuple(
             d for d in snf_at.D.diagonal_entries() if d > 1),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 from .errors import (
@@ -266,6 +266,12 @@ class ValueGroup:
         return self.coordinates(gamma) is not None
 
 
+@cache
+def _identity(n):
+    """The n x n identity as integer rows, built once per n."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _pivot_columns(echelon_rows):
     return tuple(next(j for j, x in enumerate(row) if x)
                  for row in echelon_rows)
@@ -305,8 +311,14 @@ class Quotient:
     def __init__(self, big: ValueGroup, rows):
         self.big = big
         self.hnf = hermite_row_basis(rows)
-        if len(self.hnf) < big.rational_rank:
+        _, basis, _ = big._lattice
+        if len(self.hnf) < len(basis):
             raise InfiniteIndex("rational spans differ")
+        # read once for label_row: big's lattice basis, None when it is
+        # the identity (coordinates are then flat coordinates), and width
+        width = big.structure.rational_rank
+        self._basis = None if basis == _identity(width) else basis
+        self._width = width
         self.pivots = _pivot_columns(self.hnf)
         self.index = math.prod(
             row[p] for row, p in zip(self.hnf, self.pivots))
@@ -327,18 +339,20 @@ class Quotient:
         """L * the canonical representative of the coset whose coordinates
         in big's lattice basis are the integers v, L = denominator.
 
-        v is reduced through the Hermite basis of small, giving the unique
-        representative whose entry at each pivot column lies in [0, pivot);
-        its flat coordinates are then summed in integers.
+        v, a sequence, is reduced through the Hermite basis of small,
+        giving the unique representative whose entry at each pivot column
+        lies in [0, pivot); its flat coordinates are then summed in
+        integers, unless big's basis is the identity and they are its
+        coordinates.
         """
-        v = list(v)
         for row, p in zip(self.hnf, self.pivots):
             q = v[p] // row[p]
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
-        _, basis, _ = self.big._lattice
-        flat = [0] * self.big.structure.rational_rank
-        for c, row in zip(v, basis):
+        if self._basis is None:
+            return tuple(v)
+        flat = [0] * self._width
+        for c, row in zip(v, self._basis):
             if c:
                 flat = [a + c * b for a, b in zip(flat, row)]
         return tuple(flat)

@@ -38,7 +38,7 @@ from .serialize import (
     dec_frac,
     dec_int,
     dec_structure,
-    enc_coset_labels,
+    enc_coset_system,
     enc_element,
     enc_int,
     enc_matrix,
@@ -213,8 +213,9 @@ def _run_extension_case(label, me, f):
         cs = coset_system(trace.final)
         stage = "graded"
         mod = GradedModule(system=cs, residue_degree=f)
-        labels = mod.basis_labels()
-        checks.append(("rank_is_e_times_f", len(labels) == cs.e * f))
+        # the e*f basis labels are counted, not kept
+        checks.append(("rank_is_e_times_f",
+                       len(mod.basis_labels()) == cs.e * f))
         # each basis label repeats its lattice point's coset label f times,
         # so the e*f labels fill every coset f times iff e labels differ
         checks.append(("cosets_exhausted",
@@ -226,14 +227,10 @@ def _run_extension_case(label, me, f):
             fixed = [p for p in cs.lattice_points
                      if fixed_by_all_characters(mod, p)]
             checks.append(("invariant_is_fixed_set", fixed == trivial))
+        report.update(enc_coset_system(cs))
         report.update({
-            "e": enc_int(cs.e),
             "f": enc_int(f),
             "rank": enc_int(cs.e * f),
-            "invariant_factors": [enc_int(d) for d in cs.invariant_factors],
-            "lattice_points": [[enc_int(x) for x in p]
-                               for p in cs.lattice_points],
-            "coset_labels": enc_coset_labels(cs),
             "sigma_trivial": [[enc_int(x) for x in p] for p in trivial],
             "final_A": enc_matrix(final.A),
         })

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 from .errors import DimensionMismatch, ParseError
@@ -98,18 +99,47 @@ def enc_element(el):
     return [[enc_frac(c) for c in comp] for comp in el.coords]
 
 
-def enc_row(structure: GroupStructure, row, L):
-    """enc_element of the element with flat coordinates row / L, encoded
-    straight from the integers."""
-    it = iter(row)
-    return [[enc_ratio(x, L) for x in islice(it, b.rational_rank)]
-            for b in structure.blocks]
+class _Encoded(dict):
+    """encode(x) for each key x, made on its first lookup, so equal keys
+    share one value."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, x):
+        s = self[x] = self.encode(x)
+        return s
 
 
-def enc_coset_labels(cs: CosetSystem):
-    """The coset labels of a coset system, encoded from its label rows."""
-    structure, L = cs.big_group.structure, cs.denominator
-    return [enc_row(structure, row, L) for row in cs.label_rows]
+def enc_coset_system(cs: CosetSystem):
+    """The e, invariant factors, lattice points and coset labels of a coset
+    system: the report fields of a pipeline case and of `gradedval cosets`.
+
+    Encoded straight from the integer rows, each distinct integer once:
+    equal integers share one str.  A label entry x is enc_ratio(x, L),
+    split into the blocks of the big group; when L = 1 that is str(x).
+    When every block has width 1, equal label blocks share one list too,
+    so the fields are for reading and dumping, not for changing in place.
+    """
+    ints = _Encoded(str).__getitem__
+    L = cs.denominator
+    ratio = ints if L == 1 else _Encoded(partial(enc_ratio, L=L)).__getitem__
+    widths = [b.rational_rank for b in cs.big_group.structure.blocks]
+    if widths == [1] * len(widths):
+        blocks = _Encoded(lambda x: [ratio(x)]).__getitem__
+        labels = [list(map(blocks, row)) for row in cs.label_rows]
+    else:
+        labels = []
+        for row in cs.label_rows:
+            it = map(ratio, row)
+            labels.append([list(islice(it, w)) for w in widths])
+    return {
+        "e": ints(cs.e),
+        "invariant_factors": list(map(ints, cs.invariant_factors)),
+        "lattice_points": [list(map(ints, p)) for p in cs.lattice_points],
+        "coset_labels": labels,
+    }
 
 
 def dec_element(structure, data):

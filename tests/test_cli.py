@@ -171,19 +171,23 @@ def test_cosets_command(tmp_path, capsys):
 
 def test_cosets_box_bound_builds_the_parallelepiped_once(tmp_path, capsys,
                                                        monkeypatch):
-    # the box check takes the coset system's own parallelepiped
+    # the box check takes the coset system's own parallelepiped; both
+    # entry points of the walk are counted
     from gradedval import affine_monoids
     real = affine_monoids.parallelepiped_points
     calls = []
 
-    def counting(vectors):
-        calls.append(vectors)
-        return real(vectors)
+    def spy(entry):
+        def counting(vectors, *rest):
+            calls.append(vectors)
+            return entry(vectors, *rest)
+        return counting
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gradedval") and \
-                getattr(module, "parallelepiped_points", None) is real:
-            monkeypatch.setattr(module, "parallelepiped_points", counting)
+    for entry in (real, affine_monoids.labelled_parallelepiped):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gradedval") and \
+                    getattr(module, entry.__name__, None) is entry:
+                monkeypatch.setattr(module, entry.__name__, spy(entry))
     src = scenario_path(tmp_path, "diag23.json")
     assert main(["cosets", "--in", src, "--box-bound", "3", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -371,6 +375,56 @@ def test_random_count_out_of_range_exits_2_at_once(tmp_path, count):
         f"error: random.count must be in [0, 1000], not {int(count)}\n"
 
 
+def run_bounded(argv):
+    """A CLI run in its own process, under -O when this is, with a wall
+    bound: (exit code, stdout, stderr, seconds)."""
+    env = dict(os.environ)
+    src_dir = str(Path(gradedval.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-m", "gradedval.cli",
+         *argv], env=env, capture_output=True, text=True, timeout=60)
+    return (proc.returncode, proc.stdout, proc.stderr,
+            time.perf_counter() - t0)
+
+
+def test_parallelepiped_over_budget_fails_its_case_at_once(tmp_path):
+    # identity.json with |det A| = 999999999999: the walk ran past a 10 s
+    # alarm; now the coset system refuses it before walking
+    data = json.loads(bundled_scenario_bytes("identity.json"))
+    data["extension"]["A"][1][1] = "999999999999"
+    src = write(tmp_path, "big.json", data)
+    error = ("EnumerationOverflow: parallelepiped of 999999999999 points "
+             "over the budget of 1000000")
+    code, out, err, seconds = run_bounded(
+        ["pipeline", "--scenario", src, "--json"])
+    assert code == 1 and err == "" and seconds < 20
+    case, = json.loads(out)["cases"]
+    assert case == {"case": "identity", "ok": False,
+                    "failure": {"stage": "coset_system", "error": error}}
+    code, out, err, seconds = run_bounded(["cosets", "--in", src])
+    assert code == 1 and out == "" and seconds < 20
+    assert err == f"check failed: {error}\n"
+
+
+def test_residue_degree_over_budget_fails_its_case_at_once(tmp_path):
+    # residue_degree 999999999999 on identity.json hung graded and
+    # pipeline, which built its e * f basis labels
+    data = json.loads(bundled_scenario_bytes("identity.json"))
+    data["residue_degree"] = "999999999999"
+    src = write(tmp_path, "big_f.json", data)
+    failure = {"stage": "graded",
+               "error": "EnumerationOverflow: rank e * f = 999999999999 "
+                        "over the budget of 1000000 basis labels"}
+    for command in ("pipeline", "graded"):
+        code, out, err, seconds = run_bounded(
+            [command, "--scenario", src, "--json"])
+        assert code == 1 and err == "" and seconds < 20
+        case, = json.loads(out)["cases"]
+        assert case == {"case": "identity", "ok": False, "failure": failure}
+
+
 def test_random_count_zero_runs_no_case(tmp_path, capsys):
     src = write(tmp_path, "s.json", {
         "name": "r", "random": {"seed": "1", "count": "0"}})
@@ -501,10 +555,21 @@ def test_decoders_accept_only_strings():
             dec_int(bad)
 
 
+def enc_row(structure, row, L):
+    """enc_element of the element with flat coordinates row / L, encoded
+    from the integers one row at a time: the oracle of enc_coset_system's
+    label encoding."""
+    from itertools import islice
+    from gradedval.serialize import enc_ratio
+    it = iter(row)
+    return [[enc_ratio(x, L) for x in islice(it, b.rational_rank)]
+            for b in structure.blocks]
+
+
 def test_row_encoder_matches_fraction_strings():
     from fractions import Fraction
     from gradedval.ordered_groups import Block, GroupStructure
-    from gradedval.serialize import enc_element, enc_ratio, enc_row
+    from gradedval.serialize import enc_element, enc_ratio
     for L in (1, 2, 6, 35):
         for x in range(-80, 81):
             assert enc_ratio(x, L) == str(Fraction(x, L)), (x, L)
@@ -512,6 +577,39 @@ def test_row_encoder_matches_fraction_strings():
     for row, L in (((0, -3, 4, 7), 6), ((0, 0, 0, 0), 1), ((-5, 1, 2, 9), 1)):
         assert enc_row(structure, row, L) == \
             enc_element(structure.from_row(row, L))
+
+
+def test_coset_encoder_matches_enc_int_and_enc_row():
+    # one str per distinct integer of a coset system, equal to enc_int's
+    # and enc_row's; a sqrt(2) block and L > 1 included
+    from test_carried_walk import seeded_extensions
+    from gradedval.monomialization import coset_system, strong_monomialize
+    from gradedval.serialize import enc_coset_system, enc_int
+    seen_L = set()
+    for me in seeded_extensions():
+        cs = coset_system(strong_monomialize(me).final)
+        structure, L = cs.big_group.structure, cs.denominator
+        encoded = enc_coset_system(cs)
+        assert encoded == {
+            "e": enc_int(cs.e),
+            "invariant_factors": [enc_int(d) for d in cs.invariant_factors],
+            "lattice_points": [[enc_int(x) for x in p]
+                               for p in cs.lattice_points],
+            "coset_labels": [enc_row(structure, row, L)
+                             for row in cs.label_rows],
+        }
+        strings = [encoded["e"], *encoded["invariant_factors"]]
+        for p in encoded["lattice_points"]:
+            strings += p
+        shared = {}
+        for s in strings:
+            assert shared.setdefault(s, s) is s
+        shared = {}
+        for label in encoded["coset_labels"]:
+            for s in (s for block in label for s in block):
+                assert shared.setdefault(s, s) is s
+        seen_L.add(L)
+    assert max(seen_L) > 1
 
 
 def test_pipeline_records_a_failing_case_and_runs_the_rest(tmp_path, capsys):

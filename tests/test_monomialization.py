@@ -609,8 +609,8 @@ def test_nonpositive_x_value_is_refused_before_the_parallelepiped(
     # the form is checked to reach the check coset_system still makes
     object.__setattr__(me, "y_values", tuple(-v for v in me.y_values))
     walked = []
-    monkeypatch.setattr(monomialization, "parallelepiped_points",
-                        lambda rows: walked.append(rows))
+    monkeypatch.setattr(monomialization, "labelled_parallelepiped",
+                        lambda rows, M, label: walked.append(rows))
     with pytest.raises(NonPositiveValue) as info:
         coset_system(ssm)
     assert str(info.value) == "nu(x_0) is not strictly positive"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time per parallelepiped point of one pipeline case, as e grows.
+"""Time and memory per parallelepiped point of one pipeline case, as e grows.
 
     PYTHONPATH=src python3 tools/points_scaling.py [--repeat 3]
 
@@ -9,12 +9,20 @@ the other exponents on the later T-column are drawn from 1..3 with a
 fixed seed.  The whole pipeline of one case (validate, monomialize,
 coset system, graded checks, report) runs `--repeat` times; the best
 wall time is printed with the milliseconds it costs per lattice point.
+
+The last column is resident bytes per lattice point: the growth of this
+process's peak resident set (resource.getrusage) over the peak before
+the first case, divided by e.  The peak only grows, so the cases run in
+ascending e, and each case's figure is its own peak unless a smaller
+case peaked higher.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import resource
+import sys
 import time
 
 from gradedval.exact_lattice import ExactMatrix
@@ -23,7 +31,7 @@ from gradedval.ordered_groups import Block, GroupStructure
 from gradedval.scenarios import Scenario, compatible_values, run_pipeline
 from gradedval.serialize import canonical_dumps
 
-SHAPES = ((10, 10), (25, 40), (100, 100))
+SHAPES = ((10, 10), (25, 40), (100, 100), (316, 316))
 
 
 def extension(g, seed=0):
@@ -43,11 +51,19 @@ def extension(g, seed=0):
                              y_values=compatible_values(blocks, A, t_values))
 
 
+def peak_rss_bytes():
+    """Peak resident set of this process so far, in bytes."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kibibytes on Linux, bytes on macOS
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
-    print(f"{'e':>7} {'best s':>9} {'ms/point':>9}")
+    print(f"{'e':>7} {'best s':>9} {'ms/point':>9} {'B/point':>9}")
+    start = peak_rss_bytes()
     for g in SHAPES:
         e = g[0] * g[1]
         scenario = Scenario(name=f"points{e}",
@@ -56,6 +72,7 @@ def main(argv=None):
                             expect={})
         best = None
         for _ in range(args.repeat):
+            report = None       # hold one report at a time
             t0 = time.perf_counter()
             report = run_pipeline(scenario)
             canonical_dumps(report)
@@ -63,7 +80,8 @@ def main(argv=None):
             best = dt if best is None else min(best, dt)
         if not report["ok"]:
             raise SystemExit(f"e = {e}: pipeline reported a failed check")
-        print(f"{e:7d} {best:9.3f} {best / e * 1e3:9.4f}")
+        resident = (peak_rss_bytes() - start) / e
+        print(f"{e:7d} {best:9.3f} {best / e * 1e3:9.4f} {resident:9.0f}")
 
 
 if __name__ == "__main__":
