@@ -119,21 +119,15 @@ def enc_coset_system(cs: CosetSystem):
     Encoded straight from the integer rows, each distinct integer once:
     equal integers share one str.  A label entry x is enc_ratio(x, L),
     split into the blocks of the big group; when L = 1 that is str(x).
-    When every block has width 1, equal label blocks share one list too,
-    so the fields are for reading and dumping, not for changing in place.
     """
     ints = _Encoded(str).__getitem__
     L = cs.denominator
     ratio = ints if L == 1 else _Encoded(partial(enc_ratio, L=L)).__getitem__
     widths = [b.rational_rank for b in cs.big_group.structure.blocks]
-    if widths == [1] * len(widths):
-        blocks = _Encoded(lambda x: [ratio(x)]).__getitem__
-        labels = [list(map(blocks, row)) for row in cs.label_rows]
-    else:
-        labels = []
-        for row in cs.label_rows:
-            it = map(ratio, row)
-            labels.append([list(islice(it, w)) for w in widths])
+    labels = []
+    for row in cs.label_rows:
+        it = map(ratio, row)
+        labels.append([list(islice(it, w)) for w in widths])
     return {
         "e": ints(cs.e),
         "invariant_factors": list(map(ints, cs.invariant_factors)),

@@ -201,7 +201,7 @@ def test_residue_degree_over_budget_is_refused_before_any_label(
 def test_pipeline_memory_per_point_at_e_10000():
     # traced bytes per lattice point of one pipeline run at e = 10^4;
     # walking, labelling and encoding each point once keeps the peak
-    # near 550 B (about 1030 B when sigma M was formed per point and
+    # near 570 B (about 1035 B when sigma M was formed per point and
     # each integer was encoded to its own str)
     g = (100, 100)
     scenario = Scenario(name="mem", extensions=(
