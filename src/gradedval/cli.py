@@ -21,17 +21,16 @@ from .monomial_extension import SSMForm
 from .scenarios import (
     _run_ledger_section,
     _run_semigroup_section,
+    dec_ledger_records,
+    dec_semigroup_section,
     load_scenario,
     run_pipeline,
 )
 from .serialize import (
     canonical_dumps,
-    dec_element,
     dec_extension,
-    dec_frac,
     dec_matrix,
     dec_step,
-    dec_structure,
     enc_coset_system,
     enc_int,
     enc_matrix,
@@ -186,14 +185,7 @@ def cmd_graded(args):
 def cmd_semigroup(args):
     raw = _read_input(args.infile)
     data = load_object(raw)
-    structure = dec_structure(data["structure"])
-    section = _run_semigroup_section({
-        "structure": structure,
-        "small": tuple(dec_element(structure, v) for v in data["small"]),
-        "big": tuple(dec_element(structure, v) for v in data["big"]),
-        "bound": dec_frac(data.get("bound", "4")),
-        "expect_growth": bool(data.get("expect_growth", False)),
-    })
+    section = _run_semigroup_section(dec_semigroup_section(data))
     section["input_sha256"] = sha256_hex(raw)
     _emit(section, args)
     _summary(args, f"semigroup: {len(section['witnesses'])} witness(es)")
@@ -203,7 +195,8 @@ def cmd_semigroup(args):
 def cmd_ledger(args):
     raw = _read_input(args.infile)
     data = load_object(raw)
-    section = _run_ledger_section(data.get("records", []))
+    section = _run_ledger_section(
+        dec_ledger_records(data.get("records", [])))
     section["input_sha256"] = sha256_hex(raw)
     _emit(section, args)
     _summary(args, f"ledger: {len(section['records'])} record(s)")

@@ -19,8 +19,8 @@ from .errors import EnumerationOverflow, GradingMismatch
 from .exact_lattice import in_column_lattice
 from .monomialization import CosetSystem
 
-# most basis labels (e * f) one module may have: the rank check builds
-# them all, and a residue degree beyond it is refused before any is built
+# largest rank e * f one module may have, refused before any label is
+# built: the report gives the rank and invariant_part builds f labels
 _LABEL_BUDGET = 1_000_000
 
 
@@ -40,17 +40,16 @@ class GradedModule:
     def __post_init__(self):
         if self.residue_degree < 1:
             raise GradingMismatch("residue degree must be at least 1")
-        rank = self.system.e * self.residue_degree
-        if rank > _LABEL_BUDGET:
+        if self.rank > _LABEL_BUDGET:
             raise EnumerationOverflow(
-                f"rank e * f = {rank} over the budget of {_LABEL_BUDGET} "
-                f"basis labels")
+                f"rank e * f = {self.rank} over the budget of "
+                f"{_LABEL_BUDGET} basis labels")
 
-    def basis_labels(self):
-        return tuple(
-            GradedBasisLabel(sigma=sigma, residue_index=i)
-            for sigma in self.system.lattice_points
-            for i in range(1, self.residue_degree + 1))
+    @property
+    def rank(self):
+        """|Lambda x {1..f}|, counted, not built: the parallelepiped walk
+        refuses a point count other than e, so this is e * f."""
+        return len(self.system.lattice_points) * self.residue_degree
 
     @cached_property
     def character_rows(self):

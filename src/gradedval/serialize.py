@@ -37,6 +37,15 @@ def dec_int(s):
         raise ParseError(f"not an integer: {s!r}")
 
 
+def dec_bool(data, key):
+    """The flag data[key]: JSON true or false, and false when absent.  A
+    string, number or null is rejected, so "false" never reads as true."""
+    flag = data.get(key, False)
+    if not isinstance(flag, bool):
+        raise ParseError(f"{key} must be true or false, not {flag!r}")
+    return flag
+
+
 def enc_frac(x):
     return str(Fraction(x))
 
@@ -201,7 +210,7 @@ def dec_step(data):
             exponents=tuple((dec_int(r), dec_int(e))
                             for r, e in data.get("exponents", [])),
         )
-    except (TypeError, KeyError):
+    except (TypeError, KeyError, ValueError):
         raise ParseError("malformed transform step")
 
 

@@ -138,6 +138,9 @@ def test_replay_detects_tampering(tmp_path, capsys):
     ({"kind": "s", "row": "-1", "target": "2"}, True),
     ({"kind": "rescale", "row": "-1"}, False),
     ({"kind": "r", "row": "1", "exponents": [["-1", "1"]]}, False),
+    # an exponent pair of the wrong length gave a ValueError traceback
+    ({"kind": "r", "row": "1", "exponents": [["1"]]}, False),
+    ({"kind": "r", "row": "1", "exponents": [["1", "1", "1"]]}, False),
 ])
 def test_replay_rejects_malformed_steps(tmp_path, capsys, step, first):
     # each used to give a traceback, or a result read from the last row
@@ -494,6 +497,79 @@ def test_ledger_command(tmp_path, capsys):
         {"N": "5", "e": "2", "f": "2", "p": "3"},
     ]})
     assert main(["ledger", "--in", bad, "--json"]) == 1
+
+
+def edited(name, *path, value):
+    """The bundled scenario name with the node at path set to value."""
+    data = json.loads(bundled_scenario_bytes(name))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+# each of these exited 0 or 1: a parse error of a record was taken for the
+# error it expects, a JSON number for a record error, and "false" for true
+@pytest.mark.parametrize("command, data", [
+    ("ledger", {"records": [{"N": "6", "e": "2", "f": "3",
+                             "expect_error": True, "p": 1.5}]}),
+    ("ledger", {"records": [{"N": 6, "e": "2", "f": "3", "p": "0"}]}),
+    ("semigroup", edited("section5.json", "semigroups", "expect_growth",
+                         value="false")["semigroups"]),
+    ("pipeline", edited("section5.json", "semigroups", "expect_growth",
+                        value="false")),
+    ("pipeline", edited("diag23.json", "extension_records", 1, "unramified",
+                        value="false")),
+    ("pipeline", edited("diag23.json", "extension_records", 0,
+                        "expect_error", value="false")),
+    ("ledger", {"records": edited("diag23.json", "extension_records", 1,
+                                  "unramified", value="false")
+                ["extension_records"][1:]}),
+    ("ledger", {"records": [{"N": "7", "e": "2", "f": "3",
+                             "expect_error": 1}]}),
+    ("ledger", {"records": [None]}),
+    ("ledger", {"records": {"N": "6"}}),
+    ("semigroup", {"structure": {"blocks": [{"quad": None}]}, "small": [],
+                   "big": [], "expect_growth": None}),
+])
+def test_malformed_section_fields_exit_2(tmp_path, capsys, command, data):
+    src = write(tmp_path, "in.json", data)
+    assert main([command, "--in", src, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_ledger_domain_errors_stay_per_record(tmp_path, capsys):
+    # a well-formed record that contradicts the degree identity is a record
+    # error: expected, it passes; unexpected, the command exits 1
+    record = {"N": "7", "e": "2", "f": "3", "p": "0"}
+    for expect, code in ((True, 0), (False, 1)):
+        src = write(tmp_path, "in.json",
+                    {"records": [dict(record, expect_error=expect)]})
+        assert main(["ledger", "--in", src, "--json"]) == code
+        entry = json.loads(capsys.readouterr().out)["records"][0]
+        assert entry["error"].startswith("e * f = 6 does not divide")
+        assert entry["ok"] is expect
+    src = write(tmp_path, "in.json", {"records": [
+        {"N": "6", "e": "2", "f": "3", "d": "1", "g": "1",
+         "unramified": False}]})
+    assert main(["ledger", "--in", src, "--json"]) == 1
+    entry = json.loads(capsys.readouterr().out)["records"][0]
+    assert entry == {"delta": "0", "ok": False, "r": "1",
+                     "unramified": True}
+
+
+def test_dec_bool_accepts_only_json_booleans():
+    from gradedval.errors import ParseError
+    from gradedval.serialize import dec_bool
+    assert dec_bool({"k": True}, "k") is True
+    assert dec_bool({"k": False}, "k") is False
+    assert dec_bool({}, "k") is False
+    for bad in ("false", "true", 0, 1, 1.0, None, [], {}):
+        with pytest.raises(ParseError):
+            dec_bool({"k": bad}, "k")
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

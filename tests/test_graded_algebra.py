@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from gradedval import exact_lattice
-from gradedval.cli import bundled_scenario_bytes
+from gradedval import exact_lattice, graded_algebra
+from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval.errors import DimensionMismatch, GradingMismatch
 from gradedval.exact_lattice import ExactMatrix, unimodular_inverse
 from gradedval.graded_algebra import (
+    GradedBasisLabel,
     GradedModule,
     fixed_by_all_characters,
     invariant_part,
@@ -19,13 +20,13 @@ from gradedval.monomial_extension import (
     MonomialExtension,
     SSMForm,
 )
-from gradedval.monomialization import coset_system
+from gradedval.monomialization import coset_system, strong_monomialize
 from gradedval.ordered_groups import (
     Block,
     GroupStructure,
     coset_label,
 )
-from gradedval.scenarios import load_scenario, run_pipeline
+from gradedval.scenarios import Scenario, load_scenario, run_pipeline
 from gradedval.serialize import load_json
 
 
@@ -42,6 +43,16 @@ def galois_character(cs, g_bar, sigma):
     us = snf.U.apply(sigma)
     total = sum(Fraction(a * b, d) for a, b, d in zip(ug, us, diag))
     return total % 1
+
+
+def basis_labels(module):
+    """Every basis label of the module, one per pair (lattice point,
+    residue index): the reference for GradedModule.rank and for the f
+    labels of invariant_part."""
+    return tuple(
+        GradedBasisLabel(sigma=sigma, residue_index=i)
+        for sigma in module.system.lattice_points
+        for i in range(1, module.residue_degree + 1))
 
 
 def quotient_group_elements(cs):
@@ -86,14 +97,51 @@ def test_free_rank():
     for cs, f, rank in ((rank1_system(1), 1, 1), (diag_system(2, 3), 1, 6),
                         (rank1_system(2), 3, 6)):
         mod = GradedModule(system=cs, residue_degree=f)
-        assert len(mod.basis_labels()) == rank
+        assert len(basis_labels(mod)) == rank
+
+
+def test_rank_counts_the_basis_labels():
+    # GradedModule.rank is the size of Lambda x {1..f}, without the labels
+    systems = [rank1_system(1), rank1_system(2), diag_system(2, 3)]
+    for name in bundled_scenario_names():
+        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
+        systems += [coset_system(strong_monomialize(me).final)
+                    for _, me in scenario.extensions]
+    for cs in systems:
+        for f in (1, 2, 3):
+            mod = GradedModule(system=cs, residue_degree=f)
+            assert mod.rank == len(basis_labels(mod)) == cs.e * f
+
+
+def test_pipeline_case_builds_only_the_invariant_labels(monkeypatch):
+    # the rank is counted, so one case builds the f labels of
+    # invariant_part and no other
+    built = []
+    real = graded_algebra.GradedBasisLabel
+
+    def counting(**kw):
+        built.append(kw)
+        return real(**kw)
+
+    monkeypatch.setattr(graded_algebra, "GradedBasisLabel", counting)
+    _, me = load_scenario(
+        load_json(bundled_scenario_bytes("diag23.json"))).extensions[0]
+    for f in (1, 3):
+        built.clear()
+        scenario = Scenario(name="labels", extensions=(("labels", me),),
+                            residue_degree=f, semigroup=None, records=(),
+                            expect={})
+        case = run_pipeline(scenario)["cases"][0]
+        assert case["ok"] and case["e"] == "6"
+        assert case["rank"] == str(6 * f)
+        assert len(built) == f
 
 
 def test_basis_labels_count_and_coset_exhaustion():
     cs = diag_system(2, 3)
     for f in (1, 2):
         mod = GradedModule(system=cs, residue_degree=f)
-        labels = mod.basis_labels()
+        labels = basis_labels(mod)
         assert len(labels) == 6 * f
         counts = {}
         for lbl in labels:
@@ -145,7 +193,7 @@ def test_quotient_group_enumeration():
 def test_invariant_part_whole_module_when_trivial():
     cs = rank1_system(1)
     mod = GradedModule(system=cs, residue_degree=2)
-    assert invariant_part(mod) == mod.basis_labels()
+    assert invariant_part(mod) == basis_labels(mod)
 
 
 def test_invariant_part_is_fixed_set():
@@ -153,7 +201,7 @@ def test_invariant_part_is_fixed_set():
     mod = GradedModule(system=cs, residue_degree=1)
     inv = invariant_part(mod)
     assert [lbl.sigma for lbl in inv] == [(0, 0)]
-    for lbl in mod.basis_labels():
+    for lbl in basis_labels(mod):
         assert fixed_by_all_characters(mod, lbl.sigma) == \
             (lbl in inv)
 

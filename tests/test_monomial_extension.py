@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from gradedval import monomial_extension
 from gradedval.errors import InvalidExtension, NonPositiveValue
-from gradedval.exact_lattice import ExactMatrix
+from gradedval.exact_lattice import ExactMatrix, determinant
 from gradedval.monomial_extension import (
     AdjointRelations,
     BlockStructure,
@@ -152,6 +153,32 @@ def test_adjoint_relations_diag():
     rel = adjoint_relations(me)
     assert rel.e == 6
     assert rel.B.entries == ExactMatrix.diagonal((3, 2)).entries
+
+
+def test_adjoint_identity_on_random_t_submatrices():
+    # adjoint_relations checks no product: adjugate has checked
+    # adj * A_T = det * I, so B = sign(det) * adj gives B * A_T = e * I
+    rng = random.Random(288)
+    three = BlockStructure(r=2, t=(2, 1), s=(2, 1))
+    signs = set()
+    for _ in range(300):
+        k = rng.choice((2, 3))
+        rows = [[rng.randint(0, 4) for _ in range(k)] for _ in range(k)]
+        if k == 2:
+            me = simple_extension(rows)
+        else:
+            me = simple_extension(rows, blocks=three, y_vals=(
+                (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        AT = me.t_submatrix()
+        det = determinant(AT)
+        if det == 0:
+            continue
+        rel = adjoint_relations(me)
+        assert rel.e == abs(det)
+        assert rel.B.matmul(AT).entries == \
+            ExactMatrix.diagonal((rel.e,) * k).entries
+        signs.add((k, det > 0))
+    assert signs == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_adjoint_relations_triangular():

@@ -5,7 +5,11 @@ from itertools import product
 
 import pytest
 from test_golden_reports import ladder_scenario
-from test_graded_algebra import galois_character, quotient_group_elements
+from test_graded_algebra import (
+    basis_labels,
+    galois_character,
+    quotient_group_elements,
+)
 
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval import monomialization
@@ -35,6 +39,7 @@ from gradedval.monomial_extension import (
     SSMForm,
     adjoint_relations,
     induced_x_values,
+    validate,
 )
 from gradedval.monomialization import (
     TransformStep,
@@ -300,6 +305,83 @@ def test_rejects_invalid_extension():
         strong_monomialize(me)
 
 
+def is_theorem48_row(me, m):
+    """Non-T row: own variable once plus later-block T-exponents only.
+
+    The row shape strong_monomialize needs, decided on its own: the
+    reference for validate's zero_pattern rule on non-T rows."""
+    bs = me.blocks
+    if me.A[m, m] != 1:
+        return False
+    for j in range(bs.n):
+        if j == m:
+            continue
+        if me.A[m, j] and not (bs.is_t_index(j)
+                               and bs.block_of(j) > bs.block_of(m)):
+            return False
+    return True
+
+
+def random_block_extension(rng):
+    """Random blocks and exponents, mostly but not always in shape.
+
+    Block b has rational rank s_b <= 2 (a sqrt(2) weight when 2), its
+    T-variables take the block's independent unit values and its other
+    variables the first of them, so the values pass validate; each entry
+    is 0 with probability 0.6, else one of -1, 1, 2, 3, and the diagonal
+    of a non-T row is 1 with probability 0.8."""
+    r = rng.randint(1, 3)
+    t = tuple(rng.randint(1, 3) for _ in range(r))
+    s = tuple(rng.randint(1, min(ti, 2)) for ti in t)
+    blocks = BlockStructure(r=r, t=t, s=s)
+    structure = GroupStructure(tuple(Block(quad=2 if sb == 2 else None)
+                                     for sb in s))
+
+    def unit(b, k):
+        return structure.element(tuple(
+            tuple(int(c == b and i == k) for i in range(s[c]))
+            for c in range(r)))
+
+    values = []
+    for j in range(blocks.n):
+        b = blocks.block_of(j)
+        k = j - blocks.offset(b)
+        values.append(unit(b, k if k < s[b] else 0))
+    rows = [[0 if rng.random() < 0.6 else rng.choice((-1, 1, 2, 3))
+             for _ in range(blocks.n)] for _ in range(blocks.n)]
+    for m in range(blocks.n):
+        if not blocks.is_t_index(m) and rng.random() < 0.8:
+            rows[m][m] = 1
+    return MonomialExtension(blocks=blocks, A=ExactMatrix.from_rows(rows),
+                             unit_markers=("1",) * blocks.n,
+                             y_values=tuple(values))
+
+
+def test_validate_decides_the_theorem48_row_shape():
+    # strong_monomialize checks no row after validate: a non-T row with no
+    # zero_pattern or negative_exponent violation is in Theorem-4.8 shape,
+    # so every row of a valid extension is
+    rng = random.Random(48)
+    valid = rejected_rows = 0
+    for _ in range(3000):
+        me = random_block_extension(rng)
+        problems = validate(me)
+        shape = {v.location[0] for v in problems
+                 if v.kind in ("zero_pattern", "negative_exponent")}
+        t_set = set(me.blocks.t_indices())
+        for m in range(me.blocks.n):
+            if m in t_set:
+                continue
+            if m not in shape:
+                assert is_theorem48_row(me, m), (me.A.entries, m)
+            rejected_rows += not is_theorem48_row(me, m)
+        if not problems:
+            valid += 1
+            strong_monomialize(me)
+    # the draws reach both sides of the predicate
+    assert valid >= 50 and rejected_rows >= 50
+
+
 def compatible_values(blocks, A, t_values):
     """Value assignment whose relation lattice lies inside A^t Z^n.
 
@@ -519,7 +601,7 @@ def coset_system_oracle(cs, character_limit=64):
     for f in (1, 2):
         mod = GradedModule(system=cs, residue_degree=f)
         assert invariant_part(mod) == tuple(
-            lbl for lbl in mod.basis_labels()
+            lbl for lbl in basis_labels(mod)
             if is_sigma_trivial(cs, lbl.sigma))
     if cs.e > character_limit:
         return
