@@ -3,7 +3,9 @@
 Each subcommand reads JSON (file path or standard input), writes canonical
 JSON on standard output (or --out), and a short human summary on standard
 error.  Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
-parse error.
+parse error.  main reads, decodes and hashes the input and decides the
+exit code; a cmd_* function takes the decoded object and returns
+(report, summary).
 """
 
 from __future__ import annotations
@@ -53,28 +55,11 @@ def _read_input(path):
     return data
 
 
-def _emit(report, args):
-    text = canonical_dumps(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _summary(args, message):
-    if not getattr(args, "json", False):
-        print(message, file=sys.stderr)
-
-
-def cmd_snf(args):
-    raw = _read_input(args.infile)
-    data = load_object(raw)
+def cmd_snf(args, data):
     A = dec_matrix(data["matrix"])
     snf = smith_normal_form(A)
     check = snf.U.matmul(A).matmul(snf.V).entries == snf.D.entries
     report = {
-        "input_sha256": sha256_hex(raw),
         "U": enc_matrix(snf.U),
         "D": enc_matrix(snf.D),
         "V": enc_matrix(snf.V),
@@ -88,29 +73,19 @@ def cmd_snf(args):
         det = determinant(A)
         report["determinant"] = enc_int(det)
         summary += f", det {det}"
-    _emit(report, args)
-    _summary(args, summary)
-    return EXIT_OK if check else EXIT_CHECK_FAILED
+    return report, summary
 
 
-def cmd_monomialize(args):
-    raw = _read_input(args.infile)
-    data = load_object(raw)
+def cmd_monomialize(args, data):
     me = dec_extension(data.get("extension", data))
     trace = strong_monomialize(me)
     report = enc_trace(trace)
-    report["input_sha256"] = sha256_hex(raw)
     report["step_count"] = enc_int(len(trace.steps))
     report["ok"] = True
-    _emit(report, args)
-    _summary(args, f"monomialize: {len(trace.steps)} steps")
-    return EXIT_OK
+    return report, f"monomialize: {len(trace.steps)} steps"
 
 
-def cmd_replay(args, raw=None):
-    if raw is None:
-        raw = _read_input(args.replay)
-    data = load_object(raw)
+def cmd_replay(args, data):
     initial = dec_extension(data["initial"])
     steps = tuple(dec_step(s) for s in data["steps"])
     expected = dec_extension(data["final"])
@@ -118,26 +93,15 @@ def cmd_replay(args, raw=None):
     ok = redone == expected
     if ok:
         SSMForm(redone)
-    report = {
-        "input_sha256": sha256_hex(raw),
-        "replay_matches": ok,
-        "ok": ok,
-    }
-    _emit(report, args)
-    _summary(args, "replay: " + ("ok" if ok else "MISMATCH"))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    report = {"replay_matches": ok, "ok": ok}
+    return report, "replay: " + ("ok" if ok else "MISMATCH")
 
 
-def cmd_cosets(args):
-    if args.box_bound is not None and args.box_bound < 1:
-        raise ParseError("--box-bound must be at least 1")
-    raw = _read_input(args.infile)
-    data = load_object(raw)
+def cmd_cosets(args, data):
     me = dec_extension(data.get("extension", data))
     trace = strong_monomialize(me)
     cs = coset_system(trace.final)
     report = enc_coset_system(cs)
-    report["input_sha256"] = sha256_hex(raw)
     report["ok"] = True
     if args.box_bound is not None:
         A = trace.final.extension.A
@@ -152,9 +116,7 @@ def cmd_cosets(args):
             "ok": decomp.ok,
         }
         report["ok"] = decomp.ok
-    _emit(report, args)
-    _summary(args, f"cosets: e = {cs.e}")
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    return report, f"cosets: e = {cs.e}"
 
 
 def _positive_functional(A):
@@ -163,12 +125,9 @@ def _positive_functional(A):
     return (1,) * A.cols
 
 
-def cmd_graded(args):
-    raw = _read_input(args.scenario or args.infile)
-    scenario = load_scenario(load_object(raw))
-    report = run_pipeline(scenario, input_sha256=sha256_hex(raw))
+def cmd_graded(args, data):
+    report = run_pipeline(load_scenario(data))
     graded = {
-        "input_sha256": report.get("input_sha256"),
         "scenario": report["scenario"],
         "cases": [
             {k: case.get(k) for k in
@@ -177,51 +136,35 @@ def cmd_graded(args):
             for case in report["cases"]],
         "ok": all(c["ok"] for c in report["cases"]),
     }
-    _emit(graded, args)
-    _summary(args, f"graded: {len(graded['cases'])} case(s)")
-    return EXIT_OK if graded["ok"] else EXIT_CHECK_FAILED
+    return graded, f"graded: {len(graded['cases'])} case(s)"
 
 
-def cmd_semigroup(args):
-    raw = _read_input(args.infile)
-    data = load_object(raw)
+def cmd_semigroup(args, data):
     section = _run_semigroup_section(dec_semigroup_section(data))
-    section["input_sha256"] = sha256_hex(raw)
-    _emit(section, args)
-    _summary(args, f"semigroup: {len(section['witnesses'])} witness(es)")
-    return EXIT_OK if section["ok"] else EXIT_CHECK_FAILED
+    return section, f"semigroup: {len(section['witnesses'])} witness(es)"
 
 
-def cmd_ledger(args):
-    raw = _read_input(args.infile)
-    data = load_object(raw)
+def cmd_ledger(args, data):
     section = _run_ledger_section(
         dec_ledger_records(data.get("records", [])))
-    section["input_sha256"] = sha256_hex(raw)
-    _emit(section, args)
-    _summary(args, f"ledger: {len(section['records'])} record(s)")
-    return EXIT_OK if section["ok"] else EXIT_CHECK_FAILED
+    return section, f"ledger: {len(section['records'])} record(s)"
 
 
-def cmd_pipeline(args):
+def cmd_pipeline(args, data):
     if args.replay:
-        return cmd_replay(args)
-    raw = _read_input(args.scenario or args.infile)
-    data = load_object(raw)
+        return cmd_replay(args, data)
     effective_sha256 = None
     if args.seed is not None and "random" in data:
         data["random"]["seed"] = str(args.seed)
         # input_sha256 names the bytes read; this names the scenario run
         effective_sha256 = sha256_hex(canonical_dumps(data).encode())
     scenario = load_scenario(data)
-    report = run_pipeline(scenario, input_sha256=sha256_hex(raw))
+    report = run_pipeline(scenario)
     if effective_sha256 is not None:
         report["effective_sha256"] = effective_sha256
-    _emit(report, args)
     verdict = "ok" if report["ok"] else "FAILED"
-    _summary(args, f"pipeline {scenario.name}: {len(report['cases'])} "
-                   f"case(s), {verdict}")
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    return report, (f"pipeline {scenario.name}: {len(report['cases'])} "
+                    f"case(s), {verdict}")
 
 
 def bundled_scenario_names():
@@ -295,17 +238,35 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand.  The contract every command shares is kept
+    here: options are checked before any input is read; the input (the
+    --replay file, else --scenario, else --in, else standard input) is read
+    and decoded once; the report gets input_sha256, the sha256 of the bytes
+    read, and is emitted with the command's summary; report["ok"] decides
+    the exit code."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
+        box_bound = getattr(args, "box_bound", None)
+        if box_bound is not None and box_bound < 1:
+            raise ParseError("--box-bound must be at least 1")
+        raw = _read_input(getattr(args, "replay", None)
+                          or getattr(args, "scenario", None) or args.infile)
+        report, summary = args.func(args, load_object(raw))
+        report["input_sha256"] = sha256_hex(raw)
+        text = canonical_dumps(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if not args.json:
+            print(summary, file=sys.stderr)
+        return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (KeyError, TypeError) as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GradedValError as exc:
         print(f"check failed: {exc.__class__.__name__}: {exc}",

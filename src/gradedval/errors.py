@@ -108,7 +108,8 @@ class NonPositiveGenerator(GradedValError):
 
 
 class EnumerationOverflow(GradedValError):
-    """A semigroup enumeration, monoid search or box check exceeded its cap."""
+    """A search, enumeration or box check exceeded its cap, or an input
+    lies past the range a test decides (a primality test's bound)."""
 
 
 # -- ramification ledger ----------------------------------------------------

@@ -286,9 +286,13 @@ def lattice_index(A: ExactMatrix):
 
 
 def quotient_invariants(A: ExactMatrix):
-    """Invariant factors (> 1) of Z^n / A Z^n; their product is |det A|."""
-    lattice_index(A)  # raises SingularLattice when det = 0
+    """Invariant factors (> 1) of Z^n / A Z^n; their product is |det A|.
+    A zero on the Smith diagonal is det A = 0: SingularLattice."""
+    if not A.is_square():
+        raise DimensionMismatch("lattice index needs a square matrix")
     diag = smith_normal_form(A).D.diagonal_entries()
+    if 0 in diag:
+        raise SingularLattice("column lattice has infinite index")
     return tuple(d for d in diag if d > 1)
 
 
@@ -361,46 +365,36 @@ def solve_rational(A: ExactMatrix, b):
     return tuple(row[n] for row in R)
 
 
-def in_column_lattice(snf: SmithDecomposition, b):
-    """True iff b lies in the column lattice A Z^n, where snf is U A V = D.
-
-    A Z^n = U^{-1} D Z^n, so b belongs exactly when c = U b has c_i = 0
-    mod d_i on the diagonal and c_i = 0 past it.  One Smith form answers
-    every query; no elimination runs per vector.
-    """
+def _smith_residues(snf: SmithDecomposition, b):
+    """y with D y = U b, where snf is U A V = D, or None when some c_i of
+    c = U b is not 0 mod d_i (0 past the diagonal).  A Z^n = U^{-1} D Z^n,
+    so y exists exactly when b lies in the column lattice A Z^n."""
     if snf.U.rows != len(b):
         raise DimensionMismatch("right-hand side length != row count")
     c = snf.U.apply(tuple(int(v) for v in b))
     diag = snf.D.diagonal_entries()
+    y = [0] * snf.V.rows
     for i, ci in enumerate(c):
         d = diag[i] if i < len(diag) else 0
         if (ci % d) if d else ci:
-            return False
-    return True
+            return None
+        if d:
+            y[i] = ci // d
+    return y
+
+
+def in_column_lattice(snf: SmithDecomposition, b):
+    """True iff b lies in the column lattice A Z^n, where snf is U A V = D:
+    one Smith form answers every query."""
+    return _smith_residues(snf, b) is not None
 
 
 def solve_integer(A: ExactMatrix, b):
     """Some integer solution of A x = b, or None when none exists.
 
-    Uses the Smith change of basis: with U A V = D the system becomes
-    D y = U b and x = V y.
+    With U A V = D, x = V y for y with D y = U b; then
+    A x = U^{-1} D V^{-1} V y = U^{-1} U b = b, so x needs no check.
     """
-    if A.rows != len(b):
-        raise DimensionMismatch("right-hand side length != row count")
     snf = smith_normal_form(A)
-    c = snf.U.apply(tuple(int(v) for v in b))
-    diag = snf.D.diagonal_entries()
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-    x = snf.V.apply(tuple(y))
-    if A.apply(x) != tuple(int(v) for v in b):
-        return None
-    return x
+    y = _smith_residues(snf, b)
+    return None if y is None else snf.V.apply(tuple(y))

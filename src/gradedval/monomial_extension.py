@@ -11,20 +11,23 @@ non-T row is its own variable times a monomial in strictly later T-columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
 from .errors import (
-    DimensionMismatch,
     InvalidExtension,
     NonPositiveValue,
     SingularBlock,
     SingularLattice,
 )
 from .exact_lattice import ExactMatrix, adjugate, determinant, rref
-from .ordered_groups import GroupStructure, isolated_level
+from .ordered_groups import (
+    GroupStructure,
+    common_denominator,
+    isolated_level,
+    scaled_row,
+)
 
 
 @dataclass(frozen=True)
@@ -124,17 +127,8 @@ class MonomialExtension:
     def _value_columns(self):
         """(L, columns): the integer matrix of L * nu*(y_j), L the least
         common denominator, stored by column.  Computed once."""
-        flats = [v.flat() for v in self.y_values]
-        L = math.lcm(*(c.denominator for v in flats for c in v))
-        return L, tuple(zip(*[[int(c * L) for c in v] for v in flats]))
-
-    def value(self, b):
-        """nu*(y^b) = sum_j b_j nu*(y_j): integer sums, one element built."""
-        if len(b) != len(self.y_values):
-            raise DimensionMismatch("exponent vector length != n")
-        L, columns = self._value_columns
-        return self.structure.from_row(
-            [sum(map(mul, b, col)) for col in columns], L)
+        L = common_denominator(self.y_values)
+        return L, tuple(zip(*(scaled_row(v, L) for v in self.y_values)))
 
     @cached_property
     def _violations(self):

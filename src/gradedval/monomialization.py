@@ -20,7 +20,6 @@ from .errors import (
     MalformedStep,
     NoNonnegativeLift,
     NotAlongValuation,
-    NotInGroup,
     NotTheorem48Form,
 )
 from .exact_lattice import ExactMatrix, adjugate, smith_normal_form
@@ -29,7 +28,6 @@ from .monomial_extension import (
     MonomialExtension,
     SSMForm,
     _x_value_rows,
-    induced_x_values,
     validate,
 )
 from .ordered_groups import Quotient, ValueGroup
@@ -287,8 +285,8 @@ class CosetSystem:
 
     The labels are kept as integer rows over the denominator L of the big
     group: label_rows[i] is L times the flat coordinates of the canonical
-    coset representative of lattice_points[i].  labels and values build
-    the group elements on first use.
+    coset representative of lattice_points[i].  labels builds the group
+    elements on first use.
     """
 
     extension: MonomialExtension
@@ -301,12 +299,6 @@ class CosetSystem:
     quotient: Quotient = field(compare=False, repr=False)  # big / small
     parallelepiped: ParallelepipedBasis = field(compare=False, repr=False)
 
-    @cached_property
-    def small_group(self):
-        """The value group of x, generated by the nu(x_i)."""
-        me = self.extension
-        return ValueGroup(me.structure, induced_x_values(me))
-
     @property
     def denominator(self):
         """L, the common denominator of the label rows."""
@@ -318,12 +310,6 @@ class CosetSystem:
         structure = self.big_group.structure
         return tuple(structure.from_row(row, self.denominator)
                      for row in self.label_rows)
-
-    @cached_property
-    def values(self):
-        """nu*(y^sigma) for sigma in Lambda."""
-        return tuple(self.extension.value(sigma)
-                     for sigma in self.lattice_points)
 
 
 def coset_system(ssm: SSMForm) -> CosetSystem:
@@ -362,6 +348,14 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     by Quotient (InfiniteIndex), and so is A6.  nu(x_i) > 0 is checked
     first, on the integer rows of the y-values' value matrix.
 
+    M is read from those same rows, with no rational arithmetic.  big is
+    generated by the y-values, so its denominator is
+    common_denominator(y-values), the L of me._value_columns; the value
+    matrix's rows are therefore scaled_row(y_j, L), the very rows big's
+    Hermite basis was reduced from, and big.row_coordinates back-
+    substitutes each through that basis.  Each row lies in the lattice
+    the basis spans, so no back-substitution fails.
+
     Coordinates are linear for the same reason, so the coordinates of
     phi(sigma) are sigma M: M is taken once, and each label is one
     Hermite reduction of the integer row sigma M.  That row is not
@@ -381,9 +375,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     _x_value_rows(me)  # raises NonPositiveValue unless every nu(x_i) > 0
     A = me.A.entries
     big = ValueGroup(me.structure, me.y_values)
-    M = [big.coordinates(y) for y in me.y_values]
-    if None in M:
-        raise NotInGroup("y-value outside its own value group")
+    M = [big.row_coordinates(row) for row in zip(*me._value_columns[1])]
     columns = tuple(zip(*M))
     quotient = Quotient(
         big, [[sum(map(mul, row, col)) for col in columns] for row in A])

@@ -206,6 +206,23 @@ def isolated_level(gamma: GroupElement):
     return level
 
 
+def common_denominator(elements, *rationals):
+    """The least L > 0 that clears the denominator of every flat
+    coordinate of the elements and of every extra rational."""
+    return math.lcm(*(c.denominator for el in elements for c in el.flat()),
+                    *(q.denominator for q in rationals))
+
+
+def scaled_row(gamma: GroupElement, L):
+    """The integers L * gamma.flat(), or None when L does not clear every
+    denominator of gamma.  With common_denominator, the one way a group
+    value becomes an integer row."""
+    flat = gamma.flat()
+    if any(L % c.denominator for c in flat):
+        return None
+    return tuple(c.numerator * (L // c.denominator) for c in flat)
+
+
 @dataclass(frozen=True)
 class ValueGroup:
     """Finitely generated subgroup of a block group, given by generators."""
@@ -224,10 +241,9 @@ class ValueGroup:
     def _lattice(self):
         """(scale L, HNF basis rows, pivot columns): the group is
         (1/L) * row-lattice(basis).  Computed once per group."""
-        vecs = [g.flat() for g in self.generators]
-        L = math.lcm(*(c.denominator for v in vecs for c in v))
-        rows = [tuple(int(c * L) for c in v) for v in vecs]
-        rows = [r for r in rows if any(r)]
+        L = common_denominator(self.generators)
+        rows = [row for row in (scaled_row(g, L) for g in self.generators)
+                if any(row)]
         basis = hermite_row_basis(rows) if rows else ()
         return L, basis, _pivot_columns(basis)
 
@@ -236,27 +252,29 @@ class ValueGroup:
         return len(self._lattice[1])
 
     def coordinates(self, gamma: GroupElement):
-        """Integer coordinates of gamma in the lattice basis, else None.
-
-        Back-substitution along the echelon pivots of the Hermite basis;
-        the residual left over must vanish, which is x * basis == L*gamma.
-        """
+        """Integer coordinates of gamma in the lattice basis, else None."""
         if gamma.structure != self.structure:
             raise AmbientMismatch("element outside the ambient group")
-        L, basis, pivots = self._lattice
-        residual = []
-        for c in gamma.flat():
-            if L % c.denominator:
-                return None
-            residual.append(c.numerator * (L // c.denominator))
+        row = scaled_row(gamma, self._lattice[0])
+        return None if row is None else self.row_coordinates(row)
+
+    def row_coordinates(self, row):
+        """Integer coordinates of row / L in the lattice basis, else None,
+        for an integer row over the group's denominator L.
+
+        Back-substitution along the echelon pivots of the Hermite basis;
+        the residual left over must vanish, which is x * basis == row.
+        """
+        _, basis, pivots = self._lattice
+        residual = list(row)
         x = []
-        for row, p in zip(basis, pivots):
-            q, r = divmod(residual[p], row[p])
+        for brow, p in zip(basis, pivots):
+            q, r = divmod(residual[p], brow[p])
             if r:
                 return None
             if q:
-                for j in range(p, len(row)):
-                    residual[j] -= q * row[j]
+                for j in range(p, len(brow)):
+                    residual[j] -= q * brow[j]
             x.append(q)
         if any(residual):
             return None

@@ -11,21 +11,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharMismatch, Inconsistent, MissingIndex
+from .errors import (
+    CharMismatch,
+    EnumerationOverflow,
+    Inconsistent,
+    MissingIndex,
+)
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality of
+# every integer below _PRIME_BOUND, the least strong pseudoprime to all
+# of them (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp., 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p):
+    """Deterministic Miller-Rabin primality for p < _PRIME_BOUND; raises
+    EnumerationOverflow above it, where the bases decide nothing."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    k = 3
-    while k * k <= p:
-        if p % k == 0:
+    if p >= _PRIME_BOUND:
+        raise EnumerationOverflow(
+            f"primality is decided only below {_PRIME_BOUND}")
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 

@@ -145,11 +145,17 @@ def enc_coset_system(cs: CosetSystem):
     }
 
 
+def _dec_list(data, what):
+    """data, which must be a JSON list: a string, number or object is
+    rejected, so the string "11" never reads as ["1", "1"]."""
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a list, not {type(data).__name__}")
+    return data
+
+
 def dec_element(structure, data):
-    try:
-        coords = tuple(tuple(dec_frac(c) for c in comp) for comp in data)
-    except TypeError:
-        raise ParseError("malformed group element")
+    coords = tuple(tuple(map(dec_frac, _dec_list(comp, "element block")))
+                   for comp in _dec_list(data, "group element"))
     return structure.element(coords)
 
 
@@ -167,17 +173,30 @@ def enc_extension(me: MonomialExtension):
     }
 
 
+def _dec_marker(m):
+    """A unit marker: a JSON string, never a number, bool or null."""
+    if not isinstance(m, str):
+        raise ParseError(f"unit marker must be a string, not {m!r}")
+    return m
+
+
 def dec_extension(data):
+    """A monomial extension.  blocks.t, blocks.s, A, unit_markers and
+    y_values must be JSON lists and each unit marker a string; anything
+    else is a ParseError, never coerced."""
     try:
+        blocks = data["blocks"]
         bs = BlockStructure(
-            r=dec_int(data["blocks"]["r"]),
-            t=tuple(dec_int(x) for x in data["blocks"]["t"]),
-            s=tuple(dec_int(x) for x in data["blocks"]["s"]),
+            r=dec_int(blocks["r"]),
+            t=tuple(map(dec_int, _dec_list(blocks["t"], "blocks.t"))),
+            s=tuple(map(dec_int, _dec_list(blocks["s"], "blocks.s"))),
         )
         structure = dec_structure(data["structure"])
         A = dec_matrix(data["A"])
-        markers = tuple(str(m) for m in data["unit_markers"])
-        values = tuple(dec_element(structure, v) for v in data["y_values"])
+        markers = tuple(map(_dec_marker,
+                            _dec_list(data["unit_markers"], "unit_markers")))
+        values = tuple(dec_element(structure, v)
+                       for v in _dec_list(data["y_values"], "y_values"))
     except (TypeError, KeyError):
         raise ParseError("malformed monomial extension")
     return MonomialExtension(blocks=bs, A=A, unit_markers=markers,

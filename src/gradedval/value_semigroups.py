@@ -25,7 +25,9 @@ from .ordered_groups import (
     GroupElement,
     ValueGroup,
     _block_sign,
+    common_denominator,
     isolated_level,
+    scaled_row,
 )
 
 _SEARCH_BUDGET = 2_000_000
@@ -83,14 +85,6 @@ def _in_box(tests, p):
     return all(test(p) for test in tests)
 
 
-def _denominators(elements):
-    return (c.denominator for el in elements for c in el.flat())
-
-
-def _scaled(gamma, L):
-    return tuple(int(c * L) for c in gamma.flat())
-
-
 def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     """All semigroup elements within the box bound, lex sorted.
 
@@ -109,7 +103,7 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     """
     structure = S.structure
     bound = Fraction(bound)
-    L = math.lcm(bound.denominator, *_denominators(S.generators))
+    L = common_denominator(S.generators, bound)
     if scale is not None:
         if scale % L:
             raise ValueError(f"scale {scale} does not clear denominator {L}")
@@ -118,7 +112,7 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     budget = _SEARCH_BUDGET
     sums = {(0,) * structure.rational_rank}
     done = 0            # blocks below done are final and inside the box
-    for level, row in sorted((isolated_level(g), _scaled(g, L))
+    for level, row in sorted((isolated_level(g), scaled_row(g, L))
                              for g in S.generators):
         if level > done:
             below = box[done:level]
@@ -164,8 +158,8 @@ def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
     if gamma.is_zero():
         return True
     bound = _query_bound(gamma)
-    L = math.lcm(bound.denominator, *_denominators((gamma, *S.generators)))
-    return _scaled(gamma, L) in enumerate_elements(S, bound, scale=L)
+    L = common_denominator((gamma, *S.generators), bound)
+    return scaled_row(gamma, L) in enumerate_elements(S, bound, scale=L)
 
 
 def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
@@ -184,10 +178,11 @@ def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
     structure = S_big.structure
     bound = Fraction(bound)
     reach = max([bound, *map(_query_bound, S_small.generators)])
-    L = math.lcm(bound.denominator, reach.denominator,
-                 *_denominators(S_small.generators + S_big.generators))
+    L = common_denominator(S_small.generators + S_big.generators, bound,
+                           reach)
     big = enumerate_elements(S_big, reach, scale=L)
-    if not set(big).issuperset(_scaled(g, L) for g in S_small.generators):
+    if not set(big).issuperset(scaled_row(g, L)
+                               for g in S_small.generators):
         raise NotASubsemigroup(
             "small semigroup generator outside the big semigroup")
     small = set(enumerate_elements(S_small, bound, scale=L))

@@ -16,6 +16,8 @@ from test_monomialization import (
     corpus_extensions,
     pipeline_extension,
     random_extension,
+    small_group_of,
+    value_of,
 )
 
 from gradedval import affine_monoids, graded_algebra
@@ -105,10 +107,11 @@ def test_carried_labels_match_sigma_m_labels():
         assert cs.label_rows == sigma_m_label_rows(cs)
         assert len(set(cs.label_rows)) == cs.e
         structure, L = me.structure, cs.denominator
+        small = small_group_of(cs)
         for sigma, row in zip(cs.lattice_points, cs.label_rows):
             label = structure.from_row(row, L)
             assert cs.big_group.contains(label)
-            assert cs.small_group.contains(label - me.value(sigma))
+            assert small.contains(label - value_of(me, sigma))
         seen_L.add(cs.denominator)
         seen_quad |= any(b.quad for b in me.structure.blocks) and cs.e > 1
         largest = max(largest, cs.e)

@@ -718,3 +718,39 @@ def test_pipeline_records_a_failing_case_and_runs_the_rest(tmp_path, capsys):
     assert main(["graded", "--scenario", both, "--json"]) == 1
     graded = json.loads(capsys.readouterr().out)
     assert graded["cases"][0]["failure"]["stage"] == "coset_system"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("unit_markers", ["1", True],
+     "unit marker must be a string, not True"),
+    ("unit_markers", [1, "1"], "unit marker must be a string, not 1"),
+    ("unit_markers", [None, "1"], "unit marker must be a string, not None"),
+    ("unit_markers", "11", "unit_markers must be a list, not str"),
+    ("t", "11", "blocks.t must be a list, not str"),
+    ("s", "11", "blocks.s must be a list, not str"),
+    ("t", {"0": "1"}, "blocks.t must be a list, not dict"),
+    ("A", "11", "matrix must be a list of rows"),
+    ("y_values", "11", "y_values must be a list, not str"),
+    ("y_values", ["11", [["1"]]], "group element must be a list, not str"),
+    ("y_values", [["11"], [["1"]]], "element block must be a list, not str"),
+])
+@pytest.mark.parametrize("command", ["pipeline", "cosets", "monomialize"])
+def test_extension_fields_are_decoded_not_coerced(tmp_path, capsys, command,
+                                                   field, value, message):
+    # diag23.json with "t": "11", "s": "11", or with "unit_markers":
+    # [1, true], ran and exited 0: the string read as ["1", "1"] and the
+    # markers as "1" and "True"
+    data = json.loads(bundled_scenario_bytes("diag23.json"))
+    ext = data["extension"]
+    if field in ("t", "s"):
+        ext["blocks"][field] = value
+    else:
+        ext[field] = value
+    if command != "pipeline":
+        data = {"extension": ext}
+    flag = "--scenario" if command == "pipeline" else "--in"
+    src = write(tmp_path, "in.json", data)
+    assert main([command, flag, src, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

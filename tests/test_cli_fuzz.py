@@ -25,8 +25,11 @@ from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names, main
 # wall bound of one CLI call
 CALL_SECONDS = 10
 # what a changed leaf becomes: integer and rational strings, malformed
-# strings, JSON numbers, booleans, null and containers
+# strings, JSON numbers, booleans, null and containers.  The large prime
+# and the product of two primes near 10**9 reach a ledger p that trial
+# division would not decide within CALL_SECONDS.
 VALUES = ("0", "1", "-1", "2", "3", "7", "1/2", "-3/2", "99999999999999999999",
+          "100000000000000000039", "998244359987710471",
           "", "x", "true", "false", 0, 1, -1, 1.5, True, False, None, [],
           {}, ["1"], [["1"]])
 

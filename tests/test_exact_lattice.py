@@ -271,6 +271,26 @@ def test_quotient_invariants():
     assert quotient_invariants(ExactMatrix.diagonal((2, 2))) == (2, 2)
 
 
+def test_quotient_invariants_singular_from_the_smith_diagonal():
+    # the zero on the Smith diagonal decides it, with lattice_index's
+    # message; the product of the factors is |det A| otherwise
+    for rows in ([[1, 1], [1, 1]], [[0, 0], [0, 0]], [[2, 4, 6], [1, 2, 3],
+                                                      [0, 1, 5]]):
+        with pytest.raises(SingularLattice,
+                           match="^column lattice has infinite index$"):
+            quotient_invariants(ExactMatrix.from_rows(rows))
+    rng = random.Random(17)
+    for _ in range(40):
+        A = ExactMatrix.from_rows(
+            [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
+        det = determinant(A)
+        if det:
+            product = 1
+            for d in quotient_invariants(A):
+                product *= d
+            assert product == abs(det)
+
+
 def test_solve_integer_examples():
     A = ExactMatrix.identity(2)
     assert solve_integer(A, (3, 5)) == (3, 5)

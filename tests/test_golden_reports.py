@@ -6,12 +6,15 @@ one changes what the program reports, not how fast it reports it.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gradedval
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
@@ -117,3 +120,40 @@ def test_corpus_bytes_independent_of_hash_seed():
     assert one == two
     assert {name: digest(text) for name, text in one.items()} == \
         CORPUS_SHA256
+
+
+# the benchmark's generator and runner, loaded by path and never changed;
+# they are not a package
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# one sha256 over the per-case report sha256s (as `perfbench/run.py --role
+# hashes` prints them) of a workload at seed 7
+WORKLOAD_SHA256 = {
+    "mixed":
+        "3180173ad24f025f0a415f02663a58376612a9c8b210676e581114e91b861c55",
+    "decomp":
+        "8a2da5fce194794989f0404afa8832383e6262afb3b350cee85799260131850b",
+}
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_digest(workload, seed=7):
+    gen = _perfbench_module("gen")
+    program = _perfbench_module("cases").Program()
+    digests = []
+    for case in gen.WORKLOADS[workload](seed, "full"):
+        out, _ = program.run(case, program.decode(case))
+        digests.append(hashlib.sha256(out).hexdigest())
+    return digest("\n".join(digests))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))
+def test_workload_reports_are_golden(workload):
+    assert workload_digest(workload) == WORKLOAD_SHA256[workload]

@@ -138,15 +138,18 @@ def test_pipeline_case_builds_only_the_invariant_labels(monkeypatch):
 
 
 def test_basis_labels_count_and_coset_exhaustion():
+    # test_monomialization imports this module, so its oracles load late
+    from test_monomialization import small_group_of, value_of
     cs = diag_system(2, 3)
+    small = small_group_of(cs)
     for f in (1, 2):
         mod = GradedModule(system=cs, residue_degree=f)
         labels = basis_labels(mod)
         assert len(labels) == 6 * f
         counts = {}
         for lbl in labels:
-            value = cs.values[cs.lattice_points.index(lbl.sigma)]
-            rep = coset_label(value, cs.big_group, cs.small_group)
+            value = value_of(cs.extension, lbl.sigma)
+            rep = coset_label(value, cs.big_group, small)
             counts[rep.flat()] = counts.get(rep.flat(), 0) + 1
         assert len(counts) == 6
         assert all(c == f for c in counts.values())

@@ -1,8 +1,9 @@
 """Differential tests for the integer kernels behind coset systems.
 
 ValueGroup.coordinates (integer back-substitution) is checked against a
-rational Gauss-Jordan solve, in_column_lattice (one Smith form, residues)
-against solve_integer (a fresh Smith form and a solve per vector),
+rational Gauss-Jordan solve, in_column_lattice and solve_integer (one
+Smith residue routine) against A x = b and the Hermite basis of the
+columns,
 Quotient against per-call coset_label, brute-force coset enumeration,
 the inclusion matrix of small's own lattice basis and sympy's normal
 forms, smith_normal_form against its defining properties
@@ -212,9 +213,18 @@ def matrix_and_vector(draw):
 @SETTINGS
 @given(matrix_and_vector())
 def test_residue_membership_matches_solve_integer(data):
+    # both read one Smith residue routine, so the oracles are elsewhere: a
+    # solution must solve A x = b, and b is in the column lattice exactly
+    # when adding it leaves the canonical Hermite basis of the columns
     A, b = data
-    expected = solve_integer(A, b) is not None
-    assert in_column_lattice(smith_normal_form(A), b) == expected
+    x = solve_integer(A, b)
+    if x is not None:
+        assert A.apply(x) == b
+    columns = [list(col) for col in zip(*A.entries)]
+    member = hermite_row_basis(columns) == hermite_row_basis(
+        columns + [list(b)])
+    assert (x is not None) == member
+    assert in_column_lattice(smith_normal_form(A), b) == member
 
 
 nonzero_fractions = st.builds(

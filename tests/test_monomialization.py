@@ -507,10 +507,12 @@ def test_coset_system_detects_index_mismatch():
 def test_coset_labels_classify_values():
     me = a6_extension([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
     cs = coset_system(strong_monomialize(me).final)
-    # each stored value reduces to its own label
+    # each lattice point's value reduces to its own label
     from gradedval.ordered_groups import coset_label
-    for val, lbl in zip(cs.values, cs.labels):
-        assert coset_label(val, cs.big_group, cs.small_group) == lbl
+    small = small_group_of(cs)
+    for sigma, lbl in zip(cs.lattice_points, cs.labels):
+        assert coset_label(value_of(cs.extension, sigma), cs.big_group,
+                           small) == lbl
 
 
 def test_random_coset_systems():
@@ -537,6 +539,12 @@ def value_of(me, b):
     return gamma
 
 
+def small_group_of(cs):
+    """The value group of x, generated by the nu(x_i)."""
+    me = cs.extension
+    return ValueGroup(me.structure, induced_x_values(me))
+
+
 def a7_oracle(cs):
     """The sampled hypothesis-A7 checks coset_system ran before A6 was
     shown to imply them, kept as a brute-force oracle.
@@ -548,6 +556,7 @@ def a7_oracle(cs):
     and unchanged by adding a generator of the small group.
     """
     me = cs.extension
+    small = small_group_of(cs)
     n = me.blocks.n
     At = me.A.transpose()
     samples = [tuple(int(k == j) for k in range(n)) for j in range(n)]
@@ -555,14 +564,15 @@ def a7_oracle(cs):
     if n <= 3:
         samples += product(range(-2, 3), repeat=n)
     for b in samples:
-        assert cs.small_group.contains(value_of(me, b)) == \
+        assert small.contains(value_of(me, b)) == \
             in_column_lattice(cs.snf_at, b), b
-    assert quotient_invariant_factors(cs.big_group, cs.small_group) == \
+    assert quotient_invariant_factors(cs.big_group, small) == \
         cs.invariant_factors
     assert len({lbl.flat() for lbl in cs.labels}) == cs.e
-    for val, lbl in zip(cs.values, cs.labels):
-        assert cs.small_group.contains(val - lbl)
-        for s in cs.small_group.generators:
+    for sigma, lbl in zip(cs.lattice_points, cs.labels):
+        val = value_of(me, sigma)
+        assert small.contains(val - lbl)
+        for s in small.generators:
             assert cs.quotient.label(val + s) == lbl
 
 
@@ -583,9 +593,9 @@ def test_a7_oracle_on_golden_ladder():
 
 def coset_system_oracle(cs, character_limit=64):
     """What coset_system takes from the parallelepiped and the integer
-    value map, recomputed independently: the Smith form of A^t, e = |det A|,
-    the values as Fraction sums of scaled y-values; each label read from
-    its integer row against the quotient's reduction of sigma's value; the
+    value map, recomputed independently: the Smith form of A^t, e = |det A|;
+    each label read from its integer row against the quotient's reduction
+    of sigma's value, a Fraction sum of scaled y-values (value_of); the
     proven invariant
     part against the Smith-residue membership test of every basis label;
     and (for e up to the limit) the integer character table over the
@@ -593,8 +603,7 @@ def coset_system_oracle(cs, character_limit=64):
     me = cs.extension
     assert cs.snf_at == smith_normal_form(me.A.transpose())
     assert cs.e == abs(determinant(me.A))
-    assert cs.values == tuple(value_of(me, s) for s in cs.lattice_points)
-    assert cs.labels == tuple(cs.quotient.label(me.value(s))
+    assert cs.labels == tuple(cs.quotient.label(value_of(me, s))
                               for s in cs.lattice_points)
     assert induced_x_values(me) == tuple(value_of(me, row)
                                          for row in me.A.entries)
@@ -646,10 +655,20 @@ def test_quotient_from_coordinate_rows_matches_generators():
         cs = coset_system(strong_monomialize(me).final)
         final = cs.extension
         small = ValueGroup(final.structure, induced_x_values(final))
-        assert cs.small_group == small
         q = Quotient(cs.big_group, generator_rows(cs.big_group, small))
         assert cs.quotient.hnf == q.hnf
         assert cs.quotient.index == q.index == cs.e
+
+
+def test_coset_system_reads_y_coordinates_from_integer_rows(monkeypatch):
+    # M comes from the value matrix's rows by back-substitution; no
+    # y-value is scaled again through its Fractions
+    def refuse(self, gamma):
+        raise AssertionError("ValueGroup.coordinates called")
+
+    monkeypatch.setattr(ValueGroup, "coordinates", refuse)
+    for me in corpus_extensions():
+        coset_system(strong_monomialize(me).final)
 
 
 def test_unchecked_extension_matrices_equal_checked_ones(monkeypatch):

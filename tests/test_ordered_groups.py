@@ -15,11 +15,13 @@ from gradedval.ordered_groups import (
     GroupStructure,
     Quotient,
     ValueGroup,
+    common_denominator,
     coset_label,
     generator_rows,
     isolated_level,
     lex_compare,
     quotient_invariant_factors,
+    scaled_row,
     subgroup_index,
 )
 
@@ -241,3 +243,31 @@ def test_quotient_errors_match_wrappers():
     line = ValueGroup(two, (two.element(((1,), (0,))),))
     with pytest.raises(InfiniteIndex):
         Quotient(full, generator_rows(full, line))
+
+
+def test_scaled_rows_match_fraction_products():
+    # the one scaling of group values to integer rows, against L * c in
+    # Fractions; and the group's own denominator makes row_coordinates
+    # agree with coordinates
+    rng = random.Random(23)
+    structure = GroupStructure((Block(), Block(quad=2)))
+    for _ in range(200):
+        elements = [structure.element(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))],
+             [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              for _ in range(2)]]) for _ in range(rng.randint(1, 3))]
+        bound = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        L = common_denominator(elements, bound)
+        flats = [c for g in elements for c in g.flat()] + [bound]
+        assert all((c * L).denominator == 1 for c in flats)
+        assert all(any((c * (L // p)).denominator != 1 for c in flats)
+                   for p in (2, 3, 5) if L % p == 0)
+        for g in elements:
+            assert scaled_row(g, L) == tuple(int(c * L) for c in g.flat())
+            if any((c * 7).denominator != 1 for c in g.flat()):
+                assert scaled_row(g, 7) is None
+        group = ValueGroup(structure, elements)
+        own = common_denominator(elements)
+        for g in elements:
+            assert group.row_coordinates(scaled_row(g, own)) == \
+                group.coordinates(g)

@@ -1,11 +1,25 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gradedval.errors import CharMismatch, Inconsistent, MissingIndex
+import gradedval
+from gradedval.errors import (
+    CharMismatch,
+    EnumerationOverflow,
+    Inconsistent,
+    MissingIndex,
+)
 from gradedval.ramification import (
+    _PRIME_BOUND,
     ExtensionRecord,
+    _is_prime,
     compose_tower,
     ostrowski_defect,
     trivial_record,
@@ -125,3 +139,64 @@ def test_unramified_criterion():
     assert not unramified_criterion(
         ExtensionRecord(N=2, e=2, f=1, p=0, d=Fraction(2), g=Fraction(1)))
 
+
+
+def trial_division_is_prime(p):
+    """The primality test the ledger ran before Miller-Rabin, kept as the
+    oracle: trial division by 2 and the odd numbers up to sqrt(p)."""
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    k = 3
+    while k * k <= p:
+        if p % k == 0:
+            return False
+        k += 2
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [p for p in range(-3, 10 ** 5) if _is_prime(p)] == \
+        [p for p in range(-3, 10 ** 5) if trial_division_is_prime(p)]
+
+
+def test_is_prime_on_large_primes_and_strong_pseudoprimes():
+    mersenne61 = 2 ** 61 - 1
+    assert _is_prime(mersenne61)
+    assert _is_prime(100000000000000000039)
+    assert not _is_prime(mersenne61 * 1000003)
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first 12
+    # primes: only a later base shows them composite
+    assert not _is_prime(3215031751)
+    assert not _is_prime(318665857834031151167461)
+    assert not _is_prime(1000000007 * 998244353)
+
+
+def test_is_prime_refuses_past_its_bound():
+    assert not _is_prime(_PRIME_BOUND - 1)      # even
+    for p in (_PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(EnumerationOverflow):
+            _is_prime(p)
+    with pytest.raises(EnumerationOverflow):
+        ExtensionRecord(N=1, e=1, f=1, p=2 ** 89 - 1)
+
+
+def test_large_prime_ledger_record_ends_at_once():
+    # trial division of this p ran until a 3 s timeout killed it; the run
+    # gets a wall bound of its own process, under -O when this is
+    data = {"records": [{"N": "1", "e": "1", "f": "1",
+                         "p": "100000000000000000039"}]}
+    env = dict(os.environ)
+    src_dir = str(Path(gradedval.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-m", "gradedval.cli",
+         "ledger", "--json"], input=json.dumps(data), env=env,
+        capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 20
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["records"] == [{"delta": "0", "ok": True}]
