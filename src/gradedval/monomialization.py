@@ -209,6 +209,10 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     Every non-T row m of a valid extension is in Theorem-4.8 shape, so
     none is checked again: validate admits a_mj != 0 only at j = m with
     a_mm = 1 or at a T-column of a strictly later block, and never < 0.
+    Nor is row m checked after its "r" step: no step changes a T-row (0
+    off the T-columns of its own and later blocks), the bursts make row m
+    h + b on later_t, 1 at m and 0 elsewhere, and c = adj (h + b) / det
+    solves A_sub^t c = h + b exactly.  SSMForm(final) checks it again.
     """
     problems = validate(me)
     if problems:
@@ -267,9 +271,6 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
                             if exp))
         state.apply(r_step)
         steps.append(r_step)
-        if rows[m] != unit_row:
-            raise NoNonnegativeLift(
-                f"row {m} failed to normalize: lift was inconsistent")
         rescale = TransformStep(kind="rescale", row=m)
         state.apply(rescale)
         steps.append(rescale)

@@ -33,16 +33,15 @@ from .ordered_groups import (
 )
 from .ramification import ExtensionRecord, unramified_criterion
 from .serialize import (
-    dec_bool,
-    dec_element,
     dec_extension,
-    dec_frac,
     dec_int,
-    dec_structure,
+    dec_ledger_records,
+    dec_semigroup_section,
     enc_coset_system,
     enc_element,
     enc_int,
     enc_matrix,
+    field,
 )
 from .value_semigroups import ValueSemigroup, semigroup_difference
 
@@ -132,61 +131,24 @@ class Scenario:
     residue_degree: int
     semigroup: dict | None
     records: tuple
-    expect: dict
-
-
-def dec_semigroup_section(data):
-    """The semigroup section of a scenario or of `gradedval semigroup`,
-    every field decoded."""
-    structure = dec_structure(data["structure"])
-    return {
-        "structure": structure,
-        "small": tuple(dec_element(structure, v) for v in data["small"]),
-        "big": tuple(dec_element(structure, v) for v in data["big"]),
-        "bound": dec_frac(data.get("bound", "4")),
-        "expect_growth": dec_bool(data, "expect_growth"),
-    }
-
-
-def dec_ledger_records(records):
-    """(ExtensionRecord fields, expect_error, unramified or None) for each
-    ledger record, every field decoded before any record is checked: a
-    malformed field is a ParseError, never the error a record expects."""
-    out = []
-    for data in records:
-        fields = {
-            "N": dec_int(data["N"]),
-            "e": dec_int(data["e"]),
-            "f": dec_int(data["f"]),
-            "p": dec_int(data.get("p", "0")),
-            "delta": dec_int(data["delta"]) if "delta" in data else None,
-            "d": dec_frac(data["d"]) if "d" in data else None,
-            "g": dec_frac(data["g"]) if "g" in data else None,
-        }
-        unramified = (dec_bool(data, "unramified")
-                      if "unramified" in data else None)
-        out.append((fields, dec_bool(data, "expect_error"), unramified))
-    return tuple(out)
+    expect: dict               # decoded: {"e": int} or {}
 
 
 def load_scenario(data) -> Scenario:
-    if not isinstance(data, dict) or "name" not in data:
-        raise ParseError("scenario must be an object with a name")
-    name = str(data["name"])
-    f = dec_int(data.get("residue_degree", "1"))
+    """The scenario of a JSON object, every field decoded before any case."""
+    name = str(field(data, "name"))
+    f = dec_int(field(data, "residue_degree", "1"))
     extensions = []
     if "extension" in data:
-        extensions.append((name, dec_extension(data["extension"])))
+        extensions.append((name, dec_extension(field(data, "extension"))))
     if "random" in data:
-        spec = data["random"]
-        if not isinstance(spec, dict):
-            raise ParseError("random section must be an object")
-        seed = dec_int(spec.get("seed", "0"))
-        count = dec_int(spec.get("count", "5"))
+        spec = field(data, "random")
+        seed = dec_int(field(spec, "seed", "0", "random section"))
+        count = dec_int(field(spec, "count", "5"))
         if not 0 <= count <= _RANDOM_COUNT_MAX:
             raise ParseError(f"random.count must be in [0, "
                              f"{_RANDOM_COUNT_MAX}], not {count}")
-        e_max = dec_int(spec.get("e_max", "24"))
+        e_max = dec_int(field(spec, "e_max", "24"))
         if e_max < 1:
             # no extension has |det A| < 1, so the sampling would not end
             raise ParseError(f"random.e_max must be at least 1, not {e_max}")
@@ -196,12 +158,13 @@ def load_scenario(data) -> Scenario:
                 (f"{name}[{k}]", random_extension_bounded(rng, e_max=e_max)))
     semigroup = None
     if "semigroups" in data:
-        semigroup = dec_semigroup_section(data["semigroups"])
-    records = dec_ledger_records(data.get("extension_records", []))
-    expect = data.get("expect", {})
+        semigroup = dec_semigroup_section(field(data, "semigroups"))
+    records = dec_ledger_records(field(data, "extension_records", []))
+    expect = field(data, "expect", {})
+    e = field(expect, "e", None)
     return Scenario(name=name, extensions=tuple(extensions),
-                    residue_degree=f, semigroup=semigroup,
-                    records=records, expect=expect)
+                    residue_degree=f, semigroup=semigroup, records=records,
+                    expect={"e": dec_int(e)} if "e" in expect else {})
 
 
 _CHARACTER_LIMIT = 24     # largest e for the e x e character-table check
@@ -269,14 +232,15 @@ def _run_extension_case(label, me, f):
 
 
 def _run_semigroup_section(sg):
+    """Report of a semigroup section; one index decides groups_equal:
+    subgroup_index refuses small outside big, and index 1 means equal."""
     structure = sg["structure"]
     small = ValueSemigroup(ambient=ValueGroup(structure, sg["small"]),
                            generators=sg["small"])
     big = ValueSemigroup(ambient=ValueGroup(structure, sg["big"]),
                          generators=sg["big"])
     witnesses = semigroup_difference(small, big, sg["bound"])
-    groups_equal = (subgroup_index(big.ambient, small.ambient) == 1
-                    and subgroup_index(small.ambient, big.ambient) == 1)
+    groups_equal = subgroup_index(big.ambient, small.ambient) == 1
     grew = bool(witnesses)
     ok = grew == sg["expect_growth"]
     return {
@@ -315,16 +279,13 @@ def run_pipeline(scenario: Scenario, input_sha256=None):
     report = {"scenario": scenario.name}
     if input_sha256 is not None:
         report["input_sha256"] = input_sha256
-    ok = True
-    cases = []
-    for label, me in scenario.extensions:
-        case = _run_extension_case(label, me, scenario.residue_degree)
-        ok = ok and case["ok"]
-        cases.append(case)
-    report["cases"] = cases
+    report["cases"] = cases = [
+        _run_extension_case(label, me, scenario.residue_degree)
+        for label, me in scenario.extensions]
+    ok = all(c["ok"] for c in cases)
     if "e" in scenario.expect and cases:
-        matches = all(c.get("e") == str(dec_int(scenario.expect["e"]))
-                      for c in cases)
+        e = enc_int(scenario.expect["e"])
+        matches = all(c.get("e") == e for c in cases)
         report["expected_e_matches"] = matches
         ok = ok and matches
     if scenario.semigroup is not None:

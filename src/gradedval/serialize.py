@@ -22,6 +22,21 @@ from .monomialization import STEP_KINDS, CosetSystem, TransformStep
 from .ordered_groups import Block, GroupStructure
 
 
+REQUIRED = object()        # the default of a field that must be present
+
+
+def field(data, key, default=REQUIRED, what=None):
+    """data[key], or default when key is absent; a ParseError names a
+    REQUIRED key that is absent, or data (what) when it is no JSON object."""
+    if not isinstance(data, dict):
+        what = what or f"the object holding {key!r}"
+        raise ParseError(f"{what} must be a JSON object, not "
+                         f"{type(data).__name__}")
+    if default is REQUIRED and key not in data:
+        raise ParseError(f"missing field {key!r}")
+    return data.get(key, default)
+
+
 def enc_int(n):
     return str(int(n))
 
@@ -40,7 +55,7 @@ def dec_int(s):
 def dec_bool(data, key):
     """The flag data[key]: JSON true or false, and false when absent.  A
     string, number or null is rejected, so "false" never reads as true."""
-    flag = data.get(key, False)
+    flag = field(data, key, False)
     if not isinstance(flag, bool):
         raise ParseError(f"{key} must be true or false, not {flag!r}")
     return flag
@@ -86,22 +101,19 @@ def enc_structure(s: GroupStructure):
     return {"blocks": [{"quad": b.quad} for b in s.blocks]}
 
 
-def _dec_quad(q):
-    """A block's quad: null, an integer string, or the bare JSON integer
-    enc_structure writes; a float, a bool or a non-integer string is
-    rejected, so 2.5 is never truncated to 2."""
-    if q is None or (isinstance(q, int) and not isinstance(q, bool)):
-        return q
-    return dec_int(q)
+def _dec_block(data):
+    """A block, whose quad is null, an integer string, or the bare JSON
+    integer enc_structure writes; a float, a bool or a non-integer string
+    is rejected, so 2.5 is never truncated to 2."""
+    q = field(data, "quad", None)
+    if not (q is None or (isinstance(q, int) and not isinstance(q, bool))):
+        q = dec_int(q)
+    return Block(quad=q)
 
 
 def dec_structure(data):
-    try:
-        blocks = tuple(Block(quad=_dec_quad(b.get("quad")))
-                       for b in data["blocks"])
-    except (TypeError, KeyError, AttributeError):
-        raise ParseError("malformed group structure")
-    return GroupStructure(blocks)
+    return GroupStructure(
+        dec_list(field(data, "blocks"), "blocks", _dec_block))
 
 
 def enc_element(el):
@@ -145,18 +157,17 @@ def enc_coset_system(cs: CosetSystem):
     }
 
 
-def _dec_list(data, what):
-    """data, which must be a JSON list: a string, number or object is
-    rejected, so the string "11" never reads as ["1", "1"]."""
+def dec_list(data, what, decode):
+    """The items of data, each decoded; data must be a JSON list, so the
+    string "11" never reads as ["1", "1"]."""
     if not isinstance(data, list):
         raise ParseError(f"{what} must be a list, not {type(data).__name__}")
-    return data
+    return tuple(map(decode, data))
 
 
 def dec_element(structure, data):
-    coords = tuple(tuple(map(dec_frac, _dec_list(comp, "element block")))
-                   for comp in _dec_list(data, "group element"))
-    return structure.element(coords)
+    block = partial(dec_list, what="element block", decode=dec_frac)
+    return structure.element(dec_list(data, "group element", block))
 
 
 def enc_extension(me: MonomialExtension):
@@ -184,21 +195,18 @@ def dec_extension(data):
     """A monomial extension.  blocks.t, blocks.s, A, unit_markers and
     y_values must be JSON lists and each unit marker a string; anything
     else is a ParseError, never coerced."""
-    try:
-        blocks = data["blocks"]
-        bs = BlockStructure(
-            r=dec_int(blocks["r"]),
-            t=tuple(map(dec_int, _dec_list(blocks["t"], "blocks.t"))),
-            s=tuple(map(dec_int, _dec_list(blocks["s"], "blocks.s"))),
-        )
-        structure = dec_structure(data["structure"])
-        A = dec_matrix(data["A"])
-        markers = tuple(map(_dec_marker,
-                            _dec_list(data["unit_markers"], "unit_markers")))
-        values = tuple(dec_element(structure, v)
-                       for v in _dec_list(data["y_values"], "y_values"))
-    except (TypeError, KeyError):
-        raise ParseError("malformed monomial extension")
+    blocks = field(data, "blocks")
+    bs = BlockStructure(
+        r=dec_int(field(blocks, "r")),
+        t=dec_list(field(blocks, "t"), "blocks.t", dec_int),
+        s=dec_list(field(blocks, "s"), "blocks.s", dec_int),
+    )
+    structure = dec_structure(field(data, "structure"))
+    A = dec_matrix(field(data, "A"))
+    markers = dec_list(field(data, "unit_markers"), "unit_markers",
+                       _dec_marker)
+    values = dec_list(field(data, "y_values"), "y_values",
+                      partial(dec_element, structure))
     return MonomialExtension(blocks=bs, A=A, unit_markers=markers,
                              y_values=values)
 
@@ -215,22 +223,28 @@ def enc_step(step: TransformStep):
     return out
 
 
+def _dec_exponent(pair):
+    """An exponent pair of an "r" step: a JSON list of two integers, so
+    the string "12" never reads as the pair (1, 2)."""
+    pair = dec_list(pair, "exponent pair", dec_int)
+    if len(pair) != 2:
+        raise ParseError(f"exponent pair must have 2 entries, not {pair}")
+    return pair
+
+
 def dec_step(data):
-    try:
-        kind = data["kind"]
-        if kind not in STEP_KINDS:
-            raise ParseError(f"unknown step kind {kind!r}")
-        return TransformStep(
-            kind=kind,
-            row=dec_int(data["row"]),
-            target=dec_int(data["target"]) if "target" in data else None,
-            blocks=(tuple(dec_int(x) for x in data["blocks"])
-                    if "blocks" in data else None),
-            exponents=tuple((dec_int(r), dec_int(e))
-                            for r, e in data.get("exponents", [])),
-        )
-    except (TypeError, KeyError, ValueError):
-        raise ParseError("malformed transform step")
+    kind = field(data, "kind")
+    if kind not in STEP_KINDS:
+        raise ParseError(f"unknown step kind {kind!r}")
+    return TransformStep(
+        kind=kind,
+        row=dec_int(field(data, "row")),
+        target=dec_int(field(data, "target")) if "target" in data else None,
+        blocks=(dec_list(field(data, "blocks"), "blocks", dec_int)
+                if "blocks" in data else None),
+        exponents=dec_list(field(data, "exponents", []), "exponents",
+                           _dec_exponent),
+    )
 
 
 def enc_trace(trace):
@@ -239,6 +253,42 @@ def enc_trace(trace):
         "steps": [enc_step(s) for s in trace.steps],
         "final": enc_extension(trace.final.extension),
     }
+
+
+def dec_semigroup_section(data):
+    """The semigroup section of a scenario or of `gradedval semigroup`,
+    every field decoded."""
+    structure = dec_structure(field(data, "structure"))
+    element = partial(dec_element, structure)
+    return {
+        "structure": structure,
+        "small": dec_list(field(data, "small"), "small", element),
+        "big": dec_list(field(data, "big"), "big", element),
+        "bound": dec_frac(field(data, "bound", "4")),
+        "expect_growth": dec_bool(data, "expect_growth"),
+    }
+
+
+def _dec_record(data):
+    fields = {
+        "N": dec_int(field(data, "N")),
+        "e": dec_int(field(data, "e")),
+        "f": dec_int(field(data, "f")),
+        "p": dec_int(field(data, "p", "0")),
+        "delta": dec_int(field(data, "delta")) if "delta" in data else None,
+        "d": dec_frac(field(data, "d")) if "d" in data else None,
+        "g": dec_frac(field(data, "g")) if "g" in data else None,
+    }
+    unramified = (dec_bool(data, "unramified")
+                  if "unramified" in data else None)
+    return fields, dec_bool(data, "expect_error"), unramified
+
+
+def dec_ledger_records(records):
+    """(ExtensionRecord fields, expect_error, unramified or None) for each
+    ledger record, every field decoded before any record is checked: a
+    malformed field is a ParseError, never the error a record expects."""
+    return dec_list(records, "records", _dec_record)
 
 
 def canonical_dumps(obj):

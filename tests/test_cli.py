@@ -111,6 +111,83 @@ def test_non_object_random_section_exits_2(tmp_path, capsys):
     assert "random section" in capsys.readouterr().err
 
 
+DIAG23 = json.loads(bundled_scenario_bytes("diag23.json"))["extension"]
+
+
+# each of these exited 2 with "malformed input (...)", a Python error
+# re-labelled by a catch-all in main, or with a message that named no
+# field, or ran: "expect" was read after every case had run, and not at
+# all when no case ran
+@pytest.mark.parametrize("command, data, message", [
+    ("snf", {"wrong": []}, "missing field 'matrix'"),
+    ("pipeline --replay", {"steps": [], "final": {}},
+     "missing field 'initial'"),
+    ("pipeline --replay", {"initial": DIAG23, "final": DIAG23},
+     "missing field 'steps'"),
+    ("pipeline --replay", {"initial": DIAG23, "steps": 7, "final": DIAG23},
+     "steps must be a list, not int"),
+    ("ledger", {"records": ["N"]},
+     "the object holding 'N' must be a JSON object, not str"),
+    ("ledger", {"records": "N"}, "records must be a list, not str"),
+    ("semigroup", {"structure": {"blocks": [{}]}, "big": []},
+     "missing field 'small'"),
+    ("pipeline", {"name": "x", "random": {"count": "0"}, "expect": "e"},
+     "the object holding 'e' must be a JSON object, not str"),
+    ("pipeline", {"name": "x", "random": {"count": "0"},
+                  "expect": {"e": "x"}}, "not an integer: 'x'"),
+    ("pipeline", {"name": "x", "random": {"count": "0"},
+                  "expect": {"e": None}}, "not an integer string: None"),
+    ("graded", {"random": {}}, "missing field 'name'"),
+])
+def test_parse_errors_name_the_field(tmp_path, capsys, command, data,
+                                     message):
+    src = write(tmp_path, "in.json", data)
+    flag = [] if command.endswith("--replay") else ["--in"]
+    assert main([*command.split(), *flag, src, "--json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_pipeline_decodes_expect_before_any_case_runs(tmp_path, capsys,
+                                                      monkeypatch):
+    # "expect": "e" used to run every case, then exit 2
+    def no_case(*args):
+        raise AssertionError("a case ran")
+    monkeypatch.setattr(scenarios, "_run_extension_case", no_case)
+    data = json.loads(bundled_scenario_bytes("random_a.json"))
+    src = write(tmp_path, "s.json", dict(data, expect="e"))
+    assert main(["pipeline", "--scenario", src, "--json"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_no_handler_relabels_python_errors():
+    # a KeyError, TypeError or AttributeError is a program bug, never
+    # "malformed input": decoders raise ParseError themselves
+    import ast
+    root = Path(gradedval.__file__).resolve().parent
+    named = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type)
+                         if isinstance(n, ast.Name)}
+                named += [(path.name, n) for n in sorted(
+                    names & {"KeyError", "TypeError", "AttributeError"})]
+    assert named == []
+
+
+@pytest.mark.parametrize("flag", ["--in", "--out"])
+def test_os_errors_exit_2_with_one_line(tmp_path, capsys, flag):
+    # a directory for --in or --out ended in an IsADirectoryError traceback
+    src = write(tmp_path, "m.json", {"matrix": [["2"]]})
+    argv = ["snf", "--in", str(tmp_path) if flag == "--in" else src]
+    if flag == "--out":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_monomialize_and_replay(tmp_path, capsys):
     src = scenario_path(tmp_path, "rank2_h2.json")
     trace = str(tmp_path / "trace.json")
@@ -141,6 +218,9 @@ def test_replay_detects_tampering(tmp_path, capsys):
     # an exponent pair of the wrong length gave a ValueError traceback
     ({"kind": "r", "row": "1", "exponents": [["1"]]}, False),
     ({"kind": "r", "row": "1", "exponents": [["1", "1", "1"]]}, False),
+    # a string was iterated: "12" read as the pair or blocks (1, 2)
+    ({"kind": "r", "row": "1", "exponents": ["12"]}, False),
+    ({"kind": "s", "row": "0", "target": "1", "blocks": "12"}, True),
 ])
 def test_replay_rejects_malformed_steps(tmp_path, capsys, step, first):
     # each used to give a traceback, or a result read from the last row
@@ -234,6 +314,24 @@ def test_graded_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["cases"][0]["e"] == "6"
     assert out["cases"][0]["rank"] == "6"
+
+
+def test_graded_runs_only_the_extension_cases(tmp_path, capsys):
+    # graded ran the whole pipeline and kept only its cases: a semigroup
+    # generator of large value made it enumerate for about 4 s and exit 1
+    # with empty stdout, although its report has no case
+    data = edited("section5.json", "semigroups", "small", 1,
+                  value=[["998244359987710471"]])
+    src = write(tmp_path, "s.json", data)
+    start = time.perf_counter()
+    assert main(["graded", "--scenario", src, "--json"]) == 0
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out)["cases"] == []
+    # the sections are still decoded
+    data["semigroups"]["bound"] = 4
+    src = write(tmp_path, "s.json", data)
+    assert main(["graded", "--scenario", src, "--json"]) == 2
+    assert capsys.readouterr().err == "error: not a rational string: 4\n"
 
 
 def test_semigroup_command(tmp_path, capsys):

@@ -7,23 +7,32 @@ contract holds: the exit code is 0, 1 or 2, no exception escapes main, an
 exit 2 prints exactly one line on standard error, and the call ends within
 CALL_SECONDS (enforced with an interval timer where the platform has one).
 
+The inputs are the bundled corpus and, from the benchmark's mixed workload
+at one fixed seed, its generated extension scenarios (one per size), its
+semigroup sections and its ledger sections.
+
 fuzz(seed, runs, seconds) is the whole loop, so a longer sweep is one call
 of it from a script; the test runs a short one.
 """
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import random
 import signal
 import sys
 import time
+from pathlib import Path
 
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names, main
 
 # wall bound of one CLI call
 CALL_SECONDS = 10
+# the benchmark's generator, loaded by path, and the seed of its inputs
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+MIXED_SEED = 7
 # what a changed leaf becomes: integer and rational strings, malformed
 # strings, JSON numbers, booleans, null and containers.  The large prime
 # and the product of two primes near 10**9 reach a ledger p that trial
@@ -54,11 +63,39 @@ def corpus():
             trace = call(["monomialize", "--in"], ext)[1]
             out.append((["pipeline", "--replay"],
                         {k: trace[k] for k in ("initial", "steps", "final")}))
-        if "semigroups" in data:
-            out.append((["semigroup", "--in"], data["semigroups"]))
-        if "extension_records" in data:
-            out.append((["ledger", "--in"],
-                        {"records": data["extension_records"]}))
+        out += section_inputs(data)
+    return out + generated()
+
+
+def section_inputs(data):
+    """The inputs of semigroup and ledger in a scenario's sections."""
+    out = []
+    if "semigroups" in data:
+        out.append((["semigroup", "--in"], data["semigroups"]))
+    if "extension_records" in data:
+        out.append((["ledger", "--in"],
+                    {"records": data["extension_records"]}))
+    return out
+
+
+def generated():
+    """(argv before --in, JSON object) for the scenarios the benchmark's
+    mixed workload generates at MIXED_SEED: each semigroup and ledger
+    scenario, through pipeline and through its section's command, and
+    the first extension scenario of each (n, e): the 159 differ little
+    and would crowd the other inputs out of the draws."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out, shapes = [], set()
+    for case in gen.mixed(MIXED_SEED):
+        shape = (case["n"], case["e"])
+        if case["kind"] != "pipeline" or shape in shapes:
+            continue
+        data = json.loads(case["data"])
+        if "extension" in data:
+            shapes.add(shape)
+        out += [(["pipeline", "--scenario"], data), *section_inputs(data)]
     return out
 
 
