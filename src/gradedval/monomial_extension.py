@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import mul
 
 from .errors import (
@@ -32,7 +33,9 @@ from .ordered_groups import (
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Block count r with per-block sizes t_i and rational ranks s_i."""
+    """Block count r with per-block sizes t_i and rational ranks s_i.  The
+    offsets, the block of each index and the T-indices are computed once,
+    so every query is a lookup."""
 
     r: int
     t: tuple
@@ -46,37 +49,36 @@ class BlockStructure:
         for ti, si in zip(t, s):
             if not 1 <= si <= ti:
                 raise InvalidExtension("each block needs 1 <= s_i <= t_i")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
+        offsets = tuple(accumulate(t, initial=0))
+        for name, value in (
+                ("t", t), ("s", s), ("_offsets", offsets),
+                ("_block", tuple(b for b, ti in enumerate(t)
+                                 for _ in range(ti))),
+                ("_t_indices", tuple(j for off, si in zip(offsets, s)
+                                     for j in range(off, off + si)))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
-        return sum(self.t)
+        return self._offsets[-1]
 
     def offset(self, block):
-        """Index of the first variable of the given block (0-based)."""
-        return sum(self.t[:block])
+        """Index of the first variable of block (0-based); offset(r) = n."""
+        return self._offsets[block]
 
     def block_of(self, index):
         """Block number (0-based) containing variable index."""
-        pos = 0
-        for b, ti in enumerate(self.t):
-            if pos <= index < pos + ti:
-                return b
-            pos += ti
-        raise IndexError(index)
+        if not 0 <= index < self.n:
+            raise IndexError(index)
+        return self._block[index]
 
     def t_indices(self):
         """The T-set: first s_i indices of each block, ascending."""
-        out = []
-        for b in range(self.r):
-            off = self.offset(b)
-            out.extend(range(off, off + self.s[b]))
-        return tuple(out)
+        return self._t_indices
 
     def is_t_index(self, index):
         b = self.block_of(index)
-        return index - self.offset(b) < self.s[b]
+        return index - self._offsets[b] < self.s[b]
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,9 @@ class MonomialExtension:
         bs = self.blocks
         n = bs.n
         out = []
-        tset = set(bs.t_indices())
         for i in range(n):
             bi = bs.block_of(i)
-            i_is_t = i in tset
+            i_is_t = bs.is_t_index(i)
             for j in range(n):
                 a = self.A[i, j]
                 if a == 0:
@@ -149,12 +150,9 @@ class MonomialExtension:
                         "negative_exponent", (i, j),
                         f"exponent a[{i}][{j}] = {a} is negative"))
                     continue
-                if j in tset:
+                if bs.is_t_index(j):
                     bj = bs.block_of(j)
-                    if i_is_t:
-                        ok = bj >= bi
-                    else:
-                        ok = bj > bi or (j == i)
+                    ok = bj >= bi if i_is_t else (bj > bi or j == i)
                 else:
                     ok = j == i and a == 1
                 if not ok:
@@ -226,9 +224,8 @@ class SSMForm:
             raise InvalidExtension(
                 "; ".join(v.message for v in problems))
         bs = me.blocks
-        tset = set(bs.t_indices())
         for m in range(bs.n):
-            if m in tset:
+            if bs.is_t_index(m):
                 continue
             row = me.A.row(m)
             unit_row = tuple(1 if j == m else 0 for j in range(bs.n))

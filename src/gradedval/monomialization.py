@@ -218,8 +218,6 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     if problems:
         raise NotTheorem48Form("; ".join(v.message for v in problems))
     bs = me.blocks
-    tset = set(bs.t_indices())
-
     state = _Rewrite(me)
     rows = state.rows
     steps = []
@@ -227,7 +225,7 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     bound = 8 * max(max_entry, 1)
 
     for m in range(bs.n):
-        if m in tset:
+        if bs.is_t_index(m):
             continue
         unit_row = [1 if j == m else 0 for j in range(bs.n)]
         if rows[m] == unit_row:

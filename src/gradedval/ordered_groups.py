@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
+from itertools import accumulate, chain
 
 from .errors import (
     AmbientMismatch,
@@ -50,7 +50,8 @@ class Block:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """Ambient block/rank data: the lex order is fixed by the block list."""
+    """Ambient block/rank data: the lex order is fixed by the block list.
+    A value is one flat row, block after block, laid out by spans."""
 
     blocks: tuple
 
@@ -61,43 +62,52 @@ class GroupStructure:
     def rank(self):
         return len(self.blocks)
 
-    @property
+    @cached_property
+    def spans(self):
+        """The slice of a flat row that each block occupies, in order."""
+        ends = tuple(accumulate((b.rational_rank for b in self.blocks),
+                                initial=0))
+        return tuple(map(slice, ends, ends[1:]))
+
+    @cached_property
     def rational_rank(self):
         return sum(b.rational_rank for b in self.blocks)
 
+    def split(self, flat):
+        """The per-block pieces of a flat row (tuples for a tuple)."""
+        return tuple(flat[span] for span in self.spans)
+
     def zero(self):
-        return GroupElement(self, tuple(
-            (Fraction(0),) * b.rational_rank for b in self.blocks))
+        return GroupElement(self, (Fraction(0),) * self.rational_rank)
 
     def element(self, coords):
-        return GroupElement(self, tuple(
-            tuple(Fraction(c) for c in block) for block in coords))
+        """The element whose per-block coordinates are coords."""
+        comps = [tuple(map(Fraction, comp)) for comp in coords]
+        if len(comps) != self.rank:
+            raise AmbientMismatch("coordinate blocks != structure blocks")
+        if any(len(c) != b.rational_rank for c, b in zip(comps, self.blocks)):
+            raise AmbientMismatch("component length != block rank")
+        return GroupElement(self, tuple(chain.from_iterable(comps)))
 
     def from_flat(self, flat):
         """The element whose block coordinates, concatenated, are flat."""
-        it = iter(flat)
-        return GroupElement(self, tuple(
-            tuple(islice(it, b.rational_rank)) for b in self.blocks))
+        flat = tuple(map(Fraction, flat))
+        if len(flat) != self.rational_rank:
+            raise AmbientMismatch("component length != block rank")
+        return GroupElement(self, flat)
 
     def from_row(self, row, L):
         """The element whose flat coordinates are the integers row over L."""
-        return self.from_flat([Fraction(x, L) for x in row])
+        return GroupElement(self, tuple(Fraction(x, L) for x in row))
 
     def row_sign(self, row):
-        """The sign of from_row(row, L), for any L > 0, in integers."""
-        it = iter(row)
-        return _lex_sign(self.blocks, (tuple(islice(it, b.rational_rank))
-                                       for b in self.blocks))
-
-
-def _lex_sign(blocks, comps):
-    """Sign of the element with per-block components comps: the sign of
-    its first nonzero block, the earlier block dominating."""
-    for block, comp in zip(blocks, comps):
-        s = _block_sign(block, comp)
-        if s:
-            return s
-    return 0
+        """The sign of a flat row (of from_row(row, L) for any L > 0): that
+        of its first nonzero block, the earlier block dominating."""
+        for block, span in zip(self.blocks, self.spans):
+            s = _block_sign(block, row[span])
+            if s:
+                return s
+        return 0
 
 
 def _block_sign(block: Block, comp):
@@ -120,33 +130,26 @@ def _block_sign(block: Block, comp):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of a block group: per-block coordinate vectors of rationals."""
+    """Element of a block group: one flat tuple of Fraction coordinates,
+    made by its structure; > and >= reflect to < and <=."""
 
     structure: GroupStructure
-    coords: tuple
+    _flat: tuple
 
-    def __post_init__(self):
-        blocks = self.structure.blocks
-        if len(self.coords) != len(blocks):
-            raise AmbientMismatch("coordinate blocks != structure blocks")
-        fixed = []
-        for block, comp in zip(blocks, self.coords):
-            comp = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                         for c in comp)
-            if len(comp) != block.rational_rank:
-                raise AmbientMismatch("component length != block rank")
-            fixed.append(comp)
-        object.__setattr__(self, "coords", tuple(fixed))
+    @property
+    def coords(self):
+        """Per-block coordinate tuples."""
+        return self.structure.split(self._flat)
 
     def sign(self):
-        return _lex_sign(self.structure.blocks, self.coords)
+        return self.structure.row_sign(self._flat)
 
     def is_zero(self):
-        return all(c == 0 for comp in self.coords for c in comp)
+        return not any(self._flat)
 
     def flat(self):
         """Coordinates concatenated across blocks, as a rational vector."""
-        return tuple(c for comp in self.coords for c in comp)
+        return self._flat
 
     def _check_same(self, other):
         if self.structure != other.structure:
@@ -155,35 +158,25 @@ class GroupElement:
     def __add__(self, other):
         self._check_same(other)
         return GroupElement(self.structure, tuple(
-            tuple(a + b for a, b in zip(x, y))
-            for x, y in zip(self.coords, other.coords)))
+            a + b for a, b in zip(self._flat, other._flat)))
 
     def __sub__(self, other):
         self._check_same(other)
         return GroupElement(self.structure, tuple(
-            tuple(a - b for a, b in zip(x, y))
-            for x, y in zip(self.coords, other.coords)))
+            a - b for a, b in zip(self._flat, other._flat)))
 
     def __neg__(self):
-        return GroupElement(self.structure, tuple(
-            tuple(-a for a in x) for x in self.coords))
+        return GroupElement(self.structure, tuple(-a for a in self._flat))
 
     def scale(self, k):
         k = Fraction(k)
-        return GroupElement(self.structure, tuple(
-            tuple(k * a for a in x) for x in self.coords))
+        return GroupElement(self.structure, tuple(k * a for a in self._flat))
 
     def __lt__(self, other):
         return lex_compare(self, other) < 0
 
     def __le__(self, other):
         return lex_compare(self, other) <= 0
-
-    def __gt__(self, other):
-        return lex_compare(self, other) > 0
-
-    def __ge__(self, other):
-        return lex_compare(self, other) >= 0
 
 
 def lex_compare(a: GroupElement, b: GroupElement):
@@ -198,12 +191,8 @@ def isolated_level(gamma: GroupElement):
     Level i is the convex subgroup of elements whose first i blocks vanish;
     level 0 is the whole group and level rank is zero.
     """
-    level = 0
-    for comp in gamma.coords:
-        if any(c != 0 for c in comp):
-            break
-        level += 1
-    return level
+    return next((level for level, comp in enumerate(gamma.coords)
+                 if any(comp)), gamma.structure.rank)
 
 
 def common_denominator(elements, *rationals):

@@ -13,7 +13,6 @@ import json
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 
 from .errors import DimensionMismatch, ParseError
 from .exact_lattice import ExactMatrix
@@ -144,16 +143,13 @@ def enc_coset_system(cs: CosetSystem):
     ints = _Encoded(str).__getitem__
     L = cs.denominator
     ratio = ints if L == 1 else _Encoded(partial(enc_ratio, L=L)).__getitem__
-    widths = [b.rational_rank for b in cs.big_group.structure.blocks]
-    labels = []
-    for row in cs.label_rows:
-        it = map(ratio, row)
-        labels.append([list(islice(it, w)) for w in widths])
+    spans = cs.big_group.structure.spans
     return {
         "e": ints(cs.e),
         "invariant_factors": list(map(ints, cs.invariant_factors)),
         "lattice_points": [list(map(ints, p)) for p in cs.lattice_points],
-        "coset_labels": labels,
+        "coset_labels": [[list(map(ratio, row[span])) for span in spans]
+                         for row in cs.label_rows],
     }
 
 

@@ -70,14 +70,12 @@ def _box(structure, top):
     integer comparison p[k] <= top; a sqrt(d) block is the exact sign of
     its 2-tuple top - p."""
     tests = []
-    k = 0
-    for block in structure.blocks:
+    for block, span in zip(structure.blocks, structure.spans):
         if block.quad is None:
-            tests.append(lambda p, k=k: p[k] <= top)
+            tests.append(lambda p, k=span.start: p[k] <= top)
         else:
-            tests.append(lambda p, k=k, block=block: _block_sign(
+            tests.append(lambda p, k=span.start, block=block: _block_sign(
                 block, (top - p[k], -p[k + 1])) >= 0)
-        k += block.rational_rank
     return tuple(tests)
 
 
