@@ -34,8 +34,9 @@ from .ordered_groups import (
 @dataclass(frozen=True)
 class BlockStructure:
     """Block count r with per-block sizes t_i and rational ranks s_i.  The
-    offsets, the block of each index and the T-indices are computed once,
-    so every query is a lookup."""
+    offsets are computed at construction, and the block of each index and
+    the T-indices on first use (n entries, so not before n is checked
+    against the exponent matrix); every query is a lookup."""
 
     r: int
     t: tuple
@@ -49,14 +50,18 @@ class BlockStructure:
         for ti, si in zip(t, s):
             if not 1 <= si <= ti:
                 raise InvalidExtension("each block needs 1 <= s_i <= t_i")
-        offsets = tuple(accumulate(t, initial=0))
-        for name, value in (
-                ("t", t), ("s", s), ("_offsets", offsets),
-                ("_block", tuple(b for b, ti in enumerate(t)
-                                 for _ in range(ti))),
-                ("_t_indices", tuple(j for off, si in zip(offsets, s)
-                                     for j in range(off, off + si)))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_offsets", tuple(accumulate(t, initial=0)))
+
+    @cached_property
+    def _block(self):
+        return tuple(b for b, ti in enumerate(self.t) for _ in range(ti))
+
+    @cached_property
+    def _t_indices(self):
+        return tuple(j for off, si in zip(self._offsets, self.s)
+                     for j in range(off, off + si))
 
     @property
     def n(self):
