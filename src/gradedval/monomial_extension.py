@@ -33,10 +33,8 @@ from .ordered_groups import (
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Block count r with per-block sizes t_i and rational ranks s_i.  The
-    offsets are computed at construction, and the block of each index and
-    the T-indices on first use (n entries, so not before n is checked
-    against the exponent matrix); every query is a lookup."""
+    """Block count r with per-block sizes t_i and rational ranks s_i.  Every
+    query is a lookup in the offsets or in a table built on first use."""
 
     r: int
     t: tuple
@@ -56,6 +54,7 @@ class BlockStructure:
 
     @cached_property
     def _block(self):
+        # n entries, so built after the extension checked n against A
         return tuple(b for b, ti in enumerate(self.t) for _ in range(ti))
 
     @cached_property

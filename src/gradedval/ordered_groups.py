@@ -65,8 +65,7 @@ class GroupStructure:
     @cached_property
     def spans(self):
         """The slice of a flat row that each block occupies, in order."""
-        ends = tuple(accumulate((b.rational_rank for b in self.blocks),
-                                initial=0))
+        ends = (0, *accumulate(b.rational_rank for b in self.blocks))
         return tuple(map(slice, ends, ends[1:]))
 
     @cached_property
