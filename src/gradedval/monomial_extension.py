@@ -181,8 +181,7 @@ class MonomialExtension:
             out.append(Violation(
                 "dependent_values", tuple(tlist),
                 "T-indexed y-values are rationally dependent"))
-        for j in range(n):
-            v = self.y_values[j]
+        for j, v in enumerate(self.y_values):
             if v.sign() <= 0:
                 out.append(Violation(
                     "nonpositive_value", (j,),
