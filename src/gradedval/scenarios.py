@@ -136,7 +136,9 @@ class Scenario:
 
 def load_scenario(data) -> Scenario:
     """The scenario of a JSON object, every field decoded before any case."""
-    name = str(field(data, "name"))
+    name = field(data, "name")
+    if not isinstance(name, str):
+        raise ParseError(f"scenario name must be a string, not {name!r}")
     f = dec_int(field(data, "residue_degree", "1"))
     extensions = []
     if "extension" in data:

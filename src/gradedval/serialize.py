@@ -297,12 +297,16 @@ def sha256_hex(data: bytes):
 
 
 def load_json(text):
+    """The JSON document text; malformed or too deeply nested JSON (the
+    decoder's RecursionError) is a ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}")
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply")
 
 
 def load_object(text):

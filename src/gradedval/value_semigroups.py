@@ -94,6 +94,9 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     positive there, later ones vanish), so a sum outside the box there is
     dropped and each generator is added until block l leaves the box.  No
     cap comes from a tail, which may be negative: the result is exhaustive.
+    Every added sum spends one unit of _SEARCH_BUDGET; when the first
+    generator alone would spend more, the same EnumerationOverflow is
+    raised before the loop.
 
     With scale L, a multiple of the bound's and of every generator's
     denominators, the sorted integer rows L * gamma are returned instead
@@ -106,12 +109,22 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
         if scale % L:
             raise ValueError(f"scale {scale} does not clear denominator {L}")
         L = scale
-    box = _box(structure, int(bound * L))
+    top = int(bound * L)
+    box = _box(structure, top)
+    gens = sorted((isolated_level(g), scaled_row(g, L)) for g in S.generators)
+    if gens and top >= 0:
+        # on a rational block, where its entry g0 is > 0, the first
+        # generator alone adds the top // g0 + 1 sums k * g0 (0 passes
+        # every earlier block's test): past the budget, refuse at once
+        level, row = gens[0]
+        g0 = row[structure.spans[level].start]
+        if (structure.blocks[level].quad is None
+                and top // g0 >= _SEARCH_BUDGET):
+            raise EnumerationOverflow("enumeration budget exhausted")
     budget = _SEARCH_BUDGET
     sums = {(0,) * structure.rational_rank}
     done = 0            # blocks below done are final and inside the box
-    for level, row in sorted((isolated_level(g), scaled_row(g, L))
-                             for g in S.generators):
+    for level, row in gens:
         if level > done:
             below = box[done:level]
             sums = {p for p in sums if _in_box(below, p)}

@@ -73,6 +73,31 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document", ["[" * 200_000,
+                                      '{"matrix": ' + "[" * 200_000])
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys,
+                                                  document):
+    # json's decoder raised RecursionError past the JSONDecodeError
+    # handler: a traceback, exit 1
+    src = write(tmp_path, "deep.json", document)
+    assert main(["snf", "--in", src, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("name", [None, 23, True, ["diag23"], {"n": "x"}])
+def test_scenario_name_must_be_a_string(tmp_path, capsys, name):
+    # "name": null used to run as scenario "None" and exit 0
+    src = write(tmp_path, "s.json", edited("diag23.json", "name",
+                                           value=name))
+    for command in ("pipeline", "graded"):
+        assert main([command, "--scenario", src, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: scenario name must be a string, not {name!r}\n"
+
+
 def test_missing_key_exits_2(tmp_path, capsys):
     src = write(tmp_path, "bad.json", {"wrong": []})
     assert main(["snf", "--in", src, "--json"]) == 2
@@ -332,6 +357,25 @@ def test_graded_runs_only_the_extension_cases(tmp_path, capsys):
     src = write(tmp_path, "s.json", data)
     assert main(["graded", "--scenario", src, "--json"]) == 2
     assert capsys.readouterr().err == "error: not a rational string: 4\n"
+
+
+@pytest.mark.parametrize("argv", [["pipeline", "--scenario"],
+                                  ["semigroup", "--in"]])
+def test_semigroup_budget_is_refused_before_enumerating(tmp_path, capsys,
+                                                        argv):
+    # the big generator 1 alone would add 998244359987710471 + 1 sums; the
+    # same refusal used to come after the whole budget, about 3 s
+    data = edited("section5.json", "semigroups", "small", 1,
+                  value=[["998244359987710471"]])
+    if argv[0] == "semigroup":
+        data = data["semigroups"]
+    src = write(tmp_path, "s.json", data)
+    start = time.perf_counter()
+    assert main(argv + [src, "--json"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "check failed: EnumerationOverflow: enumeration budget "
+            "exhausted\n")
 
 
 def test_semigroup_command(tmp_path, capsys):

@@ -34,6 +34,22 @@ def el(structure, *coords):
     return structure.element(coords)
 
 
+def test_spans_lay_out_one_flat_row():
+    mixed = GroupStructure((Block(quad=2), Block(), Block(quad=3)))
+    assert mixed.spans == (slice(0, 2), slice(2, 3), slice(3, 5))
+    assert mixed.rational_rank == 5
+    assert mixed.split((1, 2, 3, 4, 5)) == ((1, 2), (3,), (4, 5))
+    gamma = mixed.from_flat((0, 0, 0, 2, -1))
+    assert gamma.coords == ((0, 0), (0,), (2, -1))
+    assert isolated_level(gamma) == 2 and gamma.sign() == 1
+    assert mixed.row_sign([0, 0, 0, 1, -1]) == -1
+    assert mixed.from_row((2, 4, 6, 3, 0), 4) == mixed.element(
+        (("1/2", 1), ("3/2",), ("3/4", 0)))
+    for flat in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6)):
+        with pytest.raises(AmbientMismatch):
+            mixed.from_flat(flat)
+
+
 def test_block_rejects_square_weight():
     with pytest.raises(UnsupportedBlockRank):
         Block(quad=4)

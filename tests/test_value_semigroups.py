@@ -338,6 +338,47 @@ def test_enumeration_is_budgeted(monkeypatch):
     assert len(enumerate_elements(rank1_semigroup(1), 8)) == 9
 
 
+@pytest.mark.parametrize("gens, bound, spent", [
+    ((1,), 9, 10),                  # the first generator alone: 0 .. 9
+    ((2, 3), 9, 17),                # 5 sums from 2, then 12 more from 3
+])
+def test_budget_is_exhausted_at_the_same_count(monkeypatch, gens, bound,
+                                                spent):
+    # a budget of exactly the sums added suffices, one fewer refuses,
+    # whether the refusal comes before the loop or inside it
+    monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", spent)
+    enumerate_elements(rank1_semigroup(*gens), bound)
+    monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", spent - 1)
+    with pytest.raises(EnumerationOverflow,
+                       match="^enumeration budget exhausted$"):
+        enumerate_elements(rank1_semigroup(*gens), bound)
+
+
+@pytest.mark.parametrize("structure, gens, refused_first", [
+    (RANK1, [((1,),)], True),
+    (GroupStructure((Block(), Block())), [((0,), (3,)), ((0,), (2,))],
+     True),                         # level 1: 0 passes block 0's test
+    (GroupStructure((Block(quad=2),)), [((1, 0),)], False),
+])
+def test_first_generator_past_the_budget_is_refused_before_the_loop(
+        monkeypatch, structure, gens, refused_first):
+    # on a rational block the first generator alone adds 10**18 + 1 sums,
+    # so the refusal needs no box test; a sqrt(d) block is not counted
+    tested = []
+    real = value_semigroups._box
+
+    def counting(structure, top):
+        return tuple(lambda p, test=test: tested.append(p) or test(p)
+                     for test in real(structure, top))
+
+    monkeypatch.setattr(value_semigroups, "_box", counting)
+    monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", 10)
+    with pytest.raises(EnumerationOverflow,
+                       match="^enumeration budget exhausted$"):
+        enumerate_elements(semigroup(structure, gens), 10 ** 18)
+    assert (tested == []) == refused_first
+
+
 def assert_membership_matches_oracle(S, queries):
     for gamma in queries:
         assert semigroup_membership(gamma, S) == \
