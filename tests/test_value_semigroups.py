@@ -362,7 +362,7 @@ def test_budget_is_exhausted_at_the_same_count(monkeypatch, gens, bound,
 ])
 def test_first_generator_past_the_budget_is_refused_before_the_loop(
         monkeypatch, structure, gens, refused_first):
-    # on a rational block the first generator alone adds 10**18 + 1 sums,
+    # on a rational block the first generator alone adds about 10**18 sums,
     # so the refusal needs no box test; a sqrt(d) block is not counted
     tested = []
     real = value_semigroups._box
