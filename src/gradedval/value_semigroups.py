@@ -60,9 +60,6 @@ class ValueSemigroup:
     def structure(self):
         return self.ambient.structure
 
-    def contains(self, gamma):
-        return semigroup_membership(gamma, self)
-
 
 def _box(structure, top):
     """One test per block b of an integer row p: block b has value at most
@@ -83,6 +80,22 @@ def _in_box(tests, p):
     return all(test(p) for test in tests)
 
 
+def _run_length(d, top, p, g, k):
+    """How many of p, p + g, p + 2g, ... have block value at most top, on
+    the block at k (sqrt(d), or rational when d is None) where g > 0:
+    floor(w) + 1, or 0, for w = (top - p) / g.  On a sqrt(d) block w is
+    (a + b sqrt d)(c - e sqrt d) / (c^2 - d e^2), a norm never 0 as d is
+    not a square, and floor(y sqrt d) is isqrt(d y^2), less 1 if y < 0."""
+    if d is None:
+        return max((top - p[k]) // g[k] + 1, 0)
+    a, b, c, e = top - p[k], -p[k + 1], g[k], g[k + 1]
+    norm, x, y = c * c - d * e * e, a * c - b * e * d, b * c - a * e
+    if norm < 0:
+        norm, x, y = -norm, -x, -y
+    r = math.isqrt(d * y * y)
+    return max((x + (r if y >= 0 else -r - 1)) // norm + 1, 0)
+
+
 def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     """All semigroup elements within the box bound, lex sorted.
 
@@ -92,11 +105,11 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     a common denominator, and deduplicated.  While level-l generators are
     added, blocks below l are final and block l only grows (they are
     positive there, later ones vanish), so a sum outside the box there is
-    dropped and each generator is added until block l leaves the box.  No
-    cap comes from a tail, which may be negative: the result is exhaustive.
-    Every added sum spends one unit of _SEARCH_BUDGET; when the first
-    generator alone would spend more, the same EnumerationOverflow is
-    raised before the loop.
+    dropped and each generator g runs from each sum p while block l stays
+    in the box: _run_length counts that run in closed form.  No cap comes
+    from a tail, which may be negative: the result is exhaustive.  Every
+    sum spends one unit of _SEARCH_BUDGET, charged for a whole run before
+    any of it is built.
 
     With scale L, a multiple of the bound's and of every generator's
     denominators, the sorted integer rows L * gamma are returned instead
@@ -112,15 +125,6 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     top = int(bound * L)
     box = _box(structure, top)
     gens = sorted((isolated_level(g), scaled_row(g, L)) for g in S.generators)
-    if gens and top >= 0:
-        # on a rational block, where its entry g0 is > 0, the first
-        # generator alone adds the top // g0 + 1 sums k * g0 (0 passes
-        # every earlier block's test): past the budget, refuse at once
-        level, row = gens[0]
-        g0 = row[structure.spans[level].start]
-        if (structure.blocks[level].quad is None
-                and top // g0 >= _SEARCH_BUDGET):
-            raise EnumerationOverflow("enumeration budget exhausted")
     budget = _SEARCH_BUDGET
     sums = {(0,) * structure.rational_rank}
     done = 0            # blocks below done are final and inside the box
@@ -128,14 +132,15 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
         if level > done:
             below = box[done:level]
             sums = {p for p in sums if _in_box(below, p)}
-        done = level
-        fits = box[level]
+        done = level + 1
+        k, d = structure.spans[level].start, structure.blocks[level].quad
         grown = set()
         for p in sums:
-            while fits(p):
-                budget -= 1
-                if budget < 0:
-                    raise EnumerationOverflow("enumeration budget exhausted")
+            n = _run_length(d, top, p, row, k)
+            budget -= n
+            if budget < 0:
+                raise EnumerationOverflow("enumeration budget exhausted")
+            for _ in range(n):
                 grown.add(p)
                 p = tuple(a + x for a, x in zip(p, row))
         sums = grown

@@ -378,6 +378,29 @@ def test_semigroup_budget_is_refused_before_enumerating(tmp_path, capsys,
             "exhausted\n")
 
 
+@pytest.mark.parametrize("blocks, small, big, bound", [
+    # a sqrt(2) block: the run of (1, 0) toward the small generator's
+    # query bound, about 10**18 sums
+    ([{"quad": 2}], [[["998244359987710471", "0"]]], [[["1", "0"]]], "4"),
+    # 11 sums of level 0 fit the budget, then a level-1 run of 10**7 + 1
+    ([{"quad": None}, {"quad": None}],
+     [[["1000000"], ["0"]], [["0"], ["1"]]],
+     [[["1000000"], ["0"]], [["0"], ["1"]]], "10000000"),
+])
+def test_semigroup_later_or_sqrt_run_is_refused_before_enumerating(
+        tmp_path, capsys, blocks, small, big, bound):
+    # each took 4-5 s, while only the first rational run was refused early
+    src = write(tmp_path, "sg.json", {
+        "structure": {"blocks": blocks}, "small": small, "big": big,
+        "bound": bound, "expect_growth": True})
+    start = time.perf_counter()
+    assert main(["semigroup", "--in", src, "--json"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "check failed: EnumerationOverflow: enumeration budget "
+            "exhausted\n")
+
+
 def test_semigroup_command(tmp_path, capsys):
     payload = {
         "structure": {"blocks": [{"quad": None}]},

@@ -345,7 +345,7 @@ def test_enumeration_is_budgeted(monkeypatch):
 def test_budget_is_exhausted_at_the_same_count(monkeypatch, gens, bound,
                                                 spent):
     # a budget of exactly the sums added suffices, one fewer refuses,
-    # whether the refusal comes before the loop or inside it
+    # whether the refusal comes at the first run or a later one
     monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", spent)
     enumerate_elements(rank1_semigroup(*gens), bound)
     monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", spent - 1)
@@ -354,16 +354,20 @@ def test_budget_is_exhausted_at_the_same_count(monkeypatch, gens, bound,
         enumerate_elements(rank1_semigroup(*gens), bound)
 
 
-@pytest.mark.parametrize("structure, gens, refused_first", [
-    (RANK1, [((1,),)], True),
+@pytest.mark.parametrize("structure, gens, bound, box_tests", [
+    (RANK1, [((1,),)], 10 ** 18, 0),
     (GroupStructure((Block(), Block())), [((0,), (3,)), ((0,), (2,))],
-     True),                         # level 1: 0 passes block 0's test
-    (GroupStructure((Block(quad=2),)), [((1, 0),)], False),
+     10 ** 18, 1),                  # level 1: 0 passes block 0's test
+    (GroupStructure((Block(quad=2),)), [((1, 0),)], 10 ** 18, 0),
+    # 4 sums of level 0, then a first level-1 run of 10 sums
+    (GroupStructure((Block(), Block())), [((3,), (0,)), ((0,), (1,))], 9,
+     0),
 ])
-def test_first_generator_past_the_budget_is_refused_before_the_loop(
-        monkeypatch, structure, gens, refused_first):
-    # on a rational block the first generator alone adds about 10**18 sums,
-    # so the refusal needs no box test; a sqrt(d) block is not counted
+def test_every_run_past_the_budget_is_refused_before_it_is_built(
+        monkeypatch, structure, gens, bound, box_tests):
+    # each run is counted in closed form and charged before it is built,
+    # on rational and sqrt(d) blocks alike; a box test is made only by the
+    # filter below a level, never on a run's own block
     tested = []
     real = value_semigroups._box
 
@@ -375,8 +379,49 @@ def test_first_generator_past_the_budget_is_refused_before_the_loop(
     monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", 10)
     with pytest.raises(EnumerationOverflow,
                        match="^enumeration budget exhausted$"):
-        enumerate_elements(semigroup(structure, gens), 10 ** 18)
-    assert (tested == []) == refused_first
+        enumerate_elements(semigroup(structure, gens), bound)
+    assert len(tested) == box_tests
+    assert all(not any(p) for p in tested)
+
+
+def walked_run_length(block, top, p, g, k):
+    """The run p, p + g, ... walked sum by sum while the exact sign of
+    top - p on the block at k is nonnegative."""
+    width = block.rational_rank
+    a, b = list(p[k:k + width]), g[k:k + width]
+    n = 0
+    while _block_sign(block, (top - a[0], *(-x for x in a[1:]))) >= 0:
+        n += 1
+        a = [x + y for x, y in zip(a, b)]
+    return n
+
+
+def test_run_length_matches_the_walk():
+    rng = random.Random(29)
+    norm_signs, counts = set(), set()
+    for draw in range(20_000):
+        block = Block(quad=rng.choice((None, 2, 3, 5, 7, 10, 13)))
+        top = rng.randint(-5, 20)
+        if block.quad is None:
+            g = (rng.randint(-3, 3), rng.randint(1, 6))
+            p = (rng.randint(-3, 3), rng.randint(-10, 25))
+        else:
+            g = (0, 0)
+            while _block_sign(block, g) <= 0:
+                g = (rng.randint(-6, 6), rng.randint(-3, 3))
+            # a leading entry of another block, which the run ignores
+            g = (rng.randint(-3, 3), *g)
+            p = (rng.randint(-3, 3), rng.randint(-10, 25),
+                 rng.randint(-6, 6))
+            norm_signs.add(g[1] ** 2 > block.quad * g[2] ** 2)
+        if draw % 10 == 0:          # p on the box's edge: w = 0
+            p = (p[0], top, *(0,) * (len(p) - 2))
+        n = value_semigroups._run_length(block.quad, top, p, g, 1)
+        assert n == walked_run_length(block, top, p, g, 1), \
+            (block, top, p, g)
+        counts.add(min(n, 2))
+    # both signs of the conjugate norm; runs of 0 (p outside), 1 and more
+    assert norm_signs == {True, False} and counts == {0, 1, 2}
 
 
 def assert_membership_matches_oracle(S, queries):
