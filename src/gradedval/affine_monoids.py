@@ -5,8 +5,11 @@ decomposition of the saturation.  Pointedness is certified at construction
 by a strictly positive linear functional, which makes exact membership
 decidable by bounded search.  For n independent generators the
 parallelepiped points and the decomposition check use exact integer cone
-coordinates from one adjugate per basis instead, and both walk their box
-with one streaming mixed-radix walk that carries those coordinates along.
+coordinates from one adjugate per basis instead, carried along by one
+streaming mixed-radix walk.  The parallelepiped walks every point of its
+box; the decomposition check settles a well-formed point list from the
+points' residues and only counts the cone, one line of the last
+coordinate at a time.
 """
 
 from __future__ import annotations
@@ -270,7 +273,7 @@ def _box_walk(radices, C: ExactMatrix):
     coordinates after it have radix 1 and stay 0.
     """
     if not radices:
-        yield (), ()
+        yield (), (0,) * C.rows
         return
     m = len(radices)
     while m > 1 and radices[m - 1] == 1:
@@ -335,11 +338,17 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     With C = sign(det W) adj W for the generator matrix W (basis.cone,
     one adjugate per basis), a box point w is in the cone exactly when
     C w >= 0, and w - x lies in M exactly when C w - C x >= 0 and
-    = 0 mod |det W| componentwise.  The box is walked by _box_walk, which
-    carries C w along by one column add per step.  The hits of w are
-    counted over every listed point x (kept by residue of C x, since only
-    the class of C w can hit), so a missing, repeated or wrong point shows
-    up as a violation.
+    = 0 mod |det W| componentwise.  When the listed points have |det W|
+    distinct C x, each in [0, |det W|)^n, they are one point of each
+    residue class, and C x is its own residue: a cone point w is hit by
+    the x of its class alone, as C w >= C w mod |det W| = C x.  Then only
+    the cone points are counted, one line of the last coordinate at a
+    time: _box_walk carries C w over the first n - 1 coordinates, and the
+    k in [0, box) with C w + k c >= 0, c the last column of C, form one
+    range, read off by one floor division per row.  Any other point list
+    (a hand-built or tampered basis) has the hits of each cone point
+    counted by _hits, so a missing, repeated or wrong point shows up as
+    a violation.
     """
     if set(M.generators) != set(basis.vectors):
         raise DependentGenerators(
@@ -350,20 +359,51 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     if box_bound ** n > _SEARCH_BUDGET:
         raise EnumerationOverflow(f"{box_bound}^{n} box points over budget")
     index, coords = basis.cone
-    by_residue = {}
-    for x in basis.points:
-        cx = coords.apply(x)
-        by_residue.setdefault(tuple(c % index for c in cx), []).append(cx)
+    cxs = [coords.apply(x) for x in basis.points]
+    if not n:
+        # the box is the one point (), hit by every listed point
+        hits = len(cxs)
+        return DecompositionReport(
+            box_bound=box_bound, checked_points=1,
+            violations=() if hits == 1 else (((), hits),))
+    by_residue = None
+    if not (len(set(cxs)) == len(cxs) == index
+            and all(0 <= c < index for cx in cxs for c in cx)):
+        by_residue = {}
+        for cx in cxs:
+            by_residue.setdefault(tuple(c % index for c in cx), []).append(cx)
+    last = tuple(row[-1] for row in coords.entries)
+    head = ExactMatrix._of(tuple(row[:-1] for row in coords.entries))
+    top = box_bound - 1
     checked = 0
     violations = []
-    for w, cw in _box_walk((box_bound,) * n, coords):
-        if min(cw, default=0) < 0:
+    for w, cw in _box_walk((box_bound,) * (n - 1), head):
+        lo, hi = 0, top
+        for a, c in zip(cw, last):
+            if c > 0:
+                if -(a // c) > lo:
+                    lo = -(a // c)
+            elif c < 0:
+                if a // -c < hi:
+                    hi = a // -c
+            elif a < 0:
+                hi = -1
+        if lo > hi:
             continue
-        checked += 1
-        hits = sum(
-            1 for cx in by_residue.get(tuple(c % index for c in cw), ())
-            if all(map(ge, cw, cx)))
-        if hits != 1:
-            violations.append((w, hits))
+        checked += hi - lo + 1
+        if by_residue is None:
+            continue
+        for k in range(lo, hi + 1):
+            hits = _hits(by_residue, index,
+                         tuple(a + k * c for a, c in zip(cw, last)))
+            if hits != 1:
+                violations.append((w + (k,), hits))
     return DecompositionReport(box_bound=box_bound, checked_points=checked,
                                violations=tuple(violations))
+
+
+def _hits(by_residue, index, cw):
+    """How many listed points x, grouped by_residue of C x, have w - x in
+    the monoid: C x of w's class with C w - C x >= 0."""
+    return sum(1 for cx in by_residue.get(tuple(c % index for c in cw), ())
+               if all(map(ge, cw, cx)))

@@ -109,7 +109,8 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     in the box: _run_length counts that run in closed form.  No cap comes
     from a tail, which may be negative: the result is exhaustive.  Every
     sum spends one unit of _SEARCH_BUDGET, charged for a whole run before
-    any of it is built.
+    any of it is built; the runs from zero, built at every level, are
+    charged together before the first.
 
     With scale L, a multiple of the bound's and of every generator's
     denominators, the sorted integer rows L * gamma are returned instead
@@ -124,16 +125,23 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
         L = scale
     top = int(bound * L)
     box = _box(structure, top)
-    gens = sorted((isolated_level(g), scaled_row(g, L)) for g in S.generators)
+    gens = [(level, row, structure.spans[level].start,
+             structure.blocks[level].quad) for level, row in sorted(
+                 (isolated_level(g), scaled_row(g, L)) for g in S.generators)]
+    zero = (0,) * structure.rational_rank
+    # zero survives every level when top >= 0 (else every run is empty),
+    # so its runs are charged in any case: refuse them before any is built
+    if sum(_run_length(d, top, zero, row, k)
+           for _, row, k, d in gens) > _SEARCH_BUDGET:
+        raise EnumerationOverflow("enumeration budget exhausted")
     budget = _SEARCH_BUDGET
-    sums = {(0,) * structure.rational_rank}
+    sums = {zero}
     done = 0            # blocks below done are final and inside the box
-    for level, row in gens:
+    for level, row, k, d in gens:
         if level > done:
             below = box[done:level]
             sums = {p for p in sums if _in_box(below, p)}
         done = level + 1
-        k, d = structure.spans[level].start, structure.blocks[level].quad
         grown = set()
         for p in sums:
             n = _run_length(d, top, p, row, k)

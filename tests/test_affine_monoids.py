@@ -82,10 +82,10 @@ def parallelepiped_oracle(vectors):
 
 
 def random_simplicial_bases(rng, count, max_index=40):
-    """Independent integer bases, n <= 3, with both determinant signs."""
+    """Independent integer bases, n <= 4, with both determinant signs."""
     done = 0
     while done < count:
-        n = rng.randint(1, 3)
+        n = rng.randint(1, 4)
         span = 4 if n <= 2 else 2
         vecs = tuple(tuple(rng.randint(-span, span) for _ in range(n))
                      for _ in range(n))
@@ -182,6 +182,10 @@ def test_box_walk_matches_product_order():
         seen_n.add(n)
         seen_radix_1 |= 1 in radices
     assert seen_n == {0, 1, 2, 3, 4} and seen_radix_1
+    # no radices: the one point (), and C () is a zero column of C's height
+    for height in range(4):
+        C = ExactMatrix(((),) * height)
+        assert list(affine_monoids._box_walk((), C)) == [((), (0,) * height)]
 
 
 def test_decomposition_box_walk_streams():
@@ -336,16 +340,51 @@ def test_saturation_reachable_from_parallelepiped():
 
 
 def test_decomposition_matches_brute_force_random():
-    signs = set()
-    for vecs, d in random_simplicial_bases(random.Random(41), 60):
+    # well-formed bases at n = 1 .. 4, with and without a zero in the last
+    # column of C, and each again with one seeded tampering
+    rng = random.Random(1919)
+    signs, zero_last, kinds, failed = set(), set(), set(), set()
+    bases = list(random_simplicial_bases(random.Random(41), 60))
+    bases.append((((2, 1, 0), (0, 3, 1), (0, 0, 2)), 12))
+    for vecs, d in bases:
         pb = parallelepiped_points(vecs)
         M = simplicial_monoid(vecs)
-        box = 4 if len(vecs) <= 2 else 3
+        # the oracle's membership search grows fast with n
+        box = (4, 4, 3, 2)[len(vecs) - 1]
         fast = verify_disjoint_decomposition(pb, M, box_bound=box)
         assert fast == brute_force_decomposition(pb, M, box)
         assert fast.ok
         signs.add(d > 0)
-    assert signs == {True, False}
+        zero_last.add(any(row[-1] == 0 for row in pb.cone[1].entries))
+        kind, pts = tamper(rng, pb)
+        bad = replace(pb, points=pts)
+        fast = verify_disjoint_decomposition(bad, M, box_bound=box)
+        assert fast == brute_force_decomposition(bad, M, box), (vecs, kind)
+        kinds.add(kind)
+        if fast.violations:
+            failed.add(len(vecs))
+    assert signs == zero_last == {True, False}
+    assert kinds == {"dropped", "duplicated", "replaced", "translated"}
+    assert failed == {1, 2, 3, 4}
+
+
+def tamper(rng, basis):
+    """(kind, points) with one listed point dropped, duplicated, replaced
+    by its neighbour (the count stays |det W|), or translated by a
+    generator: the same class, C x out of [0, |det W|)."""
+    pts = list(basis.points)
+    i = rng.randrange(len(pts))
+    kind = rng.choice(["dropped", "duplicated", "replaced", "translated"])
+    if kind == "dropped":
+        del pts[i]
+    elif kind == "duplicated":
+        pts.append(pts[i])
+    elif kind == "replaced":
+        pts[i] = pts[i - 1]
+    else:
+        g = rng.choice(basis.vectors)
+        pts[i] = tuple(a + b for a, b in zip(pts[i], g))
+    return kind, tuple(pts)
 
 
 def tampered_bases():
@@ -371,6 +410,38 @@ def test_tampered_points_give_oracle_violations(kind):
     counts = {hits for _, hits in fast.violations}
     # a translate leaves its class uncovered below it, like a dropped point
     assert counts == ({2} if kind == "duplicated" else {0})
+
+
+def test_well_formed_basis_counts_lines_not_points(monkeypatch):
+    # 300^2 box points: the walk steps over the 300 lines of the last
+    # coordinate, and no point's hits are counted; a tampered list counts
+    # the hits of each cone point, and of no other
+    vecs = ((2, 1), (0, 3))
+    pb = parallelepiped_points(vecs)
+    M = simplicial_monoid(vecs)
+    steps, hits = [], []
+    real_walk, real_hits = affine_monoids._box_walk, affine_monoids._hits
+
+    def counting_walk(radices, C):
+        for step in real_walk(radices, C):
+            steps.append(step)
+            yield step
+
+    def counting_hits(*args):
+        hits.append(args)
+        return real_hits(*args)
+
+    monkeypatch.setattr(affine_monoids, "_box_walk", counting_walk)
+    monkeypatch.setattr(affine_monoids, "_hits", counting_hits)
+    report = verify_disjoint_decomposition(pb, M, box_bound=300)
+    # the cone of (2, 1) and (0, 3) is 0 <= x <= 2y
+    cone = sum(1 for x, y in product(range(300), repeat=2) if x <= 2 * y)
+    assert report.ok and report.checked_points == cone
+    assert len(steps) == 300 and not hits
+    bad = replace(pb, points=pb.points[1:])
+    report = verify_disjoint_decomposition(bad, M, box_bound=300)
+    assert report.checked_points == cone == len(hits)
+    assert len(steps) == 600 and not report.ok
 
 
 @pytest.mark.parametrize("bound", [0, -3])

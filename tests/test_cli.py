@@ -386,6 +386,11 @@ def test_semigroup_budget_is_refused_before_enumerating(tmp_path, capsys,
     ([{"quad": None}, {"quad": None}],
      [[["1000000"], ["0"]], [["0"], ["1"]]],
      [[["1000000"], ["0"]], [["0"], ["1"]]], "10000000"),
+    # 10**6 + 1 sums of level 0 would fit, but the level-1 run from zero
+    # alone is 10**12 + 1: refused before level 0 is built
+    ([{"quad": None}, {"quad": None}],
+     [[["1000000"], ["0"]], [["0"], ["1"]]],
+     [[["1000000"], ["0"]], [["0"], ["1"]]], "1000000000000"),
 ])
 def test_semigroup_later_or_sqrt_run_is_refused_before_enumerating(
         tmp_path, capsys, blocks, small, big, bound):

@@ -356,8 +356,14 @@ def test_budget_is_exhausted_at_the_same_count(monkeypatch, gens, bound,
 
 @pytest.mark.parametrize("structure, gens, bound, box_tests", [
     (RANK1, [((1,),)], 10 ** 18, 0),
+    # level 1: 0 passes block 0's test, and the 9 sums of the runs from
+    # zero fit; the runs from 3, 6 and 9 do not
+    (GroupStructure((Block(), Block())), [((0,), (3,)), ((0,), (2,))], 9,
+     1),
+    # the runs from zero alone are past the budget: refused before block
+    # 0's test
     (GroupStructure((Block(), Block())), [((0,), (3,)), ((0,), (2,))],
-     10 ** 18, 1),                  # level 1: 0 passes block 0's test
+     10 ** 18, 0),
     (GroupStructure((Block(quad=2),)), [((1, 0),)], 10 ** 18, 0),
     # 4 sums of level 0, then a first level-1 run of 10 sums
     (GroupStructure((Block(), Block())), [((3,), (0,)), ((0,), (1,))], 9,
