@@ -6,9 +6,11 @@ by a strictly positive linear functional, which makes exact membership
 decidable by bounded search.  For n independent generators the
 parallelepiped points and the decomposition check use exact integer cone
 coordinates from one adjugate per basis instead, carried along by one
-streaming mixed-radix walk.  The parallelepiped walks every point of its
-box; the decomposition check settles a well-formed point list from the
-points' residues and only counts the cone, one line of the last
+streaming mixed-radix walk.  The parallelepiped first splits off every
+unit coordinate, so its adjugate, Hermite box and walk are those of the
+rest (for a strong monomial form, of the T-block), and walks every point
+of that box; the decomposition check settles a well-formed point list
+from the points' residues and only counts the cone, one line of the last
 coordinate at a time.
 """
 
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, ge
+from operator import add, ge, itemgetter
 
 from .errors import (
     DependentGenerators,
@@ -33,7 +35,7 @@ from .exact_lattice import ExactMatrix, adjugate, hermite_row_basis, rref
 # most nodes one membership search, or box points one decomposition, visits
 _SEARCH_BUDGET = 100_000
 # most points one parallelepiped may hold; a pipeline case costs about
-# 10 us and 600 resident bytes per point (tools/points_scaling.py), so a
+# 10 us and 700 resident bytes per point (tools/points_scaling.py), so a
 # full budget takes seconds and hundreds of MB, not hours
 _POINT_BUDGET = 1_000_000
 
@@ -192,12 +194,14 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     Each class maps to its unique representative x - W floor(W^{-1} x),
     with the floors taken in integers from the adjugate of the generator
     matrix W.  The box is walked by _box_walk, which carries
-    C x = |det W| W^{-1} x along by one column add per step.  A basis of
-    more than _POINT_BUDGET points is refused before the walk.
+    C x = |det W| W^{-1} x along by one column add per step.  Unit
+    coordinates are split off first (see _parallelepiped_walk), so the
+    walk runs on the rest.  A basis of more than _POINT_BUDGET points is
+    refused before the walk.
     """
-    vectors, cone, walk = _parallelepiped_walk(vectors, ())
-    points = sorted(x for x, _ in walk)
-    return _checked_basis(vectors, tuple(points), cone)
+    vectors, cone, _, walk, widen = _parallelepiped_walk(vectors, ())
+    points = widen(sorted(x for x, _ in walk))
+    return _checked_basis(vectors, points, cone)
 
 
 def labelled_parallelepiped(vectors, M, label):
@@ -205,41 +209,105 @@ def labelled_parallelepiped(vectors, M, label):
     for the i-th point sigma, walking the box once.
 
     M is a list of n integer rows, and label must be constant on each
-    class of Z^k modulo the row lattice of V M, with V the matrix whose
-    rows are the vectors.  The walk carries x M beside C x: stacking the
-    columns of M under the rows of C, one column add per step moves both.
+    class of Z^w, w the width of M, modulo the row lattice of V M, with V
+    the matrix whose rows are the vectors.  The walk carries x M beside
+    C x: stacking the columns of M under the rows of C, one column add
+    per step moves both.
     A box point x is sent to sigma = x - sum_i q_i v_i, with q_i the
     integer floors, so sigma M = x M - sum_i q_i (v_i M), and v_i M is
     row i of V M; hence label(x M) = label(sigma M), and the label is read
-    from the carried x M without the product sigma M.
+    from the carried x M without the product sigma M.  When unit
+    coordinates are split off, x is 0 at them, so x M only needs the rows
+    of M at the other coordinates, and the same argument runs on the
+    other vectors.
     """
-    vectors, cone, walk = _parallelepiped_walk(vectors, M)
-    n = len(vectors)
+    vectors, cone, k, walk, widen = _parallelepiped_walk(vectors, M)
     # the points are distinct, so the sort never compares two labels
-    pairs = sorted((x, label(cx[n:])) for x, cx in walk)
+    pairs = sorted((x, label(cx[k:])) for x, cx in walk)
     points, labels = zip(*pairs)
-    return _checked_basis(vectors, points, cone), labels
+    return _checked_basis(vectors, widen(points), cone), labels
 
 
 def _parallelepiped_walk(vectors, M):
-    """(vectors as int tuples, (|det W|, C), the box walk carrying C x and
-    x M), refusing dependent vectors and a box over _POINT_BUDGET."""
+    """(vectors as int tuples, (|det W|, C), k, a box walk carrying C x and
+    x M, widen), refusing dependent vectors and a box over _POINT_BUDGET.
+
+    A coordinate m splits off when exactly one vector v_i is nonzero at m
+    and v_i = e_m.  Then every parallelepiped point is 0 at m: its m-th
+    entry is lambda_i, which lies in [0, 1) and is an integer.  The other
+    k vectors are 0 at every split coordinate, so restricted to the k
+    other coordinates they span the same points, and the walk runs on
+    them alone: one k x k adjugate, one k-column Hermite box and k-long
+    rows of C x.  The walk yields these core points and their carried
+    rows (C x first, k entries, then x M), and widen puts sorted core
+    points back into n coordinates, 0 at the split ones; the zeros sit
+    in fixed places, so lex order is kept.
+
+    The cone pair is assembled exactly.  Up to a permutation of rows and
+    columns W = diag(I, W_k), so |det W| = |det W_k|, and W^{-1} x has
+    lambda_i = x_m at the vector e_m and W_k^{-1} x_K at the others, x_K
+    the other coordinates of x.  As C = |det W| W^{-1}, row i of C is
+    |det W| e_m, and the row of each other vector is the matching row of
+    C_k = |det W_k| W_k^{-1}, placed at the other columns by widen; this
+    is _cone_coordinates(W), for W^{-1} is unique.  When nothing splits,
+    the core is the whole and widen is tuple.
+    """
     vectors = tuple(tuple(int(x) for x in v) for v in vectors)
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")
-    W = ExactMatrix._of(vectors).transpose()  # columns are generators
+    split = _unit_coordinates(vectors)
+    core = vectors
+    if split:
+        unit_of = {i: m for m, i in split.items()}
+        kept = [m for m in range(n) if m not in split]
+        core = tuple(tuple(v[m] for m in kept)
+                     for i, v in enumerate(vectors) if i not in unit_of)
+    k = len(core)
+    W = ExactMatrix._of(core).transpose()  # columns are generators
     index, coords = cone = _cone_coordinates(W)
     if index > _POINT_BUDGET:
         raise EnumerationOverflow(
             f"parallelepiped of {index} points over the budget of "
             f"{_POINT_BUDGET}")
-    H = hermite_row_basis(vectors)
-    carried = coords
-    if M:
-        carried = ExactMatrix._of(coords.entries + tuple(zip(*M)))
-    walk = _box_walk([H[i][i] for i in range(n)], carried)
-    return vectors, cone, _reduced(walk, vectors, index)
+    widen = tuple
+    columns = tuple(zip(*M))
+    if split:
+        widen = _widener(n, kept)
+        core_rows = iter(widen(coords.entries))
+        cone = index, ExactMatrix._of(tuple(
+            tuple(index if j == unit_of[i] else 0 for j in range(n))
+            if i in unit_of else next(core_rows) for i in range(n)))
+        columns = tuple(tuple(col[m] for m in kept) for col in columns)
+    H = hermite_row_basis(core)
+    walk = _box_walk([H[i][i] for i in range(k)],
+                     ExactMatrix._of(coords.entries + columns))
+    return vectors, cone, k, _reduced(walk, core, index), widen
+
+
+def _unit_coordinates(vectors):
+    """{m: i} for each coordinate m at which v_i = e_m is the only vector
+    that is nonzero: one scan of the entries."""
+    n = len(vectors)
+    split = {}
+    for i, v in enumerate(vectors):
+        if v.count(0) == n - 1 and v.count(1) == 1:
+            m = v.index(1)
+            if sum(1 for w in vectors if w[m]) == 1:
+                split[m] = i
+    return split
+
+
+def _widener(n, kept):
+    """The map of sorted points of the kept coordinates to the same points
+    in Z^n, 0 at the other coordinates."""
+    if not kept:
+        # the one core point is ()
+        return lambda points: tuple((0,) * n for _ in points)
+    # n > len(kept) >= 1, so pick gets two or more indices and gives tuples
+    slot = {m: j for j, m in enumerate(kept)}
+    pick = itemgetter(*(slot.get(m, len(kept)) for m in range(n)))
+    return lambda points: tuple(pick(x + (0,)) for x in points)
 
 
 def _reduced(walk, vectors, index):

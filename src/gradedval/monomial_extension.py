@@ -22,11 +22,15 @@ from .errors import (
     SingularBlock,
     SingularLattice,
 )
-from .exact_lattice import ExactMatrix, adjugate, determinant, rref
+from .exact_lattice import (
+    ExactMatrix,
+    adjugate,
+    determinant,
+    hermite_row_basis,
+)
 from .ordered_groups import (
     GroupStructure,
     common_denominator,
-    isolated_level,
     scaled_row,
 )
 
@@ -132,21 +136,34 @@ class MonomialExtension:
     @cached_property
     def _value_columns(self):
         """(L, columns): the integer matrix of L * nu*(y_j), L the least
-        common denominator, stored by column.  Computed once."""
+        common denominator, stored by column.  Computed once, from the
+        y-values themselves, not from _value_rows."""
         L = common_denominator(self.y_values)
         return L, tuple(zip(*(scaled_row(v, L) for v in self.y_values)))
 
     @cached_property
+    def _value_rows(self):
+        """(L, rows): the y-values as integer rows L * nu*(y_j), L their
+        least common denominator.  Computed once and read by _violations
+        and by the rewrite, whose build() hands the rows it holds to the
+        extension it makes."""
+        L = common_denominator(self.y_values)
+        return L, tuple(scaled_row(v, L) for v in self.y_values)
+
+    @cached_property
     def _violations(self):
-        """Violations of the required shape, checked once per extension."""
+        """Violations of the required shape, checked once per extension.
+
+        The y-values are read as integer rows over their least common
+        denominator L > 0 (_value_rows), which keeps each value's sign,
+        its isolated level and the rank of the T-values.
+        """
         bs = self.blocks
-        n = bs.n
         out = []
-        for i in range(n):
+        for i, row in enumerate(self.A.entries):
             bi = bs.block_of(i)
             i_is_t = bs.is_t_index(i)
-            for j in range(n):
-                a = self.A[i, j]
+            for j, a in enumerate(row):
                 if a == 0:
                     continue
                 if a < 0:
@@ -164,7 +181,7 @@ class MonomialExtension:
                         "zero_pattern", (i, j),
                         f"exponent a[{i}][{j}] = {a} breaks the block "
                         f"pattern"))
-            if not i_is_t and self.A[i, i] != 1:
+            if not i_is_t and row[i] != 1:
                 out.append(Violation(
                     "zero_pattern", (i, i),
                     f"non-T row {i} must carry its own variable with "
@@ -174,23 +191,27 @@ class MonomialExtension:
                 out.append(Violation(
                     "singular_block", (b,),
                     f"diagonal exponent block of block {b} is singular"))
-        # T y-values rationally independent
+        _, rows = self._value_rows
+        # T y-values rationally independent: the Hermite basis of their
+        # nonzero rows has one row per unit of rank
         tlist = bs.t_indices()
-        vecs = [self.y_values[j].flat() for j in tlist]
-        if len(rref(vecs)[1]) != len(tlist):
+        if len(hermite_row_basis([rows[j] for j in tlist])) != len(tlist):
             out.append(Violation(
                 "dependent_values", tuple(tlist),
                 "T-indexed y-values are rationally dependent"))
-        for j, v in enumerate(self.y_values):
-            if v.sign() <= 0:
+        structure = self.structure
+        for j, row in enumerate(rows):
+            if structure.row_sign(row) <= 0:
                 out.append(Violation(
                     "nonpositive_value", (j,),
                     f"value of y_{j} is not strictly positive"))
-            elif isolated_level(v) != bs.block_of(j):
+                continue
+            level = structure.row_level(row)
+            if level != bs.block_of(j):
                 out.append(Violation(
                     "misplaced_value", (j,),
                     f"value of y_{j} lives at isolated level "
-                    f"{isolated_level(v)}, expected {bs.block_of(j)}"))
+                    f"{level}, expected {bs.block_of(j)}"))
         return tuple(out)
 
     def t_submatrix(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     EnumerationOverflow,
@@ -82,12 +82,17 @@ def _check_steps(steps, n):
 
 class _Rewrite:
     """An extension under rewriting: the integer rows of A, the y-values
-    and the unit markers, changed in place; build() makes the extension."""
+    as integer rows over their least common denominator L
+    (me._value_rows), and the unit markers, changed in place; build()
+    makes the extension."""
 
     def __init__(self, me: MonomialExtension):
         self.blocks = me.blocks
+        self.structure = me.structure
         self.rows = [list(row) for row in me.A.entries]
-        self.values = list(me.y_values)
+        self.L, values = me._value_rows
+        self.values = [list(row) for row in values]
+        self.elements = list(me.y_values)
         self.markers = list(me.unit_markers)
 
     def apply(self, step: TransformStep, reps=1):
@@ -114,6 +119,8 @@ class _Rewrite:
         k <= reps exactly when it is positive at the end where it is least:
         k = reps when nu(y_c) > 0, else k = 1.  The burst therefore raises
         exactly when one of its single steps would, with the same message.
+        The values are integer rows over one L > 0, so the burst is one
+        integer row operation and row_sign reads the signs.
         """
         bs = self.blocks
         if bs.block_of(m) >= bs.block_of(c):
@@ -123,26 +130,36 @@ class _Rewrite:
         if not bs.is_t_index(c):
             raise NotTheorem48Form(f"target column {c} is not a T-index")
         ym, yc = self.values[m], self.values[c]
-        least = reps if yc.sign() > 0 else 1
-        value = ym - yc.scale(least)
-        if value.sign() <= 0:
+        row_sign = self.structure.row_sign
+        least = reps if row_sign(yc) > 0 else 1
+        value = [a - least * b for a, b in zip(ym, yc)]
+        if row_sign(value) <= 0:
             raise NotAlongValuation(
                 f"value of y'_{m} would not be strictly positive")
         if least != reps:
-            value = ym - yc.scale(reps)
+            value = [a - reps * b for a, b in zip(ym, yc)]
         for row in self.rows:
             row[c] += reps * row[m]
         self.values[m] = value
+        self.elements[m] = None
 
     def build(self):
         # the rows are the checked A's, changed by int column adds and by
-        # the int exponents _check_steps admits
-        return MonomialExtension(
+        # the int exponents _check_steps admits; a y-value is made again
+        # only when a burst changed it.  A burst maps the y-values to a
+        # tuple that generates the same group, so L is still their least
+        # common denominator, and the rows are the new _value_rows
+        structure, L = self.structure, self.L
+        me = MonomialExtension(
             blocks=self.blocks,
             A=ExactMatrix._of(tuple(map(tuple, self.rows))),
             unit_markers=tuple(self.markers),
-            y_values=tuple(self.values),
+            y_values=tuple(
+                structure.from_row(row, L) if element is None else element
+                for row, element in zip(self.values, self.elements)),
         )
+        me.__dict__["_value_rows"] = L, tuple(map(tuple, self.values))
+        return me
 
 
 def replay(initial: MonomialExtension, steps):
@@ -174,21 +191,53 @@ class MonomializationTrace:
     final: SSMForm
 
 
-def _graded_vectors(length, bound):
-    """Nonnegative integer vectors ordered by total then lexicographically."""
-    for total in range(bound * length + 1):
-        for v in _compositions(total, length, bound):
-            yield v
+def _lift_numerators(base, columns, bound, b):
+    """adj (h + b) for every b in [0, bound]^k, ordered by total and then
+    lexicographically, given base = adj h and the k columns of adj.
+
+    b is a list of k entries, set to each candidate before it is yielded.
+    Each level of the recursion fixes one entry of b and carries its share
+    of the numerators, adding one column per step, so a candidate costs
+    O(k): no tuple h + b and no product with adj.
+    """
+    k = len(columns)
+
+    def level(j, num, rest):
+        column = columns[j]
+        if j == k - 1:
+            if rest <= bound:
+                b[j] = rest
+                yield tuple([a + rest * c for a, c in zip(num, column)])
+            return
+        for first in range(min(rest, bound) + 1):
+            b[j] = first
+            yield from level(j + 1, num, rest - first)
+            num = list(map(add, num, column))
+
+    for total in range(bound * k + 1):
+        yield from level(0, base, total)
 
 
-def _compositions(total, length, bound):
-    if length == 1:
-        if total <= bound:
-            yield (total,)
-        return
-    for first in range(min(total, bound) + 1):
-        for rest in _compositions(total - first, length - 1, bound):
-            yield (first,) + rest
+def _lift(m, det, adj, h, bound):
+    """(b, c) for the first b of _lift_numerators for which c =
+    adj (h + b) / det is a nonnegative integer vector, adj the adjugate
+    of the lift's square matrix and det its determinant, of either sign.
+
+    Tries at most _SEARCH_BUDGET candidates: EnumerationOverflow past it,
+    NoNonnegativeLift when every b in [0, bound]^k fails.
+    """
+    b = [0] * len(h)
+    candidates = _lift_numerators(
+        adj.apply(h), tuple(zip(*adj.entries)), bound, b)
+    for tried, num in enumerate(candidates):
+        if tried == _SEARCH_BUDGET:
+            raise EnumerationOverflow(
+                f"lift search for row {m} exhausted its budget of "
+                f"{_SEARCH_BUDGET} candidates")
+        if all(x % det == 0 and x // det >= 0 for x in num):
+            return tuple(b), tuple(x // det for x in num)
+    raise NoNonnegativeLift(
+        f"no nonnegative lift for row {m} within exponent bound {bound}")
 
 
 def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
@@ -236,23 +285,7 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
         sub = ExactMatrix._of(tuple(tuple(rows[i][j] for j in later_t)
                                     for i in later_t))
         # c = adj / det * (h + b); one adjugate serves every candidate b
-        det, adj = adjugate(sub.transpose())
-        choice = None
-        for tried, b in enumerate(_graded_vectors(len(later_t), bound)):
-            if tried == _SEARCH_BUDGET:
-                raise EnumerationOverflow(
-                    f"lift search for row {m} exhausted its budget of "
-                    f"{_SEARCH_BUDGET} candidates")
-            rhs = tuple(hj + bj for hj, bj in zip(h, b))
-            num = adj.apply(rhs)
-            if all(x % det == 0 and x // det >= 0 for x in num):
-                choice = (b, tuple(x // det for x in num))
-                break
-        if choice is None:
-            raise NoNonnegativeLift(
-                f"no nonnegative lift for row {m} within exponent bound "
-                f"{bound}")
-        b, c = choice
+        b, c = _lift(m, *adjugate(sub.transpose()), h, bound)
         for col, reps in zip(later_t, b):
             if not reps:
                 continue

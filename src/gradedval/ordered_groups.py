@@ -108,6 +108,12 @@ class GroupStructure:
                 return s
         return 0
 
+    def row_level(self, row):
+        """The isolated level of a flat row (of from_row(row, L) for any
+        L > 0): the number of its leading blocks that vanish."""
+        return next((level for level, span in enumerate(self.spans)
+                     if any(row[span])), self.rank)
+
 
 def _block_sign(block: Block, comp):
     """Exact sign of sum(comp[i] * weight[i]) within one block."""
@@ -190,8 +196,7 @@ def isolated_level(gamma: GroupElement):
     Level i is the convex subgroup of elements whose first i blocks vanish;
     level 0 is the whole group and level rank is zero.
     """
-    return next((level for level, comp in enumerate(gamma.coords)
-                 if any(comp)), gamma.structure.rank)
+    return gamma.structure.row_level(gamma.flat())
 
 
 def common_denominator(elements, *rationals):

@@ -280,13 +280,51 @@ def test_parallelepiped_count_matches_index_random():
         done += 1
 
 
+def with_unit_coordinates(rng, vecs):
+    """vecs in a larger Z^N: 1 to 3 new coordinates at random places, 0 in
+    every vector, each with its unit vector added; the vectors shuffled."""
+    N = len(vecs) + rng.randint(1, 3)
+    units = rng.sample(range(N), N - len(vecs))
+    kept = [m for m in range(N) if m not in units]
+    out = [tuple(v[kept.index(m)] if m in kept else 0 for m in range(N))
+           for v in vecs]
+    out += [tuple(int(j == m) for j in range(N)) for m in units]
+    rng.shuffle(out)
+    return tuple(out)
+
+
+def full_cone(vecs):
+    """_cone_coordinates of the whole generator matrix, no split."""
+    return affine_monoids._cone_coordinates(
+        ExactMatrix.from_rows(vecs).transpose())
+
+
 def test_parallelepiped_walk_matches_oracle_on_seeded_bases():
-    signs = set()
-    for vecs, d in random_simplicial_bases(random.Random(78), 80):
+    # each basis as drawn and with unit coordinates put in, which the walk
+    # splits off; the assembled cone is that of the whole matrix.  A unit
+    # vector e_m splits only when no other vector is nonzero at m
+    rng = random.Random(80)
+    bases = [b for vecs, _ in random_simplicial_bases(random.Random(78), 80)
+             for b in (vecs, with_unit_coordinates(rng, vecs))]
+    bases += [((1, 0, 0), (1, 2, 0), (0, 1, 3)),    # e_0, not alone at 0
+              ((0, 1, 0), (1, 0, 0), (0, 1, 2)),    # e_0 splits, e_1 not
+              ((0, 1), (1, 0))]                     # both split, k = 0
+    signs, split = set(), set()
+    for vecs in bases:
+        d = determinant(ExactMatrix.from_rows(vecs))
         signs.add(d > 0)
-        assert parallelepiped_points(vecs).points == \
-            parallelepiped_oracle(vecs), vecs
-    assert signs == {True, False}
+        pb = parallelepiped_points(vecs)
+        assert pb.points == parallelepiped_oracle(vecs), vecs
+        assert pb.cone == full_cone(vecs), vecs
+        units = affine_monoids._unit_coordinates(vecs)
+        split.add(min(len(units), 1))
+        for m, i in units.items():
+            assert vecs[i] == tuple(int(j == m) for j in range(len(vecs)))
+            assert [v[m] for v in vecs].count(0) == len(vecs) - 1
+    assert signs == {True, False} and split == {0, 1}
+    assert affine_monoids._unit_coordinates(bases[-3]) == {}
+    assert affine_monoids._unit_coordinates(bases[-2]) == {0: 1}
+    assert affine_monoids._unit_coordinates(bases[-1]) == {0: 1, 1: 0}
 
 
 def test_parallelepiped_walk_matches_oracle_at_e_10000():

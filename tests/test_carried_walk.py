@@ -12,6 +12,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from test_affine_monoids import full_cone, with_unit_coordinates
 from test_monomialization import (
     corpus_extensions,
     pipeline_extension,
@@ -137,16 +138,26 @@ def echelon_label(rows):
 
 def test_labelled_parallelepiped_matches_points_and_sigma_m():
     # any label constant on the classes modulo V M will do; k = 0 and
-    # V M of lower rank than k included
+    # V M of lower rank than k included.  Some bases get unit coordinates,
+    # which the walk splits off, and A = I splits every coordinate: its
+    # one point is 0, labelled label(0 M) of width k, k = 0 included
     rng = random.Random(137)
-    seen_k = set()
+    draws = []
     for _ in range(150):
         n = rng.randint(1, 4)
         while True:
             V = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             if determinant(ExactMatrix(V)):
                 break
-        k = rng.randint(0, 3)
+        if rng.random() < 0.3:
+            V = [list(v) for v in with_unit_coordinates(rng, V)]
+        draws.append((V, rng.randint(0, 3)))
+    for n in (1, 3):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        draws += [(identity, 0), (identity, 2)]
+    seen_k, seen_split, seen_identity = set(), set(), set()
+    for V, k in draws:
+        n = len(V)
         M = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
         VM = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)]
               for row in V] if k else [[] for _ in V]
@@ -154,13 +165,21 @@ def test_labelled_parallelepiped_matches_points_and_sigma_m():
         basis, labels = labelled_parallelepiped(V, M, label)
         plain = parallelepiped_points(V)
         assert basis == plain
-        assert basis.cone == plain.cone
+        assert basis.cone == plain.cone == full_cone(V)
+        split = len(affine_monoids._unit_coordinates(
+            tuple(map(tuple, V))))
+        seen_split.add(min(split, 1))
+        if split == n:
+            assert basis.points == ((0,) * n,)
+            assert labels == (label((0,) * k),)
+            seen_identity.add(k)
         assert labels == tuple(
             label([sum(a * b for a, b in zip(sigma, col))
                    for col in zip(*M)] if k else ())
             for sigma in plain.points)
         seen_k.add(k)
     assert seen_k == {0, 1, 2, 3}
+    assert seen_split == {0, 1} and seen_identity >= {0, 2}
 
 
 def test_parallelepiped_over_budget_is_refused_before_the_walk(monkeypatch):

@@ -5,17 +5,18 @@ import pytest
 
 from gradedval import monomial_extension
 from gradedval.errors import InvalidExtension, NonPositiveValue
-from gradedval.exact_lattice import ExactMatrix, determinant
+from gradedval.exact_lattice import ExactMatrix, determinant, rref
 from gradedval.monomial_extension import (
     AdjointRelations,
     BlockStructure,
     MonomialExtension,
     SSMForm,
+    Violation,
     adjoint_relations,
     induced_x_values,
     validate,
 )
-from gradedval.ordered_groups import Block, GroupStructure
+from gradedval.ordered_groups import Block, GroupStructure, isolated_level
 
 
 def simple_extension(A_rows, blocks=None, y_vals=None):
@@ -229,3 +230,166 @@ def test_nonpositive_value_rejected():
     )
     with pytest.raises(NonPositiveValue):
         induced_x_values(me)
+
+
+def fraction_violations(me):
+    """The shape check as it was decided on Fractions: exponents read one
+    by one, the rank of the T-values by rref of their flat coordinates,
+    each value's sign and isolated level on its GroupElement."""
+    bs = me.blocks
+    n = bs.n
+    out = []
+    for i in range(n):
+        bi = bs.block_of(i)
+        i_is_t = bs.is_t_index(i)
+        for j in range(n):
+            a = me.A[i, j]
+            if a == 0:
+                continue
+            if a < 0:
+                out.append(Violation(
+                    "negative_exponent", (i, j),
+                    f"exponent a[{i}][{j}] = {a} is negative"))
+                continue
+            if bs.is_t_index(j):
+                bj = bs.block_of(j)
+                ok = bj >= bi if i_is_t else (bj > bi or j == i)
+            else:
+                ok = j == i and a == 1
+            if not ok:
+                out.append(Violation(
+                    "zero_pattern", (i, j),
+                    f"exponent a[{i}][{j}] = {a} breaks the block "
+                    f"pattern"))
+        if not i_is_t and me.A[i, i] != 1:
+            out.append(Violation(
+                "zero_pattern", (i, i),
+                f"non-T row {i} must carry its own variable with "
+                f"exponent 1"))
+    for b in range(bs.r):
+        if determinant(me.g_block(b)) == 0:
+            out.append(Violation(
+                "singular_block", (b,),
+                f"diagonal exponent block of block {b} is singular"))
+    tlist = bs.t_indices()
+    vecs = [me.y_values[j].flat() for j in tlist]
+    if len(rref(vecs)[1]) != len(tlist):
+        out.append(Violation(
+            "dependent_values", tuple(tlist),
+            "T-indexed y-values are rationally dependent"))
+    for j, v in enumerate(me.y_values):
+        if v.sign() <= 0:
+            out.append(Violation(
+                "nonpositive_value", (j,),
+                f"value of y_{j} is not strictly positive"))
+        elif isolated_level(v) != bs.block_of(j):
+            out.append(Violation(
+                "misplaced_value", (j,),
+                f"value of y_{j} lives at isolated level "
+                f"{isolated_level(v)}, expected {bs.block_of(j)}"))
+    return out
+
+
+def random_valued_extension(rng):
+    """A valid extension over rank-1, sqrt(2) and sqrt(3) blocks.
+
+    Block b has t_b <= 3 variables and s_b T-variables, at most its
+    rational rank; A is the
+    identity with exponents 0..2 on the T-columns of later blocks and on
+    the block's own T-columns from its T-rows.  Every value is positive
+    at its own level: a random nonzero component of denominator up to 4
+    in its own block, with the sign made positive, and random components
+    in later blocks.  The values are drawn again while fraction_violations
+    finds a violation, which only dependent T-values give."""
+    r = rng.randint(1, 3)
+    structure = GroupStructure(tuple(
+        Block(quad=rng.choice((None, 2, 3))) for _ in range(r)))
+    t = tuple(rng.randint(1, 3) for _ in range(r))
+    s = tuple(rng.randint(1, min(ti, block.rational_rank))
+              for ti, block in zip(t, structure.blocks))
+    blocks = BlockStructure(r=r, t=t, s=s)
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    def value(level):
+        while True:
+            comps = [tuple(0 for _ in range(block.rational_rank))
+                     if c < level else
+                     tuple(q() for _ in range(block.rational_rank))
+                     for c, block in enumerate(structure.blocks)]
+            v = structure.element(comps)
+            if v.sign() < 0:
+                v = -v
+            if isolated_level(v) == level:
+                return v
+
+    tlist = blocks.t_indices()
+    rows = [[int(i == j) for j in range(blocks.n)] for i in range(blocks.n)]
+    for i in range(blocks.n):
+        bi = blocks.block_of(i)
+        for j in tlist:
+            bj = blocks.block_of(j)
+            if bj > bi or (bj == bi and blocks.is_t_index(i) and j > i):
+                rows[i][j] = rng.randint(0, 2)
+    while True:
+        values = tuple(value(blocks.block_of(j)) for j in range(blocks.n))
+        me = MonomialExtension(
+            blocks=blocks, A=ExactMatrix.from_rows(rows),
+            unit_markers=("1",) * blocks.n, y_values=values)
+        if not fraction_violations(me):
+            return me
+
+
+def mutated(rng, me):
+    """me with one value or exponent spoilt: a value negated or zeroed, a
+    value moved to an earlier or a later level, a T-value replaced by a
+    combination of the others, or an exponent set to -1 or 2."""
+    values = list(me.y_values)
+    rows = [list(row) for row in me.A.entries]
+    structure = me.structure
+    j = rng.randrange(len(values))
+    kind = rng.choice(("negate", "zero", "earlier", "later", "dependent",
+                       "exponent"))
+    comps = [list(c) for c in values[j].coords]
+    level = me.blocks.block_of(j)
+    tlist = me.blocks.t_indices()
+    if kind == "negate":
+        values[j] = -values[j]
+    elif kind == "zero":
+        values[j] = structure.zero()
+    elif kind == "earlier" and level > 0:
+        comps[rng.randrange(level)][0] = Fraction(rng.randint(1, 3), 2)
+        values[j] = structure.element(comps)
+    elif kind == "later":
+        comps[level] = [0] * len(comps[level])
+        values[j] = structure.element(comps)
+    elif kind == "dependent" and len(tlist) > 1:
+        a, b = rng.sample(tlist, 2)
+        values[a] = values[b].scale(Fraction(rng.randint(1, 3), 2))
+    else:
+        rows[rng.randrange(len(rows))][j] = rng.choice((-1, 2))
+    return MonomialExtension(
+        blocks=me.blocks, A=ExactMatrix.from_rows(rows),
+        unit_markers=me.unit_markers, y_values=tuple(values))
+
+
+def test_integer_shape_check_matches_fraction_oracle():
+    # the violations decided on integer rows against the Fractions: the
+    # same list, in the same order, with the same messages, on valid
+    # extensions over rational, sqrt(2) and sqrt(3) blocks and on copies
+    # with one value or exponent spoilt
+    rng = random.Random(1729)
+    kinds, quads, denominators = set(), set(), set()
+    for _ in range(400):
+        me = random_valued_extension(rng)
+        assert validate(me) == fraction_violations(me) == []
+        bad = mutated(rng, me)
+        problems = validate(bad)
+        assert problems == fraction_violations(bad)
+        kinds |= {v.kind for v in problems}
+        quads |= {b.quad for b in me.structure.blocks}
+        denominators.add(bad._value_columns[0] > 1)
+    assert {"nonpositive_value", "misplaced_value", "dependent_values",
+            "negative_exponent", "zero_pattern"} <= kinds
+    assert quads == {None, 2, 3} and denominators == {True, False}

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 from test_golden_reports import ladder_scenario
+from test_monomial_extension import random_valued_extension
 from test_graded_algebra import (
     basis_labels,
     galois_character,
@@ -17,12 +18,14 @@ from gradedval.errors import (
     EnumerationOverflow,
     HypothesisA6Failed,
     MalformedStep,
+    NoNonnegativeLift,
     NonPositiveValue,
     NotAlongValuation,
     NotTheorem48Form,
 )
 from gradedval.exact_lattice import (
     ExactMatrix,
+    adjugate,
     determinant,
     in_column_lattice,
     smith_normal_form,
@@ -188,6 +191,70 @@ def test_tampered_burst_raises_like_single_steps(v1, v2):
     assert "y'_1" in str(burst.value)
 
 
+def burst_oracle(values, m, c, reps):
+    """nu(y'_m) after reps substitutions y_m = y'_m * y_c, by GroupElement
+    arithmetic as the burst was first decided: positive at the end where
+    it is least, k = reps when nu(y_c) > 0, else k = 1."""
+    ym, yc = values[m], values[c]
+    least = reps if yc.sign() > 0 else 1
+    value = ym - yc.scale(least)
+    if value.sign() <= 0:
+        raise NotAlongValuation(
+            f"value of y'_{m} would not be strictly positive")
+    return value if least == reps else ym - yc.scale(reps)
+
+
+def test_integer_bursts_match_group_element_arithmetic():
+    # bursts on integer rows against GroupElement arithmetic, on values
+    # over rational, sqrt(2) and sqrt(3) blocks, some of them negated and
+    # nu(y_m) often moved to the level of nu(y_c), where the sign of
+    # nu(y_m) - k nu(y_c) turns with k
+    rng = random.Random(1213)
+    outcomes, quads, denominators = set(), set(), set()
+    while len(outcomes) < 3 or rng.random() < 0.995:
+        me = random_valued_extension(rng)
+        bs = me.blocks
+        pairs = [(m, c) for m in range(bs.n) for c in bs.t_indices()
+                 if bs.block_of(m) < bs.block_of(c)]
+        if not pairs:
+            continue
+        m, c = rng.choice(pairs)
+        values = [-v if rng.random() < 0.3 else v for v in me.y_values]
+        if rng.random() < 0.6:
+            values[m] = (values[c].scale(Fraction(rng.randint(-9, 9), 2))
+                         + rng.choice(values).scale(Fraction(1, 3)))
+        values = tuple(values)
+        me = MonomialExtension(blocks=bs, A=me.A,
+                               unit_markers=me.unit_markers,
+                               y_values=values)
+        reps = rng.randint(1, 6)
+        steps = (TransformStep(kind="s", row=m, target=c),) * reps
+        try:
+            expected = burst_oracle(values, m, c, reps)
+        except NotAlongValuation as refusal:
+            with pytest.raises(NotAlongValuation) as info:
+                replay(me, steps)
+            assert str(info.value) == str(refusal)
+            # refused though the last single step would have kept it > 0
+            turned = (values[m] - values[c].scale(reps)).sign() > 0
+            outcomes.add("turned" if turned else "refused")
+        else:
+            redone = replay(me, steps)
+            assert redone.y_values[m] == expected
+            assert redone.y_values[:m] + redone.y_values[m + 1:] == \
+                values[:m] + values[m + 1:]
+            # the rows the rewrite hands over are those of the new values,
+            # over their least common denominator
+            fresh = MonomialExtension(
+                blocks=bs, A=redone.A, unit_markers=redone.unit_markers,
+                y_values=redone.y_values)
+            assert redone.__dict__["_value_rows"] == fresh._value_rows
+            denominators.add(fresh._value_rows[0])
+            outcomes.add("done")
+        quads |= {b.quad for b in me.structure.blocks}
+    assert quads == {None, 2, 3} and max(denominators) > 1
+
+
 def test_positive_burst_matches_single_steps():
     # nu(y_2) < 0 and every substitution stays positive
     me = valued_extension(1, -1)
@@ -297,6 +364,86 @@ def test_lift_budget_counts_candidates(monkeypatch):
         strong_monomialize(me)
     monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 3)
     assert len(strong_monomialize(me).steps) == 3
+
+
+def graded_vectors(length, bound):
+    """Nonnegative integer vectors ordered by total then lexicographically,
+    each entry at most bound: the lift search's candidate order, listed
+    outright."""
+    for total in range(bound * length + 1):
+        yield from compositions(total, length, bound)
+
+
+def compositions(total, length, bound):
+    if length == 1:
+        if total <= bound:
+            yield (total,)
+        return
+    for first in range(min(total, bound) + 1):
+        for rest in compositions(total - first, length - 1, bound):
+            yield (first,) + rest
+
+
+def lift_oracle(det, adj, h, bound):
+    """(index, b, c) of the first b of graded_vectors with c = adj (h + b)
+    / det a nonnegative integer vector, one full product adj (h + b) per
+    candidate; (candidate count, None, None) when no b lifts."""
+    count = 0
+    for index, b in enumerate(graded_vectors(len(h), bound)):
+        num = adj.apply(tuple(x + y for x, y in zip(h, b)))
+        if all(x % det == 0 and x // det >= 0 for x in num):
+            return index, b, tuple(x // det for x in num)
+        count = index + 1
+    return count, None, None
+
+
+def test_lift_search_matches_graded_oracle(monkeypatch):
+    # the carried numerators against a full product per candidate: the
+    # same (b, c), the same refusal, and the budget met at the same
+    # candidate, for k = 1..4 and both signs of det
+    rng = random.Random(4711)
+    seen = set()
+    for _ in range(240):
+        k = rng.randint(1, 4)
+        while True:
+            sub = ExactMatrix(tuple(
+                tuple(rng.choice((0, 0, 1, 1, 2, 3, -1)) for _ in range(k))
+                for _ in range(k)))
+            if determinant(sub):
+                break
+        det, adj = adjugate(sub.transpose())
+        h = [rng.randint(0, 3) for _ in range(k)]
+        bound = rng.randint(1, 3)
+        index, b, c = lift_oracle(det, adj, h, bound)
+        monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 100_000)
+        if b is None:
+            with pytest.raises(NoNonnegativeLift) as info:
+                monomialization._lift(5, det, adj, h, bound)
+            assert str(info.value) == (
+                f"no nonnegative lift for row 5 within exponent bound "
+                f"{bound}")
+            # a budget of every candidate is not exhausted, one less is
+            monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", index)
+            with pytest.raises(NoNonnegativeLift):
+                monomialization._lift(5, det, adj, h, bound)
+            overflow_at = index - 1
+        else:
+            assert monomialization._lift(5, det, adj, h, bound) == (b, c)
+            monkeypatch.setattr(monomialization, "_SEARCH_BUDGET",
+                                index + 1)
+            assert monomialization._lift(5, det, adj, h, bound) == (b, c)
+            overflow_at = index
+        monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", overflow_at)
+        with pytest.raises(EnumerationOverflow) as info:
+            monomialization._lift(5, det, adj, h, bound)
+        assert str(info.value) == (
+            f"lift search for row 5 exhausted its budget of {overflow_at} "
+            f"candidates")
+        seen.add((k, det > 0, b is None))
+    assert {(k, positive) for k, positive, _ in seen} == {
+        (k, positive) for k in range(1, 5) for positive in (True, False)}
+    assert {(k, none) for k, _, none in seen} == {
+        (k, none) for k in range(1, 5) for none in (True, False)}
 
 
 def test_rejects_invalid_extension():
