@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from operator import add, ge, itemgetter
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     NotPointed,
     SingularLattice,
 )
-from .exact_lattice import ExactMatrix, adjugate, hermite_row_basis, rref
+from .exact_lattice import ExactMatrix, adjugate, hermite_row_basis
 
 # most nodes one membership search, or box points one decomposition, visits
 _SEARCH_BUDGET = 100_000
@@ -112,51 +113,31 @@ def _member(v, gens, phi, budget):
     return False
 
 
-def _fm_feasible(ineqs, nvars):
-    """Fourier-Motzkin feasibility of {coeffs . t + const >= 0}."""
-    if nvars == 0:
-        return all(c >= 0 for _, c in ineqs)
-    pos, neg, rest = [], [], []
-    for coeffs, const in ineqs:
-        a = coeffs[0]
-        tail = coeffs[1:]
-        if a > 0:
-            pos.append(([x / a for x in tail], const / a))
-        elif a < 0:
-            neg.append(([x / -a for x in tail], const / -a))
-        else:
-            rest.append((tail, const))
-    for (pt, pc) in pos:
-        for (nt, nc) in neg:
-            # t >= -(pt.x + pc) and t <= nt.x + nc combine
-            rest.append(([n - p for p, n in zip(pt, nt)], nc + pc))
-    return _fm_feasible(rest, nvars - 1)
-
-
 def in_rational_cone(v, gens):
-    """True iff v is a nonnegative rational combination of gens (exact)."""
-    k = len(gens)
-    R, pivots = rref([[g[i] for g in gens] + [v[i]] for i in range(len(v))],
-                     k)
-    if any(row[k] for row in R[len(pivots):]):
-        return False
-    # lambda = particular + sum_f t_f null_f over the free columns f
-    particular = [Fraction(0)] * k
-    for row, col in zip(R, pivots):
-        particular[col] = row[k]
-    free = [j for j in range(k) if j not in pivots]
-    if not free:
-        return all(x >= 0 for x in particular)
-    null = []
-    for f in free:
-        vec = [Fraction(0)] * k
-        vec[f] = Fraction(1)
-        for row, col in zip(R, pivots):
-            vec[col] = -row[f]
-        null.append(vec)
-    # lambda >= 0, eliminate t by Fourier-Motzkin
-    ineqs = [([vec[i] for vec in null], particular[i]) for i in range(k)]
-    return _fm_feasible(ineqs, len(null))
+    """True iff v is a nonnegative rational combination of gens (exact).
+
+    Conic Caratheodory (Schrijver, Theory of Linear and Integer
+    Programming, 1986, 7.7): a nonnegative combination moves onto
+    independent generators, which extend with zero coefficients to r
+    independent ones, r the rank of gens (the cone is 0 when r = 0).  For
+    r of them, S, with G = S S^t nonsingular (so det G > 0), v = S^t mu
+    has at most the solution det G * mu = adj G S v = c, and v is in their
+    cone iff c >= 0 and S^t c = det G v: C(len(gens), r) r x r adjugates.
+    """
+    rows = ExactMatrix.from_rows(gens).entries
+    r = len(hermite_row_basis(rows))
+    if not r:
+        return not any(v)
+    for S in combinations(rows, r):
+        S, St = ExactMatrix._of(S), ExactMatrix._of(tuple(zip(*S)))
+        try:
+            det, adj = adjugate(S.matmul(St))
+        except SingularLattice:
+            continue
+        c = adj.apply(S.apply(v))
+        if min(c) >= 0 and St.apply(c) == tuple(det * x for x in v):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Smith normal form, determinants, adjugates, lattice indices, quotient
 invariant factors and integer linear solving, all over arbitrary-precision
 integers, on two integer eliminations: the extgcd Hermite echelon (the
 Smith form alternates it over rows and columns) and one Bareiss pass
-(determinants and adjugates).  The one rational elimination (rref) is
-behind every rational solve and rank.  Floating point never enters; every
-operation is a pure function of immutable inputs.
+(determinants and adjugates).  A rational solve is the adjugate over the
+determinant, so there is no rational elimination.  Floating point never
+enters; every operation is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -193,10 +193,11 @@ def hermite_row_basis(rows, pivot_cols=None):
     canonical coset representative is needed.
 
     Pivots are sought only in the first pivot_cols columns (all columns by
-    default), as in rref; rows that get no pivot follow the basis unless
-    they vanish.  On [A | I] the right block is then a unimodular T with
-    T * A the left block.  This extgcd echelon is the one integer row
-    reduction; smith_normal_form alternates it over rows and columns.
+    default), so an augmented block is carried along but never pivoted
+    on; rows that get no pivot follow the basis unless they vanish.  On
+    [A | I] the right block is then a unimodular T with T * A the left
+    block.  This extgcd echelon is the one integer row reduction;
+    smith_normal_form alternates it over rows and columns.
     """
     work = [list(r) for r in rows if any(r)]
     if pivot_cols is None:
@@ -302,6 +303,12 @@ def adjugate(A: ExactMatrix):
     One Bareiss Gauss-Jordan pass over [A | I] leaves det A * I on the left
     and adj A on the right.  The identity is checked before returning.
     Raises SingularLattice when det A = 0.
+
+    The check cannot fail.  Each step multiplies [A | I] on the left (a
+    row swap, (p r_i - f r_c) / prev, the final sign), and each division
+    is exact, every entry being an integer determinant formed from
+    [A | I] (Bareiss 1968); so the pass ends at L [A | I], whose left
+    block L A is det A * I and whose right block L is returned.
     """
     if not A.is_square():
         raise DimensionMismatch("adjugate of non-square matrix")
@@ -325,44 +332,16 @@ def unimodular_inverse(A: ExactMatrix) -> ExactMatrix:
                                  for row in adj.entries))
 
 
-def rref(rows, pivot_cols=None):
-    """Reduced row echelon form over Q by Gauss-Jordan elimination.
-
-    Pivots are sought only in the first pivot_cols columns (all columns by
-    default), so an augmented right-hand side is carried along but never
-    pivoted on (Cohen, A Course in Computational Algebraic Number Theory,
-    GTM 138, sections 2.2-2.3).  Returns (R, pivots): the reduced rows as
-    Fractions, zero rows last, and the tuple of pivot columns.
-    """
-    M = [[Fraction(x) for x in row] for row in rows]
-    if pivot_cols is None:
-        pivot_cols = len(M[0]) if M else 0
-    pivots = []
-    for col in range(pivot_cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
-        for i, row in enumerate(M):
-            if i != r and row[col]:
-                f = row[col]
-                M[i] = [x - f * y for x, y in zip(row, M[r])]
-        pivots.append(col)
-    return M, tuple(pivots)
-
-
 def solve_rational(A: ExactMatrix, b):
-    """Unique rational solution of A x = b for nonsingular square A."""
+    """Unique rational solution of A x = b for nonsingular square A:
+    x_i = (adj A b)_i / det A, from the one checked adjugate."""
     if not A.is_square() or A.rows != len(b):
         raise DimensionMismatch("square system required")
-    n = A.rows
-    R, pivots = rref([row + (v,) for row, v in zip(A.entries, b)], n)
-    if len(pivots) < n:
-        raise SingularLattice("singular system")
-    return tuple(row[n] for row in R)
+    try:
+        det, adj = adjugate(A)
+    except SingularLattice:
+        raise SingularLattice("singular system") from None
+    return tuple(Fraction(x, det) for x in adj.apply(b))
 
 
 def _smith_residues(snf: SmithDecomposition, b):

@@ -25,7 +25,7 @@ from .errors import (
 from .exact_lattice import (
     ExactMatrix,
     hermite_row_basis,
-    smith_normal_form,
+    quotient_invariants,
 )
 
 
@@ -337,9 +337,8 @@ class Quotient:
     @cached_property
     def invariant_factors(self):
         """Invariant factors (> 1) of big/small."""
-        # checked: the rows come from Quotient's caller
-        snf = smith_normal_form(ExactMatrix.from_rows(self.hnf))
-        return tuple(d for d in snf.D.diagonal_entries() if d > 1)
+        # square, as the index is finite; checked: the caller's rows
+        return quotient_invariants(ExactMatrix.from_rows(self.hnf))
 
     @property
     def denominator(self):

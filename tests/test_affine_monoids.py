@@ -29,6 +29,7 @@ from gradedval.exact_lattice import (
     hermite_row_basis,
     solve_rational,
 )
+from test_exact_lattice import rref
 
 
 def monoid(*gens):
@@ -45,8 +46,8 @@ def simplicial_monoid(vecs):
 
 
 def brute_force_decomposition(basis, M, box_bound):
-    """Reference for verify_disjoint_decomposition: the Fourier-Motzkin
-    cone test per box point and a membership search per (point, lambda)."""
+    """Reference for verify_disjoint_decomposition: the rational cone test
+    per box point and a membership search per (point, lambda)."""
     n = basis.dim
     checked = 0
     violations = []
@@ -521,7 +522,8 @@ def test_membership_search_is_budgeted():
     assert not monoid((3, 5)).contains((3 * 10 ** 12, 5 * 10 ** 12 + 1))
 
 
-# outcomes of the separate elimination that rref replaced
+# outcomes of the separate elimination that rref replaced, and the last
+# case, which the sign-flipped Fourier-Motzkin combination got wrong
 CONE_CASES = (
     ((1, 1), ((1, 0), (0, 1)), True),
     ((-1, 1), ((1, 0), (0, 1)), False),
@@ -537,11 +539,12 @@ CONE_CASES = (
     ((1, 0), (), False),
     ((2, 3, 1), ((1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 0, 0)), True),
     ((0, 0, 0), ((1, 2, 3), (-1, -2, -3)), True),
+    ((-1, -3), ((1, 0), (0, 0), (2, -2), (0, -1), (2, 1)), False),
 )
 
 # (members, sha256 of the 0/1 outcomes) of the sweep below
 CONE_SWEEP = (
-    121, "38ea1302fdfd1c6a5cfe0226937ddd0001ce653bf13fed5aef365ac18534f6c6")
+    120, "1ac9165d592815d3bcf3670592df70b434561ab5252b8cc83db580f173837f85")
 
 
 def test_in_rational_cone_outcomes():
@@ -562,6 +565,76 @@ def test_in_rational_cone_seeded_outcomes_are_pinned():
     out = "".join(bits)
     assert out.count("1") == CONE_SWEEP[0]
     assert hashlib.sha256(out.encode()).hexdigest() == CONE_SWEEP[1]
+
+
+def fm_feasible(ineqs, nvars):
+    """Fourier-Motzkin feasibility of {coeffs . t + const >= 0}."""
+    if nvars == 0:
+        return all(c >= 0 for _, c in ineqs)
+    pos, neg, rest = [], [], []
+    for coeffs, const in ineqs:
+        a = coeffs[0]
+        tail = coeffs[1:]
+        if a > 0:
+            pos.append(([x / a for x in tail], const / a))
+        elif a < 0:
+            neg.append(([x / -a for x in tail], const / -a))
+        else:
+            rest.append((tail, const))
+    for (pt, pc) in pos:
+        for (nt, nc) in neg:
+            # t >= -(pt.x + pc) and t <= nt.x + nc combine to
+            # (pt + nt).x + pc + nc >= 0
+            rest.append(([p + n for p, n in zip(pt, nt)], nc + pc))
+    return fm_feasible(rest, nvars - 1)
+
+
+def cone_oracle(v, gens):
+    """The elimination in_rational_cone replaced: solve gens . lambda = v
+    by rref and decide lambda >= 0 over its null space by Fourier-Motzkin
+    (fm_feasible, with the sign of its combination fixed)."""
+    k = len(gens)
+    R, pivots = rref([[g[i] for g in gens] + [v[i]] for i in range(len(v))],
+                     k)
+    if any(row[k] for row in R[len(pivots):]):
+        return False
+    # lambda = particular + sum_f t_f null_f over the free columns f
+    particular = [Fraction(0)] * k
+    for row, col in zip(R, pivots):
+        particular[col] = row[k]
+    free = [j for j in range(k) if j not in pivots]
+    if not free:
+        return all(x >= 0 for x in particular)
+    null = []
+    for f in free:
+        vec = [Fraction(0)] * k
+        vec[f] = Fraction(1)
+        for row, col in zip(R, pivots):
+            vec[col] = -row[f]
+        null.append(vec)
+    ineqs = [([vec[i] for vec in null], particular[i]) for i in range(k)]
+    return fm_feasible(ineqs, len(null))
+
+
+def test_in_rational_cone_against_fourier_motzkin_seeded():
+    # k generators in Z^n, often dependent: the null space of the
+    # generator matrix, k - rank, reaches 2 and more in many draws
+    rng = random.Random(4242)
+    members = wide = 0
+    for _ in range(2000):
+        n, k = rng.randint(1, 4), rng.randint(1, 6)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(k)]
+        if k >= 3 and rng.random() < 0.5:
+            gens[-1] = tuple(a - b for a, b in zip(gens[0], gens[1]))
+        v = tuple(rng.randint(-4, 4) for _ in range(n))
+        expected = cone_oracle(v, gens)
+        assert in_rational_cone(v, gens) is expected, (v, gens)
+        members += expected
+        wide += k - len(hermite_row_basis(gens)) >= 2
+    for v, gens, expected in CONE_CASES:
+        assert cone_oracle(v, gens) is expected, (v, gens)
+    assert 400 < members < 1600 and wide > 400, (members, wide)
 
 
 def test_decomposition_box_is_budgeted(monkeypatch):

@@ -13,11 +13,9 @@ from gradedval.exact_lattice import (
     is_unimodular,
     lattice_index,
     quotient_invariants,
-    rref,
     smith_normal_form,
     solve_integer,
     solve_rational,
-    unimodular_inverse,
     unimodular_inverse,
 )
 from gradedval.errors import (
@@ -491,6 +489,36 @@ def test_residue_membership_examples():
     assert not in_column_lattice(snf, (1, 1))
 
 
+def rref(rows, pivot_cols=None):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination; the
+    rational elimination solve_rational used to run, kept as its oracle.
+
+    Pivots are sought only in the first pivot_cols columns (all columns by
+    default), so an augmented right-hand side is carried along but never
+    pivoted on (Cohen, A Course in Computational Algebraic Number Theory,
+    GTM 138, sections 2.2-2.3).  Returns (R, pivots): the reduced rows as
+    Fractions, zero rows last, and the tuple of pivot columns.
+    """
+    M = [[Fraction(x) for x in row] for row in rows]
+    if pivot_cols is None:
+        pivot_cols = len(M[0]) if M else 0
+    pivots = []
+    for col in range(pivot_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][col]
+        M[r] = [x * inv for x in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[col]:
+                f = row[col]
+                M[i] = [x - f * y for x, y in zip(row, M[r])]
+        pivots.append(col)
+    return M, tuple(pivots)
+
+
 def check_rref_against_sympy(rows):
     """rref equals sympy's Matrix.rref(); with the last column augmented,
     the left block and its pivots are those of the left block alone, a
@@ -557,6 +585,31 @@ def test_rref_edge_cases():
     R, pivots = rref([[1, 2, 5], [2, 4, 7]], 2)
     assert pivots == (0,) and R == [[1, 2, 5], [0, 0, -3]]
     assert rref([[Fraction(1, 2), 1]]) == ([[1, 2]], (0,))
+
+
+def test_solve_rational_against_rref_seeded():
+    # square systems, a third made singular by a row that sums two others
+    rng = random.Random(21)
+    kinds = {"nonsingular": 0, "singular": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n >= 3 and rng.random() < 0.35:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        b = tuple(rng.randint(-6, 6) for _ in range(n))
+        R, pivots = rref([row + [v] for row, v in zip(rows, b)], n)
+        A = ExactMatrix.from_rows(rows)
+        if len(pivots) < n:
+            kinds["singular"] += 1
+            with pytest.raises(SingularLattice, match="^singular system$"):
+                solve_rational(A, b)
+            continue
+        kinds["nonsingular"] += 1
+        x = solve_rational(A, b)
+        assert x == tuple(row[n] for row in R)
+        assert all(type(xi) is Fraction for xi in x)
+        assert A.apply(x) == b
+    assert kinds["singular"] > 40 and kinds["nonsingular"] > 200, kinds
 
 
 # outcomes of the separate eliminations that rref replaced

@@ -5,7 +5,7 @@ import pytest
 
 from gradedval import monomial_extension
 from gradedval.errors import InvalidExtension, NonPositiveValue
-from gradedval.exact_lattice import ExactMatrix, determinant, rref
+from gradedval.exact_lattice import ExactMatrix, determinant
 from gradedval.monomial_extension import (
     AdjointRelations,
     BlockStructure,
@@ -17,6 +17,7 @@ from gradedval.monomial_extension import (
     validate,
 )
 from gradedval.ordered_groups import Block, GroupStructure, isolated_level
+from test_exact_lattice import rref
 
 
 def simple_extension(A_rows, blocks=None, y_vals=None):

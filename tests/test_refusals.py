@@ -11,11 +11,23 @@ import pytest
 
 from gradedval.errors import (
     AmbientMismatch,
+    DimensionMismatch,
     InvalidExtension,
     NotInGroup,
     NotTheorem48Form,
+    SingularLattice,
 )
-from gradedval.exact_lattice import ExactMatrix
+from gradedval.exact_lattice import (
+    ExactMatrix,
+    determinant,
+    in_column_lattice,
+    lattice_index,
+    quotient_invariants,
+    smith_normal_form,
+    solve_integer,
+    solve_rational,
+    unimodular_inverse,
+)
 from gradedval.monomial_extension import BlockStructure, MonomialExtension
 from gradedval.monomialization import TransformStep, replay
 from gradedval.ordered_groups import Block, GroupStructure, ValueGroup
@@ -68,6 +80,35 @@ def test_a_huge_block_is_refused_by_the_matrix_check_at_once():
                           unit_markers=("1", "1"),
                           y_values=_values(TWO, [(1, 0), (0, 1)]))
     assert str(info.value) == "exponent matrix must be n x n"
+
+
+ROW = ExactMatrix.from_rows([[1, 2, 3]])
+SQUARE = ExactMatrix.from_rows([[2, 0], [0, 3]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ROW.matmul(ROW), "1x3 times 1x3"),
+    (lambda: ROW.apply((1, 2)), "vector length != column count"),
+    (lambda: determinant(ROW), "determinant of non-square matrix"),
+    (lambda: lattice_index(ROW), "lattice index needs a square matrix"),
+    (lambda: quotient_invariants(ROW),
+     "lattice index needs a square matrix"),
+    (lambda: in_column_lattice(smith_normal_form(SQUARE), (1, 2, 3)),
+     "right-hand side length != row count"),
+    (lambda: solve_integer(SQUARE, (1,)),
+     "right-hand side length != row count"),
+    (lambda: solve_rational(ROW, (1,)), "square system required"),
+])
+def test_exact_lattice_refuses_mismatched_shapes(call, message):
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_unimodular_inverse_refuses_a_larger_determinant():
+    with pytest.raises(SingularLattice) as info:
+        unimodular_inverse(SQUARE)
+    assert str(info.value) == "matrix is not unimodular"
 
 
 @pytest.mark.parametrize("coords, message", [

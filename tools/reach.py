@@ -2,12 +2,16 @@
 """Print the statements of src/gradedval that no run reaches.
 
     python3 tools/reach.py [SEED]
+    python3 tools/reach.py --tests
 
 Line-traces (sys.settrace) one pass over every case of the three benchmark
 workloads at SEED (default 7), made by perfbench/gen.py and run by
 perfbench/cases.py, both loaded by path and unchanged, and then every
-subcommand on every bundled scenario.  Prints path:line: source for each
-statement of the package that compiles to code and never ran.
+subcommand on every bundled scenario.  With --tests it line-traces the
+tier-1 test suite instead, in this process through pytest.main (about
+five times its untraced time, a few minutes; it is not run in CI).
+Prints path:line: source for each statement of the package that compiles
+to code and never ran.
 """
 
 import ast
@@ -60,9 +64,8 @@ def cli_runs(program):
             run(["ledger", "--in"], {"records": data["extension_records"]})
 
 
-def main():
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
-    sys.path.insert(0, str(ROOT / "src"))
+def workload_runs(seed):
+    """One pass over the three benchmark workloads, then cli_runs."""
     gen, cases = (runpy.run_path(str(ROOT / "perfbench" / name))
                   for name in ("gen.py", "cases.py"))
     sys.settrace(trace)
@@ -72,6 +75,24 @@ def main():
             program.run(case, program.decode(case))
     cli_runs(program)
     sys.settrace(None)
+
+
+def suite_runs():
+    """The tier-1 suite, as ROADMAP.md runs it; its summary goes to stdout
+    before the unrun statements."""
+    import pytest
+    sys.settrace(trace)
+    pytest.main(["-q", "-p", "no:cacheprovider",
+                 "--continue-on-collection-errors", str(ROOT / "tests")])
+    sys.settrace(None)
+
+
+def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    if sys.argv[1:] == ["--tests"]:
+        suite_runs()
+    else:
+        workload_runs(int(sys.argv[1]) if len(sys.argv) > 1 else 7)
     for path in sorted(PKG.glob("*.py")):
         source = path.read_text()
         for n in statements(source, str(path)):
