@@ -31,7 +31,12 @@ from .errors import (
     NotPointed,
     SingularLattice,
 )
-from .exact_lattice import ExactMatrix, adjugate, hermite_row_basis
+from .exact_lattice import (
+    ExactMatrix,
+    abs_adjugate,
+    adjugate,
+    hermite_row_basis,
+)
 
 # most nodes one membership search, or box points one decomposition, visits
 _SEARCH_BUDGET = 100_000
@@ -352,14 +357,10 @@ def _cone_coordinates(W: ExactMatrix):
     and in the monoid they generate when moreover C x = 0 mod |det W|.
     """
     try:
-        d, adj = adjugate(W)
+        return abs_adjugate(W)
     except SingularLattice:
         raise DependentGenerators(
             "parallelepiped generators are dependent") from None
-    if d < 0:
-        adj = ExactMatrix._of(tuple(tuple(-x for x in row)
-                                    for row in adj.entries))
-    return abs(d), adj
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,8 @@ def cmd_graded(args, data):
 
 def cmd_semigroup(args, data):
     section = _run_semigroup_section(dec_semigroup_section(data))
+    if "failure" in section:
+        return section, f"semigroup: {section['failure']['error']}"
     return section, f"semigroup: {len(section['witnesses'])} witness(es)"
 
 

@@ -290,7 +290,7 @@ def quotient_invariants(A: ExactMatrix):
     """Invariant factors (> 1) of Z^n / A Z^n; their product is |det A|.
     A zero on the Smith diagonal is det A = 0: SingularLattice."""
     if not A.is_square():
-        raise DimensionMismatch("lattice index needs a square matrix")
+        raise DimensionMismatch("quotient invariants need a square matrix")
     diag = smith_normal_form(A).D.diagonal_entries()
     if 0 in diag:
         raise SingularLattice("column lattice has infinite index")
@@ -323,13 +323,22 @@ def adjugate(A: ExactMatrix):
     return det, adj
 
 
-def unimodular_inverse(A: ExactMatrix) -> ExactMatrix:
-    """Exact integer inverse of a unimodular matrix: det A * adj A."""
+def abs_adjugate(A: ExactMatrix):
+    """(|det A|, C) with C = sign(det A) * adj A, so C * A = |det A| * I,
+    for nonsingular square A: the one place an adjugate is negated."""
     d, adj = adjugate(A)
-    if d not in (1, -1):
+    if d > 0:
+        return d, adj
+    return -d, ExactMatrix._of(tuple(tuple(-x for x in row)
+                                     for row in adj.entries))
+
+
+def unimodular_inverse(A: ExactMatrix) -> ExactMatrix:
+    """Exact integer inverse of a unimodular matrix: sign(det A) * adj A."""
+    d, inverse = abs_adjugate(A)
+    if d != 1:
         raise SingularLattice("matrix is not unimodular")
-    return ExactMatrix._of(tuple(tuple(d * x for x in row)
-                                 for row in adj.entries))
+    return inverse
 
 
 def solve_rational(A: ExactMatrix, b):

@@ -71,7 +71,7 @@ def invariant_part(module: GradedModule):
     them; 0 is one (checked by the parallelepiped walk), so it is the only
     point in the trivial coset.
     """
-    origin = (0,) * len(module.system.snf_at.D.diagonal_entries())
+    origin = (0,) * module.system.extension.blocks.n
     return tuple(GradedBasisLabel(sigma=origin, residue_index=i)
                  for i in range(1, module.residue_degree + 1))
 

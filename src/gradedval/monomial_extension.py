@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     ExactMatrix,
-    adjugate,
+    abs_adjugate,
     determinant,
     hermite_row_basis,
 )
@@ -134,18 +134,11 @@ class MonomialExtension:
         return self.y_values[0].structure
 
     @cached_property
-    def _value_columns(self):
-        """(L, columns): the integer matrix of L * nu*(y_j), L the least
-        common denominator, stored by column.  Computed once, from the
-        y-values themselves, not from _value_rows."""
-        L = common_denominator(self.y_values)
-        return L, tuple(zip(*(scaled_row(v, L) for v in self.y_values)))
-
-    @cached_property
     def _value_rows(self):
         """(L, rows): the y-values as integer rows L * nu*(y_j), L their
-        least common denominator.  Computed once and read by _violations
-        and by the rewrite, whose build() hands the rows it holds to the
+        least common denominator.  The one integer copy of the y-values:
+        computed once and read by _violations, _x_value_rows, coset_system
+        and the rewrite, whose build() hands the rows it holds to the
         extension it makes."""
         L = common_denominator(self.y_values)
         return L, tuple(scaled_row(v, L) for v in self.y_values)
@@ -262,7 +255,8 @@ def _x_value_rows(me: MonomialExtension):
     """(L, rows): rows[i] is L * nu(x_i) = sum_j a_ij * L * nu*(y_j) as a
     flat integer row, over the denominator L of the y-values.  Raises
     NonPositiveValue unless every nu(x_i) is strictly positive."""
-    L, columns = me._value_columns
+    L, values = me._value_rows
+    columns = tuple(zip(*values))
     rows = [[sum(map(mul, row, col)) for col in columns]
             for row in me.A.entries]
     for i, row in enumerate(rows):
@@ -291,15 +285,10 @@ class AdjointRelations:
 
 
 def adjoint_relations(me: MonomialExtension) -> AdjointRelations:
-    AT = me.t_submatrix()
+    # B = sign(det A_T) * adj A_T, so the checked adjugate identity gives
+    # B * A_T = e * I, which makes prod_j x_j^{B_ij} collapse to y_i^e
     try:
-        d, adj = adjugate(AT)
+        e, B = abs_adjugate(me.t_submatrix())
     except SingularLattice:
         raise SingularBlock("T-submatrix is singular") from None
-    e = abs(d)
-    sign = 1 if d > 0 else -1
-    # sign-adjusted adjugate: adjugate checked adj * A_T = d * I, so
-    # B * A_T = e * I, which makes prod_j x_j^{B_ij} collapse to y_i^e
-    B = ExactMatrix._of(tuple(tuple(sign * x for x in row)
-                              for row in adj.entries))
     return AdjointRelations(e=e, B=B, t_indices=me.blocks.t_indices())

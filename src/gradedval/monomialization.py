@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from operator import add, mul
+from operator import add
 
 from .errors import (
     EnumerationOverflow,
@@ -373,26 +373,25 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     small lies in big by construction, so the quotient is built from
     coordinate rows, not from small's generators.  The y-values generate
     big and nu(x_i) = sum_j a_ij nu*(y_j) with integer a_ij, so nu(x_i)
-    is in big.  Coordinates in big's lattice basis are unique, so they are
-    additive: with M the integer matrix whose rows are the coordinates of
-    the y-values, the coordinates of nu(x_i) are row i of A M.  That big
-    and small have the same rational span (finite index) is still checked,
-    by Quotient (InfiniteIndex), and so is A6.  nu(x_i) > 0 is checked
-    first, on the integer rows of the y-values' value matrix.
+    is in big.  Both kinds of row are integers over one denominator, with
+    no rational arithmetic.  big is generated by the y-values, so its
+    denominator is common_denominator(y-values), the L of
+    me._value_rows, whose rows scaled_row(y_j, L) are the very rows big's
+    Hermite basis was reduced from; _x_value_rows gives the rows
+    L * nu(x_i) over the same L, and checks nu(x_i) > 0 first.
+    big.row_coordinates back-substitutes each row through that basis.
+    Every row lies in the lattice the basis spans, so none fails.  M is
+    the matrix of the y-values' coordinates, and the quotient is built
+    from those of the nu(x_i).  That big and small have the same rational
+    span (finite index) is still checked, by Quotient (InfiniteIndex),
+    and so is A6.
 
-    M is read from those same rows, with no rational arithmetic.  big is
-    generated by the y-values, so its denominator is
-    common_denominator(y-values), the L of me._value_columns; the value
-    matrix's rows are therefore scaled_row(y_j, L), the very rows big's
-    Hermite basis was reduced from, and big.row_coordinates back-
-    substitutes each through that basis.  Each row lies in the lattice
-    the basis spans, so no back-substitution fails.
-
-    Coordinates are linear for the same reason, so the coordinates of
-    phi(sigma) are sigma M: M is taken once, and each label is one
-    Hermite reduction of the integer row sigma M.  That row is not
-    computed: labelled_parallelepiped carries x M through its box walk by
-    one column add per step, x the box point that sigma represents, and
+    Coordinates in big's lattice basis are unique, so they are linear:
+    the coordinates of nu(x_i) are row i of A M, and those of phi(sigma)
+    are sigma M.  M is taken once, and each label is one Hermite
+    reduction of the integer row sigma M.  That row is not computed:
+    labelled_parallelepiped carries x M through its box walk by one
+    column add per step, x the box point that sigma represents, and
     labels it instead.  This is exact.  sigma = x - sum_i q_i (row i of A)
     for integers q_i, so sigma M = x M - sum_i q_i (row i of A M); row i
     of A M is the coordinate row of nu(x_i), which lies in small, so x M
@@ -404,14 +403,12 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     affine_monoids._POINT_BUDGET points before it starts.
     """
     me = ssm.extension
-    _x_value_rows(me)  # raises NonPositiveValue unless every nu(x_i) > 0
-    A = me.A.entries
+    _, x_rows = _x_value_rows(me)  # NonPositiveValue unless nu(x_i) > 0
     big = ValueGroup(me.structure, me.y_values)
-    M = [big.row_coordinates(row) for row in zip(*me._value_columns[1])]
-    columns = tuple(zip(*M))
-    quotient = Quotient(
-        big, [[sum(map(mul, row, col)) for col in columns] for row in A])
-    pb, label_rows = labelled_parallelepiped(A, M, quotient.label_row)
+    M = [big.row_coordinates(row) for row in me._value_rows[1]]
+    quotient = Quotient(big, [big.row_coordinates(row) for row in x_rows])
+    pb, label_rows = labelled_parallelepiped(
+        me.A.entries, M, quotient.label_row)
     e = pb.index
     if quotient.index != e:
         raise HypothesisA6Failed(

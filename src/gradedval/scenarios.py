@@ -196,10 +196,8 @@ def _run_extension_case(label, me, f):
         stage = "replay"
         redone = replay(trace.initial, trace.steps)
         checks.append(("replay_matches", redone == final))
-        # on the integer rows of the value matrix, which coset_system reads
-        row_sign = final.structure.row_sign
-        checks.append(("values_positive", all(
-            row_sign(row) > 0 for row in zip(*final._value_columns[1]))))
+        checks.append(("values_positive",
+                       all(v.sign() > 0 for v in final.y_values)))
         checks.append(("t_determinant_preserved",
                        abs(determinant(final.t_submatrix())) == t_det))
         report["steps"] = enc_int(len(trace.steps))
@@ -230,21 +228,30 @@ def _run_extension_case(label, me, f):
         report["ok"] = all(p for _, p in checks)
         return report
     except GradedValError as exc:
-        return {"case": label, "ok": False,
-                "failure": {"stage": stage,
-                            "error": f"{exc.__class__.__name__}: {exc}"}}
+        return {"case": label, **_failure(stage, exc)}
+
+
+def _failure(stage, exc):
+    """The verdict of a case or section that exc ended in stage."""
+    return {"ok": False,
+            "failure": {"stage": stage,
+                        "error": f"{exc.__class__.__name__}: {exc}"}}
 
 
 def _run_semigroup_section(sg):
     """Report of a semigroup section; one index decides groups_equal:
-    subgroup_index refuses small outside big, and index 1 means equal."""
+    subgroup_index refuses small outside big, and index 1 means equal.
+    A GradedValError ends the section, which reports it as a case does."""
     structure = sg["structure"]
-    small = ValueSemigroup(ambient=ValueGroup(structure, sg["small"]),
-                           generators=sg["small"])
-    big = ValueSemigroup(ambient=ValueGroup(structure, sg["big"]),
-                         generators=sg["big"])
-    witnesses = semigroup_difference(small, big, sg["bound"])
-    groups_equal = subgroup_index(big.ambient, small.ambient) == 1
+    try:
+        small = ValueSemigroup(ambient=ValueGroup(structure, sg["small"]),
+                               generators=sg["small"])
+        big = ValueSemigroup(ambient=ValueGroup(structure, sg["big"]),
+                             generators=sg["big"])
+        witnesses = semigroup_difference(small, big, sg["bound"])
+        groups_equal = subgroup_index(big.ambient, small.ambient) == 1
+    except GradedValError as exc:
+        return _failure("semigroup", exc)
     grew = bool(witnesses)
     ok = grew == sg["expect_growth"]
     return {

@@ -211,14 +211,14 @@ def test_decomposition_box_walk_streams():
 def test_one_adjugate_per_basis(monkeypatch):
     # the check reads the cone coordinates parallelepiped_points computed;
     # a replaced basis is a fresh instance and computes its own
-    real = affine_monoids.adjugate
+    real = affine_monoids.abs_adjugate
     calls = []
 
     def counting(W):
         calls.append(W)
         return real(W)
 
-    monkeypatch.setattr(affine_monoids, "adjugate", counting)
+    monkeypatch.setattr(affine_monoids, "abs_adjugate", counting)
     vecs = ((2, 1), (0, 3))
     pb = parallelepiped_points(vecs)
     M = simplicial_monoid(vecs)
@@ -231,7 +231,7 @@ def test_one_adjugate_per_basis(monkeypatch):
 
 
 def test_unchecked_cone_matrices_equal_checked_ones(monkeypatch):
-    # parallelepiped_points builds W, and _cone_coordinates the negated
+    # parallelepiped_points builds W, and abs_adjugate the negated
     # adjugate when det W < 0, without the entry check; both are what
     # the checked constructor would build
     def check(m):
@@ -239,13 +239,13 @@ def test_unchecked_cone_matrices_equal_checked_ones(monkeypatch):
         assert all(type(x) is int for row in m.entries for x in row)
         assert m == ExactMatrix(m.entries)
 
-    real = affine_monoids.adjugate
+    real = affine_monoids.abs_adjugate
 
     def checking(W):
         check(W)
         return real(W)
 
-    monkeypatch.setattr(affine_monoids, "adjugate", checking)
+    monkeypatch.setattr(affine_monoids, "abs_adjugate", checking)
     rng = random.Random(1018)
     signs = set()
     while len(signs) < 2 or rng.random() < 0.98:

@@ -359,12 +359,17 @@ def test_graded_runs_only_the_extension_cases(tmp_path, capsys):
     assert capsys.readouterr().err == "error: not a rational string: 4\n"
 
 
+OVERFLOW = {"stage": "semigroup",
+            "error": "EnumerationOverflow: enumeration budget exhausted"}
+
+
 @pytest.mark.parametrize("argv", [["pipeline", "--scenario"],
                                   ["semigroup", "--in"]])
 def test_semigroup_budget_is_refused_before_enumerating(tmp_path, capsys,
                                                         argv):
     # the big generator 1 alone would add 998244359987710471 + 1 sums; the
-    # same refusal used to come after the whole budget, about 3 s
+    # same refusal used to come after the whole budget, about 3 s.  The
+    # section reports it, and the pipeline's report is still written
     data = edited("section5.json", "semigroups", "small", 1,
                   value=[["998244359987710471"]])
     if argv[0] == "semigroup":
@@ -373,9 +378,14 @@ def test_semigroup_budget_is_refused_before_enumerating(tmp_path, capsys,
     start = time.perf_counter()
     assert main(argv + [src, "--json"]) == 1
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr() == (
-        "", "check failed: EnumerationOverflow: enumeration budget "
-            "exhausted\n")
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and len(report.pop("input_sha256")) == 64
+    expected = {"ok": False, "failure": OVERFLOW}
+    if argv[0] == "pipeline":
+        expected = {"scenario": "section5", "cases": [], "ok": False,
+                    "semigroup": expected}
+    assert report == expected
 
 
 @pytest.mark.parametrize("blocks, small, big, bound", [
@@ -401,9 +411,10 @@ def test_semigroup_later_or_sqrt_run_is_refused_before_enumerating(
     start = time.perf_counter()
     assert main(["semigroup", "--in", src, "--json"]) == 1
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr() == (
-        "", "check failed: EnumerationOverflow: enumeration budget "
-            "exhausted\n")
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and len(report.pop("input_sha256")) == 64
+    assert report == {"ok": False, "failure": OVERFLOW}
 
 
 def test_semigroup_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from gradedval.exact_lattice import (
     ExactMatrix,
+    abs_adjugate,
     adjugate,
     determinant,
     hermite_row_basis,
@@ -375,6 +376,29 @@ def test_adjugate_edge_cases():
         adjugate(ExactMatrix.from_rows([[1, 2], [2, 4]]))
     with pytest.raises(DimensionMismatch):
         adjugate(ExactMatrix.from_rows([[1, 2]]))
+
+
+def test_abs_adjugate_is_the_adjugate_signed_by_the_determinant():
+    # the one sign-normalised adjugate, against adjugate on matrices of
+    # both determinant signs; the negated one is built unchecked, so it
+    # must be what the checked constructor would build
+    signs = set()
+    for A in random_nonsingular(random.Random(33), 80):
+        d, adj = adjugate(A)
+        e, C = abs_adjugate(A)
+        sign = 1 if d > 0 else -1
+        signs.add(sign)
+        assert e == abs(d)
+        assert C.entries == tuple(tuple(sign * x for x in row)
+                                  for row in adj.entries)
+        assert C.matmul(A) == ExactMatrix.diagonal((e,) * A.rows)
+        assert all(type(x) is int for row in C.entries for x in row)
+        assert C == ExactMatrix(C.entries)
+    assert signs == {1, -1}
+    with pytest.raises(SingularLattice):
+        abs_adjugate(ExactMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(DimensionMismatch):
+        abs_adjugate(ExactMatrix.from_rows([[1, 2]]))
 
 
 def test_transpose_of_an_empty_column_matrix_is_refused():

@@ -390,7 +390,7 @@ def test_integer_shape_check_matches_fraction_oracle():
         assert problems == fraction_violations(bad)
         kinds |= {v.kind for v in problems}
         quads |= {b.quad for b in me.structure.blocks}
-        denominators.add(bad._value_columns[0] > 1)
+        denominators.add(bad._value_rows[0] > 1)
     assert {"nonpositive_value", "misplaced_value", "dependent_values",
             "negative_exponent", "zero_pattern"} <= kinds
     assert quads == {None, 2, 3} and denominators == {True, False}

@@ -854,8 +854,10 @@ def test_nonpositive_x_value_is_refused_before_the_parallelepiped(
         a6_extension([[1, 0, 0], [0, 1, 1], [0, 0, 2]])).final
     me = ssm.extension
     # a valid extension has every nu(x_i) > 0; negate the y-values after
-    # the form is checked to reach the check coset_system still makes
+    # the form is checked, and drop their cached integer rows, to reach
+    # the check coset_system still makes
     object.__setattr__(me, "y_values", tuple(-v for v in me.y_values))
+    me.__dict__.pop("_value_rows", None)
     walked = []
     monkeypatch.setattr(monomialization, "labelled_parallelepiped",
                         lambda rows, M, label: walked.append(rows))

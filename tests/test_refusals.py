@@ -1,4 +1,4 @@
-"""Typed refusals of the data model that no other test reaches.
+"""Typed refusals of invalid input that no other test reaches.
 
 Each test pins one refusal of invalid input: its error type and, where the
 library gives one, its message.  They hold whatever the internal layout of
@@ -9,12 +9,20 @@ from fractions import Fraction
 
 import pytest
 
+from gradedval.affine_monoids import (
+    AffineMonoid,
+    parallelepiped_points,
+    verify_disjoint_decomposition,
+)
 from gradedval.errors import (
     AmbientMismatch,
+    DependentGenerators,
     DimensionMismatch,
     InvalidExtension,
     NotInGroup,
     NotTheorem48Form,
+    ParseError,
+    SingularBlock,
     SingularLattice,
 )
 from gradedval.exact_lattice import (
@@ -28,10 +36,20 @@ from gradedval.exact_lattice import (
     solve_rational,
     unimodular_inverse,
 )
-from gradedval.monomial_extension import BlockStructure, MonomialExtension
+from gradedval.monomial_extension import (
+    BlockStructure,
+    MonomialExtension,
+    SSMForm,
+    adjoint_relations,
+)
 from gradedval.monomialization import TransformStep, replay
-from gradedval.ordered_groups import Block, GroupStructure, ValueGroup
-from gradedval.scenarios import Scenario, run_pipeline
+from gradedval.ordered_groups import (
+    Block,
+    GroupStructure,
+    ValueGroup,
+    generator_rows,
+)
+from gradedval.scenarios import Scenario, load_scenario, run_pipeline
 from gradedval.value_semigroups import (
     ValueSemigroup,
     semigroup_difference,
@@ -92,7 +110,7 @@ SQUARE = ExactMatrix.from_rows([[2, 0], [0, 3]])
     (lambda: determinant(ROW), "determinant of non-square matrix"),
     (lambda: lattice_index(ROW), "lattice index needs a square matrix"),
     (lambda: quotient_invariants(ROW),
-     "lattice index needs a square matrix"),
+     "quotient invariants need a square matrix"),
     (lambda: in_column_lattice(smith_normal_form(SQUARE), (1, 2, 3)),
      "right-hand side length != row count"),
     (lambda: solve_integer(SQUARE, (1,)),
@@ -208,3 +226,67 @@ def test_pipeline_reports_an_invalid_extension_without_running_it():
             "kind": "negative_exponent", "location": ["0", "1"],
             "message": "exponent a[0][1] = -1 is negative"}],
         "checks": [{"name": "valid_input", "passed": False}]}]}
+
+
+PLANE = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AffineMonoid(dim=2, generators=((1,),),
+                          positivity_functional=(1, 1)),
+     "generator of wrong dimension"),
+    (lambda: AffineMonoid(dim=2, generators=PLANE,
+                          positivity_functional=(1,)),
+     "functional of wrong dimension"),
+    (lambda: AffineMonoid(dim=2, generators=PLANE,
+                          positivity_functional=(1, 1)).contains((1,)),
+     "query of wrong dimension"),
+    (lambda: parallelepiped_points(((1, 0), (0, 1, 2))),
+     "need n vectors in Z^n"),
+    (lambda: parallelepiped_points(((1, 0),)), "need n vectors in Z^n"),
+])
+def test_affine_monoids_refuse_a_wrong_dimension(call, message):
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_decomposition_refuses_a_monoid_of_other_generators():
+    basis = parallelepiped_points(((2, 1), (0, 3)))
+    monoid = AffineMonoid(dim=2, generators=PLANE,
+                          positivity_functional=(1, 1))
+    with pytest.raises(DependentGenerators) as info:
+        verify_disjoint_decomposition(basis, monoid, box_bound=3)
+    assert str(info.value) == (
+        "monoid must be generated by the parallelepiped vectors")
+
+
+def test_value_groups_refuse_a_foreign_ambient():
+    group = ValueGroup(ONE, _values(ONE, [(1,)]))
+    other = ValueGroup(TWO, _values(TWO, [(1, 0)]))
+    with pytest.raises(AmbientMismatch) as info:
+        ValueGroup(ONE, other.generators)
+    assert str(info.value) == "generator outside the ambient group"
+    with pytest.raises(AmbientMismatch) as info:
+        group.coordinates(other.generators[0])
+    assert str(info.value) == "element outside the ambient group"
+    with pytest.raises(AmbientMismatch) as info:
+        generator_rows(group, other)
+    assert str(info.value) == "groups over different ambient structures"
+
+
+def test_strong_form_and_adjoint_relations_refuse_a_bad_extension():
+    with pytest.raises(InvalidExtension) as info:
+        SSMForm(_extension([[1, -1], [0, 1]]))
+    assert str(info.value) == "exponent a[0][1] = -1 is negative"
+    # T = {0}, so the T-submatrix is the 1 x 1 zero matrix
+    with pytest.raises(SingularBlock) as info:
+        adjoint_relations(_extension([[0, 0], [0, 1]]))
+    assert str(info.value) == "T-submatrix is singular"
+
+
+def test_random_section_refuses_e_max_below_one():
+    # no extension has |det A| < 1, so the draws would never end
+    with pytest.raises(ParseError) as info:
+        load_scenario({"name": "r", "random": {"e_max": "0"}})
+    assert str(info.value) == "random.e_max must be at least 1, not 0"

@@ -1,5 +1,6 @@
 """The package stays standard-library only: every module imported under
-src/gradedval is part of the standard library or gradedval itself."""
+src/gradedval is part of the standard library or gradedval itself.  And
+no check of the package is one that python -O strips."""
 
 import ast
 import sys
@@ -49,3 +50,16 @@ def test_package_modules_use_every_name_they_import():
         unused += [(path.name, name) for name in imported
                    if name not in used]
     assert unused == []
+
+
+def test_no_package_check_is_stripped_by_python_O():
+    # -O drops assert statements and folds __debug__ to False, so a check
+    # written either way would vanish; every check must be a typed raise
+    files = sorted(Path(gradedval.__file__).resolve().parent.glob("*.py"))
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "__debug__"):
+                found.append((path.name, node.lineno))
+    assert found == []
