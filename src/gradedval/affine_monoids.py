@@ -6,12 +6,14 @@ by a strictly positive linear functional, which makes exact membership
 decidable by bounded search.  For n independent generators the
 parallelepiped points and the decomposition check use exact integer cone
 coordinates from one adjugate per basis instead, carried along by one
-streaming mixed-radix walk.  The parallelepiped first splits off every
-unit coordinate, so its adjugate, Hermite box and walk are those of the
-rest (for a strong monomial form, of the T-block), and walks every point
-of that box; the decomposition check settles a well-formed point list
-from the points' residues and only counts the cone, one line of the last
-coordinate at a time.
+streaming mixed-radix walk.  labelled_parallelepiped is the one body of
+the parallelepiped walk, and parallelepiped_points is that walk with no
+labels.  It first splits off every unit coordinate, so its adjugate,
+Hermite box and walk are those of the rest (for a strong monomial form,
+of the T-block), and walks every point of that box; the decomposition
+check settles a well-formed point list from the points' residues and
+only counts the cone, one line of the last coordinate at a time, and
+reports any other list's points that lie outside the cone.
 """
 
 from __future__ import annotations
@@ -171,7 +173,14 @@ class ParallelepipedBasis:
 
 
 def parallelepiped_points(vectors) -> ParallelepipedBasis:
-    """Lambda = Z^n intersect par(v_1..v_n) for independent integer vectors.
+    """Lambda = Z^n intersect par(v_1..v_n) for independent integer vectors:
+    labelled_parallelepiped with no columns in M, so every label is ()."""
+    return labelled_parallelepiped(vectors, (), tuple)[0]
+
+
+def labelled_parallelepiped(vectors, M, label):
+    """(the ParallelepipedBasis of vectors, labels), labels[i] = label(sigma
+    M) for the i-th point sigma, from one walk of a box.
 
     The generators are independent, so their Hermite row basis H is upper
     triangular with positive diagonal, and the box prod [0, h_ii) holds
@@ -179,20 +188,10 @@ def parallelepiped_points(vectors) -> ParallelepipedBasis:
     lattice (reduce x_1 mod h_11 by row 1, then x_2 mod h_22 by row 2, ...).
     Each class maps to its unique representative x - W floor(W^{-1} x),
     with the floors taken in integers from the adjugate of the generator
-    matrix W.  The box is walked by _box_walk, which carries
-    C x = |det W| W^{-1} x along by one column add per step.  Unit
-    coordinates are split off first (see _parallelepiped_walk), so the
-    walk runs on the rest.  A basis of more than _POINT_BUDGET points is
-    refused before the walk.
-    """
-    vectors, cone, _, walk, widen = _parallelepiped_walk(vectors, ())
-    points = widen(sorted(x for x, _ in walk))
-    return _checked_basis(vectors, points, cone)
-
-
-def labelled_parallelepiped(vectors, M, label):
-    """(parallelepiped_points(vectors), labels), labels[i] = label(sigma M)
-    for the i-th point sigma, walking the box once.
+    matrix W: one generator subtracted per nonzero floor.  The box is
+    walked by _box_walk, which carries C x = |det W| W^{-1} x along by one
+    column add per step.  Dependent vectors are refused, and so is a basis
+    of more than _POINT_BUDGET points, before the walk.
 
     M is a list of n integer rows, and label must be constant on each
     class of Z^w, w the width of M, modulo the row lattice of V M, with V
@@ -202,21 +201,8 @@ def labelled_parallelepiped(vectors, M, label):
     A box point x is sent to sigma = x - sum_i q_i v_i, with q_i the
     integer floors, so sigma M = x M - sum_i q_i (v_i M), and v_i M is
     row i of V M; hence label(x M) = label(sigma M), and the label is read
-    from the carried x M without the product sigma M.  When unit
-    coordinates are split off, x is 0 at them, so x M only needs the rows
-    of M at the other coordinates, and the same argument runs on the
-    other vectors.
-    """
-    vectors, cone, k, walk, widen = _parallelepiped_walk(vectors, M)
-    # the points are distinct, so the sort never compares two labels
-    pairs = sorted((x, label(cx[k:])) for x, cx in walk)
-    points, labels = zip(*pairs)
-    return _checked_basis(vectors, widen(points), cone), labels
-
-
-def _parallelepiped_walk(vectors, M):
-    """(vectors as int tuples, (|det W|, C), k, a box walk carrying C x and
-    x M, widen), refusing dependent vectors and a box over _POINT_BUDGET.
+    from the carried x M without the product sigma M.  With no columns in
+    M every label is label(()).
 
     A coordinate m splits off when exactly one vector v_i is nonzero at m
     and v_i = e_m.  Then every parallelepiped point is 0 at m: its m-th
@@ -224,31 +210,32 @@ def _parallelepiped_walk(vectors, M):
     k vectors are 0 at every split coordinate, so restricted to the k
     other coordinates they span the same points, and the walk runs on
     them alone: one k x k adjugate, one k-column Hermite box and k-long
-    rows of C x.  The walk yields these core points and their carried
-    rows (C x first, k entries, then x M), and widen puts sorted core
-    points back into n coordinates, 0 at the split ones; the zeros sit
-    in fixed places, so lex order is kept.
+    rows of C x; x is 0 at the split coordinates, so x M only needs the
+    rows of M at the others, and the label argument runs on the other
+    vectors.  The sorted points are put back into n coordinates, 0 at the
+    split ones; the zeros sit in fixed places, so lex order is kept.
 
     The cone pair is assembled exactly.  Up to a permutation of rows and
     columns W = diag(I, W_k), so |det W| = |det W_k|, and W^{-1} x has
     lambda_i = x_m at the vector e_m and W_k^{-1} x_K at the others, x_K
     the other coordinates of x.  As C = |det W| W^{-1}, row i of C is
     |det W| e_m, and the row of each other vector is the matching row of
-    C_k = |det W_k| W_k^{-1}, placed at the other columns by widen; this
-    is _cone_coordinates(W), for W^{-1} is unique.  When nothing splits,
-    the core is the whole and widen is tuple.
+    C_k = |det W_k| W_k^{-1}, placed at the other columns; this is
+    _cone_coordinates(W), for W^{-1} is unique.
     """
     vectors = tuple(tuple(int(x) for x in v) for v in vectors)
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")
     split = _unit_coordinates(vectors)
-    core = vectors
+    core, columns, widen = vectors, tuple(zip(*M)), tuple
     if split:
         unit_of = {i: m for m, i in split.items()}
         kept = [m for m in range(n) if m not in split]
         core = tuple(tuple(v[m] for m in kept)
                      for i, v in enumerate(vectors) if i not in unit_of)
+        columns = tuple(tuple(col[m] for m in kept) for col in columns)
+        widen = _widener(n, kept)
     k = len(core)
     W = ExactMatrix._of(core).transpose()  # columns are generators
     index, coords = cone = _cone_coordinates(W)
@@ -256,19 +243,30 @@ def _parallelepiped_walk(vectors, M):
         raise EnumerationOverflow(
             f"parallelepiped of {index} points over the budget of "
             f"{_POINT_BUDGET}")
-    widen = tuple
-    columns = tuple(zip(*M))
     if split:
-        widen = _widener(n, kept)
         core_rows = iter(widen(coords.entries))
         cone = index, ExactMatrix._of(tuple(
             tuple(index if j == unit_of[i] else 0 for j in range(n))
             if i in unit_of else next(core_rows) for i in range(n)))
-        columns = tuple(tuple(col[m] for m in kept) for col in columns)
     H = hermite_row_basis(core)
-    walk = _box_walk([H[i][i] for i in range(k)],
-                     ExactMatrix._of(coords.entries + columns))
-    return vectors, cone, k, _reduced(walk, core, index), widen
+    pairs = []
+    for x, cx in _box_walk([H[i][i] for i in range(k)],
+                           coords.entries + columns):
+        for c, v in zip(cx, core):
+            q = c // index
+            if q:
+                x = tuple([a - q * b for a, b in zip(x, v)])
+        pairs.append((x, label(cx[k:])))
+    # the points are distinct, so the sort never compares two labels
+    pairs.sort()
+    points, labels = zip(*pairs)
+    points = widen(points)
+    if len(points) != index or (0,) * n not in points:
+        raise InconsistentParallelepiped(
+            f"{len(points)} points for index {index}, or 0 missing")
+    basis = ParallelepipedBasis(vectors=vectors, points=points, index=index)
+    basis.__dict__["cone"] = cone   # the cached_property, already computed
+    return basis, labels
 
 
 def _unit_coordinates(vectors):
@@ -296,30 +294,9 @@ def _widener(n, kept):
     return lambda points: tuple(pick(x + (0,)) for x in points)
 
 
-def _reduced(walk, vectors, index):
-    """(x - W floor(C x / |det W|), carried) for each (x, carried) of the
-    walk: one generator subtracted per nonzero floor."""
-    for x, cx in walk:
-        for c, v in zip(cx, vectors):
-            q = c // index
-            if q:
-                x = tuple([a - q * b for a, b in zip(x, v)])
-        yield x, cx
-
-
-def _checked_basis(vectors, points, cone):
-    index = cone[0]
-    n = len(vectors)
-    if len(points) != index or (0,) * n not in points:
-        raise InconsistentParallelepiped(
-            f"{len(points)} points for index {index}, or 0 missing")
-    result = ParallelepipedBasis(vectors=vectors, points=points, index=index)
-    result.__dict__["cone"] = cone   # the cached_property, already computed
-    return result
-
-
-def _box_walk(radices, C: ExactMatrix):
-    """(x, C x) for every x in prod range(r_i), in itertools.product order.
+def _box_walk(radices, rows):
+    """(x, C x) for every x in prod range(r_i), in itertools.product order,
+    C the matrix of the integer rows.
 
     Stepping x_i by one adds column i of C to C x.  The last coordinate
     of radix above 1 is streamed, and only the prefixes before it are
@@ -327,13 +304,13 @@ def _box_walk(radices, C: ExactMatrix):
     coordinates after it have radix 1 and stay 0.
     """
     if not radices:
-        yield (), (0,) * C.rows
+        yield (), (0,) * len(rows)
         return
     m = len(radices)
     while m > 1 and radices[m - 1] == 1:
         m -= 1
-    columns = tuple(zip(*C.entries))
-    walk = [((), (0,) * C.rows)]     # (prefix of x, C prefix)
+    columns = tuple(zip(*rows))
+    walk = [((), (0,) * len(rows))]     # (prefix of x, C prefix)
     for r, column in zip(radices[:m - 1], columns):
         grown = []
         for x, cx in walk:
@@ -398,7 +375,12 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     range, read off by one floor division per row.  Any other point list
     (a hand-built or tampered basis) has the hits of each cone point
     counted by _hits, so a missing, repeated or wrong point shows up as
-    a violation.
+    a violation.  On that path every listed point x outside the cone
+    (C x with a negative entry) is reported as (x, 0) after the box
+    points: x + M leaves the saturation, yet a point moved down by a
+    generator still gives each cone point of its class one hit, so the
+    counts alone would not show it.  A well-formed list has every C x in
+    [0, |det W|)^n, so all its points lie in the cone.
     """
     if set(M.generators) != set(basis.vectors):
         raise DependentGenerators(
@@ -423,7 +405,7 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
         for cx in cxs:
             by_residue.setdefault(tuple(c % index for c in cx), []).append(cx)
     last = tuple(row[-1] for row in coords.entries)
-    head = ExactMatrix._of(tuple(row[:-1] for row in coords.entries))
+    head = tuple(row[:-1] for row in coords.entries)
     top = box_bound - 1
     checked = 0
     violations = []
@@ -448,6 +430,9 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
                          tuple(a + k * c for a, c in zip(cw, last)))
             if hits != 1:
                 violations.append((w + (k,), hits))
+    if by_residue is not None:
+        violations += [(x, 0) for x, cx in zip(basis.points, cxs)
+                       if min(cx) < 0]
     return DecompositionReport(box_bound=box_bound, checked_points=checked,
                                violations=tuple(violations))
 

@@ -285,11 +285,9 @@ def _run_ledger_section(records):
     return {"records": out, "ok": ok}
 
 
-def run_pipeline(scenario: Scenario, input_sha256=None):
+def run_pipeline(scenario: Scenario):
     """Full report for one scenario; report["ok"] is the overall verdict."""
     report = {"scenario": scenario.name}
-    if input_sha256 is not None:
-        report["input_sha256"] = input_sha256
     report["cases"] = cases = [
         _run_extension_case(label, me, scenario.residue_degree)
         for label, me in scenario.extensions]

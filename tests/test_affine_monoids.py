@@ -47,7 +47,8 @@ def simplicial_monoid(vecs):
 
 def brute_force_decomposition(basis, M, box_bound):
     """Reference for verify_disjoint_decomposition: the rational cone test
-    per box point and a membership search per (point, lambda)."""
+    per box point and a membership search per (point, lambda), then
+    (lambda, 0) for each listed lambda outside the cone."""
     n = basis.dim
     checked = 0
     violations = []
@@ -61,6 +62,8 @@ def brute_force_decomposition(basis, M, box_bound):
         )
         if hits != 1:
             violations.append((w, hits))
+    violations += [(x, 0) for x in basis.points
+                   if not in_rational_cone(x, basis.vectors)]
     return DecompositionReport(box_bound=box_bound, checked_points=checked,
                                violations=tuple(violations))
 
@@ -176,7 +179,7 @@ def test_box_walk_matches_product_order():
         C = ExactMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(n))
                               for _ in range(n)))
         radices = [rng.randint(1, 4) for _ in range(n)]
-        walked = list(affine_monoids._box_walk(radices, C))
+        walked = list(affine_monoids._box_walk(radices, C.entries))
         expected = [(x, C.apply(x))
                     for x in product(*(range(r) for r in radices))]
         assert walked == expected, (C, radices)
@@ -186,7 +189,8 @@ def test_box_walk_matches_product_order():
     # no radices: the one point (), and C () is a zero column of C's height
     for height in range(4):
         C = ExactMatrix(((),) * height)
-        assert list(affine_monoids._box_walk((), C)) == [((), (0,) * height)]
+        assert list(affine_monoids._box_walk((), C.entries)) == \
+            [((), (0,) * height)]
 
 
 def test_decomposition_box_walk_streams():
@@ -403,17 +407,19 @@ def test_decomposition_matches_brute_force_random():
         if fast.violations:
             failed.add(len(vecs))
     assert signs == zero_last == {True, False}
-    assert kinds == {"dropped", "duplicated", "replaced", "translated"}
+    assert kinds == {"dropped", "duplicated", "replaced", "translated",
+                     "lowered"}
     assert failed == {1, 2, 3, 4}
 
 
 def tamper(rng, basis):
     """(kind, points) with one listed point dropped, duplicated, replaced
-    by its neighbour (the count stays |det W|), or translated by a
-    generator: the same class, C x out of [0, |det W|)."""
+    by its neighbour (the count stays |det W|), or translated up or
+    lowered by a generator: the same class, C x out of [0, |det W|)."""
     pts = list(basis.points)
     i = rng.randrange(len(pts))
-    kind = rng.choice(["dropped", "duplicated", "replaced", "translated"])
+    kind = rng.choice(["dropped", "duplicated", "replaced", "translated",
+                       "lowered"])
     if kind == "dropped":
         del pts[i]
     elif kind == "duplicated":
@@ -422,7 +428,8 @@ def tamper(rng, basis):
         pts[i] = pts[i - 1]
     else:
         g = rng.choice(basis.vectors)
-        pts[i] = tuple(a + b for a, b in zip(pts[i], g))
+        sign = 1 if kind == "translated" else -1
+        pts[i] = tuple(a + sign * b for a, b in zip(pts[i], g))
     return kind, tuple(pts)
 
 
@@ -431,14 +438,21 @@ def tampered_bases():
     pb = parallelepiped_points(vecs)
     pts = list(pb.points)
     translate = tuple(a + b for a, b in zip(pts[2], vecs[0]))
+    # (1, 1) - (0, 3) and (0, 0) - (2, 1), outside the cone 0 <= x <= 2y;
+    # each cone point of their class is still hit once, yet, say,
+    # (5, 0) = (1, -2) + 2 (2, 1) is in the box and in that coset
+    assert pts[:4] == [(0, 0), (0, 1), (0, 2), (1, 1)]
     return vecs, {
         "dropped": pts[:2] + pts[3:],
         "translated": pts[:2] + [translate] + pts[3:],
         "duplicated": pts + [pts[4]],
+        "lowered": pts[:3] + [(1, -2)] + pts[4:],
+        "lowered_origin": [(-2, -1)] + pts[1:],
     }, pb
 
 
-@pytest.mark.parametrize("kind", ["dropped", "translated", "duplicated"])
+@pytest.mark.parametrize("kind", ["dropped", "translated", "duplicated",
+                                  "lowered", "lowered_origin"])
 def test_tampered_points_give_oracle_violations(kind):
     vecs, tampered, pb = tampered_bases()
     bad = replace(pb, points=tuple(tampered[kind]))
@@ -447,8 +461,40 @@ def test_tampered_points_give_oracle_violations(kind):
     assert fast == brute_force_decomposition(bad, M, 7)
     assert not fast.ok
     counts = {hits for _, hits in fast.violations}
-    # a translate leaves its class uncovered below it, like a dropped point
+    # a translate leaves its class uncovered below it, like a dropped
+    # point; a lowered point is reported alone, as outside the cone
     assert counts == ({2} if kind == "duplicated" else {0})
+    if kind.startswith("lowered"):
+        moved, = set(bad.points) - set(pb.points)
+        assert not in_rational_cone(moved, vecs)
+        assert fast.violations == ((moved, 0),)
+
+
+def test_wrong_point_made_inside_the_walk_is_caught(monkeypatch):
+    # the walk's own C x is trusted to pick each point; one wrong entry
+    # sends the second box point, (0, 1), down by 166 (2, 1), out of the
+    # cone, and the basis built from it is reported, not certified
+    real = affine_monoids._box_walk
+
+    def wrong_walk(radices, rows):
+        for i, (x, cx) in enumerate(real(radices, rows)):
+            if i == 1:
+                assert x == (0, 1)
+                cx = (cx[0] + 1000,) + cx[1:]
+            yield x, cx
+
+    vecs = ((2, 1), (0, 3))
+    good = parallelepiped_points(vecs)
+    M = simplicial_monoid(vecs)
+    with monkeypatch.context() as m:
+        m.setattr(affine_monoids, "_box_walk", wrong_walk)
+        bad = parallelepiped_points(vecs)
+    assert bad != good and bad.cone == good.cone
+    wrong = (-332, -165)
+    assert set(bad.points) - set(good.points) == {wrong}
+    report = verify_disjoint_decomposition(bad, M, box_bound=6)
+    assert not report.ok and report.violations == ((wrong, 0),)
+    assert report == brute_force_decomposition(bad, M, 6)
 
 
 def test_well_formed_basis_counts_lines_not_points(monkeypatch):

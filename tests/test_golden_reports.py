@@ -53,8 +53,8 @@ LADDER_SHA256 = (
 
 def corpus_report(name):
     raw = bundled_scenario_bytes(name)
-    report = run_pipeline(load_scenario(load_json(raw)),
-                          input_sha256=sha256_hex(raw))
+    report = run_pipeline(load_scenario(load_json(raw)))
+    report["input_sha256"] = sha256_hex(raw)
     return canonical_dumps(report)
 
 
@@ -104,8 +104,8 @@ def _corpus_under_hash_seed(seed):
         "out = {}\n"
         "for name in bundled_scenario_names():\n"
         "    raw = bundled_scenario_bytes(name)\n"
-        "    report = run_pipeline(load_scenario(load_json(raw)),\n"
-        "                          input_sha256=sha256_hex(raw))\n"
+        "    report = run_pipeline(load_scenario(load_json(raw)))\n"
+        "    report[\"input_sha256\"] = sha256_hex(raw)\n"
         "    out[name] = canonical_dumps(report)\n"
         "print(json.dumps(out))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -127,12 +127,20 @@ def test_corpus_bytes_independent_of_hash_seed():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # one sha256 over the per-case report sha256s (as `perfbench/run.py --role
-# hashes` prints them) of a workload at seed 7
+# hashes` prints them) of a workload at a seed
 WORKLOAD_SHA256 = {
-    "mixed":
+    ("ladder", 7):
+        "8dd051581d3fe95d2286c01eb3242a093a1b836cda701798b8c25e527de68b50",
+    ("ladder", 23):
+        "5623310f145671c12572677410d4fb1359698cffa7d04a6744e5e4d801046d6d",
+    ("mixed", 7):
         "3180173ad24f025f0a415f02663a58376612a9c8b210676e581114e91b861c55",
-    "decomp":
+    ("mixed", 23):
+        "52a5c187c6d44dc4e3bea72a82be4bbaf0d5cdd4fc747a1b04e8018f34015aac",
+    ("decomp", 7):
         "8a2da5fce194794989f0404afa8832383e6262afb3b350cee85799260131850b",
+    ("decomp", 23):
+        "7a3690105c0214906de2157dcd28660ae4dfaca700e95435510283388f5d76cd",
 }
 
 
@@ -154,6 +162,12 @@ def workload_digest(workload, seed=7):
     return digest("\n".join(digests))
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))
-def test_workload_reports_are_golden(workload):
-    assert workload_digest(workload) == WORKLOAD_SHA256[workload]
+def _workload_id(key):
+    """The workload's name at the default seed 7, else name-seed."""
+    workload, seed = key
+    return workload if seed == 7 else f"{workload}-{seed}"
+
+
+@pytest.mark.parametrize("key", sorted(WORKLOAD_SHA256), ids=_workload_id)
+def test_workload_reports_are_golden(key):
+    assert workload_digest(*key) == WORKLOAD_SHA256[key]

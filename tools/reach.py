@@ -9,7 +9,10 @@ workloads at SEED (default 7), made by perfbench/gen.py and run by
 perfbench/cases.py, both loaded by path and unchanged, and then every
 subcommand on every bundled scenario.  With --tests it line-traces the
 tier-1 test suite instead, in this process through pytest.main (about
-five times its untraced time, a few minutes; it is not run in CI).
+five times its untraced time, a few minutes).  CI runs --tests on one
+Python version and fails if it lists any statement but sys.exit(main())
+in cli.py and the adjugate identity refusal in exact_lattice.py, which
+are kept unrun on purpose.
 Prints path:line: source for each statement of the package that compiles
 to code and never ran.
 """
