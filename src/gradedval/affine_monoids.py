@@ -35,6 +35,7 @@ from .errors import (
 )
 from .exact_lattice import (
     ExactMatrix,
+    _check_ints,
     abs_adjugate,
     adjugate,
     hermite_row_basis,
@@ -60,7 +61,7 @@ class AffineMonoid:
         gens = []
         seen = set()
         for g in self.generators:
-            g = tuple(int(x) for x in g)
+            g = _check_ints(g, "generator entry")
             if len(g) != self.dim:
                 raise DimensionMismatch("generator of wrong dimension")
             if g not in seen:
@@ -86,7 +87,7 @@ class AffineMonoid:
         Bounded search over the coefficients; raises EnumerationOverflow
         when the search would visit more than _SEARCH_BUDGET nodes.
         """
-        v = tuple(int(x) for x in v)
+        v = _check_ints(v, "query entry")
         if len(v) != self.dim:
             raise DimensionMismatch("query of wrong dimension")
         return _member(v, self.generators, self.positivity_functional,
@@ -223,7 +224,7 @@ def labelled_parallelepiped(vectors, M, label):
     C_k = |det W_k| W_k^{-1}, placed at the other columns; this is
     _cone_coordinates(W), for W^{-1} is unique.
     """
-    vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+    vectors = tuple(_check_ints(v, "vector entry") for v in vectors)
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")

@@ -18,11 +18,15 @@ from operator import mul
 from .errors import DimensionMismatch, NonIntegerEntry, SingularLattice
 
 
-def _check_ints(entries):
+def _check_ints(entries, what="matrix entry"):
+    """The entries as a tuple, each exactly an int, else NonIntegerEntry
+    naming them what: nothing is truncated."""
+    entries = tuple(entries)
     for x in entries:
         if type(x) is not int:
             raise NonIntegerEntry(
-                f"matrix entry {x!r} is a {type(x).__name__}, not an int")
+                f"{what} {x!r} is a {type(x).__name__}, not an int")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -359,7 +363,7 @@ def _smith_residues(snf: SmithDecomposition, b):
     so y exists exactly when b lies in the column lattice A Z^n."""
     if snf.U.rows != len(b):
         raise DimensionMismatch("right-hand side length != row count")
-    c = snf.U.apply(tuple(int(v) for v in b))
+    c = snf.U.apply(_check_ints(b, "right-hand side entry"))
     diag = snf.D.diagonal_entries()
     y = [0] * snf.V.rows
     for i, ci in enumerate(c):

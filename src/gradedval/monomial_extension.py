@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     ExactMatrix,
+    _check_ints,
     abs_adjugate,
     determinant,
     hermite_row_basis,
@@ -45,8 +46,9 @@ class BlockStructure:
     s: tuple
 
     def __post_init__(self):
-        t = tuple(int(x) for x in self.t)
-        s = tuple(int(x) for x in self.s)
+        _check_ints((self.r,), "block count")
+        t = _check_ints(self.t, "block size")
+        s = _check_ints(self.s, "block rank")
         if self.r < 1 or len(t) != self.r or len(s) != self.r:
             raise InvalidExtension("need r >= 1 with r block sizes and ranks")
         for ti, si in zip(t, s):

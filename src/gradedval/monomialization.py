@@ -56,11 +56,19 @@ STEP_KINDS = ("s", "r", "rescale")
 _SEARCH_BUDGET = 100_000
 
 
-def _check_steps(steps, n):
+def _step_blocks(bs, m, c):
+    """The blocks (i, j, k, l) of an "s" step of row m and target c: y_m
+    is variable j of block i and y_c variable l of block k, all 1-based."""
+    bm, bc = bs.block_of(m), bs.block_of(c)
+    return bm + 1, m - bs.offset(bm) + 1, bc + 1, c - bs.offset(bc) + 1
+
+
+def _check_steps(steps, bs):
     """Reject a step of unknown kind, one whose row, target or exponent
-    row lies outside [0, n), or an "r" step with an exponent that is not
-    exactly an int (a bool is refused, as ExactMatrix refuses it), before
-    any step is applied."""
+    row lies outside [0, n), an "r" step with an exponent that is not
+    exactly an int (a bool is refused, as ExactMatrix refuses it), or
+    blocks other than an "s" step's _step_blocks, before any is applied."""
+    n = bs.n
     for step in steps:
         if step.kind not in STEP_KINDS:
             raise MalformedStep(f"unknown step kind {step.kind!r}")
@@ -78,6 +86,15 @@ def _check_steps(steps, n):
                 raise MalformedStep(
                     f"{step.kind!r} step names row {i!r}, outside "
                     f"[0, {n})")
+        if step.blocks is None:
+            continue
+        if step.kind != "s":
+            raise MalformedStep(f"{step.kind!r} step has blocks")
+        blocks = _step_blocks(bs, step.row, step.target)
+        if tuple(step.blocks) != blocks:
+            raise MalformedStep(
+                f"'s' step of row {step.row} and target {step.target} has "
+                f"blocks {list(step.blocks)}, not {list(blocks)}")
 
 
 class _Rewrite:
@@ -172,7 +189,7 @@ def replay(initial: MonomialExtension, steps):
     steps = tuple(steps)
     if not steps:
         return initial
-    _check_steps(steps, initial.blocks.n)
+    _check_steps(steps, initial.blocks)
     state = _Rewrite(initial)
     for step, run in groupby(steps):
         state.apply(step, sum(1 for _ in run))
@@ -289,11 +306,8 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
         for col, reps in zip(later_t, b):
             if not reps:
                 continue
-            step = TransformStep(
-                kind="s", row=m, target=col,
-                blocks=(bi + 1, m - bs.offset(bi) + 1,
-                        bs.block_of(col) + 1,
-                        col - bs.offset(bs.block_of(col)) + 1))
+            step = TransformStep(kind="s", row=m, target=col,
+                                 blocks=_step_blocks(bs, m, col))
             state.apply(step, reps)
             steps.extend([step] * reps)
         r_step = TransformStep(
@@ -317,8 +331,8 @@ class CosetSystem:
 
     The labels are kept as integer rows over the denominator L of the big
     group: label_rows[i] is L times the flat coordinates of the canonical
-    coset representative of lattice_points[i].  labels builds the group
-    elements on first use.
+    coset representative of lattice_points[i] (Quotient.label_row), which
+    depends on small alone.  labels builds the group elements on first use.
     """
 
     extension: MonomialExtension
@@ -371,44 +385,32 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     the invariant factors of A^t are those of big/small.
 
     small lies in big by construction, so the quotient is built from
-    coordinate rows, not from small's generators.  The y-values generate
-    big and nu(x_i) = sum_j a_ij nu*(y_j) with integer a_ij, so nu(x_i)
-    is in big.  Both kinds of row are integers over one denominator, with
-    no rational arithmetic.  big is generated by the y-values, so its
-    denominator is common_denominator(y-values), the L of
-    me._value_rows, whose rows scaled_row(y_j, L) are the very rows big's
-    Hermite basis was reduced from; _x_value_rows gives the rows
-    L * nu(x_i) over the same L, and checks nu(x_i) > 0 first.
-    big.row_coordinates back-substitutes each row through that basis.
-    Every row lies in the lattice the basis spans, so none fails.  M is
-    the matrix of the y-values' coordinates, and the quotient is built
-    from those of the nu(x_i).  That big and small have the same rational
-    span (finite index) is still checked, by Quotient (InfiniteIndex),
-    and so is A6.
+    the value rows, not from small's generators.  big is generated by the
+    y-values, so its denominator is common_denominator(y-values), the L
+    of me._value_rows, and Y, the matrix of those rows, has row j
+    L * nu*(y_j); _x_value_rows gives the rows L * nu(x_i) = row i of A Y
+    over the same L, and checks nu(x_i) > 0 first.  Both are integers,
+    with no rational arithmetic and no coordinates in big's basis.
+    Quotient still checks that big and small have the same rational span
+    (finite index, InfiniteIndex), and A6 is checked here.
 
-    Coordinates in big's lattice basis are unique, so they are linear:
-    the coordinates of nu(x_i) are row i of A M, and those of phi(sigma)
-    are sigma M.  M is taken once, and each label is one Hermite
-    reduction of the integer row sigma M.  That row is not computed:
-    labelled_parallelepiped carries x M through its box walk by one
-    column add per step, x the box point that sigma represents, and
-    labels it instead.  This is exact.  sigma = x - sum_i q_i (row i of A)
-    for integers q_i, so sigma M = x M - sum_i q_i (row i of A M); row i
-    of A M is the coordinate row of nu(x_i), which lies in small, so x M
-    and sigma M are in one coset of big/small and label_row, which reduces
-    through the Hermite basis of small's rows, gives both the same
-    canonical representative.
+    Each label is one Hermite reduction of the integer row sigma Y =
+    L * phi(sigma).  That row is not computed: labelled_parallelepiped
+    carries x Y through its box walk by one column add per step, x the box
+    point that sigma represents, and labels it instead.  This is exact.
+    sigma = x - sum_i q_i (row i of A) for integers q_i, so sigma Y - x Y
+    = -sum_i q_i L nu(x_i), which lies in L * small; label_row, which
+    reduces through the Hermite basis of L * small, gives x Y and sigma Y
+    the same canonical representative.
 
     The walk refuses a parallelepiped of more than
     affine_monoids._POINT_BUDGET points before it starts.
     """
     me = ssm.extension
     _, x_rows = _x_value_rows(me)  # NonPositiveValue unless nu(x_i) > 0
-    big = ValueGroup(me.structure, me.y_values)
-    M = [big.row_coordinates(row) for row in me._value_rows[1]]
-    quotient = Quotient(big, [big.row_coordinates(row) for row in x_rows])
+    quotient = Quotient(ValueGroup(me.structure, me.y_values), x_rows)
     pb, label_rows = labelled_parallelepiped(
-        me.A.entries, M, quotient.label_row)
+        me.A.entries, me._value_rows[1], quotient.label_row)
     e = pb.index
     if quotient.index != e:
         raise HypothesisA6Failed(
@@ -423,7 +425,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         invariant_factors=tuple(
             d for d in snf_at.D.diagonal_entries() if d > 1),
         snf_at=snf_at,
-        big_group=big,
+        big_group=quotient.big,
         quotient=quotient,
         parallelepiped=pb,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain
 
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     ExactMatrix,
+    _check_ints,
     hermite_row_basis,
     quotient_invariants,
 )
@@ -36,12 +37,12 @@ class Block:
     quad: int | None = None
 
     def __post_init__(self):
-        if self.quad is not None:
-            q = int(self.quad)
+        q = self.quad
+        if q is not None:
+            _check_ints((q,), "quad")
             if q <= 1 or math.isqrt(q) ** 2 == q:
                 raise UnsupportedBlockRank(
                     f"sqrt({q}) is not a quadratic irrational weight")
-            object.__setattr__(self, "quad", q)
 
     @property
     def rational_rank(self):
@@ -277,68 +278,61 @@ class ValueGroup:
         return self.coordinates(gamma) is not None
 
 
-@cache
-def _identity(n):
-    """The n x n identity as integer rows, built once per n."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def _pivot_columns(echelon_rows):
     return tuple(next(j for j, x in enumerate(row) if x)
                  for row in echelon_rows)
 
 
 def generator_rows(big: ValueGroup, small: ValueGroup):
-    """The integer coordinates of small's generators in big's lattice
-    basis: the rows a Quotient of big by small is built from.
+    """The integer rows L * g of small's generators g, L big's
+    denominator: the rows a Quotient of big by small is built from.
 
     Raises AmbientMismatch for groups over different ambient structures
     and NotASubgroup when a generator of small lies outside big.
     """
     if big.structure != small.structure:
         raise AmbientMismatch("groups over different ambient structures")
+    L = big._lattice[0]
     rows = []
     for g in small.generators:
-        coords = big.coordinates(g)
-        if coords is None:
+        if big.coordinates(g) is None:
             raise NotASubgroup("small generator outside big group")
-        rows.append(coords)
+        rows.append(scaled_row(g, L))
     return rows
 
 
 class Quotient:
     """The finite quotient big/small of two value groups, built once.
 
-    Built from big and rows, the integer coordinates in big's lattice
-    basis of a generating set of small (generator_rows computes them from
-    the generators; a caller that knows them by construction passes them
-    straight).  Holds the Hermite basis H of their row lattice and its
-    pivot columns.  H is canonical, so it does not depend on how small is
-    generated.  [big : small] is the product of H's pivots, and a coset
-    label is one reduction through H (Cohen, A Course in Computational
-    Algebraic Number Theory, GTM 138, section 2.4).
+    Built from big and rows, the integer rows L * g, L big's denominator,
+    of a generating set of small (generator_rows computes them; a caller
+    that knows them by construction passes them straight).  Holds the
+    Hermite basis H of L * small and its pivot columns.  H is canonical,
+    and a coset label is one reduction through H (Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, section 2.4).  H must
+    lie in big and have its rank, so H and big's basis are echelon on the
+    same pivot columns: H's coordinates in big's basis form an upper
+    triangular matrix, whose diagonal multiplies to [big : small] and
+    whose invariant factors are those of big/small.
     """
 
     def __init__(self, big: ValueGroup, rows):
         self.big = big
         self.hnf = hermite_row_basis(rows)
-        _, basis, _ = big._lattice
-        if len(self.hnf) < len(basis):
+        if len(self.hnf) < big.rational_rank:
             raise InfiniteIndex("rational spans differ")
-        # read once for label_row: big's lattice basis, None when it is
-        # the identity (coordinates are then flat coordinates), and width
-        width = big.structure.rational_rank
-        self._basis = None if basis == _identity(width) else basis
-        self._width = width
+        inclusion = [big.row_coordinates(row) for row in self.hnf]
+        if None in inclusion:
+            raise NotASubgroup("quotient row outside big group")
+        self._inclusion = inclusion
         self.pivots = _pivot_columns(self.hnf)
-        self.index = math.prod(
-            row[p] for row, p in zip(self.hnf, self.pivots))
+        self.index = math.prod(row[i] for i, row in enumerate(inclusion))
 
     @cached_property
     def invariant_factors(self):
         """Invariant factors (> 1) of big/small."""
-        # square, as the index is finite; checked: the caller's rows
-        return quotient_invariants(ExactMatrix.from_rows(self.hnf))
+        # square, as the index is finite; checked: from the caller's rows
+        return quotient_invariants(ExactMatrix.from_rows(self._inclusion))
 
     @property
     def denominator(self):
@@ -346,26 +340,18 @@ class Quotient:
         return self.big._lattice[0]
 
     def label_row(self, v):
-        """L * the canonical representative of the coset whose coordinates
-        in big's lattice basis are the integers v, L = denominator.
+        """L * the canonical representative of the coset of v / L, for an
+        integer row v, a sequence, that lies in L * big, L = denominator.
 
-        v, a sequence, is reduced through the Hermite basis of small,
-        giving the unique representative whose entry at each pivot column
-        lies in [0, pivot); its flat coordinates are then summed in
-        integers, unless big's basis is the identity and they are its
-        coordinates.
+        v is reduced through H to the unique representative whose entry
+        at each pivot column lies in [0, pivot).  Scaling v, H and L
+        together does not change it, so it does not depend on big.
         """
         for row, p in zip(self.hnf, self.pivots):
             q = v[p] // row[p]
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
-        if self._basis is None:
-            return tuple(v)
-        flat = [0] * self._width
-        for c, row in zip(v, self._basis):
-            if c:
-                flat = [a + c * b for a, b in zip(flat, row)]
-        return tuple(flat)
+        return tuple(v)
 
     def label(self, gamma: GroupElement):
         """Canonical representative of gamma + small inside big.
@@ -373,11 +359,11 @@ class Quotient:
         Two elements receive equal labels iff their difference lies in
         small.
         """
-        v = self.big.coordinates(gamma)
-        if v is None:
+        if self.big.coordinates(gamma) is None:
             raise NotInGroup("element outside the big group")
-        return self.big.structure.from_row(self.label_row(v),
-                                           self.denominator)
+        L = self.denominator
+        return self.big.structure.from_row(
+            self.label_row(scaled_row(gamma, L)), L)
 
 
 def subgroup_index(big: ValueGroup, small: ValueGroup):

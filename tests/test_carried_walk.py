@@ -1,9 +1,10 @@
 """The parallelepiped walk that carries x M, its budgets and its memory.
 
-coset_system used to walk the parallelepiped, then form sigma M for every
-lattice point and reduce it with Quotient.label_row.  The walk now
-carries x M for the box point x that sigma represents and labels that
-row.  The old path lives on here as the oracle.
+coset_system used to walk the parallelepiped, then form sigma Y for every
+lattice point, Y the integer rows of the y-values, and reduce it with
+Quotient.label_row.  The walk now carries x Y for the box point x that
+sigma represents and labels that row.  The old path lives on here as the
+oracle.
 """
 
 import random
@@ -43,13 +44,13 @@ from gradedval.ordered_groups import Block, GroupStructure
 from gradedval.scenarios import Scenario, compatible_values, run_pipeline
 
 
-def sigma_m_label_rows(cs):
-    """The label rows by the old path: sigma M for each lattice point, M
-    the coordinate rows of the y-values in big's lattice basis, then one
+def sigma_y_label_rows(cs):
+    """The label rows by the old path: sigma Y for each lattice point, Y
+    the integer rows L * nu*(y_j) of the y-values, then one
     Quotient.label_row each."""
-    big = cs.big_group
-    columns = tuple(zip(*(big.coordinates(y)
-                          for y in cs.extension.y_values)))
+    L, Y = cs.extension._value_rows
+    assert L == cs.denominator
+    columns = tuple(zip(*Y))
     return tuple(
         cs.quotient.label_row([sum(map(mul, sigma, col)) for col in columns])
         for sigma in cs.lattice_points)
@@ -100,12 +101,13 @@ def seeded_extensions():
 
 
 def test_carried_labels_match_sigma_m_labels():
-    # against the old path, and, without label_row, each label lies in
-    # big and in the coset of nu(y^sigma) modulo small
+    # against the old path (sigma Y, Y the M labelled_parallelepiped
+    # carries), and, without label_row, each label lies in big and in the
+    # coset of nu(y^sigma) modulo small
     seen_L, seen_quad, largest = set(), False, 0
     for me in seeded_extensions():
         cs = coset_system(strong_monomialize(me).final)
-        assert cs.label_rows == sigma_m_label_rows(cs)
+        assert cs.label_rows == sigma_y_label_rows(cs)
         assert len(set(cs.label_rows)) == cs.e
         structure, L = me.structure, cs.denominator
         small = small_group_of(cs)

@@ -234,6 +234,26 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert main(["pipeline", "--replay", tampered, "--json"]) == 1
 
 
+def test_replay_refuses_blocks_that_contradict_the_step(tmp_path, capsys):
+    # the "s" step's blocks used to be ignored, so blocks ["9"] replayed
+    # with exit 0 and replay_matches true
+    src = scenario_path(tmp_path, "rank2_h2.json")
+    trace = tmp_path / "trace.json"
+    assert main(["monomialize", "--in", src, "--out", str(trace),
+                 "--json"]) == 0
+    data = json.loads(trace.read_text())
+    (s_step,) = [step for step in data["steps"] if step["kind"] == "s"]
+    assert s_step["blocks"] == ["1", "2", "2", "1"]
+    s_step["blocks"] = ["9"]
+    capsys.readouterr()
+    probe = write(tmp_path, "probe.json", data)
+    assert main(["pipeline", "--replay", probe, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 's' step of row 1 and target 2 has "
+                            "blocks [9], not [1, 2, 2, 1]\n")
+
+
 @pytest.mark.parametrize("step, first", [
     ({"kind": "zap", "row": "0"}, False),
     ({"kind": "r", "row": "99"}, False),
@@ -275,6 +295,25 @@ def test_cosets_command(tmp_path, capsys):
     assert out["e"] == "2"
     assert len(out["lattice_points"]) == 2
     assert out["decomposition"]["ok"] is True
+
+
+def test_cosets_labels_over_a_big_group_of_non_identity_basis(tmp_path,
+                                                              capsys):
+    # big = <(1, 1), (0, 2)>, whose Hermite basis is not the identity, and
+    # small = <nu(x_1), nu(x_2)> = <(3, 3), (0, 2)>; a label is the value
+    # row reduced through small's Hermite rows, so (2, 0), not (2, 2),
+    # labels the point (2, 0): both lie in one coset, (0, 2) = nu(x_2)
+    ext = {"blocks": {"r": "2", "t": ["1", "1"], "s": ["1", "1"]},
+           "structure": {"blocks": [{"quad": None}, {"quad": None}]},
+           "A": [["3", "0"], ["0", "1"]], "unit_markers": ["1", "1"],
+           "y_values": [[["1"], ["1"]], [["0"], ["2"]]]}
+    src = write(tmp_path, "ext.json", {"extension": ext})
+    assert main(["cosets", "--in", src, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["e"] == "3" and out["invariant_factors"] == ["3"]
+    assert out["lattice_points"] == [["0", "0"], ["1", "0"], ["2", "0"]]
+    assert out["coset_labels"] == [
+        [["0"], ["0"]], [["1"], ["1"]], [["2"], ["0"]]]
 
 
 def test_cosets_box_bound_builds_the_parallelepiped_once(tmp_path, capsys,

@@ -141,6 +141,12 @@ WORKLOAD_SHA256 = {
         "8a2da5fce194794989f0404afa8832383e6262afb3b350cee85799260131850b",
     ("decomp", 23):
         "7a3690105c0214906de2157dcd28660ae4dfaca700e95435510283388f5d76cd",
+    ("ladder", 59):
+        "87b4d4e6d626711b662b5d53a11810dea015facc9d53447f0621681a4396e063",
+    ("mixed", 59):
+        "8bb60d0d34777f097f8c12c08e20607745fec8f0c8ada142bce6d98461ed2ddb",
+    ("decomp", 59):
+        "7dab70d2526c7036ab189e2b3c19b21eefb152b915bb5bba88569963ebc35e0c",
 }
 
 

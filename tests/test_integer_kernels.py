@@ -78,6 +78,7 @@ from gradedval.ordered_groups import (  # noqa: E402
     coset_label,
     generator_rows,
     quotient_invariant_factors,
+    scaled_row,
     subgroup_index,
 )
 from gradedval.scenarios import random_extension_bounded  # noqa: E402
@@ -266,8 +267,8 @@ def finite_quotient(draw):
 
 def inclusion_oracle(big, small):
     """The integer matrix of small's own lattice basis in big's lattice
-    basis: the inclusion matrix Quotient was built from before it took the
-    coordinates of small's generators."""
+    basis: the inclusion matrix Quotient was built from before it took
+    the coordinates, and then the rows, of small's generators."""
     rows = [big.coordinates(el) for el in basis_elements(small)]
     assert None not in rows and len(rows) == big.rational_rank
     return ExactMatrix.from_rows(rows)
@@ -329,17 +330,26 @@ def test_quotient_labels_against_brute_force(data):
         by_class.setdefault(k, set()).add(lbl.flat())
     assert all(len(v) == 1 for v in by_class.values())
     assert len({lbl.flat() for lbl in labels}) == index
-    # against the inclusion matrix of small's lattice basis
+    # against the inclusion matrix of small's lattice basis: the Hermite
+    # rows of L * small have big-coordinates of its Hermite basis
     C = inclusion_oracle(big, small)
     hnf = hermite_row_basis(C.entries)
-    assert q.hnf == hnf
+    assert hermite_row_basis(
+        [big.row_coordinates(row) for row in q.hnf]) == hnf
     assert q.index == abs(determinant(C))
     snf = smith_normal_form(C.transpose())
     assert q.invariant_factors == tuple(
         d for d in snf.D.diagonal_entries() if d > 1)
+    # a label is the value row reduced through q.hnf; the reduction of
+    # big-coordinates, the label before, is an oracle for its coset
+    L, basis, _ = big._lattice
     for p, lbl in zip(points, labels):
-        assert big.coordinates(lbl) == reduce_through(
-            hnf, big.coordinates(p))
+        assert scaled_row(lbl, L) == reduce_through(q.hnf, scaled_row(p, L))
+        coords = reduce_through(hnf, big.coordinates(p))
+        old = big.structure.from_row(
+            [sum(c * b for c, b in zip(coords, col)) for col in zip(*basis)],
+            L)
+        assert small.contains(lbl - old)
 
 
 @SETTINGS

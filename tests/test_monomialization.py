@@ -796,8 +796,8 @@ def corpus_extensions():
 
 
 def test_quotient_from_coordinate_rows_matches_generators():
-    # coset_system builds the quotient from the rows of A M; built from
-    # the coordinates of small's generators it is the same quotient
+    # coset_system builds the quotient from the rows of A Y, Y the value
+    # rows; built from small's generators it is the same quotient
     for me in corpus_extensions():
         cs = coset_system(strong_monomialize(me).final)
         final = cs.extension
@@ -808,14 +808,25 @@ def test_quotient_from_coordinate_rows_matches_generators():
 
 
 def test_coset_system_reads_y_coordinates_from_integer_rows(monkeypatch):
-    # M comes from the value matrix's rows by back-substitution; no
-    # y-value is scaled again through its Fractions
+    # the walk carries the value matrix's own rows: no y-value is scaled
+    # again through its Fractions, and no row but the quotient's Hermite
+    # rows, checked to lie in big, is put in coordinates of big's basis
     def refuse(self, gamma):
         raise AssertionError("ValueGroup.coordinates called")
 
+    real = ValueGroup.row_coordinates
+    seen = []
+
+    def spy(self, row):
+        seen.append(tuple(row))
+        return real(self, row)
+
     monkeypatch.setattr(ValueGroup, "coordinates", refuse)
+    monkeypatch.setattr(ValueGroup, "row_coordinates", spy)
     for me in corpus_extensions():
-        coset_system(strong_monomialize(me).final)
+        seen.clear()
+        cs = coset_system(strong_monomialize(me).final)
+        assert seen == list(cs.quotient.hnf)
 
 
 def test_unchecked_extension_matrices_equal_checked_ones(monkeypatch):

@@ -261,6 +261,31 @@ def test_quotient_errors_match_wrappers():
         Quotient(full, generator_rows(full, line))
 
 
+def test_label_does_not_depend_on_big():
+    # small = <(3, 3), (0, 2)>, the values of x of the `cosets` example
+    # A = diag(3, 1), y-values (1, 1) and (0, 2).  A label is the value
+    # row reduced through small's Hermite rows, so every big holding small
+    # gives the same labels; labels reduced in big's coordinates were
+    # (2, 2) for (2, 0) over big = <(1, 1), (0, 2)> and (2, 0) over Z^2
+    s = RANK2
+    small = ValueGroup(s, (el(s, (3,), (3,)), el(s, (0,), (2,))))
+    bigs = [ValueGroup(s, gens) for gens in (
+        (el(s, (1,), (1,)), el(s, (0,), (2,))),
+        (el(s, (1,), (0,)), el(s, (0,), (1,))),
+        (el(s, (Fraction(1, 2),), (Fraction(1, 2),)), el(s, (0,), (1,))))]
+    quotients = [Quotient(big, generator_rows(big, small)) for big in bigs]
+    assert [q.index for q in quotients] == [3, 6, 12]
+    points = [el(s, (a,), (a + 2 * b,))
+              for a in range(-3, 4) for b in range(-3, 4)]
+    for p in points:
+        first, *rest = (q.label(p) for q in quotients)
+        assert all(label == first for label in rest)
+        assert small.contains(first - p)
+    assert quotients[0].label(el(s, (2,), (0,))) == el(s, (2,), (0,))
+    assert quotients[0].label(el(s, (5,), (5,))) == el(s, (2,), (0,))
+    assert quotients[0].label_row((2, 2)) == (2, 0)
+
+
 def test_scaled_rows_match_fraction_products():
     # the one scaling of group values to integer rows, against L * c in
     # Fractions; and the group's own denominator makes row_coordinates

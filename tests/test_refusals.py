@@ -5,20 +5,26 @@ library gives one, its message.  They hold whatever the internal layout of
 blocks and group elements is.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from gradedval.affine_monoids import (
     AffineMonoid,
+    labelled_parallelepiped,
     parallelepiped_points,
     verify_disjoint_decomposition,
 )
+from gradedval.cli import bundled_scenario_bytes
 from gradedval.errors import (
     AmbientMismatch,
     DependentGenerators,
     DimensionMismatch,
     InvalidExtension,
+    MalformedStep,
+    NonIntegerEntry,
+    NotASubgroup,
     NotInGroup,
     NotTheorem48Form,
     ParseError,
@@ -42,14 +48,20 @@ from gradedval.monomial_extension import (
     SSMForm,
     adjoint_relations,
 )
-from gradedval.monomialization import TransformStep, replay
+from gradedval.monomialization import (
+    TransformStep,
+    replay,
+    strong_monomialize,
+)
 from gradedval.ordered_groups import (
     Block,
     GroupStructure,
+    Quotient,
     ValueGroup,
     generator_rows,
 )
 from gradedval.scenarios import Scenario, load_scenario, run_pipeline
+from gradedval.serialize import load_json
 from gradedval.value_semigroups import (
     ValueSemigroup,
     semigroup_difference,
@@ -290,3 +302,82 @@ def test_random_section_refuses_e_max_below_one():
     with pytest.raises(ParseError) as info:
         load_scenario({"name": "r", "random": {"e_max": "0"}})
     assert str(info.value) == "random.e_max must be at least 1, not 0"
+
+
+def test_quotient_refuses_a_row_outside_big():
+    # big = 2Z with L = 1, so the row (1,) of 1 lies outside it
+    even = ValueGroup(ONE, _values(ONE, [(2,)]))
+    with pytest.raises(NotASubgroup) as info:
+        Quotient(even, [(1,)])
+    assert str(info.value) == "quotient row outside big group"
+    assert Quotient(even, [(4,)]).index == 2
+
+
+DIAG = ExactMatrix.diagonal((2, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_integer(DIAG, (2.9, 1)),
+     "right-hand side entry 2.9 is a float, not an int"),
+    (lambda: in_column_lattice(smith_normal_form(DIAG), (0.5, 0)),
+     "right-hand side entry 0.5 is a float, not an int"),
+    (lambda: in_column_lattice(smith_normal_form(DIAG), (Fraction(2), 0)),
+     "right-hand side entry Fraction(2, 1) is a Fraction, not an int"),
+    (lambda: parallelepiped_points([(2.5, 0), (0, 1)]),
+     "vector entry 2.5 is a float, not an int"),
+    (lambda: labelled_parallelepiped([(2, 0), (0, True)], (), tuple),
+     "vector entry True is a bool, not an int"),
+    (lambda: AffineMonoid(dim=2, generators=((1.5, 0), (0, 1)),
+                          positivity_functional=(1, 1)),
+     "generator entry 1.5 is a float, not an int"),
+    (lambda: AffineMonoid(dim=2, generators=PLANE,
+                          positivity_functional=(1, 1)).contains((0.5, 0.5)),
+     "query entry 0.5 is a float, not an int"),
+    (lambda: Block(quad=2.5), "quad 2.5 is a float, not an int"),
+    (lambda: Block(quad="2"), "quad '2' is a str, not an int"),
+    (lambda: BlockStructure(r=1.0, t=(2,), s=(1,)),
+     "block count 1.0 is a float, not an int"),
+    (lambda: BlockStructure(r=1, t=(2.5,), s=(1,)),
+     "block size 2.5 is a float, not an int"),
+    (lambda: BlockStructure(r=1, t=(2,), s=(1.0,)),
+     "block rank 1.0 is a float, not an int"),
+])
+def test_library_entry_points_refuse_non_integers(call, message):
+    # each used to truncate through int(): (2.9, 1) solved as (2, 1),
+    # (0.5, 0) was in the lattice, 2.5 walked as 2 and quad 2.5 gave
+    # sqrt(2); a block count of 1.0 was kept as a float
+    with pytest.raises(NonIntegerEntry) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _rank2_h2_trace():
+    scenario = load_scenario(load_json(bundled_scenario_bytes("rank2_h2.json")))
+    return strong_monomialize(scenario.extensions[0][1])
+
+
+def test_replay_refuses_blocks_that_contradict_the_step():
+    # used to be ignored: an "s" step with blocks [9] replayed, and
+    # `pipeline --replay` reported a match
+    trace = _rank2_h2_trace()
+    s, r, rescale = trace.steps
+    assert (s.kind, s.row, s.target, s.blocks) == ("s", 1, 2, (1, 2, 2, 1))
+    for bad, message in [
+            (dataclasses.replace(s, blocks=(9,)),
+             "'s' step of row 1 and target 2 has blocks [9], "
+             "not [1, 2, 2, 1]"),
+            (dataclasses.replace(s, blocks=(1, 2, 2, 2)),
+             "'s' step of row 1 and target 2 has blocks [1, 2, 2, 2], "
+             "not [1, 2, 2, 1]"),
+            (dataclasses.replace(r, blocks=(1, 2, 2, 1)),
+             "'r' step has blocks"),
+            (dataclasses.replace(rescale, blocks=()),
+             "'rescale' step has blocks")]:
+        steps = [bad if step.kind == bad.kind else step
+                 for step in trace.steps]
+        with pytest.raises(MalformedStep) as info:
+            replay(trace.initial, steps)
+        assert str(info.value) == message
+    # blocks may be left out
+    plain = [dataclasses.replace(step, blocks=None) for step in trace.steps]
+    assert replay(trace.initial, plain) == trace.final.extension
