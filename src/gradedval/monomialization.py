@@ -138,6 +138,14 @@ class _Rewrite:
         exactly when one of its single steps would, with the same message.
         The values are integer rows over one L > 0, so the burst is one
         integer row operation and row_sign reads the signs.
+
+        The positivity refusal cannot fire in strong_monomialize.  validate
+        puts nu(y_m) at isolated level block(m), positive there; c lies in
+        a strictly later block, so nu(y_c) vanishes on every block up to
+        block(m).  So nu(y_m) - k nu(y_c) keeps the leading block of
+        nu(y_m): positive, at the same level, after every burst, and the
+        pipeline's values_positive cannot fail either.  The refusal guards
+        replay of an unvalidated trace.
         """
         bs = self.blocks
         if bs.block_of(m) >= bs.block_of(c):

@@ -89,13 +89,6 @@ class GroupStructure:
             raise AmbientMismatch("component length != block rank")
         return GroupElement(self, tuple(chain.from_iterable(comps)))
 
-    def from_flat(self, flat):
-        """The element whose block coordinates, concatenated, are flat."""
-        flat = tuple(map(Fraction, flat))
-        if len(flat) != self.rational_rank:
-            raise AmbientMismatch("component length != block rank")
-        return GroupElement(self, flat)
-
     def from_row(self, row, L):
         """The element whose flat coordinates are the integers row over L."""
         return GroupElement(self, tuple(Fraction(x, L) for x in row))
@@ -288,16 +281,14 @@ def generator_rows(big: ValueGroup, small: ValueGroup):
     denominator: the rows a Quotient of big by small is built from.
 
     Raises AmbientMismatch for groups over different ambient structures
-    and NotASubgroup when a generator of small lies outside big.
+    and NotASubgroup for a generator whose denominator L does not clear;
+    Quotient alone tests whether an integer row lies in big.
     """
     if big.structure != small.structure:
         raise AmbientMismatch("groups over different ambient structures")
-    L = big._lattice[0]
-    rows = []
-    for g in small.generators:
-        if big.coordinates(g) is None:
-            raise NotASubgroup("small generator outside big group")
-        rows.append(scaled_row(g, L))
+    rows = [scaled_row(g, big._lattice[0]) for g in small.generators]
+    if None in rows:
+        raise NotASubgroup("small group outside big group")
     return rows
 
 
@@ -310,20 +301,21 @@ class Quotient:
     Hermite basis H of L * small and its pivot columns.  H is canonical,
     and a coset label is one reduction through H (Cohen, A Course in
     Computational Algebraic Number Theory, GTM 138, section 2.4).  H must
-    lie in big and have its rank, so H and big's basis are echelon on the
-    same pivot columns: H's coordinates in big's basis form an upper
-    triangular matrix, whose diagonal multiplies to [big : small] and
-    whose invariant factors are those of big/small.
+    lie in big, the one test of small in big (NotASubgroup, at any rank),
+    and then have big's rank (InfiniteIndex); so H and big's basis are
+    echelon on the same pivot columns: H's coordinates in big's basis
+    form an upper triangular matrix, whose diagonal multiplies to
+    [big : small] and whose invariant factors are those of big/small.
     """
 
     def __init__(self, big: ValueGroup, rows):
         self.big = big
         self.hnf = hermite_row_basis(rows)
-        if len(self.hnf) < big.rational_rank:
-            raise InfiniteIndex("rational spans differ")
         inclusion = [big.row_coordinates(row) for row in self.hnf]
         if None in inclusion:
-            raise NotASubgroup("quotient row outside big group")
+            raise NotASubgroup("small group outside big group")
+        if len(self.hnf) < big.rational_rank:
+            raise InfiniteIndex("rational spans differ")
         self._inclusion = inclusion
         self.pivots = _pivot_columns(self.hnf)
         self.index = math.prod(row[i] for i, row in enumerate(inclusion))

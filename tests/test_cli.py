@@ -474,6 +474,34 @@ def test_semigroup_command(tmp_path, capsys):
     assert main(["semigroup", "--in", src2, "--json"]) == 1
 
 
+# small = <(1, 0)> of rank 1 inside big = Z^2 of rank 2
+LOWER_RANK = {"structure": {"blocks": [{"quad": None}, {"quad": None}]},
+              "small": [[["1"], ["0"]]],
+              "big": [[["1"], ["0"]], [["0"], ["1"]]],
+              "bound": "2", "expect_growth": True}
+LOWER_RANK_SECTION = {
+    "witnesses": [[["0"], ["1"]], [["0"], ["2"]], [["1"], ["1"]],
+                  [["1"], ["2"]], [["2"], ["1"]], [["2"], ["2"]]],
+    "groups_equal": False, "expected_growth": True, "ok": False}
+
+
+def test_semigroup_of_lower_rank_small_reports_unequal_groups(tmp_path,
+                                                              capsys):
+    # the section used to fail with "InfiniteIndex: rational spans differ"
+    # and drop its witnesses: groups_equal asked for the index of small
+    src = write(tmp_path, "sg.json", LOWER_RANK)
+    assert main(["semigroup", "--in", src, "--json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and len(report.pop("input_sha256")) == 64
+    assert report == LOWER_RANK_SECTION
+    scenario = scenarios.load_scenario(
+        {"name": "lower", "semigroups": LOWER_RANK})
+    assert scenarios.run_pipeline(scenario) == {
+        "scenario": "lower", "cases": [], "semigroup": LOWER_RANK_SECTION,
+        "ok": False}
+
+
 def sqrt2_semigroup(quad):
     # the sqrt(2) section of the benchmark's mixed workload, with its quad
     u, v, w = [["2"], ["0", "0"]], [["0"], ["2", "0"]], [["0"], ["0", "2"]]

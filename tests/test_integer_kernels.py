@@ -250,7 +250,7 @@ def finite_quotient(draw):
                 for i in range(m)]
 
     big = ValueGroup(structure, tuple(
-        structure.from_flat(row)
+        structure.element(structure.split(row))
         for row in triangular(nonzero_fractions, fractions)))
     M = triangular(st.integers(1, 4), st.integers(-3, 3))
     index = 1
@@ -549,7 +549,7 @@ def semigroup_and_query(draw):
         return draw(st.lists(st.integers(-span, span), min_size=m,
                              max_size=m))
 
-    gens = [structure.from_flat(flat(2))
+    gens = [structure.from_row(flat(2), 1)
             for _ in range(draw(st.integers(1, 3)))]
     gens = tuple(g for g in gens if g.sign() > 0)
     assume(gens)
@@ -559,7 +559,7 @@ def semigroup_and_query(draw):
                                max_size=len(gens)))
         gamma = combine(structure, coeffs, gens)
     else:
-        gamma = structure.from_flat([Fraction(x, 2) for x in flat(4)])
+        gamma = structure.from_row(flat(4), 2)
         assume(gamma.sign() >= 0)
     return S, gamma
 

@@ -39,15 +39,16 @@ def test_spans_lay_out_one_flat_row():
     assert mixed.spans == (slice(0, 2), slice(2, 3), slice(3, 5))
     assert mixed.rational_rank == 5
     assert mixed.split((1, 2, 3, 4, 5)) == ((1, 2), (3,), (4, 5))
-    gamma = mixed.from_flat((0, 0, 0, 2, -1))
+    gamma = mixed.from_row((0, 0, 0, 2, -1), 1)
     assert gamma.coords == ((0, 0), (0,), (2, -1))
     assert isolated_level(gamma) == 2 and gamma.sign() == 1
     assert mixed.row_sign([0, 0, 0, 1, -1]) == -1
     assert mixed.from_row((2, 4, 6, 3, 0), 4) == mixed.element(
         (("1/2", 1), ("3/2",), ("3/4", 0)))
-    for flat in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6)):
-        with pytest.raises(AmbientMismatch):
-            mixed.from_flat(flat)
+    for coords in (((1, 2), (3,), (4,)), ((1, 2), (3,), (4, 5, 6))):
+        with pytest.raises(AmbientMismatch) as info:
+            mixed.element(coords)
+        assert str(info.value) == "component length != block rank"
 
 
 def test_block_rejects_square_weight():
@@ -259,6 +260,22 @@ def test_quotient_errors_match_wrappers():
     line = ValueGroup(two, (two.element(((1,), (0,))),))
     with pytest.raises(InfiniteIndex):
         Quotient(full, generator_rows(full, line))
+
+
+def test_generator_rows_only_scales(monkeypatch):
+    # Quotient is the one test that small lies in big: generator_rows
+    # back-substitutes nothing through big's basis, and returns the row
+    # (1, 0) of a generator outside big = <(2, 0), (0, 1)> unchanged
+    calls = []
+    monkeypatch.setattr(ValueGroup, "coordinates",
+                        lambda self, gamma: calls.append(gamma))
+    monkeypatch.setattr(ValueGroup, "row_coordinates",
+                        lambda self, row: calls.append(row))
+    big = ValueGroup(RANK2, (el(RANK2, (2,), (0,)), el(RANK2, (0,), (1,))))
+    small = ValueGroup(RANK2, (el(RANK2, (1,), (0,)),
+                               el(RANK2, (0,), (Fraction(3),))))
+    assert generator_rows(big, small) == [(1, 0), (0, 3)]
+    assert calls == []
 
 
 def test_label_does_not_depend_on_big():

@@ -58,7 +58,10 @@ from gradedval.ordered_groups import (
     GroupStructure,
     Quotient,
     ValueGroup,
+    coset_label,
     generator_rows,
+    quotient_invariant_factors,
+    subgroup_index,
 )
 from gradedval.scenarios import Scenario, load_scenario, run_pipeline
 from gradedval.serialize import load_json
@@ -159,7 +162,7 @@ def test_element_keeps_blocks_and_fractions():
     assert gamma.coords == ((Fraction(1), Fraction(1, 2)), (Fraction(-3),))
     assert gamma.flat() == (1, Fraction(1, 2), -3)
     assert all(type(c) is Fraction for c in gamma.flat())
-    assert mixed.from_flat(gamma.flat()) == gamma
+    assert mixed.element(mixed.split(gamma.flat())) == gamma
     assert gamma.sign() == 1 and (-gamma).sign() == -1
     assert -gamma < gamma and gamma > -gamma and gamma >= gamma
 
@@ -309,8 +312,27 @@ def test_quotient_refuses_a_row_outside_big():
     even = ValueGroup(ONE, _values(ONE, [(2,)]))
     with pytest.raises(NotASubgroup) as info:
         Quotient(even, [(1,)])
-    assert str(info.value) == "quotient row outside big group"
+    assert str(info.value) == "small group outside big group"
     assert Quotient(even, [(4,)]).index == 2
+
+
+@pytest.mark.parametrize("small", [
+    # (1/3, 0): big's L = 1 does not clear it, so generator_rows refuses
+    [(Fraction(1, 3), 0), (0, 1)],
+    # (1, 0) is an integer row outside big, and small has rank 1 < 2:
+    # Quotient refuses the row before it tests the rank
+    [(1, 0)],
+], ids=["denominator", "lower_rank_row"])
+@pytest.mark.parametrize("call", [
+    subgroup_index,
+    quotient_invariant_factors,
+    lambda big, small: coset_label(big.generators[0], big, small),
+], ids=["subgroup_index", "quotient_invariant_factors", "coset_label"])
+def test_small_outside_big_is_refused_whatever_its_rank(call, small):
+    big = ValueGroup(TWO, _values(TWO, [(2, 0), (0, 1)]))
+    with pytest.raises(NotASubgroup) as info:
+        call(big, ValueGroup(TWO, _values(TWO, small)))
+    assert str(info.value) == "small group outside big group"
 
 
 DIAG = ExactMatrix.diagonal((2, 1))

@@ -468,15 +468,15 @@ def test_membership_matches_search_with_sqrt2_block():
     structure = GroupStructure((Block(), Block(quad=2)))
     u, v, w = ((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))
     h = ((1,), (-1, 0))
-    queries = [structure.from_flat((a, b, c))
+    queries = [structure.from_row((a, b, c), 1)
                for a in range(0, 3) for b in range(-3, 4)
                for c in range(-2, 5)]
     queries = [g for g in queries if g.sign() >= 0]
     for gens in ([u, v, w], [u, v, w, h], [h, w], [v, w]):
         assert_membership_matches_oracle(semigroup(structure, gens), queries)
     S = semigroup(structure, [w])
-    assert semigroup_membership(structure.from_flat((0, 0, 5)), S)
-    assert not semigroup_membership(structure.from_flat((0, 1, 5)), S)
+    assert semigroup_membership(structure.from_row((0, 0, 5), 1), S)
+    assert not semigroup_membership(structure.from_row((0, 1, 5), 1), S)
 
 
 def generic_box_oracle(structure, top):

@@ -11,9 +11,9 @@ subcommand on every bundled scenario.  With --tests it line-traces the
 tier-1 test suite instead, in this process through pytest.main (about
 five times its untraced time, a few minutes).
 Prints path:line: source for each statement of the package that compiles
-to code and never ran.  With --tests it exits 1 when it lists any
-statement but those of ALLOWED, which are kept unrun on purpose; CI runs
-it so on one Python version.
+to code and never ran, then their count, "N statements unrun", on stderr.
+With --tests it exits 1 when it lists any statement but those of ALLOWED,
+which are kept unrun on purpose; CI runs it so on one Python version.
 """
 
 import ast
@@ -102,7 +102,7 @@ def main():
         suite_runs()
     else:
         workload_runs(int(sys.argv[1]) if len(sys.argv) > 1 else 7)
-    unreached = set()
+    unreached, count = set(), 0
     for path in sorted(PKG.glob("*.py")):
         source = path.read_text()
         for n in statements(source, str(path)):
@@ -110,7 +110,9 @@ def main():
                 name = str(path.relative_to(ROOT))
                 line = source.splitlines()[n - 1].strip()
                 unreached.add((name, line))
+                count += 1
                 print(f"{name}:{n}: {line}")
+    print(f"{count} statements unrun", file=sys.stderr)
     if tests and unreached - ALLOWED:
         print("tier-1 leaves a statement unrun that ALLOWED does not name",
               file=sys.stderr)
