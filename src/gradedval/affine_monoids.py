@@ -386,6 +386,7 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     if set(M.generators) != set(basis.vectors):
         raise DependentGenerators(
             "monoid must be generated by the parallelepiped vectors")
+    _check_ints((box_bound,), "box bound")
     if box_bound < 1:
         raise ValueError("box_bound must be positive")
     n = basis.dim

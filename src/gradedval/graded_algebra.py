@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EnumerationOverflow, GradingMismatch
-from .exact_lattice import in_column_lattice
+from .exact_lattice import _check_ints, in_column_lattice
 from .monomialization import CosetSystem
 
 # largest rank e * f one module may have, refused before any label is
@@ -38,6 +38,7 @@ class GradedModule:
     residue_degree: int
 
     def __post_init__(self):
+        _check_ints((self.residue_degree,), "residue degree")
         if self.residue_degree < 1:
             raise GradingMismatch("residue degree must be at least 1")
         if self.rank > _LABEL_BUDGET:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
+from math import prod
 from operator import add
 
 from .errors import (
@@ -283,10 +284,15 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     Every non-T row m of a valid extension is in Theorem-4.8 shape, so
     none is checked again: validate admits a_mj != 0 only at j = m with
     a_mm = 1 or at a T-column of a strictly later block, and never < 0.
-    Nor is row m checked after its "r" step: no step changes a T-row (0
-    off the T-columns of its own and later blocks), the bursts make row m
-    h + b on later_t, 1 at m and 0 elsewhere, and c = adj (h + b) / det
-    solves A_sub^t c = h + b exactly.  SSMForm(final) checks it again.
+    So row m is e_m plus h on later_t, a unit row when h = 0.  No step
+    changes a T-row (0 at every non-T column), so one adjugate of A_sub
+    serves a whole block.  Nor is row m checked after its "r" step: the
+    bursts make row m h + b on later_t, 1 at m and 0 elsewhere, and
+    c = adj (h + b) / det solves A_sub^t c = h + b exactly.  So the final
+    form is handed _violations = () instead of a second validate: its
+    G-blocks and T-values are the input's, a burst keeps each non-T value
+    positive at its own level (_Rewrite._substitute), and SSMForm checks
+    the unit rows.
     """
     problems = validate(me)
     if problems:
@@ -295,40 +301,32 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     state = _Rewrite(me)
     rows = state.rows
     steps = []
-    max_entry = max((abs(x) for row in rows for x in row), default=1)
-    bound = 8 * max(max_entry, 1)
-
-    for m in range(bs.n):
-        if bs.is_t_index(m):
-            continue
-        unit_row = [1 if j == m else 0 for j in range(bs.n)]
-        if rows[m] == unit_row:
-            continue
-        bi = bs.block_of(m)
-        later_t = [j for j in bs.t_indices() if bs.block_of(j) > bi]
-        h = [rows[m][j] for j in later_t]
-        sub = ExactMatrix._of(tuple(tuple(rows[i][j] for j in later_t)
-                                    for i in later_t))
-        # c = adj / det * (h + b); one adjugate serves every candidate b
-        b, c = _lift(m, *adjugate(sub.transpose()), h, bound)
-        for col, reps in zip(later_t, b):
-            if not reps:
+    bound = 8 * max(map(max, rows))  # no entry < 0 and no zero row
+    for bi in range(bs.r):
+        later_t = bs.t_indices()[sum(bs.s[:bi + 1]):]
+        lift = None
+        for m in range(bs.offset(bi) + bs.s[bi], bs.offset(bi + 1)):
+            h = [rows[m][j] for j in later_t]
+            if not any(h):
                 continue
-            step = TransformStep(kind="s", row=m, target=col,
-                                 blocks=_step_blocks(bs, m, col))
-            state.apply(step, reps)
-            steps.extend([step] * reps)
-        r_step = TransformStep(
-            kind="r", row=m,
-            exponents=tuple((row, exp) for row, exp in zip(later_t, c)
-                            if exp))
-        state.apply(r_step)
-        steps.append(r_step)
-        rescale = TransformStep(kind="rescale", row=m)
-        state.apply(rescale)
-        steps.append(rescale)
+            if lift is None:  # c = adj / det * (h + b) for every row and b
+                lift = adjugate(ExactMatrix._of(tuple(
+                    tuple(rows[i][j] for i in later_t) for j in later_t)))
+            b, c = _lift(m, *lift, h, bound)
+            for col, reps in zip(later_t, b):
+                if reps:
+                    step = TransformStep(kind="s", row=m, target=col,
+                                         blocks=_step_blocks(bs, m, col))
+                    state.apply(step, reps)
+                    steps.extend([step] * reps)
+            r_step = TransformStep(kind="r", row=m, exponents=tuple(
+                (row, exp) for row, exp in zip(later_t, c) if exp))
+            for step in (r_step, TransformStep(kind="rescale", row=m)):
+                state.apply(step)
+                steps.append(step)
 
     final = state.build() if steps else me
+    final.__dict__["_violations"] = ()  # valid, by the proof above
     return MonomializationTrace(
         initial=me, steps=tuple(steps), final=SSMForm(final))
 
@@ -369,10 +367,11 @@ class CosetSystem:
 def coset_system(ssm: SSMForm) -> CosetSystem:
     """Build the coset representative system of a strong monomial form.
 
-    The parallelepiped of the rows of A is walked once, labelling each
-    point as it goes; its point count e = |det A^t| = |det A| is used as
-    it is, and the Smith form of A^t is taken once, for the invariant
-    factors and as snf_at.
+    The Smith form of A^t is taken once, for the invariant factors and as
+    snf_at; e = |det A^t| = |det A| is the product of its diagonal.  Only
+    then is the parallelepiped of the rows of A walked, once, labelling
+    each point as it goes; the walk refuses more than
+    affine_monoids._POINT_BUDGET points before it starts.
     A is nonsingular without a further check: variables are ordered by
     block and validate admits a_ij != 0 only when j's block is not before
     i's, so A is block upper triangular with diagonal blocks
@@ -380,7 +379,8 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     singular G_b.
 
     Hypothesis A6, that e equals the index [big : small] of the value
-    group of x in the value group of y, is checked.  Hypothesis A7, that
+    group of x in the value group of y, is checked before the walk, so a
+    case that fails it builds no point.  Hypothesis A7, that
     b -> sum_j b_j nu*(y_j) induces an isomorphism Z^n / A^t Z^n ->
     big/small, then holds without further checks:
 
@@ -400,7 +400,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     over the same L, and checks nu(x_i) > 0 first.  Both are integers,
     with no rational arithmetic and no coordinates in big's basis.
     Quotient still checks that big and small have the same rational span
-    (finite index, InfiniteIndex), and A6 is checked here.
+    (finite index, InfiniteIndex).
 
     Each label is one Hermite reduction of the integer row sigma Y =
     L * phi(sigma).  That row is not computed: labelled_parallelepiped
@@ -410,28 +410,24 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     = -sum_i q_i L nu(x_i), which lies in L * small; label_row, which
     reduces through the Hermite basis of L * small, gives x Y and sigma Y
     the same canonical representative.
-
-    The walk refuses a parallelepiped of more than
-    affine_monoids._POINT_BUDGET points before it starts.
     """
     me = ssm.extension
     _, x_rows = _x_value_rows(me)  # NonPositiveValue unless nu(x_i) > 0
     quotient = Quotient(ValueGroup(me.structure, me.y_values), x_rows)
-    pb, label_rows = labelled_parallelepiped(
-        me.A.entries, me._value_rows[1], quotient.label_row)
-    e = pb.index
+    snf_at = smith_normal_form(me.A.transpose())
+    diagonal = snf_at.D.diagonal_entries()
+    e = prod(diagonal)
     if quotient.index != e:
         raise HypothesisA6Failed(
             f"|det A| = {e} but subgroup index is {quotient.index}")
-    snf_at = smith_normal_form(me.A.transpose())
+    pb, label_rows = labelled_parallelepiped(
+        me.A.entries, me._value_rows[1], quotient.label_row)
     return CosetSystem(
         extension=me,
         e=e,
         lattice_points=pb.points,
         label_rows=label_rows,
-        # det A^t = +-e != 0, so every diagonal entry is nonzero
-        invariant_factors=tuple(
-            d for d in snf_at.D.diagonal_entries() if d > 1),
+        invariant_factors=tuple(d for d in diagonal if d > 1),
         snf_at=snf_at,
         big_group=quotient.big,
         quotient=quotient,

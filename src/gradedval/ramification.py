@@ -17,6 +17,7 @@ from .errors import (
     Inconsistent,
     MissingIndex,
 )
+from .exact_lattice import _check_ints
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality of
@@ -59,6 +60,7 @@ def ostrowski_defect(N, e, f, p):
 
     Residue characteristic 0 admits no defect: N must equal e * f.
     """
+    _check_ints((N, e, f, p), "degree identity entry")
     if N < 1 or e < 1 or f < 1:
         raise Inconsistent("degree and indices must be positive")
     if p != 0 and not _is_prime(p):
@@ -97,10 +99,10 @@ class ExtensionRecord:
         delta = self.delta
         if delta is None:
             delta = ostrowski_defect(self.N, self.e, self.f, self.p)
-        else:
-            if delta != ostrowski_defect(self.N, self.e, self.f, self.p):
-                raise Inconsistent(
-                    f"declared defect {delta} contradicts the degree identity")
+        elif _check_ints((delta,), "defect")[0] != ostrowski_defect(
+                self.N, self.e, self.f, self.p):
+            raise Inconsistent(
+                f"declared defect {delta} contradicts the degree identity")
         object.__setattr__(self, "delta", delta)
         if (self.d is None) != (self.g is None):
             raise MissingIndex("d and g must be given together")

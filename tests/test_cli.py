@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from gradedval.cli import (
     bundled_scenario_names,
     main,
 )
-from gradedval.serialize import dec_matrix
+from gradedval.serialize import dec_matrix, enc_extension
 
 SCENARIOS = ("identity.json", "diag23.json", "rank2_h1.json",
              "rank2_h2.json", "section5.json", "random_a.json",
@@ -657,6 +658,49 @@ def test_parallelepiped_over_budget_fails_its_case_at_once(tmp_path):
     code, out, err, seconds = run_bounded(["cosets", "--in", src])
     assert code == 1 and out == "" and seconds < 20
     assert err == f"check failed: {error}\n"
+
+
+POINTS_SCALING = Path(__file__).resolve().parents[1] / "tools" / \
+    "points_scaling.py"
+
+
+def a6_failing_scenario(g):
+    """tools/points_scaling.extension(g) with y_1, a non-T variable of
+    block 0, valued (1 | 7): a valid input whose value groups break A6."""
+    spec = importlib.util.spec_from_file_location("points_scaling",
+                                                  POINTS_SCALING)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    me = tool.extension(g)
+    values = list(me.y_values)
+    values[1] = me.structure.element(((1,), (7,)))
+    me = dataclasses.replace(me, y_values=tuple(values))
+    return {"name": "a6", "extension": enc_extension(me),
+            "residue_degree": "1"}
+
+
+@pytest.mark.parametrize("g, error", [
+    # the walk built all 500 000 points first: 2.4-3.4 s and a 177 MB
+    # peak in a 2-core container
+    ((500, 1000),
+     "HypothesisA6Failed: |det A| = 500000 but subgroup index is 2"),
+    # this one used to report "EnumerationOverflow: parallelepiped of
+    # 1001000 points over the budget of 1000000"; A6 now comes first
+    ((1000, 1001),
+     "HypothesisA6Failed: |det A| = 1001000 but subgroup index is 1"),
+], ids=("500x1000", "1000x1001"))
+def test_hypothesis_a6_is_refused_before_the_walk(tmp_path, capsys, g,
+                                                  error):
+    src = write(tmp_path, "a6.json", a6_failing_scenario(g))
+    start = time.perf_counter()
+    assert main(["pipeline", "--scenario", src, "--json"]) == 1
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and len(report.pop("input_sha256")) == 64
+    assert report == {"scenario": "a6", "ok": False, "cases": [{
+        "case": "a6", "ok": False,
+        "failure": {"stage": "coset_system", "error": error}}]}
 
 
 def test_residue_degree_over_budget_fails_its_case_at_once(tmp_path):

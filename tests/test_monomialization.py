@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from gradedval import monomialization
 from gradedval.errors import (
     EnumerationOverflow,
     HypothesisA6Failed,
+    InvalidExtension,
     MalformedStep,
     NoNonnegativeLift,
     NonPositiveValue,
@@ -60,7 +62,12 @@ from gradedval.ordered_groups import (
     generator_rows,
     quotient_invariant_factors,
 )
-from gradedval.scenarios import Scenario, load_scenario, run_pipeline
+from gradedval.scenarios import (
+    Scenario,
+    load_scenario,
+    random_extension_bounded,
+    run_pipeline,
+)
 from gradedval.serialize import load_json
 
 
@@ -784,15 +791,19 @@ def test_coset_system_oracle_on_golden_ladder():
         coset_system_oracle(coset_system(strong_monomialize(me).final))
 
 
-def corpus_extensions():
-    """Every extension of the bundled corpus, then 20 seeded ones."""
+def bundled_extensions():
+    """Every extension of the bundled corpus."""
     out = []
     for name in bundled_scenario_names():
         scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
         out += [me for _, me in scenario.extensions]
-    rng = random.Random(11)
-    out += [random_extension(rng) for _ in range(20)]
     return out
+
+
+def corpus_extensions():
+    """Every extension of the bundled corpus, then 20 seeded ones."""
+    rng = random.Random(11)
+    return bundled_extensions() + [random_extension(rng) for _ in range(20)]
 
 
 def test_quotient_from_coordinate_rows_matches_generators():
@@ -921,3 +932,90 @@ def test_group_elements_built_do_not_grow_with_e(monkeypatch):
         assert report["cases"][0]["e"] == str(g[0] * g[1])
         counts[g] = (len(built), report["cases"][0]["steps"])
     assert counts[(5, 5)] == counts[(10, 20)]
+
+
+def rebuilt(me):
+    """A fresh copy of me through the checked constructors: nothing that
+    me has cached (its _violations or _value_rows) carries over."""
+    return MonomialExtension(
+        blocks=BlockStructure(r=me.blocks.r, t=me.blocks.t, s=me.blocks.s),
+        A=ExactMatrix(me.A.entries), unit_markers=me.unit_markers,
+        y_values=me.y_values)
+
+
+def test_final_form_validates_when_rebuilt():
+    # strong_monomialize hands its final form _violations = () by proof;
+    # validate on a rebuilt copy is the oracle for that proof
+    extensions = bundled_extensions()
+    assert len(extensions) == 22
+    extensions += [me for _, me in ladder_scenario().extensions]
+    rng = random.Random(26)
+    extensions += [random_extension_bounded(rng, e_max=60)
+                   for _ in range(40)]
+    moved = 0
+    for me in extensions:
+        trace = strong_monomialize(me)
+        final = trace.final.extension
+        copy = rebuilt(final)
+        assert "_violations" not in copy.__dict__
+        assert validate(copy) == []
+        assert copy == final
+        moved += bool(trace.steps)
+    assert moved >= 20
+
+
+def test_one_lift_adjugate_per_block_with_an_offending_row(monkeypatch):
+    # rows 1 and 2 offend in block 0, row 4 in block 1, block 2 has none:
+    # two adjugates, not one per offending row
+    me = compatible_extension((3, 2, 1), (1, 1, 1), [
+        [2, 0, 0, 1, 0, 1], [0, 1, 0, 1, 0, 2], [0, 0, 1, 3, 0, 0],
+        [0, 0, 0, 3, 0, 1], [0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 0, 2]])
+    real = monomialization.adjugate
+    lifted = []
+
+    def spy(W):
+        lifted.append(W.entries)
+        return real(W)
+
+    monkeypatch.setattr(monomialization, "adjugate", spy)
+    trace = strong_monomialize(me)
+    assert lifted == [((3, 0), (1, 2)), ((2,),)]
+    assert sorted({s.row for s in trace.steps}) == [1, 2, 4]
+    assert validate(rebuilt(trace.final.extension)) == []
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda b, c: (b, tuple(x + 1 for x in c)),
+    lambda b, c: (tuple(0 for _ in b), c),
+])
+def test_a_wrong_lift_is_refused_by_the_strong_form(monkeypatch, wrong):
+    # the final form skips validate, so SSMForm's unit-row check is what
+    # refuses a lift that leaves row 1 off the unit row
+    real = monomialization._lift
+    monkeypatch.setattr(monomialization, "_lift",
+                        lambda *args: wrong(*real(*args)))
+    me = two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
+    with pytest.raises(InvalidExtension) as info:
+        strong_monomialize(me)
+    assert str(info.value) == "row 1 is not in strong monomial form"
+
+
+def test_a_pipeline_case_validates_its_input_only(monkeypatch):
+    real = MonomialExtension._violations.func
+    seen = []
+
+    def counting(self):
+        seen.append(self)
+        return real(self)
+
+    spy = cached_property(counting)
+    spy.__set_name__(MonomialExtension, "_violations")
+    monkeypatch.setattr(MonomialExtension, "_violations", spy)
+    for name in bundled_scenario_names():
+        seen.clear()
+        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
+        report = run_pipeline(scenario)
+        assert [case["ok"] for case in report["cases"]] == \
+            [True] * len(scenario.extensions)
+        assert [id(me) for me in seen] == \
+            [id(me) for _, me in scenario.extensions]

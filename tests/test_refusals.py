@@ -42,6 +42,7 @@ from gradedval.exact_lattice import (
     solve_rational,
     unimodular_inverse,
 )
+from gradedval.graded_algebra import GradedModule
 from gradedval.monomial_extension import (
     BlockStructure,
     MonomialExtension,
@@ -50,6 +51,7 @@ from gradedval.monomial_extension import (
 )
 from gradedval.monomialization import (
     TransformStep,
+    coset_system,
     replay,
     strong_monomialize,
 )
@@ -63,6 +65,7 @@ from gradedval.ordered_groups import (
     quotient_invariant_factors,
     subgroup_index,
 )
+from gradedval.ramification import ExtensionRecord, ostrowski_defect
 from gradedval.scenarios import Scenario, load_scenario, run_pipeline
 from gradedval.serialize import load_json
 from gradedval.value_semigroups import (
@@ -338,6 +341,18 @@ def test_small_outside_big_is_refused_whatever_its_rank(call, small):
 DIAG = ExactMatrix.diagonal((2, 1))
 
 
+def _diag23_system():
+    scenario = load_scenario(load_json(bundled_scenario_bytes("diag23.json")))
+    return coset_system(strong_monomialize(scenario.extensions[0][1]).final)
+
+
+def _decompose(box_bound):
+    basis = parallelepiped_points(((2, 1), (0, 3)))
+    monoid = AffineMonoid(dim=2, generators=basis.vectors,
+                          positivity_functional=(1, 1))
+    return verify_disjoint_decomposition(basis, monoid, box_bound)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: solve_integer(DIAG, (2.9, 1)),
      "right-hand side entry 2.9 is a float, not an int"),
@@ -363,11 +378,29 @@ DIAG = ExactMatrix.diagonal((2, 1))
      "block size 2.5 is a float, not an int"),
     (lambda: BlockStructure(r=1, t=(2,), s=(1.0,)),
      "block rank 1.0 is a float, not an int"),
+    (lambda: GradedModule(system=_diag23_system(), residue_degree=2.5),
+     "residue degree 2.5 is a float, not an int"),
+    (lambda: GradedModule(system=_diag23_system(), residue_degree=True),
+     "residue degree True is a bool, not an int"),
+    (lambda: _decompose(2.5), "box bound 2.5 is a float, not an int"),
+    (lambda: _decompose(3.0), "box bound 3.0 is a float, not an int"),
+    (lambda: _decompose(True), "box bound True is a bool, not an int"),
+    (lambda: ostrowski_defect(4.0, 2, 2, 0),
+     "degree identity entry 4.0 is a float, not an int"),
+    (lambda: ostrowski_defect(8, 2, 2, 2.5),
+     "degree identity entry 2.5 is a float, not an int"),
+    (lambda: ExtensionRecord(N=4.0, e=2, f=2, p=0),
+     "degree identity entry 4.0 is a float, not an int"),
+    (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, delta=0.0),
+     "defect 0.0 is a float, not an int"),
 ])
 def test_library_entry_points_refuse_non_integers(call, message):
     # each used to truncate through int(): (2.9, 1) solved as (2, 1),
     # (0.5, 0) was in the lattice, 2.5 walked as 2 and quad 2.5 gave
-    # sqrt(2); a block count of 1.0 was kept as a float
+    # sqrt(2); a block count of 1.0 was kept as a float.  A residue degree
+    # of 2.5 gave rank 5.0 and then a bare TypeError, and True counted as
+    # 1; box bound 2.5 or 3.0 raised a bare TypeError; N = 4.0 gave defect
+    # 0, delta = 0.0 was accepted, and p = 2.5 raised TypeError from pow
     with pytest.raises(NonIntegerEntry) as info:
         call()
     assert str(info.value) == message

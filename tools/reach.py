@@ -3,6 +3,7 @@
 
     python3 tools/reach.py [SEED]
     python3 tools/reach.py --tests
+    python3 tools/reach.py --defs
 
 Line-traces (sys.settrace) one pass over every case of the three benchmark
 workloads at SEED (default 7), made by perfbench/gen.py and run by
@@ -14,6 +15,13 @@ Prints path:line: source for each statement of the package that compiles
 to code and never ran, then their count, "N statements unrun", on stderr.
 With --tests it exits 1 when it lists any statement but those of ALLOWED,
 which are kept unrun on purpose; CI runs it so on one Python version.
+
+With --defs it line-traces the run of SEED 7 and then the release gate,
+tests/test_acceptance.py, and prints each package def none of whose body
+statements ran, as path:line: name, with the reason ALLOWED_DEFS gives for
+keeping it.  It exits 1 when a def it prints is not in ALLOWED_DEFS, or
+when ALLOWED_DEFS names a def that ran or no longer exists, so the list
+stays the exact set of defs that no workload, command or gate reaches.
 """
 
 import ast
@@ -30,6 +38,43 @@ ALLOWED = {
     ("src/gradedval/cli.py", "sys.exit(main())"),
     ("src/gradedval/exact_lattice.py",
      'raise SingularLattice("adjugate identity failed")'),
+}
+# module.qualname of each def that no workload, CLI command or release-gate
+# test reaches, with the reason it stays
+_ITEM2 = "no pipeline stage or command calls it; ROADMAP item 2 deletes it"
+_ARITHMETIC = "the group's own arithmetic and order, which the tests use"
+ALLOWED_DEFS = {
+    "affine_monoids._member": "the search of AffineMonoid.contains",
+    "affine_monoids.in_rational_cone": _ITEM2 + " or moves it to the tests",
+    "affine_monoids._hits":
+        "counts hits only for a point list that is not one point per "
+        "residue class: a tampered or hand-built basis",
+    "affine_monoids.AffineMonoid.contains":
+        _ITEM2 + " or moves it to the tests as the membership oracle",
+    "affine_monoids.ParallelepipedBasis.cone":
+        "the walk hands its basis the cone; only a hand-built basis "
+        "computes it",
+    "exact_lattice.unimodular_inverse": _ITEM2,
+    "exact_lattice.solve_integer": _ITEM2,
+    "monomial_extension.induced_x_values":
+        _ITEM2 + "; the pipeline reads _x_value_rows",
+    "ordered_groups.lex_compare": _ARITHMETIC,
+    "ordered_groups.quotient_invariant_factors": _ITEM2,
+    "ordered_groups.coset_label": _ITEM2,
+    "ordered_groups.Quotient.label":
+        "reached only through coset_label; the pipeline labels by "
+        "label_row",
+    "ordered_groups.Quotient.invariant_factors":
+        "reached only through quotient_invariant_factors (ROADMAP item 7 "
+        "may put it on the pipeline path)",
+    "ordered_groups.GroupElement.__sub__": _ARITHMETIC,
+    "ordered_groups.GroupElement.__neg__": _ARITHMETIC,
+    "ordered_groups.GroupElement.__lt__": _ARITHMETIC,
+    "ordered_groups.GroupElement.__le__": _ARITHMETIC,
+    "scenarios._failure": "reached only by a failing case, which no "
+                          "workload has",
+    "serialize.enc_ratio": "reached only by a label denominator L > 1, "
+                           "which no workload has",
 }
 
 
@@ -48,6 +93,27 @@ def statements(source, path):
         todo += [c for c in code.co_consts if hasattr(c, "co_lines")]
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.stmt) and node.lineno in lines})
+
+
+def defs(source, lines):
+    """(line, qualified name, body statement lines of lines) of each def
+    in source, a method named Class.method and a nested def outer.inner."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = {n.lineno for stmt in child.body
+                        for n in ast.walk(stmt) if isinstance(n, ast.stmt)}
+                out.append((child.lineno, prefix + child.name, body & lines))
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
 
 
 def cli_runs(program):
@@ -85,18 +151,44 @@ def workload_runs(seed):
     sys.settrace(None)
 
 
-def suite_runs():
-    """The tier-1 suite, as ROADMAP.md runs it; its summary goes to stdout
-    before the unrun statements."""
+def suite_runs(*paths):
+    """The tier-1 suite, as ROADMAP.md runs it, or only the test files
+    paths; its summary goes to stdout before the unrun statements."""
     import pytest
     sys.settrace(trace)
     pytest.main(["-q", "-p", "no:cacheprovider",
-                 "--continue-on-collection-errors", str(ROOT / "tests")])
+                 "--continue-on-collection-errors",
+                 *map(str, paths or [ROOT / "tests"])])
     sys.settrace(None)
+
+
+def unreached_defs():
+    """Print each unreached def with its reason; 1 unless ALLOWED_DEFS
+    names exactly those."""
+    workload_runs(7)
+    suite_runs(ROOT / "tests" / "test_acceptance.py")
+    unreached = set()
+    for path in sorted(PKG.glob("*.py")):
+        source = path.read_text()
+        lines = set(statements(source, str(path)))
+        for line, name, body in defs(source, lines):
+            if not any((str(path), n) in hit for n in body):
+                name = f"{path.stem}.{name}"
+                unreached.add(name)
+                why = ALLOWED_DEFS.get(name, "NOT ALLOWED")
+                print(f"{path.relative_to(ROOT)}:{line}: {name} ({why})")
+    print(f"{len(unreached)} defs unreached", file=sys.stderr)
+    stale = sorted(set(ALLOWED_DEFS) - unreached)
+    for name in stale:
+        print(f"ALLOWED_DEFS names {name}, which ran or is gone",
+              file=sys.stderr)
+    return 1 if stale or unreached - set(ALLOWED_DEFS) else 0
 
 
 def main():
     sys.path.insert(0, str(ROOT / "src"))
+    if sys.argv[1:] == ["--defs"]:
+        return unreached_defs()
     tests = sys.argv[1:] == ["--tests"]
     if tests:
         suite_runs()
