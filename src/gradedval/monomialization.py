@@ -66,11 +66,14 @@ def _step_blocks(bs, m, c):
 
 def _check_steps(steps, bs):
     """Reject a step of unknown kind, one whose row, target or exponent
-    row lies outside [0, n), an "r" step with an exponent that is not
+    row is not an int in [0, n), an "r" step with an exponent that is not
     exactly an int (a bool is refused, as ExactMatrix refuses it), or
-    blocks other than an "s" step's _step_blocks, before any is applied."""
+    blocks other than an "s" step's _step_blocks, before any is applied.
+    A step that is the object before it (a recorded burst) is skipped."""
     n = bs.n
-    for step in steps:
+    for previous, step in zip((None, *steps), steps):
+        if step is previous:
+            continue
         if step.kind not in STEP_KINDS:
             raise MalformedStep(f"unknown step kind {step.kind!r}")
         named = [step.row]
@@ -83,9 +86,9 @@ def _check_steps(steps, bs):
                     raise MalformedStep(
                         f"'r' step has exponent {exp!r}, not an integer")
         for i in named:
-            if not (isinstance(i, int) and 0 <= i < n):
+            if not (type(i) is int and 0 <= i < n):
                 raise MalformedStep(
-                    f"{step.kind!r} step names row {i!r}, outside "
+                    f"{step.kind!r} step names row {i!r}, not an int in "
                     f"[0, {n})")
         if step.blocks is None:
             continue
@@ -113,7 +116,7 @@ class _Rewrite:
         self.elements = list(me.y_values)
         self.markers = list(me.unit_markers)
 
-    def apply(self, step: TransformStep, reps=1):
+    def apply(self, step: TransformStep, reps):
         """Apply a range-checked step reps times."""
         m = step.row
         if step.kind == "s":
@@ -146,7 +149,7 @@ class _Rewrite:
         block(m).  So nu(y_m) - k nu(y_c) keeps the leading block of
         nu(y_m): positive, at the same level, after every burst, and the
         pipeline's values_positive cannot fail either.  The refusal guards
-        replay of an unvalidated trace.
+        replay of a trace that strong_monomialize did not record.
         """
         bs = self.blocks
         if bs.block_of(m) >= bs.block_of(c):
@@ -189,11 +192,11 @@ class _Rewrite:
 
 
 def replay(initial: MonomialExtension, steps):
-    """The extension that the steps of a trace make of initial.
-
-    Every step is range-checked before any is applied.  Each run of equal
-    consecutive steps is applied as one burst, and the extension is built
-    once; an empty trace returns initial itself.
+    """The extension that the steps of a trace make of initial: the one
+    driver of _Rewrite, for strong_monomialize and for a decoded trace.
+    Every step is checked (_check_steps) before any is applied.  Each run
+    of equal consecutive steps is applied as one burst, and the extension
+    is built once; an empty trace returns initial itself.
     """
     steps = tuple(steps)
     if not steps:
@@ -277,15 +280,15 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     restores the trivial unit marker.
 
     The lift search tries at most _SEARCH_BUDGET candidates b per row and
-    raises EnumerationOverflow past it.  The substitutions of each burst
-    are applied at once to one integer state, and the extension is built
-    once, at the end.
+    raises EnumerationOverflow past it.  The steps are only recorded: the
+    final form is replay(me, steps), the one driver of the rewrite, so
+    the trace replays to it by construction.
 
-    Every non-T row m of a valid extension is in Theorem-4.8 shape, so
-    none is checked again: validate admits a_mj != 0 only at j = m with
-    a_mm = 1 or at a T-column of a strictly later block, and never < 0.
-    So row m is e_m plus h on later_t, a unit row when h = 0.  No step
-    changes a T-row (0 at every non-T column), so one adjugate of A_sub
+    Every h and T-row is read off the input: validate lets a non-T column
+    m be nonzero only in row m, with a_mm = 1, and no entry be < 0.  So
+    an "s" step of row m (column c += reps * column m) changes row m
+    alone, as an "r" step does, and row m is e_m plus h on later_t, a
+    unit row when h = 0.  No T-row changes, so one adjugate of A_sub
     serves a whole block.  Nor is row m checked after its "r" step: the
     bursts make row m h + b on later_t, 1 at m and 0 elsewhere, and
     c = adj (h + b) / det solves A_sub^t c = h + b exactly.  So the final
@@ -298,8 +301,7 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     if problems:
         raise NotTheorem48Form("; ".join(v.message for v in problems))
     bs = me.blocks
-    state = _Rewrite(me)
-    rows = state.rows
+    rows = me.A.entries
     steps = []
     bound = 8 * max(map(max, rows))  # no entry < 0 and no zero row
     for bi in range(bs.r):
@@ -314,18 +316,15 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
                     tuple(rows[i][j] for i in later_t) for j in later_t)))
             b, c = _lift(m, *lift, h, bound)
             for col, reps in zip(later_t, b):
-                if reps:
+                if reps:  # a burst: one step object, repeated
                     step = TransformStep(kind="s", row=m, target=col,
                                          blocks=_step_blocks(bs, m, col))
-                    state.apply(step, reps)
-                    steps.extend([step] * reps)
-            r_step = TransformStep(kind="r", row=m, exponents=tuple(
-                (row, exp) for row, exp in zip(later_t, c) if exp))
-            for step in (r_step, TransformStep(kind="rescale", row=m)):
-                state.apply(step)
-                steps.append(step)
+                    steps += [step] * reps
+            steps.append(TransformStep(kind="r", row=m, exponents=tuple(
+                (row, exp) for row, exp in zip(later_t, c) if exp)))
+            steps.append(TransformStep(kind="rescale", row=m))
 
-    final = state.build() if steps else me
+    final = replay(me, steps)
     final.__dict__["_violations"] = ()  # valid, by the proof above
     return MonomializationTrace(
         initial=me, steps=tuple(steps), final=SSMForm(final))

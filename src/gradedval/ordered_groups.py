@@ -229,9 +229,7 @@ class ValueGroup:
         """(scale L, HNF basis rows, pivot columns): the group is
         (1/L) * row-lattice(basis).  Computed once per group."""
         L = common_denominator(self.generators)
-        rows = [row for row in (scaled_row(g, L) for g in self.generators)
-                if any(row)]
-        basis = hermite_row_basis(rows) if rows else ()
+        basis = hermite_row_basis([scaled_row(g, L) for g in self.generators])
         return L, basis, _pivot_columns(basis)
 
     @property

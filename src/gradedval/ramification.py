@@ -107,7 +107,10 @@ class ExtensionRecord:
         if (self.d is None) != (self.g is None):
             raise MissingIndex("d and g must be given together")
         if self.d is not None:
-            d, g = Fraction(self.d), Fraction(self.g)
+            # exactly an int or a Fraction: no float is read bit by bit
+            d, g = (x if type(x) is Fraction
+                    else Fraction(*_check_ints((x,), name))
+                    for name, x in (("d", self.d), ("g", self.g)))
             if d <= 0 or g <= 0:
                 raise Inconsistent("d and g must be positive")
             r = d / g

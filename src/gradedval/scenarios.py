@@ -196,7 +196,8 @@ def _run_extension_case(label, me, f):
         redone = replay(trace.initial, trace.steps)
         checks.append(("replay_matches", redone == final))
         checks.append(("values_positive",  # proof: _Rewrite._substitute
-                       all(v.sign() > 0 for v in final.y_values)))
+                       all(final.structure.row_sign(row) > 0
+                           for row in final._value_rows[1])))
         checks.append(("t_determinant_preserved",
                        abs(determinant(final.t_submatrix())) == t_det))
         report["steps"] = enc_int(len(trace.steps))

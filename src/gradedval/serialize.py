@@ -60,10 +60,6 @@ def dec_bool(data, key):
     return flag
 
 
-def enc_frac(x):
-    return str(Fraction(x))
-
-
 def enc_ratio(x, L):
     """str(Fraction(x, L)) for integers x and L > 0, without the Fraction."""
     g = math.gcd(x, L)
@@ -116,7 +112,8 @@ def dec_structure(data):
 
 
 def enc_element(el):
-    return [[enc_frac(c) for c in comp] for comp in el.coords]
+    return [[enc_ratio(c.numerator, c.denominator) for c in comp]
+            for comp in el.coords]
 
 
 class _Encoded(dict):

@@ -41,20 +41,17 @@ class ValueSemigroup:
     generators: tuple
 
     def __post_init__(self):
-        gens = []
-        seen = set()
-        for g in self.generators:
+        gens = tuple(dict.fromkeys(self.generators))  # equal ones once
+        for g in gens:
             if g.structure != self.ambient.structure:
                 raise AmbientMismatch("generator outside the ambient group")
             if g.sign() <= 0:
                 raise NonPositiveGenerator(
                     "semigroup generators must be strictly positive")
-            if not self.ambient.contains(g):
+            if not (g in self.ambient.generators  # a group holds its own
+                    or self.ambient.contains(g)):
                 raise NotInGroup("generator outside the ambient value group")
-            if g.flat() not in seen:
-                seen.add(g.flat())
-                gens.append(g)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
 
     @property
     def structure(self):

@@ -215,13 +215,24 @@ def test_os_errors_exit_2_with_one_line(tmp_path, capsys, flag):
 
 
 def test_monomialize_and_replay(tmp_path, capsys):
+    # the trace monomialize emits replays to its final form, for every
+    # extension of the bundled corpus, the random sections' included
+    from gradedval.scenarios import load_scenario
+    from gradedval.serialize import load_json
     src = scenario_path(tmp_path, "rank2_h2.json")
     trace = str(tmp_path / "trace.json")
-    assert main(["monomialize", "--in", src, "--out", trace,
-                 "--json"]) == 0
-    assert main(["pipeline", "--replay", trace, "--json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["replay_matches"] is True
+    sources = [src]
+    for name in bundled_scenario_names():
+        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
+        sources += [write(tmp_path, f"{label}.json", enc_extension(me))
+                    for label, me in scenario.extensions]
+    assert len(sources) == 23
+    for src in sources:
+        assert main(["monomialize", "--in", src, "--out", trace,
+                     "--json"]) == 0
+        assert main(["pipeline", "--replay", trace, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["replay_matches"] is True
 
 
 def test_replay_detects_tampering(tmp_path, capsys):
@@ -932,6 +943,45 @@ def enc_row(structure, row, L):
     it = iter(row)
     return [[enc_ratio(x, L) for x in islice(it, b.rational_rank)]
             for b in structure.blocks]
+
+
+def enc_frac(x):
+    """str(Fraction(x)): the oracle of enc_element's entries."""
+    from fractions import Fraction
+    return str(Fraction(x))
+
+
+def test_element_encoder_matches_fraction_strings(monkeypatch):
+    # enc_element encodes each coordinate through enc_ratio, the one
+    # rational encoder; seeded elements, sqrt(d) blocks, zeros and
+    # integers included
+    from fractions import Fraction
+    from gradedval import serialize
+    from gradedval.ordered_groups import Block, GroupStructure
+    from gradedval.serialize import enc_element
+    calls = []
+    real = serialize.enc_ratio
+
+    def counting(x, L):
+        calls.append((x, L))
+        return real(x, L)
+
+    monkeypatch.setattr(serialize, "enc_ratio", counting)
+    rng = random.Random(13)
+    structure = GroupStructure(
+        (Block(), Block(quad=2), Block(), Block(quad=7)))
+    for _ in range(3000):
+        size = rng.choice((1, 9, 10 ** 6, 10 ** 30))
+        coords = [[Fraction(rng.randint(-size, size),
+                            rng.choice((1, rng.randint(1, size))))
+                   for _ in range(b.rational_rank)]
+                  for b in structure.blocks]
+        el = structure.element(coords)
+        assert enc_element(el) == [[enc_frac(c) for c in comp]
+                                   for comp in el.coords]
+    assert enc_element(structure.zero()) == [["0"], ["0", "0"], ["0"],
+                                             ["0", "0"]]
+    assert len(calls) == 3001 * structure.rational_rank
 
 
 def test_row_encoder_matches_fraction_strings():

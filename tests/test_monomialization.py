@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -157,6 +158,72 @@ def test_burst_replays_like_single_steps():
     assert final.A.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 9))
     assert final.y_values[1].flat() == (1, -8)
     assert replay(me, trace.steps) == replay_oracle(me, trace.steps) == final
+
+
+def test_strong_monomialize_takes_its_final_form_from_replay(monkeypatch):
+    # replay is the one driver of the rewrite: strong_monomialize records
+    # its steps, makes no _Rewrite of its own, and replays them once
+    events = []
+    real_replay = monomialization.replay
+
+    def replaying(initial, steps):
+        events.append("replay")
+        return real_replay(initial, steps)
+
+    class Rewrite(monomialization._Rewrite):
+        def __init__(self, me):
+            events.append("rewrite")
+            super().__init__(me)
+
+    monkeypatch.setattr(monomialization, "replay", replaying)
+    monkeypatch.setattr(monomialization, "_Rewrite", Rewrite)
+    for g in (1, 2, 9, 40):
+        me = two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, g]])
+        events.clear()
+        trace = strong_monomialize(me)
+        assert trace.steps
+        assert events == ["replay", "rewrite"]
+    events.clear()
+    trace = strong_monomialize(
+        two_block_extension([[2, 0, 1], [0, 1, 0], [0, 0, 3]]))
+    assert trace.steps == () and events == ["replay"]
+
+
+def count_checks(monkeypatch):
+    """The step kinds _check_steps tests, one per step it checks."""
+    checked = []
+
+    class Kinds(tuple):
+        def __contains__(self, kind):
+            checked.append(kind)
+            return super().__contains__(kind)
+
+    monkeypatch.setattr(monomialization, "STEP_KINDS",
+                        Kinds(monomialization.STEP_KINDS))
+    return checked
+
+
+def test_check_steps_checks_one_object_per_burst(monkeypatch):
+    # x_2 = y_2^40: one burst of 39 substitutions, recorded as one step
+    # object repeated, so replay checks 3 step objects, not 41 steps
+    me = two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, 40]])
+    trace = strong_monomialize(me)
+    steps = trace.steps
+    assert [s.kind for s in steps] == ["s"] * 39 + ["r", "rescale"]
+    checked = count_checks(monkeypatch)
+    assert replay(me, steps) == trace.final.extension
+    assert checked == ["s", "r", "rescale"]
+    # equal steps that are separate objects, as decoded ones are, are
+    # each checked: a row 1.0 after row 1 is refused, though 1.0 == 1
+    checked.clear()
+    copies = [dataclasses.replace(step) for step in steps]
+    assert replay(me, copies) == trace.final.extension
+    assert len(checked) == len(steps)
+    tampered = list(steps)
+    tampered[1] = dataclasses.replace(steps[0], row=1.0)
+    assert tampered[1] == steps[0]
+    with pytest.raises(MalformedStep):
+        replay(me, tampered)
 
 
 def test_replay_matches_step_fold_on_random_traces():
@@ -838,6 +905,26 @@ def test_coset_system_reads_y_coordinates_from_integer_rows(monkeypatch):
         seen.clear()
         cs = coset_system(strong_monomialize(me).final)
         assert seen == list(cs.quotient.hnf)
+
+
+def test_pipeline_case_reads_value_signs_off_integer_rows(monkeypatch):
+    # values_positive reads the final form's value rows with row_sign, as
+    # validate does: no group element is asked for its sign
+    def refuse(self):
+        raise AssertionError("GroupElement.sign called")
+
+    extensions = corpus_extensions() + [
+        me for _, me in ladder_scenario().extensions]
+    monkeypatch.setattr(GroupElement, "sign", refuse)
+    for f in (1, 2):
+        report = run_pipeline(Scenario(
+            name="signs", residue_degree=f, semigroup=None, records=(),
+            expect={}, extensions=tuple(
+                (str(k), me) for k, me in enumerate(extensions))))
+        assert report["ok"]
+        for case in report["cases"]:
+            assert {"name": "values_positive", "passed": True} in \
+                case["checks"]
 
 
 def test_unchecked_extension_matrices_equal_checked_ones(monkeypatch):

@@ -393,6 +393,19 @@ def _decompose(box_bound):
      "degree identity entry 4.0 is a float, not an int"),
     (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, delta=0.0),
      "defect 0.0 is a float, not an int"),
+    # d and g went through Fraction(): 0.5 / 0.25 was accepted as r = 2,
+    # "3" and True were read as 3 and 1, and 0.3 / 0.1 was refused with
+    # the ratio of the floats' binary expansions
+    (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, d=0.5, g=0.25),
+     "d 0.5 is a float, not an int"),
+    (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, d="3", g=1),
+     "d '3' is a str, not an int"),
+    (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, d=True, g=1),
+     "d True is a bool, not an int"),
+    (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, d=0.3, g=0.1),
+     "d 0.3 is a float, not an int"),
+    (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, d=3, g=0.1),
+     "g 0.1 is a float, not an int"),
 ])
 def test_library_entry_points_refuse_non_integers(call, message):
     # each used to truncate through int(): (2.9, 1) solved as (2, 1),
@@ -409,6 +422,26 @@ def test_library_entry_points_refuse_non_integers(call, message):
 def _rank2_h2_trace():
     scenario = load_scenario(load_json(bundled_scenario_bytes("rank2_h2.json")))
     return strong_monomialize(scenario.extensions[0][1])
+
+
+def test_replay_refuses_bool_row_indices():
+    # a bool passed the isinstance(i, int) check: row=True on all three
+    # steps replayed to the same final form as row 1
+    trace = _rank2_h2_trace()
+    s, r, rescale = trace.steps
+    (_, exp), = r.exponents
+    for bad, message in [
+            ([dataclasses.replace(step, row=True) for step in trace.steps],
+             "'s' step names row True, not an int in [0, 3)"),
+            ([dataclasses.replace(s, target=True), r, rescale],
+             "'s' step names row True, not an int in [0, 3)"),
+            ([s, dataclasses.replace(r, exponents=((True, exp),)), rescale],
+             "'r' step names row True, not an int in [0, 3)"),
+            ([s, r, dataclasses.replace(rescale, row=False)],
+             "'rescale' step names row False, not an int in [0, 3)")]:
+        with pytest.raises(MalformedStep) as info:
+            replay(trace.initial, bad)
+        assert str(info.value) == message
 
 
 def test_replay_refuses_blocks_that_contradict_the_step():

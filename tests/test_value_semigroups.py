@@ -10,6 +10,7 @@ from gradedval.errors import (
     NegativeQuery,
     NonPositiveGenerator,
     NotASubsemigroup,
+    NotInGroup,
 )
 from gradedval.ordered_groups import (
     Block,
@@ -528,3 +529,36 @@ def test_block_box_tests_match_the_generic_sign_form():
     for p in product(range(-8, 9), repeat=2):
         assert tests[0](p) == oracle(p, (0,)), p
     assert checked == 2000
+
+
+def test_semigroup_section_builds_only_the_lattice_it_compares(monkeypatch):
+    # each section semigroup is generated by its ambient group's own
+    # generators, which the group contains without a back-substitution:
+    # only small's lattice is built, for groups_equal
+    from functools import cached_property
+    from gradedval.cli import bundled_scenario_bytes
+    from gradedval.scenarios import _run_semigroup_section, load_scenario
+    from gradedval.serialize import load_json
+    section = load_scenario(
+        load_json(bundled_scenario_bytes("section5.json"))).semigroup
+    real = ValueGroup._lattice.func
+    built = []
+
+    def counting(self):
+        built.append(self.generators)
+        return real(self)
+
+    lattice = cached_property(counting)
+    lattice.__set_name__(ValueGroup, "_lattice")
+    monkeypatch.setattr(ValueGroup, "_lattice", lattice)
+    report = _run_semigroup_section(section)
+    assert report["ok"] and report["groups_equal"]
+    assert built == [section["small"]]
+    # a generator outside a group built from other generators is still
+    # refused
+    built.clear()
+    third = RANK1.element(((Fraction(1, 3),),))
+    with pytest.raises(NotInGroup):
+        ValueSemigroup(ambient=ValueGroup(RANK1, section["small"]),
+                       generators=(third,))
+    assert len(built) == 1

@@ -73,8 +73,6 @@ ALLOWED_DEFS = {
     "ordered_groups.GroupElement.__le__": _ARITHMETIC,
     "scenarios._failure": "reached only by a failing case, which no "
                           "workload has",
-    "serialize.enc_ratio": "reached only by a label denominator L > 1, "
-                           "which no workload has",
 }
 
 
