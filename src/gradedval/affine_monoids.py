@@ -36,6 +36,7 @@ from .errors import (
 from .exact_lattice import (
     ExactMatrix,
     _check_ints,
+    _check_rationals,
     abs_adjugate,
     adjugate,
     hermite_row_basis,
@@ -67,7 +68,8 @@ class AffineMonoid:
             if g not in seen:
                 seen.add(g)
                 gens.append(g)
-        phi = tuple(Fraction(x) for x in self.positivity_functional)
+        phi = tuple(map(Fraction, _check_rationals(
+            self.positivity_functional, "functional entry")))
         if len(phi) != self.dim:
             raise DimensionMismatch("functional of wrong dimension")
         # L * phi is integral for L the lcm of the denominators, and has

@@ -29,6 +29,18 @@ def _check_ints(entries, what="matrix entry"):
     return entries
 
 
+def _check_rationals(entries, what):
+    """The entries as a tuple, each exactly an int or a Fraction, a str
+    read as its Fraction, else NonIntegerEntry naming them what: no float
+    is read bit by bit and no bool as 0 or 1."""
+    entries = tuple(entries)
+    for x in entries:
+        if type(x) not in (int, Fraction, str):
+            raise NonIntegerEntry(f"{what} {x!r} is a {type(x).__name__}, "
+                                  f"not an int, Fraction or str")
+    return tuple(Fraction(x) if type(x) is str else x for x in entries)
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Immutable integer matrix; entries are a tuple of row tuples.
@@ -347,7 +359,9 @@ def unimodular_inverse(A: ExactMatrix) -> ExactMatrix:
 
 def solve_rational(A: ExactMatrix, b):
     """Unique rational solution of A x = b for nonsingular square A:
-    x_i = (adj A b)_i / det A, from the one checked adjugate."""
+    x_i = (adj A b)_i / det A, from the one checked adjugate.  Each b_i
+    is an int, a Fraction or a str (_check_rationals)."""
+    b = _check_rationals(b, "right-hand side entry")
     if not A.is_square() or A.rows != len(b):
         raise DimensionMismatch("square system required")
     try:

@@ -113,7 +113,6 @@ class _Rewrite:
         self.rows = [list(row) for row in me.A.entries]
         self.L, values = me._value_rows
         self.values = [list(row) for row in values]
-        self.elements = list(me.y_values)
         self.markers = list(me.unit_markers)
 
     def apply(self, step: TransformStep, reps):
@@ -170,24 +169,22 @@ class _Rewrite:
         for row in self.rows:
             row[c] += reps * row[m]
         self.values[m] = value
-        self.elements[m] = None
 
     def build(self):
         # the rows are the checked A's, changed by int column adds and by
-        # the int exponents _check_steps admits; a y-value is made again
-        # only when a burst changed it.  A burst maps the y-values to a
-        # tuple that generates the same group, so L is still their least
-        # common denominator, and the rows are the new _value_rows
+        # the int exponents _check_steps admits.  A burst maps the
+        # y-values to a tuple that generates the same group, so L is still
+        # their least common denominator, and the rows are the new
+        # _value_rows
         structure, L = self.structure, self.L
+        values = tuple(map(tuple, self.values))
         me = MonomialExtension(
             blocks=self.blocks,
             A=ExactMatrix._of(tuple(map(tuple, self.rows))),
             unit_markers=tuple(self.markers),
-            y_values=tuple(
-                structure.from_row(row, L) if element is None else element
-                for row, element in zip(self.values, self.elements)),
+            y_values=tuple(structure.from_row(row, L) for row in values),
         )
-        me.__dict__["_value_rows"] = L, tuple(map(tuple, self.values))
+        me.__dict__["_value_rows"] = L, values
         return me
 
 

@@ -25,6 +25,7 @@ from .errors import (
 from .exact_lattice import (
     ExactMatrix,
     _check_ints,
+    _check_rationals,
     hermite_row_basis,
     quotient_invariants,
 )
@@ -78,20 +79,28 @@ class GroupStructure:
         return tuple(flat[span] for span in self.spans)
 
     def zero(self):
-        return GroupElement(self, (Fraction(0),) * self.rational_rank)
+        return GroupElement(self, 1, (0,) * self.rational_rank)
 
     def element(self, coords):
-        """The element whose per-block coordinates are coords."""
-        comps = [tuple(map(Fraction, comp)) for comp in coords]
+        """The element whose per-block coordinates are coords, each an
+        int, a Fraction or a str (_check_rationals)."""
+        comps = [_check_rationals(comp, "coordinate") for comp in coords]
         if len(comps) != self.rank:
             raise AmbientMismatch("coordinate blocks != structure blocks")
         if any(len(c) != b.rational_rank for c, b in zip(comps, self.blocks)):
             raise AmbientMismatch("component length != block rank")
-        return GroupElement(self, tuple(chain.from_iterable(comps)))
+        flat = tuple(chain.from_iterable(comps))
+        L = math.lcm(*(c.denominator for c in flat))
+        return GroupElement(self, L, tuple(
+            c.numerator * (L // c.denominator) for c in flat))
 
     def from_row(self, row, L):
-        """The element whose flat coordinates are the integers row over L."""
-        return GroupElement(self, tuple(Fraction(x, L) for x in row))
+        """The element whose flat coordinates are the integers row over
+        L > 0, brought to lowest terms."""
+        g = math.gcd(L, *row)
+        if g != 1:
+            L, row = L // g, [x // g for x in row]
+        return GroupElement(self, L, tuple(row))
 
     def row_sign(self, row):
         """The sign of a flat row (of from_row(row, L) for any L > 0): that
@@ -129,47 +138,58 @@ def _block_sign(block: Block, comp):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of a block group: one flat tuple of Fraction coordinates,
-    made by its structure; > and >= reflect to < and <=."""
+    """Element of a block group: its flat coordinates, block after block,
+    as the integer row over the least L > 0 that clears them.  So
+    gcd(L, *row) == 1, and equal elements are equal dataclasses.  Made by
+    its structure; > and >= reflect to < and <=."""
 
     structure: GroupStructure
-    _flat: tuple
+    L: int
+    row: tuple
 
     @property
     def coords(self):
-        """Per-block coordinate tuples."""
-        return self.structure.split(self._flat)
+        """Per-block coordinate tuples, as Fractions."""
+        return self.structure.split(self.flat())
 
     def sign(self):
-        return self.structure.row_sign(self._flat)
+        return self.structure.row_sign(self.row)
 
     def is_zero(self):
-        return not any(self._flat)
+        return not any(self.row)
 
     def flat(self):
-        """Coordinates concatenated across blocks, as a rational vector."""
-        return self._flat
+        """Coordinates concatenated across blocks, as Fractions."""
+        L = self.L
+        return tuple(Fraction(x, L) for x in self.row)
 
     def _check_same(self, other):
         if self.structure != other.structure:
             raise AmbientMismatch("elements of different ambient groups")
 
-    def __add__(self, other):
+    def _plus(self, other, k):
+        """self + k * other, for an int k, over the lcm of the two L's."""
         self._check_same(other)
-        return GroupElement(self.structure, tuple(
-            a + b for a, b in zip(self._flat, other._flat)))
+        L = math.lcm(self.L, other.L)
+        s, t = L // self.L, k * (L // other.L)
+        return self.structure.from_row(
+            [s * a + t * b for a, b in zip(self.row, other.row)], L)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return GroupElement(self.structure, tuple(
-            a - b for a, b in zip(self._flat, other._flat)))
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return GroupElement(self.structure, tuple(-a for a in self._flat))
+        return GroupElement(self.structure, self.L,
+                            tuple(-a for a in self.row))
 
     def scale(self, k):
-        k = Fraction(k)
-        return GroupElement(self.structure, tuple(k * a for a in self._flat))
+        """k * self, for k an int, a Fraction or a str."""
+        (k,) = _check_rationals((k,), "scale factor")
+        return self.structure.from_row(
+            [k.numerator * a for a in self.row], self.L * k.denominator)
 
     def __lt__(self, other):
         return lex_compare(self, other) < 0
@@ -190,24 +210,24 @@ def isolated_level(gamma: GroupElement):
     Level i is the convex subgroup of elements whose first i blocks vanish;
     level 0 is the whole group and level rank is zero.
     """
-    return gamma.structure.row_level(gamma.flat())
+    return gamma.structure.row_level(gamma.row)
 
 
 def common_denominator(elements, *rationals):
     """The least L > 0 that clears the denominator of every flat
     coordinate of the elements and of every extra rational."""
-    return math.lcm(*(c.denominator for el in elements for c in el.flat()),
+    return math.lcm(*(el.L for el in elements),
                     *(q.denominator for q in rationals))
 
 
 def scaled_row(gamma: GroupElement, L):
-    """The integers L * gamma.flat(), or None when L does not clear every
-    denominator of gamma.  With common_denominator, the one way a group
-    value becomes an integer row."""
-    flat = gamma.flat()
-    if any(L % c.denominator for c in flat):
+    """The integers L * gamma.flat(), or None when L is no multiple of
+    gamma's own L.  With common_denominator, the one way a group value
+    becomes an integer row over a denominator of the caller's."""
+    k, r = divmod(L, gamma.L)
+    if r:
         return None
-    return tuple(c.numerator * (L // c.denominator) for c in flat)
+    return gamma.row if k == 1 else tuple(k * x for x in gamma.row)
 
 
 @dataclass(frozen=True)

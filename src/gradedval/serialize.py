@@ -112,8 +112,9 @@ def dec_structure(data):
 
 
 def enc_element(el):
-    return [[enc_ratio(c.numerator, c.denominator) for c in comp]
-            for comp in el.coords]
+    L = el.L
+    return [[enc_ratio(x, L) for x in comp]
+            for comp in el.structure.split(el.row)]
 
 
 class _Encoded(dict):

@@ -21,6 +21,7 @@ from .errors import (
     NotASubsemigroup,
     NotInGroup,
 )
+from .exact_lattice import _check_rationals
 from .ordered_groups import (
     GroupElement,
     ValueGroup,
@@ -114,7 +115,7 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     of the elements gamma.
     """
     structure = S.structure
-    bound = Fraction(bound)
+    (bound,) = _check_rationals((bound,), "bound")
     L = common_denominator(S.generators, bound)
     if scale is not None:
         if scale % L:
@@ -159,10 +160,13 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
 def _query_bound(gamma: GroupElement):
     """A rational upper bound on every block value of gamma: a box in
     which enumerate_elements decides gamma's membership."""
-    return max(
-        comp[0] if block.quad is None
-        else comp[0] + abs(comp[1]) * (math.isqrt(block.quad) + 1)
-        for block, comp in zip(gamma.structure.blocks, gamma.coords))
+    row = gamma.row
+    return Fraction(max(
+        row[span.start] if block.quad is None
+        else row[span.start] + abs(row[span.start + 1]) * (
+            math.isqrt(block.quad) + 1)
+        for block, span in zip(gamma.structure.blocks,
+                               gamma.structure.spans)), gamma.L)
 
 
 def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
@@ -197,7 +201,7 @@ def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
     if S_small.structure != S_big.structure:
         raise AmbientMismatch("semigroups over different ambient groups")
     structure = S_big.structure
-    bound = Fraction(bound)
+    (bound,) = _check_rationals((bound,), "bound")
     reach = max([bound, *map(_query_bound, S_small.generators)])
     L = common_denominator(S_small.generators + S_big.generators, bound,
                            reach)

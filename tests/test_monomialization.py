@@ -65,6 +65,7 @@ from gradedval.ordered_groups import (
 )
 from gradedval.scenarios import (
     Scenario,
+    _run_extension_case,
     load_scenario,
     random_extension_bounded,
     run_pipeline,
@@ -1019,6 +1020,30 @@ def test_group_elements_built_do_not_grow_with_e(monkeypatch):
         assert report["cases"][0]["e"] == str(g[0] * g[1])
         counts[g] = (len(built), report["cases"][0]["steps"])
     assert counts[(5, 5)] == counts[(10, 20)]
+
+
+def test_extension_cases_build_no_fraction(monkeypatch):
+    # a group value is an integer row over its denominator from decoding
+    # to the report: once the corpus is decoded, its extension cases build
+    # no Fraction (34 when an element held a tuple of Fractions)
+    cases = []
+    for name in bundled_scenario_names():
+        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
+        cases += [(label, me, scenario.residue_degree)
+                  for label, me in scenario.extensions]
+    assert len(cases) == 22
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    reports = [_run_extension_case(*case) for case in cases]
+    monkeypatch.undo()
+    assert [report["ok"] for report in reports] == [True] * 22
+    assert built == []
 
 
 def rebuilt(me):

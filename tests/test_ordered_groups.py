@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -301,6 +302,73 @@ def test_label_does_not_depend_on_big():
     assert quotients[0].label(el(s, (2,), (0,))) == el(s, (2,), (0,))
     assert quotients[0].label(el(s, (5,), (5,))) == el(s, (2,), (0,))
     assert quotients[0].label_row((2, 2)) == (2, 0)
+
+
+def _oracle_sign(structure, flat):
+    """The lex sign of a Fraction tuple, block by block: p + q sqrt(d)
+    has the sign of p and q when they agree, else of the larger of p^2
+    and d q^2."""
+    for block, span in zip(structure.blocks, structure.spans):
+        p, q = (*flat[span], 0)[:2]
+        if p and q and (p > 0) != (q > 0):
+            s = p if p * p > block.quad * q * q else q
+        else:
+            s = p or q
+        if s:
+            return 1 if s > 0 else -1
+    return 0
+
+
+def _oracle_level(structure, flat):
+    return next((level for level, span in enumerate(structure.spans)
+                 if any(flat[span])), structure.rank)
+
+
+def test_elements_are_integer_rows_in_lowest_terms():
+    # an element is its integer row over the least L that clears it, so
+    # every way of making it gives one dataclass, with one hash; its
+    # arithmetic, order and flat() agree with the Fraction-tuple
+    # arithmetic kept here as the oracle
+    rng = random.Random(29)
+    structure = GroupStructure((Block(), Block(quad=2)))
+
+    def draw():
+        size = rng.choice((1, 9, 10 ** 6, 10 ** 40))
+        return tuple(Fraction(rng.randint(-size, size),
+                              rng.choice((1, rng.randint(1, size))))
+                     for _ in range(structure.rational_rank))
+
+    def check(g, flat):
+        assert g.L > 0 and math.gcd(g.L, *g.row) == 1
+        assert g.flat() == flat
+        assert all(type(c) is Fraction for c in g.flat())
+        assert g.coords == structure.split(flat)
+        assert g == structure.element(structure.split(flat))
+        assert g.sign() == _oracle_sign(structure, flat)
+        assert isolated_level(g) == _oracle_level(structure, flat)
+
+    for _ in range(400):
+        fa, fb = draw(), rng.choice((draw(), draw(), None))
+        fb = fb or fa  # now and then a - b is zero
+        a = structure.element(structure.split(fa))
+        b = structure.element(structure.split(fb))
+        k = rng.choice((1, 2, rng.randint(1, 10 ** 12)))
+        for same in (structure.from_row([k * x for x in a.row], k * a.L),
+                     a + b - b, -(-a), a.scale(1)):
+            assert same == a and hash(same) == hash(a)
+            assert (same.L, same.row) == (a.L, a.row)
+        check(a, fa)
+        check(a + b, tuple(x + y for x, y in zip(fa, fb)))
+        check(a - b, tuple(x - y for x, y in zip(fa, fb)))
+        check(-a, tuple(-x for x in fa))
+        c = rng.choice((0, -1, rng.randint(-99, 99), draw()[0]))
+        check(a.scale(c), tuple(c * x for x in fa))
+        diff = _oracle_sign(structure, tuple(x - y for x, y in zip(fa, fb)))
+        assert ((a < b), (a <= b), lex_compare(a, b)) == (
+            diff < 0, diff <= 0, diff)
+    zero = structure.zero()
+    assert (zero.L, zero.row) == (1, (0, 0, 0))
+    check(zero, (0, 0, 0))
 
 
 def test_scaled_rows_match_fraction_products():

@@ -70,6 +70,7 @@ from gradedval.scenarios import Scenario, load_scenario, run_pipeline
 from gradedval.serialize import load_json
 from gradedval.value_semigroups import (
     ValueSemigroup,
+    enumerate_elements,
     semigroup_difference,
     semigroup_membership,
 )
@@ -168,6 +169,22 @@ def test_element_keeps_blocks_and_fractions():
     assert mixed.element(mixed.split(gamma.flat())) == gamma
     assert gamma.sign() == 1 and (-gamma).sign() == -1
     assert -gamma < gamma and gamma > -gamma and gamma >= gamma
+
+
+def test_rational_entry_points_take_ints_fractions_and_strings():
+    # the one check that refuses a float or a bool keeps every exact form
+    half = Fraction(1, 2)
+    assert ONE.element(((half,),)) == ONE.element((("1/2",),)) \
+        == ONE.element(((1,),)).scale("1/2") == ONE.element(((2,),)).scale(
+            Fraction(1, 4))
+    assert solve_rational(DIAG, (1, "3")) == solve_rational(
+        DIAG, (Fraction(1), 3))
+    S = _semigroup()
+    assert enumerate_elements(S, 2) == enumerate_elements(S, "2") \
+        == enumerate_elements(S, Fraction(2))
+    assert AffineMonoid(dim=2, generators=PLANE,
+                        positivity_functional=(1, "1/2")) \
+        .positivity_functional == (1, half)
 
 
 def _values(structure, flats):
@@ -346,6 +363,11 @@ def _diag23_system():
     return coset_system(strong_monomialize(scenario.extensions[0][1]).final)
 
 
+def _semigroup():
+    gens = _values(ONE, [(1,), ("5/2",)])
+    return ValueSemigroup(ValueGroup(ONE, gens), gens)
+
+
 def _decompose(box_bound):
     basis = parallelepiped_points(((2, 1), (0, 3)))
     monoid = AffineMonoid(dim=2, generators=basis.vectors,
@@ -406,6 +428,26 @@ def _decompose(box_bound):
      "d 0.3 is a float, not an int"),
     (lambda: ExtensionRecord(N=4, e=2, f=2, p=0, d=3, g=0.1),
      "g 0.1 is a float, not an int"),
+    # a rational entry went through Fraction(): 0.1 was read bit by bit
+    # as 3602879701896397/36028797018963968 and True as 1, and
+    # solve_rational ended in a bare TypeError on a float
+    (lambda: ONE.element(((0.1,),)),
+     "coordinate 0.1 is a float, not an int, Fraction or str"),
+    (lambda: TWO.element(((1,), (True,))),
+     "coordinate True is a bool, not an int, Fraction or str"),
+    (lambda: ONE.element(((1,),)).scale(0.5),
+     "scale factor 0.5 is a float, not an int, Fraction or str"),
+    (lambda: enumerate_elements(_semigroup(), 0.1),
+     "bound 0.1 is a float, not an int, Fraction or str"),
+    (lambda: semigroup_difference(_semigroup(), _semigroup(), 2.5),
+     "bound 2.5 is a float, not an int, Fraction or str"),
+    (lambda: AffineMonoid(dim=2, generators=PLANE,
+                          positivity_functional=(0.1, 0.2)),
+     "functional entry 0.1 is a float, not an int, Fraction or str"),
+    (lambda: solve_rational(DIAG, (0.5, 1)),
+     "right-hand side entry 0.5 is a float, not an int, Fraction or str"),
+    (lambda: solve_rational(DIAG, (True, 1)),
+     "right-hand side entry True is a bool, not an int, Fraction or str"),
 ])
 def test_library_entry_points_refuse_non_integers(call, message):
     # each used to truncate through int(): (2.9, 1) solved as (2, 1),

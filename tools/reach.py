@@ -67,6 +67,9 @@ ALLOWED_DEFS = {
     "ordered_groups.Quotient.invariant_factors":
         "reached only through quotient_invariant_factors (ROADMAP item 7 "
         "may put it on the pipeline path)",
+    "ordered_groups.GroupElement.coords":
+        "the per-block Fractions of an element, built only for a caller "
+        "that asks; the tests read them, no stage does",
     "ordered_groups.GroupElement.__sub__": _ARITHMETIC,
     "ordered_groups.GroupElement.__neg__": _ARITHMETIC,
     "ordered_groups.GroupElement.__lt__": _ARITHMETIC,
