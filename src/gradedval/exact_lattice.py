@@ -32,13 +32,18 @@ def _check_ints(entries, what="matrix entry"):
 def _check_rationals(entries, what):
     """The entries as a tuple, each exactly an int or a Fraction, a str
     read as its Fraction, else NonIntegerEntry naming them what: no float
-    is read bit by bit and no bool as 0 or 1."""
-    entries = tuple(entries)
+    is read bit by bit, no bool as 0 or 1, and no str that is no rational."""
+    out = []
     for x in entries:
         if type(x) not in (int, Fraction, str):
             raise NonIntegerEntry(f"{what} {x!r} is a {type(x).__name__}, "
                                   f"not an int, Fraction or str")
-    return tuple(Fraction(x) if type(x) is str else x for x in entries)
+        try:
+            out.append(Fraction(x) if type(x) is str else x)
+        except (ValueError, ZeroDivisionError):  # "abc", "1/0"
+            raise NonIntegerEntry(
+                f"{what} {x!r} is a str that is not a rational") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)

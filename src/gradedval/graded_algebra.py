@@ -2,18 +2,14 @@
 
 The graded module of a coset system has one basis label per pair (lattice
 point sigma, residue index); its rank is e * f.  The quotient group
-Z^n / A^t Z^n acts on the label of sigma through the character
-chi(g, sigma) = sum_i (U g)_i (U sigma)_i / d_i in Q/Z, from the Smith
-form U A^t V = diag(d_1 | ... | d_n).  The invariant part is spanned by
-the labels whose sigma lies in the trivial coset A^t Z^n, and that is the
-origin alone: the parallelepiped walk maps each of the e distinct Smith
-residues within its own class and checks that 0 is among the points.
+Z^n / A^t Z^n acts on the label of sigma through its characters, read off
+the cone pair (|det A|, C) of the parallelepiped walk; the invariant part
+is spanned by the labels at the origin, the one point of the trivial coset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import EnumerationOverflow, GradingMismatch
 from .exact_lattice import _check_ints, in_column_lattice
@@ -52,12 +48,6 @@ class GradedModule:
         refuses a point count other than e, so this is e * f."""
         return len(self.system.lattice_points) * self.residue_degree
 
-    @cached_property
-    def character_rows(self):
-        """U g for every lattice point g: computed once per module."""
-        U = self.system.snf_at.U
-        return tuple(U.apply(g) for g in self.system.lattice_points)
-
 
 def is_sigma_trivial(cs: CosetSystem, sigma):
     """True iff sigma lies in the image lattice A^t Z^n."""
@@ -67,10 +57,10 @@ def is_sigma_trivial(cs: CosetSystem, sigma):
 def invariant_part(module: GradedModule):
     """Basis labels spanning the fixed submodule: the f labels at 0.
 
-    The lattice points are the e distinct Smith residues of Z^n / A^t Z^n,
-    each mapped within its own class, so each class holds exactly one of
-    them; 0 is one (checked by the parallelepiped walk), so it is the only
-    point in the trivial coset.
+    Every walked point p has C p in [0, |det A|)^n, (|det A|, C) the cone
+    pair of the walk, and lies in the trivial coset A^t Z^n iff C p = 0
+    mod |det A| (fixed_by_all_characters), so iff p = 0; the walk checks
+    that 0 is one of the points.
     """
     origin = (0,) * module.system.extension.blocks.n
     return tuple(GradedBasisLabel(sigma=origin, residue_index=i)
@@ -78,15 +68,13 @@ def invariant_part(module: GradedModule):
 
 
 def fixed_by_all_characters(module: GradedModule, sigma):
-    """Brute force over the full quotient group: is sigma's phase trivial?
+    """Is sigma fixed by every character of Z^n / A^t Z^n?
 
-    chi(g, sigma) depends only on g's class, and the lattice points are one
-    representative per class.  It vanishes exactly when sum_i (U g)_i
-    (U sigma)_i (d_n / d_i) = 0 mod d_n, as every d_i divides d_n: an
-    integer test against the character rows.
+    (|det A|, C) is the cone pair of the walk, C = |det A| A^{-t}.  A map
+    chi: Z^n -> Q/Z with chi(e_j) = h_j mod 1 vanishes on A^t Z^n iff
+    A h = k is integral, and then chi(sigma) = k^t C sigma / |det A|; each
+    k in Z^n gives a character.  So sigma is fixed by all characters iff
+    C sigma = 0 mod |det A|: one n x n product, with no Smith form.
     """
-    snf = module.system.snf_at
-    diag = snf.D.diagonal_entries()
-    weights = [b * (diag[-1] // d) for b, d in zip(snf.U.apply(sigma), diag)]
-    return all(sum(a * w for a, w in zip(row, weights)) % diag[-1] == 0
-               for row in module.character_rows)
+    index, C = module.system.parallelepiped.cone
+    return all(x % index == 0 for x in C.apply(sigma))

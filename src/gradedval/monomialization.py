@@ -342,7 +342,6 @@ class CosetSystem:
     lattice_points: tuple          # Lambda, lex sorted
     label_rows: tuple              # L * canonical coset representatives
     invariant_factors: tuple       # of Z^n / A^t Z^n
-    snf_at: object                 # SmithDecomposition of A^t
     big_group: ValueGroup
     quotient: Quotient = field(compare=False, repr=False)  # big / small
     parallelepiped: ParallelepipedBasis = field(compare=False, repr=False)
@@ -351,6 +350,11 @@ class CosetSystem:
     def denominator(self):
         """L, the common denominator of the label rows."""
         return self.quotient.denominator
+
+    @cached_property
+    def snf_at(self):
+        """The SmithDecomposition of A^t, taken on first read."""
+        return smith_normal_form(self.extension.A.transpose())
 
     @cached_property
     def labels(self):
@@ -363,16 +367,17 @@ class CosetSystem:
 def coset_system(ssm: SSMForm) -> CosetSystem:
     """Build the coset representative system of a strong monomial form.
 
-    The Smith form of A^t is taken once, for the invariant factors and as
-    snf_at; e = |det A^t| = |det A| is the product of its diagonal.  Only
-    then is the parallelepiped of the rows of A walked, once, labelling
-    each point as it goes; the walk refuses more than
-    affine_monoids._POINT_BUDGET points before it starts.
-    A is nonsingular without a further check: variables are ordered by
-    block and validate admits a_ij != 0 only when j's block is not before
-    i's, so A is block upper triangular with diagonal blocks
-    [[G_b, 0], [0, I]], det A = prod_b det G_b, and validate rejects a
-    singular G_b.
+    The Smith form of the |T| x |T| T-block A_T is taken once, and e and
+    the invariant factors are read off its diagonal.  validate lets a
+    non-T column m be nonzero only in row m, and SSMForm makes row m the
+    unit row e_m; so up to one permutation A = diag(I, A_T), and
+    Z^n / A^t Z^n = Z^T / A_T^t Z^T.  A_T^t has the Smith diagonal of A_T,
+    and e = |det A| = |det A_T| is its product.  That is not 0: validate
+    admits a_ij != 0 only when j's block is not before i's, so A_T is
+    block upper triangular with the G_b on its diagonal, and validate
+    rejects a singular G_b.  Then the parallelepiped of the rows of A is
+    walked, once, labelling each point as it goes; the walk refuses more
+    than affine_monoids._POINT_BUDGET points before it starts.
 
     Hypothesis A6, that e equals the index [big : small] of the value
     group of x in the value group of y, is checked before the walk, so a
@@ -410,8 +415,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     me = ssm.extension
     _, x_rows = _x_value_rows(me)  # NonPositiveValue unless nu(x_i) > 0
     quotient = Quotient(ValueGroup(me.structure, me.y_values), x_rows)
-    snf_at = smith_normal_form(me.A.transpose())
-    diagonal = snf_at.D.diagonal_entries()
+    diagonal = smith_normal_form(me.t_submatrix()).D.diagonal_entries()
     e = prod(diagonal)
     if quotient.index != e:
         raise HypothesisA6Failed(
@@ -424,7 +428,6 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         lattice_points=pb.points,
         label_rows=label_rows,
         invariant_factors=tuple(d for d in diagonal if d > 1),
-        snf_at=snf_at,
         big_group=quotient.big,
         quotient=quotient,
         parallelepiped=pb,

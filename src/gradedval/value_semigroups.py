@@ -21,7 +21,7 @@ from .errors import (
     NotASubsemigroup,
     NotInGroup,
 )
-from .exact_lattice import _check_rationals
+from .exact_lattice import _check_ints, _check_rationals
 from .ordered_groups import (
     GroupElement,
     ValueGroup,
@@ -110,15 +110,16 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
     any of it is built; the runs from zero, built at every level, are
     charged together before the first.
 
-    With scale L, a multiple of the bound's and of every generator's
-    denominators, the sorted integer rows L * gamma are returned instead
-    of the elements gamma.
+    With scale L, an int >= 1 and a multiple of the bound's and of every
+    generator's denominators, the sorted integer rows L * gamma are
+    returned instead of the elements gamma.
     """
     structure = S.structure
     (bound,) = _check_rationals((bound,), "bound")
     L = common_denominator(S.generators, bound)
     if scale is not None:
-        if scale % L:
+        (scale,) = _check_ints((scale,), "scale")
+        if scale < 1 or scale % L:
             raise ValueError(f"scale {scale} does not clear denominator {L}")
         L = scale
     top = int(bound * L)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import gradedval
-from gradedval import cli, scenarios
+from gradedval import affine_monoids, cli, scenarios
 from gradedval.errors import EnumerationOverflow
 from gradedval.exact_lattice import ExactMatrix
 from gradedval.cli import (
@@ -700,18 +700,35 @@ def a6_failing_scenario(g):
     ((1000, 1001),
      "HypothesisA6Failed: |det A| = 1001000 but subgroup index is 1"),
 ], ids=("500x1000", "1000x1001"))
-def test_hypothesis_a6_is_refused_before_the_walk(tmp_path, capsys, g,
-                                                  error):
+def test_hypothesis_a6_is_refused_before_the_walk(tmp_path, capsys,
+                                                  monkeypatch, g, error):
+    real = affine_monoids.labelled_parallelepiped
+    walks = []
+
+    def spy(*args):
+        walks.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedval") and \
+                getattr(module, "labelled_parallelepiped", None) is real:
+            monkeypatch.setattr(module, "labelled_parallelepiped", spy)
     src = write(tmp_path, "a6.json", a6_failing_scenario(g))
-    start = time.perf_counter()
-    assert main(["pipeline", "--scenario", src, "--json"]) == 1
-    assert time.perf_counter() - start < 0.1
-    out, err = capsys.readouterr()
-    report = json.loads(out)
-    assert err == "" and len(report.pop("input_sha256")) == 64
-    assert report == {"scenario": "a6", "ok": False, "cases": [{
-        "case": "a6", "ok": False,
-        "failure": {"stage": "coset_system", "error": error}}]}
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert main(["pipeline", "--scenario", src, "--json"]) == 1
+        seconds.append(time.perf_counter() - start)
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and len(report.pop("input_sha256")) == 64
+        assert report == {"scenario": "a6", "ok": False, "cases": [{
+            "case": "a6", "ok": False,
+            "failure": {"stage": "coset_system", "error": error}}]}
+    # the walk is never entered; the best of three calls keeps the bound
+    # from failing on one call slowed by a shared CPU or a line tracer
+    assert walks == []
+    assert min(seconds) < 0.1
 
 
 def test_residue_degree_over_budget_fails_its_case_at_once(tmp_path):

@@ -1,10 +1,12 @@
+import random
 import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from test_golden_reports import ladder_scenario
 
-from gradedval import exact_lattice, graded_algebra
+from gradedval import exact_lattice, graded_algebra, scenarios
 from gradedval.cli import bundled_scenario_bytes, bundled_scenario_names
 from gradedval.errors import DimensionMismatch, GradingMismatch
 from gradedval.exact_lattice import ExactMatrix, unimodular_inverse
@@ -32,8 +34,8 @@ from gradedval.serialize import load_json
 
 def galois_character(cs, g_bar, sigma):
     """chi(g, sigma) in Q/Z via the Smith-adapted pairing of the quotient,
-    in Fractions: the reference for the integer character table of
-    fixed_by_all_characters."""
+    in Fractions: the reference for character_table and for the cone test
+    of fixed_by_all_characters."""
     snf = cs.snf_at
     diag = snf.D.diagonal_entries()
     n = len(diag)
@@ -43,6 +45,65 @@ def galois_character(cs, g_bar, sigma):
     us = snf.U.apply(sigma)
     total = sum(Fraction(a * b, d) for a, b, d in zip(ug, us, diag))
     return total % 1
+
+
+def character_table(cs):
+    """fixed_by_all_characters as it was before it read the walk's cone,
+    kept as its oracle: an integer character table from the Smith form
+    U A^t V = diag(d_1 | ... | d_n).  chi(g, sigma) = sum_i (U g)_i
+    (U sigma)_i / d_i depends only on g's class, and the lattice points
+    are one g per class, so sigma is fixed by all characters iff
+    sum_i (U g)_i (U sigma)_i (d_n / d_i) = 0 mod d_n at every lattice
+    point g (every d_i divides d_n).  Returns that test of sigma."""
+    snf = cs.snf_at
+    diag = snf.D.diagonal_entries()
+    rows = [snf.U.apply(g) for g in cs.lattice_points]
+
+    def fixed(sigma):
+        weights = [b * (diag[-1] // d)
+                   for b, d in zip(snf.U.apply(sigma), diag)]
+        return all(sum(a * w for a, w in zip(row, weights)) % diag[-1] == 0
+                   for row in rows)
+    return fixed
+
+
+def check_characters_against_table(cs, seed, draws=12):
+    """fixed_by_all_characters against character_table at every lattice
+    point and at seeded sigma off them: each unit vector, each row of A
+    (in A^t Z^n), each lattice point shifted by a seeded combination of
+    rows of A (its own class, off the points when the shift is nonzero)
+    and seeded vectors with entries in [-2e, 2e].  A non-T row of A is a
+    unit vector, so these sigma have nonzero non-T coordinates.  Returns
+    how many sigma off the lattice points are fixed."""
+    rng = random.Random(seed)
+    me = cs.extension
+    n, rows = me.blocks.n, me.A.entries
+    mod = GradedModule(system=cs, residue_degree=1)
+    table = character_table(cs)
+    for sigma in cs.lattice_points:
+        assert fixed_by_all_characters(mod, sigma) == table(sigma), sigma
+    off = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    off += rows
+    for p in cs.lattice_points[:draws]:
+        k = [rng.randint(-2, 2) for _ in range(n)]
+        off.append(tuple(x + sum(c * row[j] for c, row in zip(k, rows))
+                         for j, x in enumerate(p)))
+    off += [tuple(rng.randint(-2 * cs.e, 2 * cs.e) for _ in range(n))
+            for _ in range(draws)]
+    fixed = 0
+    for sigma in off:
+        verdict = fixed_by_all_characters(mod, sigma)
+        assert verdict == table(sigma), sigma
+        fixed += verdict
+    return fixed
+
+
+def corpus_systems():
+    """The coset systems of the 22 bundled extensions."""
+    return [coset_system(strong_monomialize(me).final)
+            for name in bundled_scenario_names()
+            for _, me in load_scenario(
+                load_json(bundled_scenario_bytes(name))).extensions]
 
 
 def basis_labels(module):
@@ -102,12 +163,8 @@ def test_free_rank():
 
 def test_rank_counts_the_basis_labels():
     # GradedModule.rank is the size of Lambda x {1..f}, without the labels
-    systems = [rank1_system(1), rank1_system(2), diag_system(2, 3)]
-    for name in bundled_scenario_names():
-        scenario = load_scenario(load_json(bundled_scenario_bytes(name)))
-        systems += [coset_system(strong_monomialize(me).final)
-                    for _, me in scenario.extensions]
-    for cs in systems:
+    for cs in (rank1_system(1), rank1_system(2), diag_system(2, 3),
+               *corpus_systems()):
         for f in (1, 2, 3):
             mod = GradedModule(system=cs, residue_degree=f)
             assert mod.rank == len(basis_labels(mod)) == cs.e * f
@@ -216,8 +273,8 @@ def test_residue_degree_validation():
 
 def test_pipeline_decides_the_invariant_part_without_membership_tests(
         monkeypatch):
-    # the invariant part is proven, and the character table runs in
-    # integers: no Smith-residue membership test per lattice point
+    # the invariant part is proven, and the character check reads the
+    # walk's cone: no Smith-residue membership test per lattice point
     real = exact_lattice.in_column_lattice
     calls = []
 
@@ -234,3 +291,57 @@ def test_pipeline_decides_the_invariant_part_without_membership_tests(
     assert report["ok"]
     assert report["cases"][0]["sigma_trivial"] == [["0", "0"]]
     assert calls == []
+
+
+def test_characters_match_the_table_on_bundled_scenarios():
+    systems = corpus_systems()
+    assert len(systems) == 22
+    fixed = [check_characters_against_table(cs, seed)
+             for seed, cs in enumerate(systems)]
+    # the unit vectors of the non-T coordinates and the rows of A are
+    # fixed, so every system has fixed sigma off its lattice points
+    assert all(fixed)
+    assert any(cs.extension.blocks.n > len(cs.extension.blocks.t_indices())
+               for cs in systems)
+
+
+def test_characters_match_the_table_on_golden_ladder():
+    for seed, (_, me) in enumerate(ladder_scenario().extensions):
+        cs = coset_system(strong_monomialize(me).final)
+        assert check_characters_against_table(cs, seed, draws=6)
+
+
+def test_pipeline_case_takes_one_smith_form_of_the_t_block(monkeypatch):
+    # e and the invariant factors come from the T-block, and the
+    # character check from the walk's cone: one |T| x |T| Smith form per
+    # case, and the n x n one of A^t only when snf_at is read
+    real = exact_lattice.smith_normal_form
+    shapes, systems = [], []
+
+    def counting(A):
+        shapes.append((A.rows, A.cols))
+        return real(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedval") and \
+                getattr(module, "smith_normal_form", None) is real:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    real_coset_system = scenarios.coset_system
+
+    def keeping(ssm):
+        systems.append(real_coset_system(ssm))
+        return systems[-1]
+
+    monkeypatch.setattr(scenarios, "coset_system", keeping)
+    scenario = load_scenario(load_json(bundled_scenario_bytes(
+        "rank2_h2.json")))
+    report = run_pipeline(scenario)
+    assert report["ok"]
+    checks = [c["name"] for c in report["cases"][0]["checks"]]
+    assert "invariant_is_fixed_set" in checks
+    [cs] = systems
+    t = len(cs.extension.blocks.t_indices())
+    assert t < cs.extension.blocks.n
+    assert shapes == [(t, t)]
+    assert "snf_at" not in cs.__dict__
+    assert cs.snf_at == real(cs.extension.A.transpose())

@@ -11,7 +11,8 @@ and sympy's diagonal, adjugate against sympy and the cofactor minors, the
 adjugate-based verify_disjoint_decomposition against the brute-force
 search it replaced, rref against sympy, and coset systems of random
 extensions against the sampled hypothesis-A7 checks and against the
-invariants and values they reuse, recomputed from scratch, and semigroup
+invariants and values they reuse, recomputed from scratch, their
+character check against the integer character table, and semigroup
 membership (a lookup in one box enumeration) against the block-by-block
 search it replaced.  Monomialization traces of random extensions replay
 to their final extension, in memory, step by step and from a trace file
@@ -43,6 +44,7 @@ from test_exact_lattice import (  # noqa: E402
     check_snf,
     cofactor_adjugate,
 )
+from test_graded_algebra import check_characters_against_table  # noqa: E402
 from test_monomialization import (  # noqa: E402
     a7_oracle,
     compatible_extension,
@@ -476,6 +478,17 @@ def test_coset_system_oracle_on_random_extensions(seed, r_max, t_max, g_max):
     me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
                                   t_max=t_max, g_max=g_max)
     coset_system_oracle(coset_system(strong_monomialize(me).final))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 5))
+def test_characters_match_the_table_on_random_extensions(seed, r_max, t_max,
+                                                          g_max):
+    me = random_extension_bounded(random.Random(seed), e_max=60, r_max=r_max,
+                                  t_max=t_max, g_max=g_max)
+    assert check_characters_against_table(
+        coset_system(strong_monomialize(me).final), seed)
 
 
 @settings(SETTINGS, max_examples=40)

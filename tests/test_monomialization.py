@@ -820,8 +820,9 @@ def coset_system_oracle(cs, character_limit=64):
     of sigma's value, a Fraction sum of scaled y-values (value_of); the
     proven invariant
     part against the Smith-residue membership test of every basis label;
-    and (for e up to the limit) the integer character table over the
-    lattice points against the Fraction walk over the Smith residues."""
+    and (for e up to the limit) the cone test of fixed_by_all_characters
+    at the lattice points against the Fraction walk over the Smith
+    residues."""
     me = cs.extension
     assert cs.snf_at == smith_normal_form(me.A.transpose())
     assert cs.e == abs(determinant(me.A))

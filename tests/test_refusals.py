@@ -448,6 +448,24 @@ def _decompose(box_bound):
      "right-hand side entry 0.5 is a float, not an int, Fraction or str"),
     (lambda: solve_rational(DIAG, (True, 1)),
      "right-hand side entry True is a bool, not an int, Fraction or str"),
+    # a str went to Fraction() unchecked: "abc" raised a bare ValueError
+    # and "1/0" a ZeroDivisionError
+    (lambda: ONE.element((("abc",),)),
+     "coordinate 'abc' is a str that is not a rational"),
+    (lambda: ONE.element((("1/0",),)),
+     "coordinate '1/0' is a str that is not a rational"),
+    (lambda: ONE.element(((1,),)).scale("abc"),
+     "scale factor 'abc' is a str that is not a rational"),
+    (lambda: ONE.element(((1,),)).scale("1/0"),
+     "scale factor '1/0' is a str that is not a rational"),
+    (lambda: solve_rational(DIAG, ("abc", 1)),
+     "right-hand side entry 'abc' is a str that is not a rational"),
+    (lambda: solve_rational(DIAG, (1, "1/0")),
+     "right-hand side entry '1/0' is a str that is not a rational"),
+    # scale went unchecked: 2.0 passed scale % L and ended in a bare
+    # TypeError from range()
+    (lambda: enumerate_elements(_semigroup(), 2, scale=2.0),
+     "scale 2.0 is a float, not an int"),
 ])
 def test_library_entry_points_refuse_non_integers(call, message):
     # each used to truncate through int(): (2.9, 1) solved as (2, 1),
@@ -459,6 +477,17 @@ def test_library_entry_points_refuse_non_integers(call, message):
     with pytest.raises(NonIntegerEntry) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scale", [0, -2, 3])
+def test_enumeration_refuses_a_scale_that_is_no_positive_multiple(scale):
+    # 0 raised ZeroDivisionError, and -2 passed scale % L and ran with a
+    # negative denominator; L = 2 here, the denominator of 5/2
+    assert enumerate_elements(_semigroup(), 3, scale=4) == \
+        ((0,), (4,), (8,), (10,), (12,))
+    with pytest.raises(ValueError) as info:
+        enumerate_elements(_semigroup(), 2, scale=scale)
+    assert str(info.value) == f"scale {scale} does not clear denominator 2"
 
 
 def _rank2_h2_trace():

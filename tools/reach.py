@@ -65,8 +65,8 @@ ALLOWED_DEFS = {
         "reached only through coset_label; the pipeline labels by "
         "label_row",
     "ordered_groups.Quotient.invariant_factors":
-        "reached only through quotient_invariant_factors (ROADMAP item 7 "
-        "may put it on the pipeline path)",
+        "reached only through quotient_invariant_factors; coset_system "
+        "reads the invariant factors off the Smith form of the T-block",
     "ordered_groups.GroupElement.coords":
         "the per-block Fractions of an element, built only for a caller "
         "that asks; the tests read them, no stage does",
