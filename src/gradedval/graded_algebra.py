@@ -26,21 +26,31 @@ class GradedBasisLabel:
     residue_index: int
 
 
+def check_grading(e, f):
+    """Refuse a module of e points and residue degree f before it is
+    built: f not exactly an int (NonIntegerEntry), f < 1
+    (GradingMismatch), or a rank e * f over _LABEL_BUDGET
+    (EnumerationOverflow).  The pipeline calls it with e = |det A_T| of
+    the input, before the rewriting (scenarios._run_extension_case)."""
+    _check_ints((f,), "residue degree")
+    if f < 1:
+        raise GradingMismatch("residue degree must be at least 1")
+    if e * f > _LABEL_BUDGET:
+        raise EnumerationOverflow(f"rank e * f = {e * f} over the budget "
+                                  f"of {_LABEL_BUDGET} basis labels")
+
+
 @dataclass(frozen=True)
 class GradedModule:
-    """Free graded module over a coset system with residue degree f."""
+    """Free graded module over a coset system with residue degree f.
+    Construction runs check_grading on the walk's point count and f, so a
+    library caller keeps the refusals the pipeline makes up front."""
 
     system: CosetSystem
     residue_degree: int
 
     def __post_init__(self):
-        _check_ints((self.residue_degree,), "residue degree")
-        if self.residue_degree < 1:
-            raise GradingMismatch("residue degree must be at least 1")
-        if self.rank > _LABEL_BUDGET:
-            raise EnumerationOverflow(
-                f"rank e * f = {self.rank} over the budget of "
-                f"{_LABEL_BUDGET} basis labels")
+        check_grading(len(self.system.lattice_points), self.residue_degree)
 
     @property
     def rank(self):
@@ -76,5 +86,6 @@ def fixed_by_all_characters(module: GradedModule, sigma):
     k in Z^n gives a character.  So sigma is fixed by all characters iff
     C sigma = 0 mod |det A|: one n x n product, with no Smith form.
     """
+    _check_ints(sigma, "sigma entry")
     index, C = module.system.parallelepiped.cone
     return all(x % index == 0 for x in C.apply(sigma))

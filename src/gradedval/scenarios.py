@@ -16,6 +16,7 @@ from .errors import EnumerationOverflow, GradedValError, ParseError
 from .exact_lattice import ExactMatrix, determinant
 from .graded_algebra import (
     GradedModule,
+    check_grading,
     fixed_by_all_characters,
     invariant_part,
 )
@@ -176,6 +177,14 @@ _CHARACTER_LIMIT = 24
 def _run_extension_case(label, me, f):
     """Report of one extension.  A GradedValError ends this case, not the
     pipeline: the case then records the stage it failed in and the error.
+
+    Each fact is decided once, before the work that needs it.  The graded
+    refusals (check_grading) run at stage "graded" before the rewriting,
+    on t_det = |det A_T| of the input: no step changes a T-row, and the
+    final form has A = diag(I, A_T) up to a permutation, so t_det = |det A|
+    = e, the walk's point count (coset_system).  t_determinant_preserved
+    compares t_det, Bareiss on the input, with cs.e, the Smith diagonal
+    of the final T-block that coset_system takes: no second elimination.
     """
     stage = "validate"
     try:
@@ -191,6 +200,8 @@ def _run_extension_case(label, me, f):
             report["checks"] = [{"name": n, "passed": p} for n, p in checks]
             return report
         t_det = abs(determinant(me.t_submatrix()))
+        stage = "graded"
+        check_grading(t_det, f)
         stage = "monomialize"
         trace = strong_monomialize(me)
         final = trace.final.extension
@@ -200,11 +211,10 @@ def _run_extension_case(label, me, f):
         checks.append(("values_positive",  # proof: _Rewrite._substitute
                        all(final.structure.row_sign(row) > 0
                            for row in final._value_rows[1])))
-        checks.append(("t_determinant_preserved",
-                       abs(determinant(final.t_submatrix())) == t_det))
         report["steps"] = enc_int(len(trace.steps))
         stage = "coset_system"
         cs = coset_system(trace.final)
+        checks.append(("t_determinant_preserved", cs.e == t_det))
         stage = "graded"
         mod = GradedModule(system=cs, residue_degree=f)
         checks.append(("rank_is_e_times_f", mod.rank == cs.e * f))

@@ -13,15 +13,21 @@ from pathlib import Path
 import pytest
 
 import gradedval
-from gradedval import affine_monoids, cli, scenarios
-from gradedval.errors import EnumerationOverflow
+from gradedval import affine_monoids, cli, monomialization, scenarios
+from gradedval.errors import EnumerationOverflow, MalformedStep
 from gradedval.exact_lattice import ExactMatrix
 from gradedval.cli import (
     bundled_scenario_bytes,
     bundled_scenario_names,
     main,
 )
-from gradedval.serialize import dec_matrix, enc_extension
+from gradedval.monomialization import TransformStep, replay
+from gradedval.serialize import (
+    dec_extension,
+    dec_matrix,
+    dec_step,
+    enc_extension,
+)
 
 SCENARIOS = ("identity.json", "diag23.json", "rank2_h1.json",
              "rank2_h2.json", "section5.json", "random_a.json",
@@ -297,6 +303,29 @@ def test_replay_rejects_malformed_steps(tmp_path, capsys, step, first):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_replay_rejects_malformed_steps_of_a_decoded_unknown_kind(
+        tmp_path, capsys):
+    # dec_step checks no kind: "zap" decodes to a TransformStep, and
+    # replay refuses it before any step is applied, with the message
+    # dec_step used to raise, so `pipeline --replay` prints the same line
+    step = dec_step({"kind": "zap", "row": "0"})
+    assert step == TransformStep(kind="zap", row=0)
+    src = scenario_path(tmp_path, "rank2_h2.json")
+    trace = tmp_path / "trace.json"
+    assert main(["monomialize", "--in", src, "--out", str(trace),
+                 "--json"]) == 0
+    data = json.loads(trace.read_text())
+    initial = dec_extension(data["initial"])
+    with pytest.raises(MalformedStep) as info:
+        replay(initial, (*map(dec_step, data["steps"]), step))
+    assert str(info.value) == "unknown step kind 'zap'"
+    data["steps"].append({"kind": "zap", "row": "0"})
+    capsys.readouterr()
+    probe = write(tmp_path, "probe.json", data)
+    assert main(["pipeline", "--replay", probe, "--json"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown step kind 'zap'\n")
 
 
 def test_cosets_command(tmp_path, capsys):
@@ -654,18 +683,24 @@ def run_bounded(argv):
 
 def test_parallelepiped_over_budget_fails_its_case_at_once(tmp_path):
     # identity.json with |det A| = 999999999999: the walk ran past a 10 s
-    # alarm; now the coset system refuses it before walking
+    # alarm; now the coset system refuses it before walking.  The pipeline
+    # case is refused earlier still, before the rewriting, by the label
+    # budget on e * f = |det A_T| * 1 (it failed at stage coset_system
+    # with the point budget); `cosets` builds no module and keeps the
+    # walk's refusal
     data = json.loads(bundled_scenario_bytes("identity.json"))
     data["extension"]["A"][1][1] = "999999999999"
     src = write(tmp_path, "big.json", data)
-    error = ("EnumerationOverflow: parallelepiped of 999999999999 points "
-             "over the budget of 1000000")
     code, out, err, seconds = run_bounded(
         ["pipeline", "--scenario", src, "--json"])
     assert code == 1 and err == "" and seconds < 20
     case, = json.loads(out)["cases"]
-    assert case == {"case": "identity", "ok": False,
-                    "failure": {"stage": "coset_system", "error": error}}
+    assert case == {"case": "identity", "ok": False, "failure": {
+        "stage": "graded",
+        "error": "EnumerationOverflow: rank e * f = 999999999999 over the "
+                 "budget of 1000000 basis labels"}}
+    error = ("EnumerationOverflow: parallelepiped of 999999999999 points "
+             "over the budget of 1000000")
     code, out, err, seconds = run_bounded(["cosets", "--in", src])
     assert code == 1 and out == "" and seconds < 20
     assert err == f"check failed: {error}\n"
@@ -675,14 +710,19 @@ POINTS_SCALING = Path(__file__).resolve().parents[1] / "tools" / \
     "points_scaling.py"
 
 
-def a6_failing_scenario(g):
-    """tools/points_scaling.extension(g) with y_1, a non-T variable of
-    block 0, valued (1 | 7): a valid input whose value groups break A6."""
+def points_scaling_extension(g):
+    """tools/points_scaling.extension(g): a valid input with e = g1 * g2."""
     spec = importlib.util.spec_from_file_location("points_scaling",
                                                   POINTS_SCALING)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    me = tool.extension(g)
+    return tool.extension(g)
+
+
+def a6_failing_scenario(g):
+    """points_scaling_extension(g) with y_1, a non-T variable of block 0,
+    valued (1 | 7): a valid input whose value groups break A6."""
+    me = points_scaling_extension(g)
     values = list(me.y_values)
     values[1] = me.structure.element(((1,), (7,)))
     me = dataclasses.replace(me, y_values=tuple(values))
@@ -690,31 +730,27 @@ def a6_failing_scenario(g):
             "residue_degree": "1"}
 
 
-@pytest.mark.parametrize("g, error", [
-    # the walk built all 500 000 points first: 2.4-3.4 s and a 177 MB
-    # peak in a 2-core container
-    ((500, 1000),
-     "HypothesisA6Failed: |det A| = 500000 but subgroup index is 2"),
-    # this one used to report "EnumerationOverflow: parallelepiped of
-    # 1001000 points over the budget of 1000000"; A6 now comes first
-    ((1000, 1001),
-     "HypothesisA6Failed: |det A| = 1001000 but subgroup index is 1"),
-], ids=("500x1000", "1000x1001"))
-def test_hypothesis_a6_is_refused_before_the_walk(tmp_path, capsys,
-                                                  monkeypatch, g, error):
-    real = affine_monoids.labelled_parallelepiped
-    walks = []
+def spy_on(monkeypatch, source, name):
+    """The list of argument tuples of every call of source.name that a
+    gradedval module makes, through its own import of the name."""
+    real = getattr(source, name)
+    calls = []
 
     def spy(*args):
-        walks.append(args)
+        calls.append(args)
         return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gradedval") and \
-                getattr(module, "labelled_parallelepiped", None) is real:
-            monkeypatch.setattr(module, "labelled_parallelepiped", spy)
-    src = write(tmp_path, "a6.json", a6_failing_scenario(g))
-    seconds = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gradedval") and \
+                getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def best_of_three_failures(capsys, src, name):
+    """The case report of three `pipeline` calls on src, each exit 1 with
+    one failed case, and the best wall time of the three."""
+    seconds, cases = [], []
     for _ in range(3):
         start = time.perf_counter()
         assert main(["pipeline", "--scenario", src, "--json"]) == 1
@@ -722,13 +758,62 @@ def test_hypothesis_a6_is_refused_before_the_walk(tmp_path, capsys,
         out, err = capsys.readouterr()
         report = json.loads(out)
         assert err == "" and len(report.pop("input_sha256")) == 64
-        assert report == {"scenario": "a6", "ok": False, "cases": [{
-            "case": "a6", "ok": False,
-            "failure": {"stage": "coset_system", "error": error}}]}
+        case, = report.pop("cases")
+        assert report == {"scenario": name, "ok": False}
+        cases.append(case)
+    assert cases[0] == cases[1] == cases[2]
+    return cases[0], min(seconds)
+
+
+@pytest.mark.parametrize("g, stage, error", [
+    # the walk built all 500 000 points first: 2.4-3.4 s and a 177 MB
+    # peak in a 2-core container
+    ((500, 1000), "coset_system",
+     "HypothesisA6Failed: |det A| = 500000 but subgroup index is 2"),
+    # this one reported "EnumerationOverflow: parallelepiped of 1001000
+    # points over the budget of 1000000", then, with A6 checked before
+    # the walk, "HypothesisA6Failed: |det A| = 1001000 but subgroup index
+    # is 1" at stage coset_system; its rank e * f = 1001000 * 1 is now
+    # refused first, before the rewriting
+    ((1000, 1001), "graded",
+     "EnumerationOverflow: rank e * f = 1001000 over the budget of "
+     "1000000 basis labels"),
+], ids=("500x1000", "1000x1001"))
+def test_hypothesis_a6_is_refused_before_the_walk(tmp_path, capsys,
+                                                  monkeypatch, g, stage,
+                                                  error):
+    walks = spy_on(monkeypatch, affine_monoids, "labelled_parallelepiped")
+    src = write(tmp_path, "a6.json", a6_failing_scenario(g))
+    case, seconds = best_of_three_failures(capsys, src, "a6")
+    assert case == {"case": "a6", "ok": False,
+                    "failure": {"stage": stage, "error": error}}
     # the walk is never entered; the best of three calls keeps the bound
     # from failing on one call slowed by a shared CPU or a line tracer
     assert walks == []
-    assert min(seconds) < 0.1
+    assert seconds < 0.1
+
+
+@pytest.mark.parametrize("f, error", [
+    # monomialized and walked all 500 000 points first: 2.58 s and a
+    # 196 MB peak in a 2-core container, with the same failure
+    ("3", "EnumerationOverflow: rank e * f = 1500000 over the budget of "
+          "1000000 basis labels"),
+    ("0", "GradingMismatch: residue degree must be at least 1"),
+], ids=("f3", "f0"))
+def test_graded_refusals_come_before_the_rewriting(tmp_path, capsys,
+                                                   monkeypatch, f, error):
+    # e = |det A_T| = 500 000 is read off the input, so e * f is refused
+    # before strong_monomialize and the walk
+    rewrites = spy_on(monkeypatch, monomialization, "strong_monomialize")
+    walks = spy_on(monkeypatch, affine_monoids, "labelled_parallelepiped")
+    src = write(tmp_path, "labels.json", {
+        "name": "labels", "residue_degree": f,
+        "extension": enc_extension(points_scaling_extension((500, 1000)))})
+    case, seconds = best_of_three_failures(capsys, src, "labels")
+    assert case == {"case": "labels", "ok": False,
+                    "failure": {"stage": "graded", "error": error}}
+    assert rewrites == [] and walks == []
+    assert seconds < 0.1
 
 
 def test_residue_degree_over_budget_fails_its_case_at_once(tmp_path):

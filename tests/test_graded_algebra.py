@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -345,3 +346,43 @@ def test_pipeline_case_takes_one_smith_form_of_the_t_block(monkeypatch):
     assert shapes == [(t, t)]
     assert "snf_at" not in cs.__dict__
     assert cs.snf_at == real(cs.extension.A.transpose())
+
+
+def test_pipeline_case_takes_one_determinant_of_the_t_block(monkeypatch):
+    # |det A_T| is taken once, by Bareiss on the input; the check that
+    # the rewriting kept it reads e off the Smith form of the final
+    # T-block that the coset system takes anyway
+    real = exact_lattice.determinant
+    arguments = []
+
+    def counting(A):
+        arguments.append(A)
+        return real(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedval") and \
+                getattr(module, "determinant", None) is real:
+            monkeypatch.setattr(module, "determinant", counting)
+    scenario = load_scenario(load_json(bundled_scenario_bytes(
+        "rank2_h2.json")))
+    (_, me), = scenario.extensions
+    report = run_pipeline(scenario)
+    assert report["ok"]
+    assert {"name": "t_determinant_preserved", "passed": True} in \
+        report["cases"][0]["checks"]
+    t_block = me.t_submatrix()
+    assert [A for A in arguments if A == t_block] == [t_block]
+
+
+def test_t_determinant_check_reads_the_coset_systems_e(monkeypatch):
+    # a coset system whose e is not |det A_T| of the input fails the
+    # check, so it compares two computations and is not true by design
+    real = scenarios.coset_system
+    monkeypatch.setattr(scenarios, "coset_system",
+                        lambda ssm: dataclasses.replace(real(ssm), e=3))
+    report = run_pipeline(load_scenario(load_json(bundled_scenario_bytes(
+        "rank2_h2.json"))))
+    case, = report["cases"]
+    checks = {c["name"]: c["passed"] for c in case["checks"]}
+    assert checks["t_determinant_preserved"] is False
+    assert case["e"] == "3" and case["ok"] is False

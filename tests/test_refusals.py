@@ -42,7 +42,7 @@ from gradedval.exact_lattice import (
     solve_rational,
     unimodular_inverse,
 )
-from gradedval.graded_algebra import GradedModule
+from gradedval.graded_algebra import GradedModule, fixed_by_all_characters
 from gradedval.monomial_extension import (
     BlockStructure,
     MonomialExtension,
@@ -363,6 +363,10 @@ def _diag23_system():
     return coset_system(strong_monomialize(scenario.extensions[0][1]).final)
 
 
+def _diag23_module():
+    return GradedModule(system=_diag23_system(), residue_degree=1)
+
+
 def _semigroup():
     gens = _values(ONE, [(1,), ("5/2",)])
     return ValueSemigroup(ValueGroup(ONE, gens), gens)
@@ -404,6 +408,12 @@ def _decompose(box_bound):
      "residue degree 2.5 is a float, not an int"),
     (lambda: GradedModule(system=_diag23_system(), residue_degree=True),
      "residue degree True is a bool, not an int"),
+    # sigma went unchecked: (2.0, 3.0) was fixed by all characters on
+    # diag23 and (True, 0) was read as (1, 0); is_sigma_trivial refused both
+    (lambda: fixed_by_all_characters(_diag23_module(), (2.0, 3.0)),
+     "sigma entry 2.0 is a float, not an int"),
+    (lambda: fixed_by_all_characters(_diag23_module(), (True, 0)),
+     "sigma entry True is a bool, not an int"),
     (lambda: _decompose(2.5), "box bound 2.5 is a float, not an int"),
     (lambda: _decompose(3.0), "box bound 3.0 is a float, not an int"),
     (lambda: _decompose(True), "box bound True is a bool, not an int"),
