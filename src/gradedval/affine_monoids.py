@@ -59,6 +59,7 @@ class AffineMonoid:
     positivity_functional: tuple
 
     def __post_init__(self):
+        _check_ints((self.dim,), "dimension")
         gens = []
         seen = set()
         for g in self.generators:

@@ -90,6 +90,10 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
+        """The n x n identity; n must be exactly an int, and not < 0."""
+        _check_ints((n,), "dimension")
+        if n < 0:
+            raise DimensionMismatch(f"dimension {n} is negative")
         return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n))
                              for i in range(n)))
 

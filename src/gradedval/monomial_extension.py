@@ -181,8 +181,8 @@ class MonomialExtension:
                     "zero_pattern", (i, i),
                     f"non-T row {i} must carry its own variable with "
                     f"exponent 1"))
-        for b in range(bs.r):
-            if determinant(self.g_block(b)) == 0:
+        for b, det in enumerate(self._g_determinants):
+            if det == 0:
                 out.append(Violation(
                     "singular_block", (b,),
                     f"diagonal exponent block of block {b} is singular"))
@@ -208,6 +208,19 @@ class MonomialExtension:
                     f"value of y_{j} lives at isolated level "
                     f"{level}, expected {bs.block_of(j)}"))
         return tuple(out)
+
+    @cached_property
+    def _g_determinants(self):
+        """det G_b of each block b, each taken once, by Bareiss.
+
+        _violations reads their zeros.  An extension of the required shape
+        has |det A| = |det A_T| = prod_b |det G_b|: a non-T column m is
+        nonzero only in row m, where it is 1, so up to one permutation
+        A = [[A_T, 0], [X, I]]; and A_T is block upper triangular with the
+        G_b on its diagonal (coset_system proves it).  So the pipeline's
+        |det A_T| and a random draw's |det A| are read off this product.
+        """
+        return tuple(map(determinant, map(self.g_block, range(self.blocks.r))))
 
     def t_submatrix(self):
         T = self.blocks.t_indices()

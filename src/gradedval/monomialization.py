@@ -69,11 +69,20 @@ def _check_steps(steps, bs):
     row is not an int in [0, n), an "r" step with an exponent that is not
     exactly an int (a bool is refused, as ExactMatrix refuses it), or
     blocks other than an "s" step's _step_blocks, before any is applied.
-    A step that is the object before it (a recorded burst) is skipped."""
+    A step that is the object before it (a recorded burst) is checked
+    once, in each of the two passes.
+
+    Then, every step being well formed, an "s" step whose target is not
+    in a strictly later block than its row (NotAlongValuation) or is not
+    a T-index (NotTheorem48Form) is refused, so a trace with a malformed
+    step is a MalformedStep whatever its other faults.  These are all the
+    step refusals that do not depend on the rewrite state; the one that
+    does, positivity, is _Rewrite._substitute's.
+    """
     n = bs.n
-    for previous, step in zip((None, *steps), steps):
-        if step is previous:
-            continue
+    distinct = [step for previous, step in zip((None, *steps), steps)
+                if step is not previous]
+    for step in distinct:
         if step.kind not in STEP_KINDS:
             raise MalformedStep(f"unknown step kind {step.kind!r}")
         named = [step.row]
@@ -99,6 +108,13 @@ def _check_steps(steps, bs):
             raise MalformedStep(
                 f"'s' step of row {step.row} and target {step.target} has "
                 f"blocks {list(step.blocks)}, not {list(blocks)}")
+    for m, c in ((x.row, x.target) for x in distinct if x.kind == "s"):
+        if bs.block_of(m) >= bs.block_of(c):
+            raise NotAlongValuation(
+                f"target column {c} must lie in a strictly later block "
+                f"than {m}")
+        if not bs.is_t_index(c):
+            raise NotTheorem48Form(f"target column {c} is not a T-index")
 
 
 class _Rewrite:
@@ -142,6 +158,10 @@ class _Rewrite:
         The values are integer rows over one L > 0, so the burst is one
         integer row operation and row_sign reads the signs.
 
+        This is the one refusal of a step that depends on the rewrite
+        state; _check_steps has refused every other before any step ran,
+        so c is a T-index of a strictly later block than m.
+
         The positivity refusal cannot fire in strong_monomialize.  validate
         puts nu(y_m) at isolated level block(m), positive there; c lies in
         a strictly later block, so nu(y_c) vanishes on every block up to
@@ -150,13 +170,6 @@ class _Rewrite:
         pipeline's values_positive cannot fail either.  The refusal guards
         replay of a trace that strong_monomialize did not record.
         """
-        bs = self.blocks
-        if bs.block_of(m) >= bs.block_of(c):
-            raise NotAlongValuation(
-                f"target column {c} must lie in a strictly later block "
-                f"than {m}")
-        if not bs.is_t_index(c):
-            raise NotTheorem48Form(f"target column {c} is not a T-index")
         ym, yc = self.values[m], self.values[c]
         row_sign = self.structure.row_sign
         least = reps if row_sign(yc) > 0 else 1

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 
 from .errors import EnumerationOverflow, GradedValError, ParseError
-from .exact_lattice import ExactMatrix, determinant
+from .exact_lattice import ExactMatrix
 from .graded_algebra import (
     GradedModule,
     check_grading,
@@ -111,14 +112,17 @@ def random_extension_bounded(rng, e_max=24, **kwargs):
 
     Draws until one fits, at most _RANDOM_ATTEMPTS times, then raises
     EnumerationOverflow; for e_max < 1 it raises at once, since no
-    extension has |det A| < 1.
+    extension has |det A| < 1.  Every draw has the zero pattern of the
+    required shape, so |det A| is the product of its G-block determinants
+    (MonomialExtension._g_determinants proves it); an accepted draw keeps
+    them, so its validate eliminates nothing again.
     """
     if e_max < 1:
         raise EnumerationOverflow(
             f"no extension has |det A| <= e_max = {e_max}")
     for _ in range(_RANDOM_ATTEMPTS):
         me = random_theorem48_extension(rng, **kwargs)
-        if 1 <= abs(determinant(me.A)) <= e_max:
+        if 1 <= abs(prod(me._g_determinants)) <= e_max:
             return me
     raise EnumerationOverflow(
         f"no extension with |det A| <= {e_max} in {_RANDOM_ATTEMPTS} draws")
@@ -178,13 +182,16 @@ def _run_extension_case(label, me, f):
     """Report of one extension.  A GradedValError ends this case, not the
     pipeline: the case then records the stage it failed in and the error.
 
-    Each fact is decided once, before the work that needs it.  The graded
-    refusals (check_grading) run at stage "graded" before the rewriting,
-    on t_det = |det A_T| of the input: no step changes a T-row, and the
-    final form has A = diag(I, A_T) up to a permutation, so t_det = |det A|
-    = e, the walk's point count (coset_system).  t_determinant_preserved
-    compares t_det, Bareiss on the input, with cs.e, the Smith diagonal
-    of the final T-block that coset_system takes: no second elimination.
+    Each fact is decided once, before the work that needs it.  t_det =
+    |det A_T| of the input is the product of the G-block determinants
+    that validate took (MonomialExtension._g_determinants proves it), so
+    no elimination of A_T or A is made for it.  The graded refusals
+    (check_grading) run at stage "graded" before the rewriting, on t_det:
+    no step changes a T-row, and the final form has A = diag(I, A_T) up to
+    a permutation, so t_det = |det A| = e, the walk's point count
+    (coset_system).  t_determinant_preserved compares t_det, Bareiss on
+    the input's G-blocks, with cs.e, the Smith diagonal of the final
+    T-block that coset_system takes: two independent computations.
     """
     stage = "validate"
     try:
@@ -199,7 +206,7 @@ def _run_extension_case(label, me, f):
             report["ok"] = False
             report["checks"] = [{"name": n, "passed": p} for n, p in checks]
             return report
-        t_det = abs(determinant(me.t_submatrix()))
+        t_det = abs(prod(me._g_determinants))
         stage = "graded"
         check_grading(t_det, f)
         stage = "monomialize"

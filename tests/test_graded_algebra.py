@@ -348,10 +348,9 @@ def test_pipeline_case_takes_one_smith_form_of_the_t_block(monkeypatch):
     assert cs.snf_at == real(cs.extension.A.transpose())
 
 
-def test_pipeline_case_takes_one_determinant_of_the_t_block(monkeypatch):
-    # |det A_T| is taken once, by Bareiss on the input; the check that
-    # the rewriting kept it reads e off the Smith form of the final
-    # T-block that the coset system takes anyway
+def _spy_determinant(monkeypatch):
+    """The argument of every exact_lattice.determinant call made, from
+    now on, through any gradedval module."""
     real = exact_lattice.determinant
     arguments = []
 
@@ -363,15 +362,71 @@ def test_pipeline_case_takes_one_determinant_of_the_t_block(monkeypatch):
         if name.startswith("gradedval") and \
                 getattr(module, "determinant", None) is real:
             monkeypatch.setattr(module, "determinant", counting)
+    return arguments
+
+
+def _g_blocks(me):
+    return [me.g_block(b) for b in range(me.blocks.r)]
+
+
+def test_pipeline_case_takes_one_determinant_per_g_block(monkeypatch):
+    # |det A_T| is the product of the G-block determinants that validate
+    # takes, so no elimination of A_T is made for it; the check that the
+    # rewriting kept it reads e off the Smith form of the final T-block
+    # that the coset system takes anyway
     scenario = load_scenario(load_json(bundled_scenario_bytes(
         "rank2_h2.json")))
     (_, me), = scenario.extensions
+    assert me.blocks.r == 2
+    arguments = _spy_determinant(monkeypatch)
     report = run_pipeline(scenario)
     assert report["ok"]
     assert {"name": "t_determinant_preserved", "passed": True} in \
         report["cases"][0]["checks"]
-    t_block = me.t_submatrix()
-    assert [A for A in arguments if A == t_block] == [t_block]
+    assert arguments == _g_blocks(me)
+    assert me.t_submatrix() not in arguments
+
+
+def test_pipeline_eliminates_each_g_block_once_and_nothing_else(
+        monkeypatch):
+    # on the corpus and the golden ladder, each extension freshly made so
+    # that no determinant is cached: every determinant the pipeline takes
+    # is of a G-block of its case, one per G-block, in case order; none is
+    # of A_T or A, so where A_T is not itself a G-block it never appears
+    scenarios_run = [load_scenario(load_json(bundled_scenario_bytes(name)))
+                     for name in bundled_scenario_names()]
+    scenarios_run.append(ladder_scenario())
+    fresh = [dataclasses.replace(sc, extensions=tuple(
+        (label, dataclasses.replace(me)) for label, me in sc.extensions))
+        for sc in scenarios_run]
+    cases = [me for sc in fresh for _, me in sc.extensions]
+    assert len(cases) == 27
+    assert not any("_g_determinants" in me.__dict__ for me in cases)
+    arguments = _spy_determinant(monkeypatch)
+    for sc in fresh:
+        run_pipeline(sc)
+    assert arguments == [g for me in cases for g in _g_blocks(me)]
+    wide = [me for me in cases if me.blocks.r > 1]
+    assert wide
+    for me in wide:
+        assert me.t_submatrix() not in arguments
+        assert me.A not in arguments
+
+
+def test_random_draws_take_determinants_of_1x1_g_blocks_only(monkeypatch):
+    # a draw is accepted on the product of its G-block determinants, each
+    # 1 x 1 since s = (1, ..., 1), not on a Bareiss pass over its n x n A;
+    # an accepted draw keeps them, so its case eliminates nothing again
+    arguments = _spy_determinant(monkeypatch)
+    scenario = load_scenario(load_json(bundled_scenario_bytes(
+        "random_a.json")))
+    assert arguments
+    assert {(A.rows, A.cols) for A in arguments} == {(1, 1)}
+    assert max(me.blocks.n for _, me in scenario.extensions) > 1
+    arguments.clear()
+    report = run_pipeline(scenario)
+    assert report["ok"]
+    assert arguments == []
 
 
 def test_t_determinant_check_reads_the_coset_systems_e(monkeypatch):

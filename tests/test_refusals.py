@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedval import monomialization
 from gradedval.affine_monoids import (
     AffineMonoid,
     labelled_parallelepiped,
@@ -25,6 +26,7 @@ from gradedval.errors import (
     MalformedStep,
     NonIntegerEntry,
     NotASubgroup,
+    NotAlongValuation,
     NotInGroup,
     NotTheorem48Form,
     ParseError,
@@ -135,6 +137,8 @@ SQUARE = ExactMatrix.from_rows([[2, 0], [0, 3]])
     (lambda: solve_integer(SQUARE, (1,)),
      "right-hand side length != row count"),
     (lambda: solve_rational(ROW, (1,)), "square system required"),
+    # identity(-1) gave an empty matrix
+    (lambda: ExactMatrix.identity(-1), "dimension -1 is negative"),
 ])
 def test_exact_lattice_refuses_mismatched_shapes(call, message):
     with pytest.raises(DimensionMismatch) as info:
@@ -238,15 +242,55 @@ def test_semigroups_refuse_foreign_and_outside_elements():
     assert str(info.value) == "semigroups over different ambient groups"
 
 
-def test_replay_refuses_a_target_that_is_not_a_t_index():
-    # index 2 is the non-T variable of block 1, later than row 0's block
-    me = MonomialExtension(
+def _two_block_identity(flats):
+    """A = I with blocks t = (1, 2), s = (1, 1): 0 and 1 are the T-indices
+    of blocks 0 and 1, and 2 is the non-T variable of block 1."""
+    return MonomialExtension(
         blocks=BlockStructure(r=2, t=(1, 2), s=(1, 1)),
         A=ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-        unit_markers=("1",) * 3,
-        y_values=_values(TWO, [(1, 0), (0, 1), (0, 1)]))
+        unit_markers=("1",) * 3, y_values=_values(TWO, flats))
+
+
+def test_replay_refuses_a_target_that_is_not_a_t_index():
+    # index 2 is the non-T variable of block 1, later than row 0's block
+    me = _two_block_identity([(1, 0), (0, 1), (0, 1)])
     with pytest.raises(NotTheorem48Form) as info:
         replay(me, [TransformStep(kind="s", row=0, target=2)])
+    assert str(info.value) == "target column 2 is not a T-index"
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (TransformStep(kind="s", row=0, target=2), NotTheorem48Form,
+     "target column 2 is not a T-index"),
+    (TransformStep(kind="s", row=1, target=0), NotAlongValuation,
+     "target column 0 must lie in a strictly later block than 1"),
+])
+def test_replay_refuses_a_bad_target_before_any_step_is_applied(
+        monkeypatch, bad, error, message):
+    # the first step is valid; the second was refused only when the
+    # rewrite reached it, after the first had been applied
+    applied = []
+    monkeypatch.setattr(monomialization._Rewrite, "apply",
+                        lambda self, step, reps: applied.append(step))
+    me = _two_block_identity([(1, 0), (0, 1), (0, 1)])
+    with pytest.raises(error) as info:
+        replay(me, [TransformStep(kind="s", row=0, target=1), bad])
+    assert str(info.value) == message
+    assert applied == []
+
+
+def test_replay_reports_a_bad_target_before_a_positivity_fault():
+    # replay takes its initial extension as given: nu(y_1) sits at level
+    # 0, so the first step leaves nu(y'_0) = 0.  That refusal depends on
+    # the rewrite state; the later step's bad target does not, so it is
+    # the one reported (both exit 1 in the CLI)
+    me = _two_block_identity([(1, 0), (1, 0), (0, 1)])
+    first = TransformStep(kind="s", row=0, target=1)
+    with pytest.raises(NotAlongValuation) as info:
+        replay(me, [first])
+    assert str(info.value) == "value of y'_0 would not be strictly positive"
+    with pytest.raises(NotTheorem48Form) as info:
+        replay(me, [first, TransformStep(kind="s", row=0, target=2)])
     assert str(info.value) == "target column 2 is not a T-index"
 
 
@@ -476,6 +520,23 @@ def _decompose(box_bound):
     # TypeError from range()
     (lambda: enumerate_elements(_semigroup(), 2, scale=2.0),
      "scale 2.0 is a float, not an int"),
+    # a dimension went unchecked: identity(True) gave the 1 x 1 identity
+    # and 2.0 or "2" a bare TypeError; AffineMonoid kept dim True or 1.0
+    # as given, and dim "1" raised DimensionMismatch
+    (lambda: ExactMatrix.identity(True),
+     "dimension True is a bool, not an int"),
+    (lambda: ExactMatrix.identity(2.0),
+     "dimension 2.0 is a float, not an int"),
+    (lambda: ExactMatrix.identity("2"), "dimension '2' is a str, not an int"),
+    (lambda: AffineMonoid(dim=True, generators=((1,),),
+                          positivity_functional=(1,)),
+     "dimension True is a bool, not an int"),
+    (lambda: AffineMonoid(dim=1.0, generators=((1,),),
+                          positivity_functional=(1,)),
+     "dimension 1.0 is a float, not an int"),
+    (lambda: AffineMonoid(dim="1", generators=((1,),),
+                          positivity_functional=(1,)),
+     "dimension '1' is a str, not an int"),
 ])
 def test_library_entry_points_refuse_non_integers(call, message):
     # each used to truncate through int(): (2.9, 1) solved as (2, 1),
