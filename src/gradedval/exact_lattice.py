@@ -106,7 +106,12 @@ class ExactMatrix:
                                    for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
+        """Entry (i, j); each index exactly an int, so True is no 1."""
         i, j = ij
+        if type(i) is not int:
+            _check_ints((i,), "row index")
+        if type(j) is not int:
+            _check_ints((j,), "column index")
         return self.entries[i][j]
 
     def row(self, i):

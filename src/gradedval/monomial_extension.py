@@ -73,11 +73,17 @@ class BlockStructure:
         return self._offsets[-1]
 
     def offset(self, block):
-        """Index of the first variable of block (0-based); offset(r) = n."""
+        """Index of the first variable of block (0-based); offset(r) = n.
+        block must be exactly an int, so True is no block 1."""
+        if type(block) is not int:
+            _check_ints((block,), "block")
         return self._offsets[block]
 
     def block_of(self, index):
-        """Block number (0-based) containing variable index."""
+        """Block number (0-based) containing variable index, exactly an
+        int in [0, n); is_t_index reads it first."""
+        if type(index) is not int:
+            _check_ints((index,), "index")
         if not 0 <= index < self.n:
             raise IndexError(index)
         return self._block[index]

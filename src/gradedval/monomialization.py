@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from math import prod
-from operator import add
+from operator import add, mul, sub
 
 from .errors import (
     EnumerationOverflow,
@@ -22,8 +22,9 @@ from .errors import (
     NoNonnegativeLift,
     NotAlongValuation,
     NotTheorem48Form,
+    SingularLattice,
 )
-from .exact_lattice import ExactMatrix, adjugate, smith_normal_form
+from .exact_lattice import ExactMatrix, hermite_row_basis, smith_normal_form
 from .affine_monoids import ParallelepipedBasis, labelled_parallelepiped
 from .monomial_extension import (
     MonomialExtension,
@@ -52,8 +53,10 @@ class TransformStep:
 
 
 STEP_KINDS = ("s", "r", "rescale")
-# lift candidates tried per row; the tests (bundled scenarios included)
-# need at most 275 and the benchmark workloads at most 110
+# forced checks of the lift search per row, hit or not; tier-1 needs at
+# most 1000 (the (500, 1000) A6 shape, k = 1, where every candidate is a
+# check), the large-determinant draws at most 95 and the benchmark
+# workloads at most 9
 _SEARCH_BUDGET = 100_000
 
 
@@ -230,51 +233,71 @@ class MonomializationTrace:
     final: SSMForm
 
 
-def _lift_numerators(base, columns, bound, b):
-    """adj (h + b) for every b in [0, bound]^k, ordered by total and then
-    lexicographically, given base = adj h and the k columns of adj.
+def _coset_checks(H, h, bound, b, q):
+    """Walk the b in [0, bound]^k, ordered by total and then
+    lexicographically, for which h + b can lie in the row lattice of H,
+    upper triangular with positive pivots on its first k columns (later
+    columns are not read): yield once per forced last entry, True when
+    h + b = q H.
 
-    b is a list of k entries, set to each candidate before it is yielded.
-    Each level of the recursion fixes one entry of b and carries its share
-    of the numerators, adding one column per step, so a candidate costs
-    O(k): no tuple h + b and no product with adj.
+    b and q are lists of k entries, set before each yield.  Level j has
+    fixed q_i for i < j, and with them the residual h - sum_i q_i H_i on
+    the columns from j on; q_j is an integer exactly when b_j is -res_j
+    mod H_jj, so only that residue class is walked, and each step adds
+    one to q_j and takes one row of H off the residual: O(k) per step.
+    The last entry is forced by the total and checked.
     """
-    k = len(columns)
+    k = len(h)
 
-    def level(j, num, rest):
-        column = columns[j]
+    def level(j, res, rest):
+        d = H[j][j]
         if j == k - 1:
             if rest <= bound:
                 b[j] = rest
-                yield tuple([a + rest * c for a, c in zip(num, column)])
+                q[j], off = divmod(res[0] + rest, d)
+                yield not off
             return
-        for first in range(min(rest, bound) + 1):
-            b[j] = first
-            yield from level(j + 1, num, rest - first)
-            num = list(map(add, num, column))
+        row = H[j][j + 1:k]
+        first = -res[0] % d
+        qj = (res[0] + first) // d
+        res = [a - qj * x for a, x in zip(res[1:], row)]
+        for bj in range(first, min(rest, bound) + 1, d):
+            b[j], q[j] = bj, qj
+            yield from level(j + 1, res, rest - bj)
+            qj += 1
+            res = list(map(sub, res, row))
 
     for total in range(bound * k + 1):
-        yield from level(0, base, total)
+        yield from level(0, h, total)
 
 
-def _lift(m, det, adj, h, bound):
-    """(b, c) for the first b of _lift_numerators for which c =
-    adj (h + b) / det is a nonnegative integer vector, adj the adjugate
-    of the lift's square matrix and det its determinant, of either sign.
+def _lift(m, A_sub, reduced, h, bound):
+    """(b, c) for the first b of _coset_checks with c A_sub = h + b and c
+    a nonnegative integer vector, A_sub the lift's square nonsingular
+    matrix and reduced = [H | U] its Hermite pass over [A_sub | I], so
+    that H = U A_sub: a hit q H = h + b lifts to c = q U.  The c returned
+    is checked against A_sub.
 
-    Tries at most _SEARCH_BUDGET candidates: EnumerationOverflow past it,
-    NoNonnegativeLift when every b in [0, bound]^k fails.
+    Makes at most _SEARCH_BUDGET forced checks, hit or not:
+    EnumerationOverflow past it, NoNonnegativeLift when every b in
+    [0, bound]^k fails.
     """
-    b = [0] * len(h)
-    candidates = _lift_numerators(
-        adj.apply(h), tuple(zip(*adj.entries)), bound, b)
-    for tried, num in enumerate(candidates):
-        if tried == _SEARCH_BUDGET:
+    k = len(h)
+    columns = tuple(zip(*(row[k:] for row in reduced)))
+    b, q = [0] * k, [0] * k
+    for checked, member in enumerate(_coset_checks(reduced, h, bound, b, q)):
+        if checked == _SEARCH_BUDGET:
             raise EnumerationOverflow(
                 f"lift search for row {m} exhausted its budget of "
                 f"{_SEARCH_BUDGET} candidates")
-        if all(x % det == 0 and x // det >= 0 for x in num):
-            return tuple(b), tuple(x // det for x in num)
+        if member:
+            c = [sum(map(mul, q, column)) for column in columns]
+            if min(c) >= 0:
+                if [sum(map(mul, c, column)) for column in zip(*A_sub)] != \
+                        list(map(add, h, b)):
+                    raise SingularLattice(
+                        f"lift of row {m} does not solve c A_sub = h + b")
+                return tuple(b), tuple(c)
     raise NoNonnegativeLift(
         f"no nonnegative lift for row {m} within exponent bound {bound}")
 
@@ -289,8 +312,25 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     column substitutions, c by one row transform, and a final rescale
     restores the trivial unit marker.
 
-    The lift search tries at most _SEARCH_BUDGET candidates b per row and
-    raises EnumerationOverflow past it.  The steps are only recorded: the
+    The lift search walks one coset.  c A_sub = h + b has an integer
+    solution exactly when h + b lies in the row lattice of A_sub, the
+    later T-rows on the later T-columns.  One hermite_row_basis pass over
+    [A_sub | I] per block gives [H | U] with H = U A_sub, U unimodular and
+    H upper triangular with positive pivots, so H is a basis of that
+    lattice: h + b lies in it exactly when h + b = q H for an integer q.
+    H being triangular, q_j = (h_j + b_j - sum_{i<j} q_i H_ij) / H_jj,
+    an integer exactly when b_j is in one class mod H_jj that b_0..b_{j-1}
+    fix (Cohen, GTM 138, section 2.4).  So _coset_checks meets the
+    graded-lex candidates whose first k - 1 entries pass, in the same
+    order, and checks the last; every candidate it skips has no integer c
+    at all, so the first hit is the first b of the full graded-lex order
+    with a nonnegative integer c.  That c is unique, A_sub being
+    nonsingular: c = q U, since q U A_sub = q H = h + b, and it equals
+    adj(A_sub^t) (h + b) / det A_sub^t.  _lift checks c A_sub = h + b.
+
+    The search makes at most _SEARCH_BUDGET forced checks per row, hit or
+    not, and raises EnumerationOverflow past it; each check is one
+    candidate b of the full order.  The steps are only recorded: the
     final form is replay(me, steps), the one driver of the rewrite, so
     the trace replays to it by construction.
 
@@ -298,14 +338,14 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
     m be nonzero only in row m, with a_mm = 1, and no entry be < 0.  So
     an "s" step of row m (column c += reps * column m) changes row m
     alone, as an "r" step does, and row m is e_m plus h on later_t, a
-    unit row when h = 0.  No T-row changes, so one adjugate of A_sub
+    unit row when h = 0.  No T-row changes, so one Hermite pass of A_sub
     serves a whole block.  Nor is row m checked after its "r" step: the
-    bursts make row m h + b on later_t, 1 at m and 0 elsewhere, and
-    c = adj (h + b) / det solves A_sub^t c = h + b exactly.  So the final
-    form is handed _violations = () instead of a second validate: its
-    G-blocks and T-values are the input's, a burst keeps each non-T value
-    positive at its own level (_Rewrite._substitute), and SSMForm checks
-    the unit rows.
+    bursts make row m h + b on later_t, 1 at m and 0 elsewhere, and the
+    checked c solves c A_sub = h + b exactly.  So the final form is
+    handed _violations = () instead of a second validate: its G-blocks
+    and T-values are the input's, a burst keeps each non-T value positive
+    at its own level (_Rewrite._substitute), and SSMForm checks the unit
+    rows.
     """
     problems = validate(me)
     if problems:
@@ -321,9 +361,11 @@ def strong_monomialize(me: MonomialExtension) -> MonomializationTrace:
             h = [rows[m][j] for j in later_t]
             if not any(h):
                 continue
-            if lift is None:  # c = adj / det * (h + b) for every row and b
-                lift = adjugate(ExactMatrix._of(tuple(
-                    tuple(rows[i][j] for i in later_t) for j in later_t)))
+            if lift is None:  # H = U A_sub, for every row of the block
+                A_sub = [[rows[i][j] for j in later_t] for i in later_t]
+                lift = A_sub, hermite_row_basis(
+                    [row + [int(i == j) for j in range(len(row))]
+                     for i, row in enumerate(A_sub)], len(A_sub))
             b, c = _lift(m, *lift, h, bound)
             for col, reps in zip(later_t, b):
                 if reps:  # a burst: one step object, repeated

@@ -137,6 +137,7 @@ def enc_coset_system(cs: CosetSystem):
     Encoded straight from the integer rows, each distinct integer once:
     equal integers share one str.  A label entry x is enc_ratio(x, L),
     split into the blocks of the big group; when L = 1 that is str(x).
+    Each label row is encoded once and its blocks sliced from that list.
     """
     ints = _Encoded(str).__getitem__
     L = cs.denominator
@@ -146,8 +147,9 @@ def enc_coset_system(cs: CosetSystem):
         "e": ints(cs.e),
         "invariant_factors": list(map(ints, cs.invariant_factors)),
         "lattice_points": [list(map(ints, p)) for p in cs.lattice_points],
-        "coset_labels": [[list(map(ratio, row[span])) for span in spans]
-                         for row in cs.label_rows],
+        "coset_labels": [[strs[span] for span in spans]
+                         for strs in (list(map(ratio, row))
+                                      for row in cs.label_rows)],
     }
 
 

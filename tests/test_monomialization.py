@@ -25,11 +25,13 @@ from gradedval.errors import (
     NonPositiveValue,
     NotAlongValuation,
     NotTheorem48Form,
+    SingularLattice,
 )
 from gradedval.exact_lattice import (
     ExactMatrix,
     adjugate,
     determinant,
+    hermite_row_basis,
     in_column_lattice,
     smith_normal_form,
 )
@@ -431,7 +433,9 @@ def test_lift_search_is_budgeted():
 
 
 def test_lift_budget_counts_candidates(monkeypatch):
-    # b = (1, 0) is the third candidate, after (0, 0) and (0, 1)
+    # b = (1, 0) is the third candidate, after (0, 0) and (0, 1); the
+    # Hermite basis of A_sub is [[1, 1], [0, 5]], so with H_00 = 1 every
+    # candidate is a forced check
     me = compatible_extension((2, 1, 1), (1, 1, 1), [
         [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 5]])
     monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 2)
@@ -439,6 +443,69 @@ def test_lift_budget_counts_candidates(monkeypatch):
         strong_monomialize(me)
     monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 3)
     assert len(strong_monomialize(me).steps) == 3
+
+
+def test_lift_budget_counts_only_checks_in_the_coset(monkeypatch):
+    # A_sub = diag(3, 2) is its own Hermite basis, and h = (1, 1), so
+    # b_0 must be 2 mod 3: b = (2, 1), c = (1, 1) is the ninth candidate
+    # but only the second forced check, after (2, 0)
+    me = compatible_extension((2, 1, 1), (1, 1, 1), [
+        [1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 3, 0], [0, 0, 0, 2]])
+    assert list(graded_vectors(2, 24)).index((2, 1)) == 8
+    monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 1)
+    with pytest.raises(EnumerationOverflow):
+        strong_monomialize(me)
+    monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 2)
+    steps = strong_monomialize(me).steps
+    assert [(s.kind, s.row, s.target) for s in steps] == [
+        ("s", 1, 2), ("s", 1, 2), ("s", 1, 3), ("r", 1, None),
+        ("rescale", 1, None)]
+    assert steps[3].exponents == ((2, 1), (3, 1))
+
+
+def large_determinant_draw(diagonal, seed):
+    """r = 4, t = (2, 1, 1, 1): 1 on block 0's diagonal and diagonal on
+    the T-rows of blocks 1-3, each entry at a later block's T-column
+    drawn in row-major order; |det A_sub| of row 1 is prod(diagonal)."""
+    bs = BlockStructure(r=4, t=(2, 1, 1, 1), s=(1, 1, 1, 1))
+    rng = random.Random(seed)
+    rows = [[0] * bs.n for _ in range(bs.n)]
+    for i, d in enumerate((1, 1) + diagonal):
+        rows[i][i] = d
+        for j in bs.t_indices():
+            if bs.block_of(j) > bs.block_of(i):
+                rows[i][j] = rng.randint(0, 50)
+    A = ExactMatrix.from_rows(rows)
+    return MonomialExtension(
+        blocks=bs, A=A, unit_markers=("1",) * bs.n,
+        y_values=compatible_values(bs, A, unit_t_values(bs)))
+
+
+@pytest.mark.parametrize("diagonal, seed, b, c", [
+    # |det A_sub| = 871 933 and 82 861: a search that tries every
+    # candidate overflows the budget at all six draws but (41, 43, 47)
+    # seed 2, and, unbudgeted, finds these b and c
+    ((89, 97, 101), 0, (87, 15, 94), ((2, 1), (4, 1))),
+    ((89, 97, 101), 1, (85, 15, 41), ((2, 1),)),
+    ((89, 97, 101), 2, (66, 32, 73), ((2, 1), (4, 1))),
+    ((41, 43, 47), 0, (39, 15, 40), ((2, 1), (4, 1))),
+    ((41, 43, 47), 1, (37, 15, 41), ((2, 1),)),
+    ((41, 43, 47), 2, (18, 32, 19), ((2, 1), (4, 1))),
+])
+def test_lift_walk_admits_large_determinants(diagonal, seed, b, c):
+    me = large_determinant_draw(diagonal, seed)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        trace = strong_monomialize(me)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert [s.target for s in trace.steps if s.kind == "s"] == [
+        target for target, reps in zip((2, 3, 4), b) for _ in range(reps)]
+    assert [(s.kind, s.row, s.exponents) for s in trace.steps[-2:]] == [
+        ("r", 1, c), ("rescale", 1, ())]
+    assert len(trace.steps) == sum(b) + 2
+    assert validate(rebuilt(trace.final.extension)) == []
 
 
 def graded_vectors(length, bound):
@@ -472,53 +539,81 @@ def lift_oracle(det, adj, h, bound):
     return count, None, None
 
 
+def coset_prefix(det, adj, h):
+    """Whether some last entry puts h + b in the row lattice of A_sub,
+    given b's first k - 1 entries, adj = adj(A_sub^t): |det| e_k lies in
+    the lattice, so |det| consecutive last entries decide it."""
+    seen = {}
+
+    def admits(b):
+        head = tuple(x + y for x, y in zip(h, b[:-1]))
+        if head not in seen:
+            seen[head] = any(
+                all(x % det == 0 for x in adj.apply(head + (h[-1] + t,)))
+                for t in range(abs(det)))
+        return seen[head]
+    return admits
+
+
+def lift(sub, h, bound):
+    """The lift search on A_sub = sub, given its Hermite pass over
+    [A_sub | I] as strong_monomialize takes it."""
+    k = len(h)
+    reduced = hermite_row_basis([row + ExactMatrix.identity(k).entries[i]
+                                 for i, row in enumerate(sub.entries)], k)
+    return monomialization._lift(5, sub.entries, reduced, h, bound)
+
+
 def test_lift_search_matches_graded_oracle(monkeypatch):
-    # the carried numerators against a full product per candidate: the
-    # same (b, c), the same refusal, and the budget met at the same
-    # candidate, for k = 1..4 and both signs of det
+    # the coset walk against a full adjugate product per candidate: the
+    # same (b, c), the same refusal, and the budget met at the oracle's
+    # count of candidates whose first k - 1 entries lie in the coset, for
+    # k = 1..4, both signs of det, dense and triangular A_sub
     rng = random.Random(4711)
     seen = set()
-    for _ in range(240):
+    skipped = 0
+    for draw in range(480):
         k = rng.randint(1, 4)
+        triangular = draw % 2 == 1
         while True:
             sub = ExactMatrix(tuple(
-                tuple(rng.choice((0, 0, 1, 1, 2, 3, -1)) for _ in range(k))
-                for _ in range(k)))
+                tuple(0 if triangular and j < i else
+                      rng.choice((0, 0, 1, 1, 2, 3, -1)) for j in range(k))
+                for i in range(k)))
             if determinant(sub):
                 break
         det, adj = adjugate(sub.transpose())
         h = [rng.randint(0, 3) for _ in range(k)]
         bound = rng.randint(1, 3)
         index, b, c = lift_oracle(det, adj, h, bound)
-        monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", 100_000)
-        if b is None:
-            with pytest.raises(NoNonnegativeLift) as info:
-                monomialization._lift(5, det, adj, h, bound)
-            assert str(info.value) == (
-                f"no nonnegative lift for row 5 within exponent bound "
-                f"{bound}")
-            # a budget of every candidate is not exhausted, one less is
-            monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", index)
-            with pytest.raises(NoNonnegativeLift):
-                monomialization._lift(5, det, adj, h, bound)
-            overflow_at = index - 1
-        else:
-            assert monomialization._lift(5, det, adj, h, bound) == (b, c)
+        tried = index + (b is not None)
+        checks = sum(map(coset_prefix(det, adj, h),
+                         list(graded_vectors(k, bound))[:tried]))
+        skipped += checks < tried
+        for budget in (100_000, checks):
+            monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", budget)
+            if b is None:
+                with pytest.raises(NoNonnegativeLift) as info:
+                    lift(sub, h, bound)
+                assert str(info.value) == (
+                    f"no nonnegative lift for row 5 within exponent bound "
+                    f"{bound}")
+            else:
+                assert lift(sub, h, bound) == (b, c)
+        if checks:
             monkeypatch.setattr(monomialization, "_SEARCH_BUDGET",
-                                index + 1)
-            assert monomialization._lift(5, det, adj, h, bound) == (b, c)
-            overflow_at = index
-        monkeypatch.setattr(monomialization, "_SEARCH_BUDGET", overflow_at)
-        with pytest.raises(EnumerationOverflow) as info:
-            monomialization._lift(5, det, adj, h, bound)
-        assert str(info.value) == (
-            f"lift search for row 5 exhausted its budget of {overflow_at} "
-            f"candidates")
-        seen.add((k, det > 0, b is None))
-    assert {(k, positive) for k, positive, _ in seen} == {
-        (k, positive) for k in range(1, 5) for positive in (True, False)}
-    assert {(k, none) for k, _, none in seen} == {
-        (k, none) for k in range(1, 5) for none in (True, False)}
+                                checks - 1)
+            with pytest.raises(EnumerationOverflow) as info:
+                lift(sub, h, bound)
+            assert str(info.value) == (
+                f"lift search for row 5 exhausted its budget of "
+                f"{checks - 1} candidates")
+        seen.add((k, det > 0, triangular, b is None))
+    assert {key[:3] for key in seen} == set(product(
+        range(1, 5), (True, False), (True, False)))
+    assert {(k, none) for k, _, _, none in seen} == set(product(
+        range(1, 5), (True, False)))
+    assert skipped > 100
 
 
 def test_rejects_invalid_extension():
@@ -930,23 +1025,27 @@ def test_pipeline_case_reads_value_signs_off_integer_rows(monkeypatch):
 
 
 def test_unchecked_extension_matrices_equal_checked_ones(monkeypatch):
-    # t_submatrix, g_block, the rewrite's build, the sign-adjusted
-    # adjugate and the lift search's sub-matrix skip the entry check;
-    # what they build is what the checked constructor would
+    # t_submatrix, g_block, the rewrite's build and the sign-adjusted
+    # adjugate skip the entry check; what they build is what the checked
+    # constructor would.  The lift search builds no matrix: its one
+    # Hermite pass per block takes the int rows of [A_sub | I]
     def check(m):
         assert all(type(row) is tuple for row in m.entries)
         assert all(type(x) is int for row in m.entries for x in row)
         assert m == ExactMatrix(m.entries)
 
-    real = monomialization.adjugate
+    real = monomialization.hermite_row_basis
     lifted = []
 
-    def checking(W):
-        check(W)
-        lifted.append(W)
-        return real(W)
+    def checking(rows, pivot_cols):
+        k = pivot_cols
+        assert [row[k:] for row in rows] == \
+            [list(row) for row in ExactMatrix.identity(k).entries]
+        check(ExactMatrix.from_rows(rows))
+        lifted.append(rows)
+        return real(rows, pivot_cols)
 
-    monkeypatch.setattr(monomialization, "adjugate", checking)
+    monkeypatch.setattr(monomialization, "hermite_row_basis", checking)
     for me in corpus_extensions():
         trace = strong_monomialize(me)
         for ext in (me, trace.final.extension,
@@ -1077,24 +1176,41 @@ def test_final_form_validates_when_rebuilt():
     assert moved >= 20
 
 
-def test_one_lift_adjugate_per_block_with_an_offending_row(monkeypatch):
+def test_one_lift_hermite_pass_per_block_with_an_offending_row(
+        monkeypatch):
     # rows 1 and 2 offend in block 0, row 4 in block 1, block 2 has none:
-    # two adjugates, not one per offending row
+    # two Hermite passes over [A_sub | I], not one per offending row
     me = compatible_extension((3, 2, 1), (1, 1, 1), [
         [2, 0, 0, 1, 0, 1], [0, 1, 0, 1, 0, 2], [0, 0, 1, 3, 0, 0],
         [0, 0, 0, 3, 0, 1], [0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 0, 2]])
-    real = monomialization.adjugate
+    real = monomialization.hermite_row_basis
     lifted = []
 
-    def spy(W):
-        lifted.append(W.entries)
-        return real(W)
+    def spy(rows, pivot_cols):
+        lifted.append((rows, pivot_cols))
+        return real(rows, pivot_cols)
 
-    monkeypatch.setattr(monomialization, "adjugate", spy)
+    monkeypatch.setattr(monomialization, "hermite_row_basis", spy)
     trace = strong_monomialize(me)
-    assert lifted == [((3, 0), (1, 2)), ((2,),)]
+    assert lifted == [([[3, 1, 1, 0], [0, 2, 0, 1]], 2), ([[2, 1]], 1)]
     assert sorted({s.row for s in trace.steps}) == [1, 2, 4]
     assert validate(rebuilt(trace.final.extension)) == []
+
+
+def test_a_lift_that_does_not_solve_its_row_is_refused(monkeypatch):
+    # c = q U is checked against A_sub, as the adjugate's identity was:
+    # a pass whose U does not carry A_sub to H gives no lift
+    real = monomialization.hermite_row_basis
+
+    def wrong_u(rows, pivot_cols):
+        return tuple(row[:pivot_cols] + tuple(2 * x for x in row[pivot_cols:])
+                     for row in real(rows, pivot_cols))
+
+    monkeypatch.setattr(monomialization, "hermite_row_basis", wrong_u)
+    me = two_block_extension([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
+    with pytest.raises(SingularLattice) as info:
+        strong_monomialize(me)
+    assert str(info.value) == "lift of row 1 does not solve c A_sub = h + b"
 
 
 @pytest.mark.parametrize("wrong", [

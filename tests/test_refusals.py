@@ -121,6 +121,7 @@ def test_a_huge_block_is_refused_by_the_matrix_check_at_once():
     assert str(info.value) == "exponent matrix must be n x n"
 
 
+STEPPED = BlockStructure(r=2, t=(1, 2), s=(1, 1))
 ROW = ExactMatrix.from_rows([[1, 2, 3]])
 SQUARE = ExactMatrix.from_rows([[2, 0], [0, 3]])
 
@@ -537,6 +538,16 @@ def _decompose(box_bound):
     (lambda: AffineMonoid(dim="1", generators=((1,),),
                           positivity_functional=(1,)),
      "dimension '1' is a str, not an int"),
+    # an index went unchecked: block_of(True) and is_t_index(True) read
+    # True as index 1, block_of(1.0) and offset(1.0) ended in a bare
+    # TypeError, and [0, True] returned column 1
+    (lambda: STEPPED.block_of(True), "index True is a bool, not an int"),
+    (lambda: STEPPED.is_t_index(True), "index True is a bool, not an int"),
+    (lambda: STEPPED.block_of(1.0), "index 1.0 is a float, not an int"),
+    (lambda: STEPPED.offset(1.0), "block 1.0 is a float, not an int"),
+    (lambda: STEPPED.offset(True), "block True is a bool, not an int"),
+    (lambda: SQUARE[0, True], "column index True is a bool, not an int"),
+    (lambda: SQUARE[1.0, 0], "row index 1.0 is a float, not an int"),
 ])
 def test_library_entry_points_refuse_non_integers(call, message):
     # each used to truncate through int(): (2.9, 1) solved as (2, 1),
