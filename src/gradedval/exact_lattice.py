@@ -4,9 +4,12 @@ Smith normal form, determinants, adjugates, lattice indices, quotient
 invariant factors and integer linear solving, all over arbitrary-precision
 integers, on two integer eliminations: the extgcd Hermite echelon (the
 Smith form alternates it over rows and columns) and one Bareiss pass
-(determinants and adjugates).  A rational solve is the adjugate over the
-determinant, so there is no rational elimination.  Floating point never
-enters; every operation is a pure function of immutable inputs.
+(determinants and adjugates).  The Smith passes carry the transforms U and
+V only for smith_normal_form; quotient_invariants, which the pipeline
+calls on each T-block, takes the Smith diagonal with no transforms.  A
+rational solve is the adjugate over the determinant, so there is no
+rational elimination.  Floating point never enters; every operation is a
+pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -106,12 +109,15 @@ class ExactMatrix:
                                    for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
-        """Entry (i, j); each index exactly an int, so True is no 1."""
+        """Entry (i, j); each index exactly an int, so True is no 1, and
+        not < 0, so -1 is no last row or column."""
         i, j = ij
         if type(i) is not int:
             _check_ints((i,), "row index")
         if type(j) is not int:
             _check_ints((j,), "column index")
+        if i < 0 or j < 0:
+            raise IndexError(ij)
         return self.entries[i][j]
 
     def row(self, i):
@@ -260,6 +266,45 @@ def hermite_row_basis(rows, pivot_cols=None):
     return tuple(tuple(r) for r in basis + work)
 
 
+def _smith_loop(M, n, U, V):
+    """Alternating Hermite passes on the rows M of an m x n matrix until
+    M is its Smith diagonal; returns (M, U, V).
+
+    U and V are the rows of the transforms carried along, as the right
+    blocks of [M | U] and [M^t | V^t]: I_m and I_n for smith_normal_form,
+    so that U A V = M at the end.  For the diagonal alone they are m
+    empty rows and no rows, and the passes run on M alone.  No pivot
+    choice of a pass reads U or V, so M ends the same either way as long
+    as no row vanishes.  U and V are unimodular, so with them none does;
+    without them one does exactly when a pass meets a singular square
+    matrix (a Hermite pass keeps the rank of the rows it is handed, and
+    drops only zero rows), which raises SingularLattice.
+    """
+    m = len(M)
+    while True:
+        rows = hermite_row_basis([r + u for r, u in zip(M, U)], n)
+        if len(rows) < m:
+            raise SingularLattice("column lattice has infinite index")
+        M = [list(r[:n]) for r in rows]
+        U = [list(r[n:]) for r in rows]
+        cols = hermite_row_basis(
+            [[r[j] for r in M] + [r[j] for r in V] for j in range(n)], m)
+        M = [[c[i] for c in cols] for i in range(m)]
+        V = [[c[m + j] for c in cols] for j in range(len(V))]
+        if any(x for i, r in enumerate(M) for j, x in enumerate(r) if i != j):
+            continue
+        # the column pass puts zero columns last, so zero d_i come last
+        diag = [M[i][i] for i in range(min(m, n))]
+        offender = next(((i, j) for i in range(len(diag))
+                         for j in range(i + 1, len(diag))
+                         if diag[i] and diag[j] % diag[i]), None)
+        if offender is None:
+            return M, U, V
+        i, j = offender
+        for row in M + V:
+            row[i] += row[j]
+
+
 def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
@@ -274,31 +319,10 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     pass.)  Every pass is canonical, so the transforms are reproducible.
     Diagonal entries are nonnegative and satisfy d_1 | d_2 | ... .
     """
-    m, n = A.rows, A.cols
-    M = [list(row) for row in A.entries]
-    U = [list(row) for row in ExactMatrix.identity(m).entries]
-    V = [list(row) for row in ExactMatrix.identity(n).entries]
-    while True:
-        # U is unimodular, so no row of [M | U] vanishes; likewise for V
-        rows = hermite_row_basis([r + u for r, u in zip(M, U)], n)
-        M = [list(r[:n]) for r in rows]
-        U = [list(r[n:]) for r in rows]
-        cols = hermite_row_basis(
-            [[r[j] for r in M] + [r[j] for r in V] for j in range(n)], m)
-        M = [[c[i] for c in cols] for i in range(m)]
-        V = [[c[m + j] for c in cols] for j in range(n)]
-        if any(x for i, r in enumerate(M) for j, x in enumerate(r) if i != j):
-            continue
-        # the column pass puts zero columns last, so zero d_i come last
-        diag = [M[i][i] for i in range(min(m, n))]
-        offender = next(((i, j) for i in range(len(diag))
-                         for j in range(i + 1, len(diag))
-                         if diag[i] and diag[j] % diag[i]), None)
-        if offender is None:
-            break
-        i, j = offender
-        for row in M + V:
-            row[i] += row[j]
+    M, U, V = _smith_loop(
+        [list(row) for row in A.entries], A.cols,
+        [list(row) for row in ExactMatrix.identity(A.rows).entries],
+        [list(row) for row in ExactMatrix.identity(A.cols).entries])
     return SmithDecomposition(
         U=ExactMatrix._of(tuple(map(tuple, U))),
         D=ExactMatrix._of(tuple(map(tuple, M))),
@@ -318,13 +342,17 @@ def lattice_index(A: ExactMatrix):
 
 def quotient_invariants(A: ExactMatrix):
     """Invariant factors (> 1) of Z^n / A Z^n; their product is |det A|.
-    A zero on the Smith diagonal is det A = 0: SingularLattice."""
+
+    They are read off the Smith diagonal of A, with no transforms: the
+    passes of smith_normal_form on A alone, which give its D entry for
+    entry when A is nonsingular.  A row lost in a pass is det A = 0:
+    SingularLattice.
+    """
     if not A.is_square():
         raise DimensionMismatch("quotient invariants need a square matrix")
-    diag = smith_normal_form(A).D.diagonal_entries()
-    if 0 in diag:
-        raise SingularLattice("column lattice has infinite index")
-    return tuple(d for d in diag if d > 1)
+    M, _, _ = _smith_loop([list(row) for row in A.entries], A.cols,
+                          [[]] * A.rows, [])
+    return tuple(M[i][i] for i in range(A.rows) if M[i][i] > 1)
 
 
 def adjugate(A: ExactMatrix):
@@ -343,14 +371,19 @@ def adjugate(A: ExactMatrix):
     if not A.is_square():
         raise DimensionMismatch("adjugate of non-square matrix")
     n = A.rows
-    det, M = _bareiss([row + tuple(1 if j == i else 0 for j in range(n))
+    zeros = (0,) * n
+    det, M = _bareiss([row + zeros[:i] + (1,) + zeros[i + 1:]
                        for i, row in enumerate(A.entries)], n)
     if det == 0:
         raise SingularLattice("adjugate of singular matrix")
-    adj = ExactMatrix._of(tuple(tuple(row[n:]) for row in M))
-    if adj.matmul(A).entries != ExactMatrix.diagonal((det,) * n).entries:
-        raise SingularLattice("adjugate identity failed")
-    return det, adj
+    adj = tuple(tuple(row[n:]) for row in M)
+    # adj * A = det * I, entry by entry, on the plain rows
+    cols = tuple(zip(*A.entries))
+    for i, row in enumerate(adj):
+        for j, col in enumerate(cols):
+            if sum(map(mul, row, col)) != (det if i == j else 0):
+                raise SingularLattice("adjugate identity failed")
+    return det, ExactMatrix._of(adj)
 
 
 def abs_adjugate(A: ExactMatrix):

@@ -74,9 +74,12 @@ class BlockStructure:
 
     def offset(self, block):
         """Index of the first variable of block (0-based); offset(r) = n.
-        block must be exactly an int, so True is no block 1."""
+        block must be exactly an int in [0, r], so True is no block 1 and
+        -1 no block r."""
         if type(block) is not int:
             _check_ints((block,), "block")
+        if block < 0:
+            raise IndexError(block)
         return self._offsets[block]
 
     def block_of(self, index):

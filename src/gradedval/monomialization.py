@@ -24,7 +24,12 @@ from .errors import (
     NotTheorem48Form,
     SingularLattice,
 )
-from .exact_lattice import ExactMatrix, hermite_row_basis, smith_normal_form
+from .exact_lattice import (
+    ExactMatrix,
+    hermite_row_basis,
+    quotient_invariants,
+    smith_normal_form,
+)
 from .affine_monoids import ParallelepipedBasis, labelled_parallelepiped
 from .monomial_extension import (
     MonomialExtension,
@@ -422,8 +427,9 @@ class CosetSystem:
 def coset_system(ssm: SSMForm) -> CosetSystem:
     """Build the coset representative system of a strong monomial form.
 
-    The Smith form of the |T| x |T| T-block A_T is taken once, and e and
-    the invariant factors are read off its diagonal.  validate lets a
+    The Smith diagonal of the |T| x |T| T-block A_T, with no transforms,
+    is taken once (quotient_invariants): its entries > 1 are the invariant
+    factors, and e is their product.  validate lets a
     non-T column m be nonzero only in row m, and SSMForm makes row m the
     unit row e_m; so up to one permutation A = diag(I, A_T), and
     Z^n / A^t Z^n = Z^T / A_T^t Z^T.  A_T^t has the Smith diagonal of A_T,
@@ -470,8 +476,8 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     me = ssm.extension
     _, x_rows = _x_value_rows(me)  # NonPositiveValue unless nu(x_i) > 0
     quotient = Quotient(ValueGroup(me.structure, me.y_values), x_rows)
-    diagonal = smith_normal_form(me.t_submatrix()).D.diagonal_entries()
-    e = prod(diagonal)
+    factors = quotient_invariants(me.t_submatrix())
+    e = prod(factors)
     if quotient.index != e:
         raise HypothesisA6Failed(
             f"|det A| = {e} but subgroup index is {quotient.index}")
@@ -482,7 +488,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         e=e,
         lattice_points=pb.points,
         label_rows=label_rows,
-        invariant_factors=tuple(d for d in diagonal if d > 1),
+        invariant_factors=factors,
         big_group=quotient.big,
         quotient=quotient,
         parallelepiped=pb,

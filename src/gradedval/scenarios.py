@@ -82,12 +82,13 @@ def random_theorem48_extension(rng, r_max=3, t_max=2, h_max=3, g_max=3):
         structure.element(tuple((1,) if k == b else (0,) for k in range(r)))
         for b in range(r))
     tlist = blocks.t_indices()
+    block = tuple(map(blocks.block_of, range(blocks.n)))
     rows = [[0] * blocks.n for _ in range(blocks.n)]
     for i in range(blocks.n):
-        bi = blocks.block_of(i)
-        rows[i][i] = rng.randint(1, g_max) if blocks.is_t_index(i) else 1
+        bi = block[i]
+        rows[i][i] = rng.randint(1, g_max) if i in tlist else 1
         for j in tlist:
-            if blocks.block_of(j) > bi:
+            if block[j] > bi:
                 rows[i][j] = rng.randint(0, h_max)
     A = ExactMatrix.from_rows(rows)
     return MonomialExtension(

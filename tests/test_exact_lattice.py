@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedval import exact_lattice
 from gradedval.exact_lattice import (
     ExactMatrix,
     abs_adjugate,
@@ -257,6 +258,114 @@ def test_lattice_index_brute_force_residues():
                        for w in seen):
                 seen.append(v)
         assert len(seen) == idx
+
+
+def transform_free_diagonal(A):
+    """The Smith diagonal of square A from the passes on A alone, as
+    quotient_invariants takes it: m empty U rows and no V rows."""
+    M, U, V = exact_lattice._smith_loop(
+        [list(row) for row in A.entries], A.cols, [[]] * A.rows, [])
+    assert U == [[]] * A.rows and V == []
+    return tuple(M[i][i] for i in range(A.rows))
+
+
+def seeded_square(rng, k, span, triangular):
+    """A k x k matrix with entries in [-span, span], upper triangular with
+    a nonzero diagonal when triangular, dense otherwise."""
+    rows = [[rng.randint(-span, span) if j >= i or not triangular else 0
+             for j in range(k)] for i in range(k)]
+    if triangular:
+        for i in range(k):
+            rows[i][i] = rng.choice([-1, 1]) * rng.randint(1, span)
+    return ExactMatrix.from_rows(rows)
+
+
+def test_transform_free_diagonal_is_the_smith_diagonal():
+    # on nonsingular square matrices the passes on A alone pivot as the
+    # passes on [M | U] and [M^t | V^t] do, so D is the same entry for
+    # entry; half of the draws are triangular, as the T-blocks are
+    rng = random.Random(61)
+    done = {True: 0, False: 0}
+    while min(done.values()) < 120:
+        triangular = done[True] <= done[False]
+        A = seeded_square(rng, rng.randint(1, 6), 12, triangular)
+        if not determinant(A):
+            continue
+        done[triangular] += 1
+        diag = smith_normal_form(A).D.diagonal_entries()
+        assert transform_free_diagonal(A) == diag, A
+        assert quotient_invariants(A) == tuple(d for d in diag if d > 1)
+
+
+def singular_squares(rng):
+    """Seeded singular k x k matrices, k <= 6: rank-deficient products,
+    a repeated row, a zero row or column, and the zero matrix."""
+    for k in range(1, 7):
+        out = [ExactMatrix.from_rows([[0] * k for _ in range(k)])]
+        if k > 1:
+            out.append(random_matrix(rng, k, k - 1, 6).matmul(
+                random_matrix(rng, k - 1, k, 6)))
+            rows = [list(r) for r in random_matrix(rng, k, k, 12).entries]
+            rows[-1] = list(rows[0])
+            out.append(ExactMatrix.from_rows(rows))
+        rows = [list(r) for r in random_matrix(rng, k, k, 12).entries]
+        rows[rng.randrange(k)] = [0] * k
+        out.append(ExactMatrix.from_rows(rows))
+        out.append(random_matrix(rng, k, k, 12).matmul(
+            ExactMatrix.from_rows([[0 if j == k - 1 else int(i == j)
+                                    for j in range(k)] for i in range(k)])))
+        yield from out
+
+
+def test_transform_free_diagonal_refuses_a_singular_matrix():
+    # a row lost in a pass on A alone is det A = 0, with the message the
+    # zero of the Smith diagonal used to give
+    count = 0
+    for A in singular_squares(random.Random(62)):
+        assert determinant(A) == 0
+        assert 0 in smith_normal_form(A).D.diagonal_entries()
+        with pytest.raises(SingularLattice,
+                           match="^column lattice has infinite index$"):
+            quotient_invariants(A)
+        count += 1
+    assert count == 28
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_adjugate_refuses_a_tampered_bareiss_block(monkeypatch, k):
+    # the identity adj * A = det * I is checked entry by entry: a wrong
+    # entry anywhere in the adjugate block, or a wrong det, is refused, and
+    # so is row l of adj added to row i, which leaves every diagonal entry
+    # of adj * A right and puts det at (i, l)
+    rng = random.Random(63 + k)
+    A = seeded_square(rng, k, 12, False)
+    while not determinant(A):
+        A = seeded_square(rng, k, 12, False)
+    real = exact_lattice._bareiss
+    det, M = real([row + tuple(int(i == j) for j in range(k))
+                   for i, row in enumerate(A.entries)], k)
+    tampered = []
+    for i in range(k):
+        for j in range(k, 2 * k):
+            N = [list(row) for row in M]
+            N[i][j] += 1
+            tampered.append((det, N))
+    for i in range(k):
+        for l in range(k):
+            if l != i:
+                N = [list(row) for row in M]
+                N[i][k:] = [a + b for a, b in zip(N[i][k:], N[l][k:])]
+                tampered.append((det, N))
+    tampered.append((det + 1, M))
+    for result in tampered:
+        monkeypatch.setattr(exact_lattice, "_bareiss",
+                            lambda rows, k, result=result: result)
+        with pytest.raises(SingularLattice,
+                           match="^adjugate identity failed$"):
+            adjugate(A)
+    monkeypatch.setattr(exact_lattice, "_bareiss", real)
+    assert adjugate(A) == (det, ExactMatrix._of(
+        tuple(tuple(row[k:]) for row in M)))
 
 
 def test_lattice_index_singular():

@@ -312,21 +312,30 @@ def test_characters_match_the_table_on_golden_ladder():
         assert check_characters_against_table(cs, seed, draws=6)
 
 
-def test_pipeline_case_takes_one_smith_form_of_the_t_block(monkeypatch):
-    # e and the invariant factors come from the T-block, and the
-    # character check from the walk's cone: one |T| x |T| Smith form per
-    # case, and the n x n one of A^t only when snf_at is read
+def test_pipeline_case_takes_one_smith_diagonal_of_the_t_block(monkeypatch):
+    # e and the invariant factors come from the Smith diagonal of the
+    # T-block, with no transforms, and the character check from the
+    # walk's cone: a case makes no smith_normal_form call and runs the
+    # Smith passes once, on the |T| x |T| block alone (m empty U rows, no
+    # V rows); the n x n Smith form of A^t is taken only when snf_at is
+    # read
     real = exact_lattice.smith_normal_form
-    shapes, systems = [], []
+    real_loop = exact_lattice._smith_loop
+    calls, loops, systems = [], [], []
 
     def counting(A):
-        shapes.append((A.rows, A.cols))
+        calls.append((A.rows, A.cols))
         return real(A)
+
+    def spying(M, n, U, V):
+        loops.append(((len(M), n), U, V))
+        return real_loop(M, n, U, V)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("gradedval") and \
                 getattr(module, "smith_normal_form", None) is real:
             monkeypatch.setattr(module, "smith_normal_form", counting)
+    monkeypatch.setattr(exact_lattice, "_smith_loop", spying)
     real_coset_system = scenarios.coset_system
 
     def keeping(ssm):
@@ -343,7 +352,8 @@ def test_pipeline_case_takes_one_smith_form_of_the_t_block(monkeypatch):
     [cs] = systems
     t = len(cs.extension.blocks.t_indices())
     assert t < cs.extension.blocks.n
-    assert shapes == [(t, t)]
+    assert calls == []
+    assert loops == [((t, t), [[]] * t, [])]
     assert "snf_at" not in cs.__dict__
     assert cs.snf_at == real(cs.extension.A.transpose())
 

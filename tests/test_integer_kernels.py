@@ -43,6 +43,7 @@ from test_exact_lattice import (  # noqa: E402
     check_rref_against_sympy,
     check_snf,
     cofactor_adjugate,
+    transform_free_diagonal,
 )
 from test_graded_algebra import check_characters_against_table  # noqa: E402
 from test_monomialization import (  # noqa: E402
@@ -57,12 +58,14 @@ from gradedval.affine_monoids import (  # noqa: E402
     parallelepiped_points,
     verify_disjoint_decomposition,
 )
+from gradedval.errors import SingularLattice  # noqa: E402
 from gradedval.exact_lattice import (  # noqa: E402
     ExactMatrix,
     adjugate,
     determinant,
     hermite_row_basis,
     in_column_lattice,
+    quotient_invariants,
     smith_normal_form,
     solve_integer,
 )
@@ -419,6 +422,26 @@ def test_adjugate_against_cofactors_and_sympy(rows):
     sympy = pytest.importorskip("sympy")
     assert [list(r) for r in adj.entries] == \
         sympy.Matrix(rows).adjugate().tolist()
+
+
+@SETTINGS
+@given(square(6, 12), st.booleans())
+def test_transform_free_diagonal_against_smith_form(rows, triangular):
+    # the Smith diagonal that quotient_invariants takes from the passes on
+    # A alone is smith_normal_form's D, and a singular A is refused
+    if triangular:
+        rows = [[x if j >= i else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    A = ExactMatrix.from_rows(rows)
+    diag = smith_normal_form(A).D.diagonal_entries()
+    if determinant(A):
+        assert transform_free_diagonal(A) == diag
+        assert quotient_invariants(A) == tuple(d for d in diag if d > 1)
+    else:
+        assert 0 in diag
+        with pytest.raises(SingularLattice,
+                           match="^column lattice has infinite index$"):
+            quotient_invariants(A)
 
 
 @settings(SETTINGS, max_examples=80)

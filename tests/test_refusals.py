@@ -109,6 +109,21 @@ def test_block_structure_lookups_and_their_range():
             bs.is_t_index(index)
 
 
+def test_a_negative_block_or_entry_index_is_refused():
+    # a negative index must not wrap round to offset(r) = n or to the last
+    # row, as Python's own indexing would; block_of refuses it too
+    bs = BlockStructure(r=2, t=(1, 2), s=(1, 1))
+    assert [bs.offset(b) for b in range(3)] == [0, 1, 3]
+    for block in (-1, -3, -4, 3):
+        with pytest.raises(IndexError):
+            bs.offset(block)
+    A = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    assert [A[i, j] for i in range(2) for j in range(2)] == [1, 2, 3, 4]
+    for ij in ((-1, -2), (-1, 0), (0, -1), (-3, 0), (2, 0), (0, 2)):
+        with pytest.raises(IndexError):
+            A[ij]
+
+
 def test_a_huge_block_is_refused_by_the_matrix_check_at_once():
     # n comes from the offsets alone; no table of n entries is built
     # before the exponent matrix, 2 x 2 here, is checked against it
