@@ -32,6 +32,16 @@ def _check_ints(entries, what="matrix entry"):
     return entries
 
 
+def _check_index(i, size, what):
+    """i, exactly an int (else NonIntegerEntry naming it what) in
+    [0, size), else IndexError: True is no 1 and -1 no last entry."""
+    if type(i) is not int:
+        _check_ints((i,), what)
+    if not 0 <= i < size:
+        raise IndexError(i)
+    return i
+
+
 def _check_rationals(entries, what):
     """The entries as a tuple, each exactly an int or a Fraction, a str
     read as its Fraction, else NonIntegerEntry naming them what: no float
@@ -109,19 +119,14 @@ class ExactMatrix:
                                    for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
-        """Entry (i, j); each index exactly an int, so True is no 1, and
-        not < 0, so -1 is no last row or column."""
+        """Entry (i, j); each index is checked by _check_index."""
         i, j = ij
-        if type(i) is not int:
-            _check_ints((i,), "row index")
-        if type(j) is not int:
-            _check_ints((j,), "column index")
-        if i < 0 or j < 0:
-            raise IndexError(ij)
-        return self.entries[i][j]
+        row = self.row(i)
+        return row[_check_index(j, len(row), "column index")]
 
     def row(self, i):
-        return self.entries[i]
+        """Row i, checked by _check_index."""
+        return self.entries[_check_index(i, len(self.entries), "row index")]
 
     def transpose(self):
         """The transpose; an n x 0 matrix (n > 0) has none here, since its

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exact_lattice import (
     ExactMatrix,
+    _check_index,
     _check_ints,
     abs_adjugate,
     determinant,
@@ -74,21 +75,14 @@ class BlockStructure:
 
     def offset(self, block):
         """Index of the first variable of block (0-based); offset(r) = n.
-        block must be exactly an int in [0, r], so True is no block 1 and
-        -1 no block r."""
-        if type(block) is not int:
-            _check_ints((block,), "block")
-        if block < 0:
-            raise IndexError(block)
-        return self._offsets[block]
+        block is checked by _check_index on [0, r]."""
+        return self._offsets[_check_index(block, self.r + 1, "block")]
 
     def block_of(self, index):
-        """Block number (0-based) containing variable index, exactly an
-        int in [0, n); is_t_index reads it first."""
-        if type(index) is not int:
-            _check_ints((index,), "index")
-        if not 0 <= index < self.n:
-            raise IndexError(index)
+        """Block number (0-based) containing variable index, checked by
+        _check_index on [0, n) before the table is built; is_t_index
+        reads it first."""
+        index = _check_index(index, self.n, "index")
         return self._block[index]
 
     def t_indices(self):
@@ -124,9 +118,13 @@ class MonomialExtension:
         n = self.blocks.n
         if self.A.rows != n or self.A.cols != n:
             raise InvalidExtension("exponent matrix must be n x n")
-        markers = tuple(str(m) for m in self.unit_markers)
+        markers = tuple(self.unit_markers)
         if len(markers) != n:
             raise InvalidExtension("need one unit marker per row")
+        for m in markers:
+            if type(m) is not str:
+                raise InvalidExtension(
+                    f"unit marker must be a string, not {m!r}")
         values = tuple(self.y_values)
         if len(values) != n:
             raise InvalidExtension("need one value per y variable")

@@ -96,7 +96,10 @@ class GroupStructure:
 
     def from_row(self, row, L):
         """The element whose flat coordinates are the integers row over
-        L > 0, brought to lowest terms."""
+        L, exactly an int >= 1, brought to lowest terms."""
+        if type(L) is not int or L < 1:
+            (L,) = _check_ints((L,), "denominator")
+            raise ValueError(f"denominator {L} is not positive")
         g = math.gcd(L, *row)
         if g != 1:
             L, row = L // g, [x // g for x in row]
@@ -164,8 +167,8 @@ class GroupElement:
         return tuple(Fraction(x, L) for x in self.row)
 
     def _check_same(self, other):
-        if self.structure != other.structure:
-            raise AmbientMismatch("elements of different ambient groups")
+        _check_element(other, self.structure,
+                       "elements of different ambient groups")
 
     def _plus(self, other, k):
         """self + k * other, for an int k, over the lcm of the two L's."""
@@ -196,6 +199,13 @@ class GroupElement:
 
     def __le__(self, other):
         return lex_compare(self, other) <= 0
+
+
+def _check_element(gamma, structure, message):
+    """Refuse with AmbientMismatch(message) unless gamma is a GroupElement
+    of structure, so a foreign value ends in no bare AttributeError."""
+    if type(gamma) is not GroupElement or gamma.structure != structure:
+        raise AmbientMismatch(message)
 
 
 def lex_compare(a: GroupElement, b: GroupElement):
@@ -240,8 +250,8 @@ class ValueGroup:
     def __post_init__(self):
         gens = tuple(self.generators)
         for g in gens:
-            if g.structure != self.structure:
-                raise AmbientMismatch("generator outside the ambient group")
+            _check_element(g, self.structure,
+                           "generator outside the ambient group")
         object.__setattr__(self, "generators", gens)
 
     @cached_property
@@ -258,8 +268,8 @@ class ValueGroup:
 
     def coordinates(self, gamma: GroupElement):
         """Integer coordinates of gamma in the lattice basis, else None."""
-        if gamma.structure != self.structure:
-            raise AmbientMismatch("element outside the ambient group")
+        _check_element(gamma, self.structure,
+                       "element outside the ambient group")
         row = scaled_row(gamma, self._lattice[0])
         return None if row is None else self.row_coordinates(row)
 

@@ -26,6 +26,7 @@ from .ordered_groups import (
     GroupElement,
     ValueGroup,
     _block_sign,
+    _check_element,
     common_denominator,
     isolated_level,
     scaled_row,
@@ -44,8 +45,8 @@ class ValueSemigroup:
     def __post_init__(self):
         gens = tuple(dict.fromkeys(self.generators))  # equal ones once
         for g in gens:
-            if g.structure != self.ambient.structure:
-                raise AmbientMismatch("generator outside the ambient group")
+            _check_element(g, self.ambient.structure,
+                           "generator outside the ambient group")
             if g.sign() <= 0:
                 raise NonPositiveGenerator(
                     "semigroup generators must be strictly positive")

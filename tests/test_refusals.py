@@ -124,6 +124,21 @@ def test_a_negative_block_or_entry_index_is_refused():
             A[ij]
 
 
+def test_a_row_index_follows_the_entry_index_rule():
+    # row() had no guard: row(True) returned row 1, row(-1) the last row
+    # and row(1.0) ended in a bare TypeError
+    A = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    assert [A.row(i) for i in range(2)] == [(1, 2), (3, 4)]
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            A.row(i)
+    for i, message in ((True, "row index True is a bool, not an int"),
+                       (1.0, "row index 1.0 is a float, not an int")):
+        with pytest.raises(NonIntegerEntry) as info:
+            A.row(i)
+        assert str(info.value) == message
+
+
 def test_a_huge_block_is_refused_by_the_matrix_check_at_once():
     # n comes from the offsets alone; no table of n entries is built
     # before the exponent matrix, 2 x 2 here, is checked against it
@@ -230,6 +245,14 @@ def _extension(A, markers=("1", "1"), values=None):
      "y-values in different ambient groups"),
     ({"A": [[1, 0], [0, 1]], "values": _values(TWO, [(1, 0), (1, 1)])},
      "ambient group rank must equal the block count"),
+    # markers went through str(): (1, True) ran as ("1", "True"), so the
+    # int 1 became the trivial unit, and None became "None"
+    ({"A": [[1, 0], [0, 1]], "markers": (1, "1")},
+     "unit marker must be a string, not 1"),
+    ({"A": [[1, 0], [0, 1]], "markers": ("1", True)},
+     "unit marker must be a string, not True"),
+    ({"A": [[1, 0], [0, 1]], "markers": (None, "1")},
+     "unit marker must be a string, not None"),
 ])
 def test_extension_refuses_inconsistent_data(kwargs, message):
     with pytest.raises(InvalidExtension) as info:
@@ -368,6 +391,25 @@ def test_value_groups_refuse_a_foreign_ambient():
     with pytest.raises(AmbientMismatch) as info:
         generator_rows(group, other)
     assert str(info.value) == "groups over different ambient structures"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _values(ONE, [(1,)])[0] + 1,
+     "elements of different ambient groups"),
+    (lambda: _values(ONE, [(1,)])[0] < 1,
+     "elements of different ambient groups"),
+    (lambda: ValueGroup(ONE, (1,)), "generator outside the ambient group"),
+    (lambda: ValueGroup(ONE, _values(ONE, [(1,)])).coordinates(1),
+     "element outside the ambient group"),
+    (lambda: ValueSemigroup(ambient=ValueGroup(ONE, _values(ONE, [(1,)])),
+                            generators=(1,)),
+     "generator outside the ambient group"),
+])
+def test_a_value_that_is_no_group_element_is_refused(call, message):
+    # each read .structure off the int and ended in a bare AttributeError
+    with pytest.raises(AmbientMismatch) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_strong_form_and_adjoint_relations_refuse_a_bad_extension():
@@ -563,6 +605,8 @@ def _decompose(box_bound):
     (lambda: STEPPED.offset(True), "block True is a bool, not an int"),
     (lambda: SQUARE[0, True], "column index True is a bool, not an int"),
     (lambda: SQUARE[1.0, 0], "row index 1.0 is a float, not an int"),
+    # from_row stored L = True as given
+    (lambda: ONE.from_row([1], True), "denominator True is a bool, not an int"),
 ])
 def test_library_entry_points_refuse_non_integers(call, message):
     # each used to truncate through int(): (2.9, 1) solved as (2, 1),
@@ -585,6 +629,16 @@ def test_enumeration_refuses_a_scale_that_is_no_positive_multiple(scale):
     with pytest.raises(ValueError) as info:
         enumerate_elements(_semigroup(), 2, scale=scale)
     assert str(info.value) == f"scale {scale} does not clear denominator 2"
+
+
+@pytest.mark.parametrize("L", [-2, 0])
+def test_from_row_refuses_a_denominator_below_one(L):
+    # nothing was checked: from_row([2], -2) gave flat() (-1,) with sign
+    # +1, and L = 0 ended in ZeroDivisionError at flat()
+    with pytest.raises(ValueError) as info:
+        ONE.from_row([2], L)
+    assert str(info.value) == f"denominator {L} is not positive"
+    assert ONE.from_row([2], 4) == ONE.element(((Fraction(1, 2),),))
 
 
 def _rank2_h2_trace():

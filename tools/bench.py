@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Alternating benchmark pairs of two checkouts, with the claim rule's verdict.
+"""Alternating benchmark pairs of two checkouts, and one checkout's record.
 
     python3 tools/bench.py pairs PARENT_DIR CHANGE_DIR --workload W \\
         --seed S --pairs N --seconds T
+    python3 tools/bench.py record --label L [--checkout DIR] \\
+        [--seconds T] [--size full|tiny]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, with that checkout as its working
@@ -31,15 +33,36 @@ change wins (ties count for neither side) and one verdict:
 
 A run that exits non-zero ends the tool with its standard error.  A run
 that reports correct false or a failed case is named in the summary, and
-its metrics still count: ok_frac carries the failures.  The tool writes
-nothing; perfbench/run.py writes its diagnostics under .bench_build/ in
-its own checkout.
+its metrics still count: ok_frac carries the failures.
+
+record runs the checkout's (default: this one's) perfbench/run.py on every
+workload of BENCHMARK.json, untraced at seeds 7, 23 and 59 and traced once
+at seed 7, then its tools/points_scaling.py --repeat 1 where that tool
+exists.  It writes BENCH_<label>.json at the root of this checkout with:
+
+    the git sha of the checkout's HEAD and of the last commit that
+    changed its perfbench/ (the harness), and the tracked paths modified
+    since HEAD; the Python version and the core count;
+    per untraced run, the median pass slowdown its stdout prints,
+    correct, attempted, failed and its metrics;
+    per traced run, the same with only the metrics whose unit is count,
+    which are deterministic;
+    the scaling rows.
+
+It reads only what those tools print, and refuses (exit 1, no file) a
+record that lacks an end-to-end metric for a workload and seed.
+
+The tool itself writes only that file; perfbench/run.py writes its
+diagnostics under .bench_build/ in its own checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -49,6 +72,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # a gain needs this many pairs, won in at least this share
 CLAIM_PAIRS = 10
 CLAIM_SHARE = 0.9
+RECORD_SEEDS = (7, 23, 59)
+TRACED_SEED = 7
+SLOWDOWN = re.compile(r"median slowdown of the passes: ([0-9.]+)")
 
 
 def read_run(stdout):
@@ -86,11 +112,14 @@ def summarize(parent, change, better, bound):
             "verdict": verdict}
 
 
+def benchmark_spec():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def end_to_end_metrics():
     """[(name, unit, better, bound)] of BENCHMARK.json's end-to-end list."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return [(m["name"], m["unit"], m["better"], m["bound"])
-            for m in spec["end_to_end"]]
+            for m in benchmark_spec()["end_to_end"]]
 
 
 def report(runs, metrics):
@@ -121,17 +150,28 @@ def report(runs, metrics):
     return lines
 
 
+def run_tool(checkout, argv, env=None):
+    """The stdout of python3 argv run in checkout; a non-zero exit ends
+    this tool with its standard error."""
+    proc = subprocess.run([sys.executable, *argv], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"bench: {argv[0]} in {checkout} exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def perfbench(checkout, workload, seed, seconds, trace=0, size="full"):
+    """The stdout of one perfbench/run.py run in checkout."""
+    return run_tool(checkout, [
+        "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", str(trace), "--size", size])
+
+
 def run_once(checkout, args):
     """The last-line JSON of one untraced perfbench run in checkout."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds),
-         "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        sys.exit(f"bench: perfbench/run.py in {checkout} exited "
-                 f"{proc.returncode}:\n{proc.stderr}")
-    return read_run(proc.stdout)
+    return read_run(perfbench(checkout, args.workload, args.seed,
+                              args.seconds))
 
 
 def pairs(args):
@@ -149,6 +189,95 @@ def pairs(args):
     return 0
 
 
+def read_record_run(stdout, counts_only=False):
+    """One run of a record from its stdout: the median pass slowdown it
+    prints, correct, attempted, failed and {metric: value}, or only the
+    metrics whose unit is count."""
+    run = read_run(stdout)
+    metrics = {name: m["value"] for name, m in run["metrics"].items()
+               if not counts_only or m["unit"] == "count"}
+    return {"slowdown": float(SLOWDOWN.search(stdout).group(1)),
+            "correct": run["correct"], "attempted": run["attempted"],
+            "failed": run["failed"], "metrics": metrics}
+
+
+def read_scaling(stdout):
+    """The rows of tools/points_scaling.py's table, below its header."""
+    keys = ("e", "best_s", "ms_per_point", "bytes_per_point")
+    return [dict(zip(keys, (int(e), *map(float, rest))))
+            for e, *rest in (line.split()
+                             for line in stdout.strip().splitlines()[1:])]
+
+
+def assemble(meta, untraced, traced, scaling):
+    """The record: meta, then per workload the untraced runs
+    {seed: stdout} and the traced run's stdout, then the scaling rows
+    (None where the checkout has no tools/points_scaling.py)."""
+    return {**meta, "workloads": {
+        workload: {"untraced": {str(seed): read_record_run(out)
+                                for seed, out in runs.items()},
+                   "traced": {str(TRACED_SEED): read_record_run(
+                       traced[workload], counts_only=True)}}
+        for workload, runs in untraced.items()}, "scaling": scaling}
+
+
+def missing_metrics(record, workloads, seeds, metrics):
+    """The (workload, seed, metric) of every end-to-end metric that the
+    record lacks for a workload and seed."""
+    runs = record["workloads"]
+    return [(w, seed, m) for w in workloads for seed in seeds for m in metrics
+            if m not in runs.get(w, {}).get("untraced", {}).get(
+                str(seed), {}).get("metrics", {})]
+
+
+def git(checkout, *argv):
+    """The stripped stdout of git in checkout, or None where git fails."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), *argv],
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def record(args):
+    checkout = args.checkout.resolve()
+    workloads = [w["name"] for w in benchmark_spec()["workloads"]]
+    untraced, traced = {}, {}
+    for workload in workloads:
+        untraced[workload] = {}
+        for seed in RECORD_SEEDS:
+            untraced[workload][seed] = perfbench(
+                checkout, workload, seed, args.seconds, size=args.size)
+            print(f"{workload} seed {seed} done", file=sys.stderr)
+        traced[workload] = perfbench(checkout, workload, TRACED_SEED,
+                                     args.seconds, trace=1, size=args.size)
+        print(f"{workload} traced done", file=sys.stderr)
+    scaling = None
+    if (checkout / "tools" / "points_scaling.py").exists():
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+        scaling = read_scaling(run_tool(
+            checkout, ["tools/points_scaling.py", "--repeat", "1"], env))
+    modified = git(checkout, "diff", "--name-only", "HEAD")
+    meta = {"label": args.label,
+            "code_sha": git(checkout, "log", "-1", "--format=%H"),
+            "harness_sha": git(checkout, "log", "-1", "--format=%H", "--",
+                               "perfbench"),
+            "modified": None if modified is None else modified.splitlines(),
+            "python": platform.python_version(), "cores": os.cpu_count(),
+            "seconds": args.seconds, "size": args.size}
+    doc = assemble(meta, untraced, traced, scaling)
+    missing = missing_metrics(doc, workloads, RECORD_SEEDS,
+                              [m[0] for m in end_to_end_metrics()])
+    if missing:
+        sys.exit("bench: the record lacks " + ", ".join(
+            f"{m} of {w} seed {seed}" for w, seed, m in missing))
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(path)
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -159,7 +288,19 @@ def main(argv=None):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
+    r = commands.add_parser("record", help="one checkout's BENCH_<label>"
+                                           ".json")
+    r.add_argument("--label", required=True,
+                   help="letters, digits, '.', '_' or '-'")
+    r.add_argument("--checkout", type=Path, default=ROOT)
+    r.add_argument("--seconds", type=float,
+                   default=benchmark_spec()["run_seconds"])
+    r.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
+    if args.command == "record":
+        if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
+            parser.error("--label must be letters, digits, '.', '_' or '-'")
+        return record(args)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     if args.parent.resolve() == args.change.resolve():
