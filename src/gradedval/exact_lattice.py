@@ -2,20 +2,22 @@
 
 Smith normal form, determinants, adjugates, lattice indices, quotient
 invariant factors and integer linear solving, all over arbitrary-precision
-integers, on two integer eliminations: the extgcd Hermite echelon (the
-Smith form alternates it over rows and columns) and one Bareiss pass
-(determinants and adjugates).  The Smith passes carry the transforms U and
-V only for smith_normal_form; quotient_invariants, which the pipeline
-calls on each T-block, takes the Smith diagonal with no transforms.  A
-rational solve is the adjugate over the determinant, so there is no
-rational elimination.  Floating point never enters; every operation is a
-pure function of immutable inputs.
+integers, on three integer eliminations: the extgcd Hermite echelon (the
+Smith form alternates it over rows and columns), one Bareiss pass
+(determinants and adjugates) and the in-place pivot-by-pivot Smith
+elimination of quotient_invariants, which the pipeline calls on each
+T-block.  The Smith diagonal is canonical, so that elimination may differ
+from the passes; the transforms U and V are not, and are report bytes, so
+smith_normal_form keeps the passes.  A rational solve is the adjugate over
+the determinant, so there is no rational elimination.  Floating point
+never enters; every operation is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, NonIntegerEntry, SingularLattice
@@ -271,45 +273,6 @@ def hermite_row_basis(rows, pivot_cols=None):
     return tuple(tuple(r) for r in basis + work)
 
 
-def _smith_loop(M, n, U, V):
-    """Alternating Hermite passes on the rows M of an m x n matrix until
-    M is its Smith diagonal; returns (M, U, V).
-
-    U and V are the rows of the transforms carried along, as the right
-    blocks of [M | U] and [M^t | V^t]: I_m and I_n for smith_normal_form,
-    so that U A V = M at the end.  For the diagonal alone they are m
-    empty rows and no rows, and the passes run on M alone.  No pivot
-    choice of a pass reads U or V, so M ends the same either way as long
-    as no row vanishes.  U and V are unimodular, so with them none does;
-    without them one does exactly when a pass meets a singular square
-    matrix (a Hermite pass keeps the rank of the rows it is handed, and
-    drops only zero rows), which raises SingularLattice.
-    """
-    m = len(M)
-    while True:
-        rows = hermite_row_basis([r + u for r, u in zip(M, U)], n)
-        if len(rows) < m:
-            raise SingularLattice("column lattice has infinite index")
-        M = [list(r[:n]) for r in rows]
-        U = [list(r[n:]) for r in rows]
-        cols = hermite_row_basis(
-            [[r[j] for r in M] + [r[j] for r in V] for j in range(n)], m)
-        M = [[c[i] for c in cols] for i in range(m)]
-        V = [[c[m + j] for c in cols] for j in range(len(V))]
-        if any(x for i, r in enumerate(M) for j, x in enumerate(r) if i != j):
-            continue
-        # the column pass puts zero columns last, so zero d_i come last
-        diag = [M[i][i] for i in range(min(m, n))]
-        offender = next(((i, j) for i in range(len(diag))
-                         for j in range(i + 1, len(diag))
-                         if diag[i] and diag[j] % diag[i]), None)
-        if offender is None:
-            return M, U, V
-        i, j = offender
-        for row in M + V:
-            row[i] += row[j]
-
-
 def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
@@ -321,13 +284,34 @@ def smith_normal_form(A: ExactMatrix) -> SmithDecomposition:
     d_j, column j is added to column i; the next row pass replaces d_i by
     gcd(d_i, d_j), a proper divisor, so that ends too.  (Adding row j to
     row i instead would be reduced straight back by the canonical row
-    pass.)  Every pass is canonical, so the transforms are reproducible.
+    pass.)  Every pass is canonical, so the transforms are reproducible;
+    U and V are unimodular, so no row of [M | U] or [M^t | V^t] vanishes.
     Diagonal entries are nonnegative and satisfy d_1 | d_2 | ... .
     """
-    M, U, V = _smith_loop(
-        [list(row) for row in A.entries], A.cols,
-        [list(row) for row in ExactMatrix.identity(A.rows).entries],
-        [list(row) for row in ExactMatrix.identity(A.cols).entries])
+    m, n = A.rows, A.cols
+    M = [list(row) for row in A.entries]
+    U = [list(row) for row in ExactMatrix.identity(m).entries]
+    V = [list(row) for row in ExactMatrix.identity(n).entries]
+    while True:
+        rows = hermite_row_basis([r + u for r, u in zip(M, U)], n)
+        M = [list(r[:n]) for r in rows]
+        U = [list(r[n:]) for r in rows]
+        cols = hermite_row_basis(
+            [[r[j] for r in M] + [r[j] for r in V] for j in range(n)], m)
+        M = [[c[i] for c in cols] for i in range(m)]
+        V = [[c[m + j] for c in cols] for j in range(n)]
+        if any(x for i, r in enumerate(M) for j, x in enumerate(r) if i != j):
+            continue
+        # the column pass puts zero columns last, so zero d_i come last
+        diag = [M[i][i] for i in range(min(m, n))]
+        offender = next(((i, j) for i in range(len(diag))
+                         for j in range(i + 1, len(diag))
+                         if diag[i] and diag[j] % diag[i]), None)
+        if offender is None:
+            break
+        i, j = offender
+        for row in M + V:
+            row[i] += row[j]
     return SmithDecomposition(
         U=ExactMatrix._of(tuple(map(tuple, U))),
         D=ExactMatrix._of(tuple(map(tuple, M))),
@@ -348,16 +332,67 @@ def lattice_index(A: ExactMatrix):
 def quotient_invariants(A: ExactMatrix):
     """Invariant factors (> 1) of Z^n / A Z^n; their product is |det A|.
 
-    They are read off the Smith diagonal of A, with no transforms: the
-    passes of smith_normal_form on A alone, which give its D entry for
-    entry when A is nonsingular.  A row lost in a pass is det A = 0:
-    SingularLattice.
+    The Smith diagonal is canonical, so any unimodular elimination gives
+    it (Cohen, GTM 138, section 2.4); this one takes it a pivot at a
+    time, in place and with no transforms.  Pivot t clears column t below
+    it by extgcd row operations (a zero pivot first takes a row with a
+    nonzero entry there) and then row t right of it by extgcd column
+    operations, on rows t.. only, since the leading block is diagonal.  A
+    column operation that refills column t makes |pivot| a proper
+    divisor, so the repeats end.  Where the pivot divides the entry the
+    operation is a plain subtraction: the extgcd of p and -p swaps them,
+    and would refill forever.  Column t zero from row t down is det A = 0:
+    SingularLattice.  Z/a + Z/b = Z/gcd + Z/lcm, so gcd/lcm pairs put the
+    |pivots| in divisibility order, giving smith_normal_form's D.
     """
     if not A.is_square():
         raise DimensionMismatch("quotient invariants need a square matrix")
-    M, _, _ = _smith_loop([list(row) for row in A.entries], A.cols,
-                          [[]] * A.rows, [])
-    return tuple(M[i][i] for i in range(A.rows) if M[i][i] > 1)
+    M = [list(row) for row in A.entries]
+    n = len(M)
+    diag = []
+    for t in range(n):
+        while True:
+            if not M[t][t]:
+                i = next((i for i in range(t + 1, n) if M[i][t]), None)
+                if i is None:
+                    raise SingularLattice("column lattice has infinite index")
+                M[t], M[i] = M[i], M[t]
+            for i in range(t + 1, n):
+                p, x = M[t][t], M[i][t]
+                if not x:
+                    continue
+                if x % p:
+                    g, a, b = _extgcd(p, x)
+                    p, x = p // g, x // g
+                    M[t], M[i] = (
+                        [a * u + b * v for u, v in zip(M[t], M[i])],
+                        [p * v - x * u for u, v in zip(M[t], M[i])])
+                else:
+                    q = x // p
+                    M[i] = [v - q * u for u, v in zip(M[t], M[i])]
+            rows = M[t:]
+            for j in range(t + 1, n):
+                p, y = M[t][t], M[t][j]
+                if not y:
+                    continue
+                if y % p:
+                    g, a, b = _extgcd(p, y)
+                    p, y = p // g, y // g
+                    for row in rows:
+                        row[t], row[j] = (a * row[t] + b * row[j],
+                                          p * row[j] - y * row[t])
+                else:
+                    q = y // p
+                    for row in rows:
+                        row[j] -= q * row[t]
+            if not any(row[t] for row in rows[1:]):
+                break
+        diag.append(abs(M[t][t]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return tuple(d for d in diag if d > 1)
 
 
 def adjugate(A: ExactMatrix):

@@ -31,6 +31,7 @@ from .exact_lattice import (
     hermite_row_basis,
 )
 from .ordered_groups import (
+    GroupElement,
     GroupStructure,
     common_denominator,
     scaled_row,
@@ -128,6 +129,8 @@ class MonomialExtension:
         values = tuple(self.y_values)
         if len(values) != n:
             raise InvalidExtension("need one value per y variable")
+        if any(type(v) is not GroupElement for v in values):
+            raise InvalidExtension("y-values must be group elements")
         structure = values[0].structure
         for v in values:
             if v.structure != structure:

@@ -220,6 +220,9 @@ def isolated_level(gamma: GroupElement):
     Level i is the convex subgroup of elements whose first i blocks vanish;
     level 0 is the whole group and level rank is zero.
     """
+    # of any structure: a GroupElement passes on its own
+    _check_element(gamma, getattr(gamma, "structure", None),
+                   "not a group element")
     return gamma.structure.row_level(gamma.row)
 
 

@@ -60,6 +60,13 @@ class ValueSemigroup:
         return self.ambient.structure
 
 
+def _check_semigroup(S):
+    """Refuse with AmbientMismatch unless S is a ValueSemigroup, so a
+    foreign value ends in no bare AttributeError."""
+    if type(S) is not ValueSemigroup:
+        raise AmbientMismatch(f"{type(S).__name__} is not a ValueSemigroup")
+
+
 def _box(structure, top):
     """One test per block b of an integer row p: block b has value at most
     top, the bound times the row's denominator.  A rational block is the
@@ -178,8 +185,8 @@ def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
     lies in that box, and the enumeration is exhaustive there.  The lookup
     is on integer rows over a denominator that clears gamma's too.
     """
-    if gamma.structure != S.structure:
-        raise AmbientMismatch("query outside the ambient group")
+    _check_semigroup(S)
+    _check_element(gamma, S.structure, "query outside the ambient group")
     if gamma.sign() < 0:
         raise NegativeQuery("membership queries must be nonnegative")
     if gamma.is_zero():
@@ -200,6 +207,8 @@ def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,
     difference is taken in the bound's box.  Elements are built only for
     the witnesses.
     """
+    _check_semigroup(S_small)
+    _check_semigroup(S_big)
     if S_small.structure != S_big.structure:
         raise AmbientMismatch("semigroups over different ambient groups")
     structure = S_big.structure

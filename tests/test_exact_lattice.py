@@ -260,15 +260,6 @@ def test_lattice_index_brute_force_residues():
         assert len(seen) == idx
 
 
-def transform_free_diagonal(A):
-    """The Smith diagonal of square A from the passes on A alone, as
-    quotient_invariants takes it: m empty U rows and no V rows."""
-    M, U, V = exact_lattice._smith_loop(
-        [list(row) for row in A.entries], A.cols, [[]] * A.rows, [])
-    assert U == [[]] * A.rows and V == []
-    return tuple(M[i][i] for i in range(A.rows))
-
-
 def seeded_square(rng, k, span, triangular):
     """A k x k matrix with entries in [-span, span], upper triangular with
     a nonzero diagonal when triangular, dense otherwise."""
@@ -281,20 +272,67 @@ def seeded_square(rng, k, span, triangular):
 
 
 def test_transform_free_diagonal_is_the_smith_diagonal():
-    # on nonsingular square matrices the passes on A alone pivot as the
-    # passes on [M | U] and [M^t | V^t] do, so D is the same entry for
-    # entry; half of the draws are triangular, as the T-blocks are
+    # the diagonal quotient_invariants takes one pivot at a time, with no
+    # transforms, is smith_normal_form's D: 3000 nonsingular draws, half
+    # of them triangular, as the T-blocks are
     rng = random.Random(61)
     done = {True: 0, False: 0}
-    while min(done.values()) < 120:
+    while min(done.values()) < 1500:
         triangular = done[True] <= done[False]
-        A = seeded_square(rng, rng.randint(1, 6), 12, triangular)
+        A = seeded_square(rng, rng.randint(1, 6), rng.choice((3, 12, 40)),
+                          triangular)
         if not determinant(A):
             continue
         done[triangular] += 1
         diag = smith_normal_form(A).D.diagonal_entries()
-        assert transform_free_diagonal(A) == diag, A
-        assert quotient_invariants(A) == tuple(d for d in diag if d > 1)
+        assert quotient_invariants(A) == tuple(d for d in diag if d > 1), A
+
+
+@pytest.mark.parametrize("rows, factors", [
+    ([], ()),                           # the 0 x 0 matrix
+    ([[0, 1], [1, 0]], ()),             # a zero pivot takes row 1
+    ([[2, 1], [0, 2]], (4,)),           # one column refill
+    ([[3, 0], [0, 2]], (6,)),           # gcd/lcm reorder
+    ([[2, 0], [0, 2]], (2, 2)),
+    ([[2, -2], [0, 2]], (2, 2)),        # the pivot divides -2: no swap
+    ([[2, 0], [-2, 2]], (2, 2)),
+    ([[-2, 2], [2, -2]], None),
+])
+def test_quotient_invariants_pins(rows, factors):
+    # the extgcd of 2 and -2 swaps them; a plain subtraction where the
+    # pivot divides the entry keeps each of these from refilling forever
+    A = ExactMatrix.from_rows(rows)
+    if factors is None:
+        with pytest.raises(SingularLattice,
+                           match="^column lattice has infinite index$"):
+            quotient_invariants(A)
+    else:
+        assert quotient_invariants(A) == factors
+
+
+def test_quotient_invariants_against_sympy_smith_form():
+    # sympy's Smith form over ZZ is the independent oracle, on seeded
+    # k <= 8 draws, dense and triangular, singular ones refused
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(64)
+    refused = 0
+    for draw in range(160):
+        k = rng.randint(1, 8)
+        A = seeded_square(rng, k, rng.choice((2, 9, 30)), draw % 2 == 0)
+        if draw % 8 == 7:       # a repeated row
+            A = ExactMatrix.from_rows(A.entries[:-1] + A.entries[:1])
+        D = sympy_snf(sympy.Matrix(A.entries), domain=sympy.ZZ)
+        theirs = [abs(int(D[i, i])) for i in range(k)]
+        if 0 in theirs:
+            refused += 1
+            with pytest.raises(SingularLattice,
+                               match="^column lattice has infinite index$"):
+                quotient_invariants(A)
+        else:
+            assert quotient_invariants(A) == tuple(
+                d for d in sorted(theirs) if d > 1), A
+    assert refused >= 10
 
 
 def singular_squares(rng):
@@ -318,8 +356,8 @@ def singular_squares(rng):
 
 
 def test_transform_free_diagonal_refuses_a_singular_matrix():
-    # a row lost in a pass on A alone is det A = 0, with the message the
-    # zero of the Smith diagonal used to give
+    # a pivot column that is zero from the pivot row down is det A = 0,
+    # with the message the zero of the Smith diagonal used to give
     count = 0
     for A in singular_squares(random.Random(62)):
         assert determinant(A) == 0

@@ -315,27 +315,28 @@ def test_characters_match_the_table_on_golden_ladder():
 def test_pipeline_case_takes_one_smith_diagonal_of_the_t_block(monkeypatch):
     # e and the invariant factors come from the Smith diagonal of the
     # T-block, with no transforms, and the character check from the
-    # walk's cone: a case makes no smith_normal_form call and runs the
-    # Smith passes once, on the |T| x |T| block alone (m empty U rows, no
-    # V rows); the n x n Smith form of A^t is taken only when snf_at is
-    # read
+    # walk's cone: a case makes no smith_normal_form call and one
+    # quotient_invariants call, on the |T| x |T| block alone; the n x n
+    # Smith form of A^t is taken only when snf_at is read
     real = exact_lattice.smith_normal_form
-    real_loop = exact_lattice._smith_loop
-    calls, loops, systems = [], [], []
+    real_diagonal = exact_lattice.quotient_invariants
+    calls, diagonals, systems = [], [], []
 
     def counting(A):
         calls.append((A.rows, A.cols))
         return real(A)
 
-    def spying(M, n, U, V):
-        loops.append(((len(M), n), U, V))
-        return real_loop(M, n, U, V)
+    def spying(A):
+        diagonals.append((A.rows, A.cols))
+        return real_diagonal(A)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("gradedval") and \
-                getattr(module, "smith_normal_form", None) is real:
+        if not name.startswith("gradedval"):
+            continue
+        if getattr(module, "smith_normal_form", None) is real:
             monkeypatch.setattr(module, "smith_normal_form", counting)
-    monkeypatch.setattr(exact_lattice, "_smith_loop", spying)
+        if getattr(module, "quotient_invariants", None) is real_diagonal:
+            monkeypatch.setattr(module, "quotient_invariants", spying)
     real_coset_system = scenarios.coset_system
 
     def keeping(ssm):
@@ -353,7 +354,7 @@ def test_pipeline_case_takes_one_smith_diagonal_of_the_t_block(monkeypatch):
     t = len(cs.extension.blocks.t_indices())
     assert t < cs.extension.blocks.n
     assert calls == []
-    assert loops == [((t, t), [[]] * t, [])]
+    assert diagonals == [(t, t)]
     assert "snf_at" not in cs.__dict__
     assert cs.snf_at == real(cs.extension.A.transpose())
 

@@ -64,6 +64,7 @@ from gradedval.ordered_groups import (
     ValueGroup,
     coset_label,
     generator_rows,
+    isolated_level,
     quotient_invariant_factors,
     subgroup_index,
 )
@@ -253,6 +254,11 @@ def _extension(A, markers=("1", "1"), values=None):
      "unit marker must be a string, not True"),
     ({"A": [[1, 0], [0, 1]], "markers": (None, "1")},
      "unit marker must be a string, not None"),
+    # read values[0].structure and ended in a bare AttributeError
+    ({"A": [[1, 0], [0, 1]], "values": (1, 1)},
+     "y-values must be group elements"),
+    ({"A": [[1, 0], [0, 1]], "values": _values(ONE, [(1,)]) + (1,)},
+     "y-values must be group elements"),
 ])
 def test_extension_refuses_inconsistent_data(kwargs, message):
     with pytest.raises(InvalidExtension) as info:
@@ -393,6 +399,11 @@ def test_value_groups_refuse_a_foreign_ambient():
     assert str(info.value) == "groups over different ambient structures"
 
 
+def _semigroup():
+    return ValueSemigroup(ambient=ValueGroup(ONE, _values(ONE, [(1,)])),
+                          generators=_values(ONE, [(2,), (3,)]))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: _values(ONE, [(1,)])[0] + 1,
      "elements of different ambient groups"),
@@ -404,6 +415,17 @@ def test_value_groups_refuse_a_foreign_ambient():
     (lambda: ValueSemigroup(ambient=ValueGroup(ONE, _values(ONE, [(1,)])),
                             generators=(1,)),
      "generator outside the ambient group"),
+    (lambda: ValueGroup(None, _values(ONE, [(1,)])),
+     "generator outside the ambient group"),
+    (lambda: isolated_level(1), "not a group element"),
+    (lambda: semigroup_membership(1, _semigroup()),
+     "query outside the ambient group"),
+    (lambda: semigroup_membership(_values(ONE, [(1,)])[0], 1),
+     "int is not a ValueSemigroup"),
+    (lambda: semigroup_difference(_semigroup(), 1, 2),
+     "int is not a ValueSemigroup"),
+    (lambda: semigroup_difference(1, _semigroup(), 2),
+     "int is not a ValueSemigroup"),
 ])
 def test_a_value_that_is_no_group_element_is_refused(call, message):
     # each read .structure off the int and ended in a bare AttributeError
