@@ -39,7 +39,7 @@ from .serialize import (
     dec_ledger_records,
     dec_semigroup_section,
     enc_coset_system,
-    enc_element,
+    enc_elements,
     enc_int,
     enc_matrix,
     field,
@@ -274,7 +274,7 @@ def _run_semigroup_section(sg):
         return _failure("semigroup", exc)
     groups_equal = all(small.ambient.contains(g) for g in big.generators)
     return {
-        "witnesses": [enc_element(w) for w in witnesses],
+        "witnesses": enc_elements(witnesses),
         "groups_equal": groups_equal,
         "expected_growth": sg["expect_growth"],
         "ok": bool(witnesses) == sg["expect_growth"] and groups_equal,

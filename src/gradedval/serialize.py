@@ -130,6 +130,18 @@ class _Encoded(dict):
         return s
 
 
+def enc_elements(els):
+    """enc_element of each of els, through one memo keyed by (x, L): equal
+    entries over equal denominators share one str, as in enc_coset_system.
+    Each row is encoded once and its blocks sliced from that list."""
+    ratio = _Encoded(lambda key: enc_ratio(*key)).__getitem__
+    out = []
+    for el in els:
+        strs = [ratio((x, el.L)) for x in el.row]
+        out.append([strs[span] for span in el.structure.spans])
+    return out
+
+
 def enc_coset_system(cs: CosetSystem):
     """The e, invariant factors, lattice points and coset labels of a coset
     system: the report fields of a pipeline case and of `gradedval cosets`.

@@ -2,9 +2,13 @@
 
 One algorithm decides everything: enumerate_elements lists every element
 of a semigroup inside a rational box, exhaustively, also for composite
-valuations where a generator's tail coordinates are negative.  Membership
-is a lookup in the enumeration of a box that holds the query, and the
-difference of two semigroups is the difference of their enumerations.
+valuations where a generator's tail coordinates are negative.  Each
+sum is built once: a generator's run from a sum stops at the first sum
+already built, whose own run is the rest of it.  The budget still charges
+every run its whole closed-form length before any of it is built, so the
+stopping rule moves no refusal.  Membership is a set lookup in the sums
+of a box that holds the query, and the difference of two semigroups is
+the difference of their enumerations.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     AmbientMismatch,
@@ -43,6 +48,9 @@ class ValueSemigroup:
     generators: tuple
 
     def __post_init__(self):
+        if type(self.ambient) is not ValueGroup:
+            raise AmbientMismatch(
+                f"{type(self.ambient).__name__} is not a ValueGroup")
         gens = tuple(dict.fromkeys(self.generators))  # equal ones once
         for g in gens:
             _check_element(g, self.ambient.structure,
@@ -102,34 +110,11 @@ def _run_length(d, top, p, g, k):
     return max((x + (r if y >= 0 else -r - 1)) // norm + 1, 0)
 
 
-def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
-    """All semigroup elements within the box bound, lex sorted.
-
-    The bound is a rational box applied per block: an element qualifies when
-    each of its block components has value at most the bound.  Partial sums
-    are built one generator at a time, in order of level, in integers over
-    a common denominator, and deduplicated.  While level-l generators are
-    added, blocks below l are final and block l only grows (they are
-    positive there, later ones vanish), so a sum outside the box there is
-    dropped and each generator g runs from each sum p while block l stays
-    in the box: _run_length counts that run in closed form.  No cap comes
-    from a tail, which may be negative: the result is exhaustive.  Every
-    sum spends one unit of _SEARCH_BUDGET, charged for a whole run before
-    any of it is built; the runs from zero, built at every level, are
-    charged together before the first.
-
-    With scale L, an int >= 1 and a multiple of the bound's and of every
-    generator's denominators, the sorted integer rows L * gamma are
-    returned instead of the elements gamma.
-    """
+def _grown_rows(S: ValueSemigroup, bound, L):
+    """The set of integer rows L * gamma of the elements gamma of S within
+    the box bound, for a rational bound and an int L >= 1 that clears it
+    and every generator: the partial sums of enumerate_elements."""
     structure = S.structure
-    (bound,) = _check_rationals((bound,), "bound")
-    L = common_denominator(S.generators, bound)
-    if scale is not None:
-        (scale,) = _check_ints((scale,), "scale")
-        if scale < 1 or scale % L:
-            raise ValueError(f"scale {scale} does not clear denominator {L}")
-        L = scale
     top = int(bound * L)
     box = _box(structure, top)
     gens = [(level, row, structure.spans[level].start,
@@ -155,15 +140,55 @@ def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
             budget -= n
             if budget < 0:
                 raise EnumerationOverflow("enumeration budget exhausted")
-            for _ in range(n):
+            # a sum already grown got the rest of this run when it was
+            # built: the run stops there
+            while n and p not in grown:
                 grown.add(p)
-                p = tuple(a + x for a, x in zip(p, row))
+                p = tuple(map(add, p, row))
+                n -= 1
         sums = grown
     rest = box[done:]
-    kept = sorted(p for p in sums if _in_box(rest, p))
+    if rest:
+        sums = {p for p in sums if _in_box(rest, p)}
+    return sums
+
+
+def enumerate_elements(S: ValueSemigroup, bound, *, scale=None):
+    """All semigroup elements within the box bound, lex sorted.
+
+    The bound is a rational box applied per block: an element qualifies when
+    each of its block components has value at most the bound.  Partial sums
+    are built one generator at a time, in order of level, in integers over
+    a common denominator, and deduplicated.  While level-l generators are
+    added, blocks below l are final and block l only grows (they are
+    positive there, later ones vanish), so a sum outside the box there is
+    dropped and each generator g runs from each sum p while block l stays
+    in the box: _run_length counts that run in closed form.  A run stops
+    at the first sum already grown, whose own run, built with it, is the
+    rest of this one, so each sum is built once.  No cap comes from a
+    tail, which may be negative: the result is exhaustive.  The budget
+    counts charged run lengths, not built sums: each run from each sum
+    spends its whole closed-form length of _SEARCH_BUDGET, before any of
+    it is built and whether or not it stops early, so the refusals do not
+    depend on the stopping rule; the runs from zero, built at every
+    level, are charged together before the first.
+
+    With scale L, an int >= 1 and a multiple of the bound's and of every
+    generator's denominators, the sorted integer rows L * gamma are
+    returned instead of the elements gamma.
+    """
+    _check_semigroup(S)
+    (bound,) = _check_rationals((bound,), "bound")
+    L = common_denominator(S.generators, bound)
+    if scale is not None:
+        (scale,) = _check_ints((scale,), "scale")
+        if scale < 1 or scale % L:
+            raise ValueError(f"scale {scale} does not clear denominator {L}")
+        L = scale
+    kept = sorted(_grown_rows(S, bound, L))
     if scale is not None:
         return tuple(kept)
-    return tuple(structure.from_row(p, L) for p in kept)
+    return tuple(S.structure.from_row(p, L) for p in kept)
 
 
 def _query_bound(gamma: GroupElement):
@@ -181,9 +206,10 @@ def _query_bound(gamma: GroupElement):
 def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
     """True iff gamma is a nonnegative integer combination of generators.
 
-    Decided as gamma in enumerate_elements(S, _query_bound(gamma)): gamma
-    lies in that box, and the enumeration is exhaustive there.  The lookup
-    is on integer rows over a denominator that clears gamma's too.
+    Decided as a set lookup of gamma's integer row in the partial sums of
+    enumerate_elements(S, _query_bound(gamma)), unsorted: gamma lies in
+    that box, and the enumeration is exhaustive there.  The rows are over
+    a denominator that clears gamma's too.
     """
     _check_semigroup(S)
     _check_element(gamma, S.structure, "query outside the ambient group")
@@ -193,7 +219,7 @@ def semigroup_membership(gamma: GroupElement, S: ValueSemigroup) -> bool:
         return True
     bound = _query_bound(gamma)
     L = common_denominator((gamma, *S.generators), bound)
-    return scaled_row(gamma, L) in enumerate_elements(S, bound, scale=L)
+    return scaled_row(gamma, L) in _grown_rows(S, bound, L)
 
 
 def semigroup_difference(S_small: ValueSemigroup, S_big: ValueSemigroup,

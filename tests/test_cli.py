@@ -1088,6 +1088,27 @@ def test_element_encoder_matches_fraction_strings(monkeypatch):
     assert len(calls) == 3001 * structure.rational_rank
 
 
+def test_witness_encoder_matches_enc_element_and_shares_strings():
+    # enc_elements encodes a list as enc_element encodes each element, and
+    # one (x, L) is one str across the list, whatever element it is in
+    from gradedval.ordered_groups import Block, GroupStructure
+    from gradedval.serialize import enc_element, enc_elements
+    rng = random.Random(17)
+    structure = GroupStructure((Block(), Block(quad=2)))
+    els = [structure.from_row(tuple(rng.randint(-4, 4) for _ in range(3)),
+                              rng.choice((1, 2, 6)))
+           for _ in range(200)]
+    encoded = enc_elements(els)
+    assert encoded == [enc_element(el) for el in els]
+    seen = {}
+    for el, blocks in zip(els, encoded):
+        strs = [s for block in blocks for s in block]
+        for x, s in zip(el.row, strs):
+            assert seen.setdefault((x, el.L), s) is s
+    assert len(seen) < 3 * len(els) // 4
+    assert enc_elements([]) == []
+
+
 def test_row_encoder_matches_fraction_strings():
     from fractions import Fraction
     from gradedval.ordered_groups import Block, GroupStructure

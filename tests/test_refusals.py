@@ -434,6 +434,22 @@ def test_a_value_that_is_no_group_element_is_refused(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_elements(1, 5), "int is not a ValueSemigroup"),
+    (lambda: ValueSemigroup(ambient=None, generators=_values(ONE, [(1,)])),
+     "NoneType is not a ValueGroup"),
+    (lambda: ValueSemigroup(ambient=ONE, generators=_values(ONE, [(1,)])),
+     "GroupStructure is not a ValueGroup"),
+])
+def test_a_foreign_value_is_refused_at_the_semigroup_boundary(call,
+                                                              message):
+    # each read .structure off the foreign value and ended in a bare
+    # AttributeError
+    with pytest.raises(AmbientMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_strong_form_and_adjoint_relations_refuse_a_bad_extension():
     with pytest.raises(InvalidExtension) as info:
         SSMForm(_extension([[1, -1], [0, 1]]))

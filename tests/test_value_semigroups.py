@@ -17,7 +17,9 @@ from gradedval.ordered_groups import (
     GroupStructure,
     ValueGroup,
     _block_sign,
+    common_denominator,
     isolated_level,
+    scaled_row,
     subgroup_index,
 )
 from gradedval.value_semigroups import (
@@ -339,20 +341,36 @@ def test_enumeration_is_budgeted(monkeypatch):
     assert len(enumerate_elements(rank1_semigroup(1), 8)) == 9
 
 
+SQRT2 = GroupStructure((Block(), Block(quad=2)))
+U, V, W = ((1,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1))
+H = ((1,), (-1, 0))             # U - V, with a negative tail
+
+
+def budget_semigroup(gens):
+    """Numbers generate a rank-1 semigroup, coordinate tuples one of
+    SQRT2."""
+    if isinstance(gens[0], tuple):
+        return semigroup(SQRT2, gens)
+    return rank1_semigroup(*gens)
+
+
 @pytest.mark.parametrize("gens, bound, spent", [
     ((1,), 9, 10),                  # the first generator alone: 0 .. 9
     ((2, 3), 9, 17),                # 5 sums from 2, then 12 more from 3
+    # 60 charged for the 21 elements, taken before runs stopped at a sum
+    # already grown: then every charged sum was also built
+    ((U, V, W, H), 2, 60),
 ])
 def test_budget_is_exhausted_at_the_same_count(monkeypatch, gens, bound,
                                                 spent):
-    # a budget of exactly the sums added suffices, one fewer refuses,
-    # whether the refusal comes at the first run or a later one
+    # a budget of exactly the charged run lengths suffices, one fewer
+    # refuses, whether the refusal comes at the first run or a later one
     monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", spent)
-    enumerate_elements(rank1_semigroup(*gens), bound)
+    enumerate_elements(budget_semigroup(gens), bound)
     monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET", spent - 1)
     with pytest.raises(EnumerationOverflow,
                        match="^enumeration budget exhausted$"):
-        enumerate_elements(rank1_semigroup(*gens), bound)
+        enumerate_elements(budget_semigroup(gens), bound)
 
 
 @pytest.mark.parametrize("structure, gens, bound, box_tests", [
@@ -562,3 +580,111 @@ def test_semigroup_section_builds_only_the_lattice_it_compares(monkeypatch):
         ValueSemigroup(ambient=ValueGroup(RANK1, section["small"]),
                        generators=(third,))
     assert len(built) == 1
+
+
+def run_everything_oracle(S, bound, L):
+    """The enumeration before a run stopped at a sum already grown: every
+    generator runs from every partial sum to the box edge, so a sum is
+    built once for each run through it.  Returns the integer rows
+    L * gamma in the box, the count of sums built, which is the budget
+    enumerate_elements charges, and the count of distinct sums after each
+    generator, which is what building each sum once builds."""
+    structure = S.structure
+    top = int(bound * L)
+    box = value_semigroups._box(structure, top)
+    gens = sorted((isolated_level(g), scaled_row(g, L)) for g in S.generators)
+    sums = {(0,) * structure.rational_rank}
+    done = built = distinct = 0
+    for level, row in gens:
+        below = box[done:level]
+        sums = {p for p in sums if value_semigroups._in_box(below, p)}
+        done = level + 1
+        k, d = structure.spans[level].start, structure.blocks[level].quad
+        grown = set()
+        for p in sums:
+            n = value_semigroups._run_length(d, top, p, row, k)
+            built += n
+            for _ in range(n):
+                grown.add(p)
+                p = tuple(a + x for a, x in zip(p, row))
+        sums = grown
+        distinct += len(grown)
+    rest = box[done:]
+    return ({p for p in sums if value_semigroups._in_box(rest, p)}, built,
+            distinct)
+
+
+def random_generator(rng, structure):
+    """A strictly positive element: zero below a random level, positive
+    on it, with tails in [-5, 5] over a denominator of 1, 2 or 3."""
+    level = rng.randrange(structure.rank)
+    den = rng.randint(1, 3)
+    coords = []
+    for b, block in enumerate(structure.blocks):
+        width = block.rational_rank
+        if b < level:
+            comp = (0,) * width
+        elif b > level:
+            comp = tuple(rng.randint(-5, 5) for _ in range(width))
+        elif block.quad is None:
+            comp = (rng.randint(1, 4),)
+        else:       # a + c sqrt(d) > 0, at least about 1/2
+            comp = (0, 0)
+            while _block_sign(block, (2 * comp[0] - 1, 2 * comp[1])) <= 0:
+                comp = (rng.randint(-4, 4), rng.randint(-2, 2))
+        coords.append(tuple(Fraction(x, den) for x in comp))
+    return structure.element(coords)
+
+
+def test_enumeration_matches_the_run_everything_oracle(monkeypatch):
+    # the structures of test_block_box_tests_match_the_generic_sign_form;
+    # the elements, their scaled rows and the budget edge all match, the
+    # stopping rule cuts runs on some draws, and each sum is built once
+    # per generator: one row addition, of width additions, per sum
+    additions = []
+
+    def counting_add(a, b):
+        additions.append(None)
+        return a + b
+
+    monkeypatch.setattr(value_semigroups, "add", counting_add)
+    budget = value_semigroups._SEARCH_BUDGET
+    rng = random.Random(47)
+    structures = [
+        RANK1,
+        GroupStructure((Block(), Block())),
+        GroupStructure((Block(quad=2),)),
+        GroupStructure((Block(quad=3), Block())),
+        GroupStructure((Block(), Block(quad=2), Block(quad=3))),
+    ]
+    cut = tails = 0
+    for structure in structures:
+        for _ in range(40):
+            gens = tuple(random_generator(rng, structure)
+                         for _ in range(rng.randint(1, 3)))
+            S = ValueSemigroup(ambient=ValueGroup(structure, gens),
+                               generators=gens)
+            bound = Fraction(rng.randint(-1, 8), rng.randint(1, 2))
+            L = common_denominator(S.generators, bound)
+            rows, built, distinct = run_everything_oracle(S, bound, L)
+            expected = tuple(sorted(rows))
+            additions.clear()
+            assert enumerate_elements(S, bound, scale=L) == expected
+            assert len(additions) == distinct * structure.rational_rank
+            assert enumerate_elements(S, bound) == tuple(
+                structure.from_row(p, L) for p in expected)
+            assert enumerate_elements(S, bound, scale=3 * L) == tuple(
+                sorted(run_everything_oracle(S, bound, 3 * L)[0]))
+            if built:
+                monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET",
+                                    built)
+                enumerate_elements(S, bound)
+                monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET",
+                                    built - 1)
+                with pytest.raises(EnumerationOverflow):
+                    enumerate_elements(S, bound)
+                monkeypatch.setattr(value_semigroups, "_SEARCH_BUDGET",
+                                    budget)
+            cut += built > len(rows)
+            tails += any(x < 0 for p in rows for x in p)
+    assert cut > 100 and tails > 40, (cut, tails)
