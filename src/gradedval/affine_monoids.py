@@ -5,15 +5,19 @@ decomposition of the saturation.  Pointedness is certified at construction
 by a strictly positive linear functional, which makes exact membership
 decidable by bounded search.  For n independent generators the
 parallelepiped points and the decomposition check use exact integer cone
-coordinates from one adjugate per basis instead, carried along by one
-streaming mixed-radix walk.  labelled_parallelepiped is the one body of
-the parallelepiped walk, and parallelepiped_points is that walk with no
-labels.  It first splits off every unit coordinate, so its adjugate,
-Hermite box and walk are those of the rest (for a strong monomial form,
-of the T-block), and walks every point of that box; the decomposition
-check settles a well-formed point list from the points' residues and
-only counts the cone, one line of the last coordinate at a time, and
-reports any other list's points that lie outside the cone.
+coordinates from one adjugate per basis instead: the parallelepiped
+carries them along one streaming mixed-radix walk, and the check takes
+them one row of C at a time over whole columns.
+labelled_parallelepiped is the one body of the parallelepiped walk, and
+parallelepiped_points is that walk with no labels.  It first splits off
+every unit coordinate, so its adjugate, Hermite box and walk are those of
+the rest (for a strong monomial form, of the T-block), and walks every
+point of that box.  The decomposition check computes C x of the listed
+points itself, one row of C at a time over the transposed points,
+settles a well-formed point list from those residues, and only counts
+the cone, one line of the last coordinate at a time, with the bounds of
+all lines taken one row of C at a time; it reports any other list's
+points that lie outside the cone.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from operator import add, ge, itemgetter
+from itertools import combinations, product, repeat
+from operator import add, floordiv, ge, itemgetter, mul, sub
 
 from .errors import (
     DependentGenerators,
@@ -261,8 +265,9 @@ def labelled_parallelepiped(vectors, M, label):
             if q:
                 x = tuple([a - q * b for a, b in zip(x, v)])
         pairs.append((x, label(cx[k:])))
-    # the points are distinct, so the sort never compares two labels
-    pairs.sort()
+    # by point alone: the points are distinct, so this is the order of
+    # the whole pairs, and no label is ever compared
+    pairs.sort(key=itemgetter(0))
     points, labels = zip(*pairs)
     points = widen(points)
     if len(points) != index or (0,) * n not in points:
@@ -374,16 +379,22 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     residue class, and C x is its own residue: a cone point w is hit by
     the x of its class alone, as C w >= C w mod |det W| = C x.  Then only
     the cone points are counted, one line of the last coordinate at a
-    time: _box_walk carries C w over the first n - 1 coordinates, and the
-    k in [0, box) with C w + k c >= 0, c the last column of C, form one
-    range, read off by one floor division per row.  Any other point list
-    (a hand-built or tampered basis) has the hits of each cone point
-    counted by _hits, so a missing, repeated or wrong point shows up as
-    a violation.  On that path every listed point x outside the cone
-    (C x with a negative entry) is reported as (x, 0) after the box
-    points: x + M leaves the saturation, yet a point moved down by a
-    generator still gives each cone point of its class one hit, so the
-    counts alone would not show it.  A well-formed list has every C x in
+    time: the k in [0, box) with C w + k c >= 0, w a prefix in the first
+    n - 1 coordinates and c the last column of C, form one range, read
+    off by one floor division per row.  The arithmetic runs one row of C
+    at a time over whole columns: row i of C x for every listed point is
+    one list, from the transposed points, and row i of C w for all
+    box^(n-1) prefixes is one list from _prefix_column, which updates the
+    bounds of every line and is then dropped, so a few such lists are
+    alive at once.  The products come from the listed points, not from
+    the walk that built them, so the check stays independent of it.  Any
+    other point list (a hand-built or tampered basis) has the hits of
+    each cone point counted by _hits, over the same bounds, so a missing,
+    repeated or wrong point shows up as a violation.  On that path every
+    listed point x outside the cone (C x with a negative entry) is
+    reported as (x, 0) after the box points: x + M leaves the saturation,
+    yet a point moved down by a generator still gives each cone point of
+    its class one hit, so the counts alone would not show it.  A well-formed list has every C x in
     [0, |det W|)^n, so all its points lie in the cone.
     """
     if set(M.generators) != set(basis.vectors):
@@ -396,50 +407,80 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     if box_bound ** n > _SEARCH_BUDGET:
         raise EnumerationOverflow(f"{box_bound}^{n} box points over budget")
     index, coords = basis.cone
-    cxs = [coords.apply(x) for x in basis.points]
+    points = basis.points
+    if not set(map(len, points)) <= {n}:
+        raise DimensionMismatch("vector length != column count")
     if not n:
         # the box is the one point (), hit by every listed point
-        hits = len(cxs)
+        hits = len(points)
         return DecompositionReport(
             box_bound=box_bound, checked_points=1,
             violations=() if hits == 1 else (((), hits),))
-    by_residue = None
-    if not (len(set(cxs)) == len(cxs) == index
-            and all(0 <= c < index for cx in cxs for c in cx)):
-        by_residue = {}
-        for cx in cxs:
+    columns = list(zip(*points)) or [()] * n
+    cx_rows = []
+    for row in coords.entries:
+        cx = None
+        for c, column in zip(row, columns):
+            if c:
+                term = map(mul, column, repeat(c))
+                cx = list(term if cx is None else map(add, cx, term))
+        cx_rows.append(cx)
+    by_residue = heads = None
+    if not (len(points) == index
+            and min(map(min, cx_rows)) >= 0
+            and max(map(max, cx_rows)) < index
+            and len(set(zip(*cx_rows))) == index):
+        by_residue, heads = {}, []
+        for cx in zip(*cx_rows):
             by_residue.setdefault(tuple(c % index for c in cx), []).append(cx)
+    # the k of line w lie in [-neg_lo, end): neg_lo is the least of 0
+    # and C_i w // c_i over the rows with c_i > 0, and end the least of
+    # box_bound and C_i w // -c_i + 1 over the rows with c_i < 0
+    lines = box_bound ** (n - 1)
+    neg_lo, end = [0] * lines, [box_bound] * lines
+    for row in coords.entries:
+        head, c = _prefix_column(row[:-1], box_bound), row[-1]
+        if c > 0:
+            neg_lo = list(map(min, neg_lo, map(floordiv, head, repeat(c))))
+        elif c < 0:
+            end = list(map(min, end, map(
+                floordiv, map(sub, head, repeat(c)), repeat(-c))))
+        else:
+            # a line with C_i w < 0 holds no cone point: its end is 0
+            end = list(map(min, end, map(
+                mul, map(ge, head, repeat(0)), repeat(box_bound))))
+        if heads is not None:
+            heads.append(head)
+    checked = sum(map(max, map(add, end, neg_lo), repeat(0)))
+    if by_residue is None:
+        return DecompositionReport(box_bound=box_bound,
+                                   checked_points=checked, violations=())
     last = tuple(row[-1] for row in coords.entries)
-    head = tuple(row[:-1] for row in coords.entries)
-    top = box_bound - 1
-    checked = 0
     violations = []
-    for w, cw in _box_walk((box_bound,) * (n - 1), head):
-        lo, hi = 0, top
-        for a, c in zip(cw, last):
-            if c > 0:
-                if -(a // c) > lo:
-                    lo = -(a // c)
-            elif c < 0:
-                if a // -c < hi:
-                    hi = a // -c
-            elif a < 0:
-                hi = -1
-        if lo > hi:
-            continue
-        checked += hi - lo + 1
-        if by_residue is None:
-            continue
-        for k in range(lo, hi + 1):
+    for w, cw, neg, stop in zip(product(range(box_bound), repeat=n - 1),
+                                zip(*heads), neg_lo, end):
+        for k in range(-neg, stop):
             hits = _hits(by_residue, index,
                          tuple(a + k * c for a, c in zip(cw, last)))
             if hits != 1:
                 violations.append((w + (k,), hits))
-    if by_residue is not None:
-        violations += [(x, 0) for x, cx in zip(basis.points, cxs)
-                       if min(cx) < 0]
+    violations += [(x, 0) for x, cx in zip(points, zip(*cx_rows))
+                   if min(cx) < 0]
     return DecompositionReport(box_bound=box_bound, checked_points=checked,
                                violations=tuple(violations))
+
+
+def _prefix_column(head, box):
+    """head . w for every w in [0, box)^len(head), in itertools.product
+    order: one list, grown one coordinate at a time from the last, the
+    fastest, with each new coordinate's box copies of the list so far."""
+    column = [0]
+    for c in reversed(head):
+        if c:
+            column = [a + s for s in range(0, box * c, c) for a in column]
+        else:
+            column *= box
+    return column
 
 
 def _hits(by_residue, index, cw):

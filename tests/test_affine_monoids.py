@@ -1,6 +1,5 @@
 import hashlib
 import random
-import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -407,19 +406,22 @@ def test_decomposition_matches_brute_force_random():
         if fast.violations:
             failed.add(len(vecs))
     assert signs == zero_last == {True, False}
-    assert kinds == {"dropped", "duplicated", "replaced", "translated",
-                     "lowered"}
+    assert kinds == set(TAMPERINGS)
     assert failed == {1, 2, 3, 4}
 
 
-def tamper(rng, basis):
+TAMPERINGS = ("dropped", "duplicated", "replaced", "translated", "lowered")
+
+
+def tamper(rng, basis, kind=None):
     """(kind, points) with one listed point dropped, duplicated, replaced
     by its neighbour (the count stays |det W|), or translated up or
-    lowered by a generator: the same class, C x out of [0, |det W|)."""
+    lowered by a generator: the same class, C x out of [0, |det W|).
+    The kind is drawn when none is given."""
     pts = list(basis.points)
     i = rng.randrange(len(pts))
-    kind = rng.choice(["dropped", "duplicated", "replaced", "translated",
-                       "lowered"])
+    if kind is None:
+        kind = rng.choice(TAMPERINGS)
     if kind == "dropped":
         del pts[i]
     elif kind == "duplicated":
@@ -498,35 +500,118 @@ def test_wrong_point_made_inside_the_walk_is_caught(monkeypatch):
 
 
 def test_well_formed_basis_counts_lines_not_points(monkeypatch):
-    # 300^2 box points: the walk steps over the 300 lines of the last
-    # coordinate, and no point's hits are counted; a tampered list counts
-    # the hits of each cone point, and of no other
+    # 300^2 box points: each row of C gets one prefix column of the 300
+    # lines of the last coordinate, and no point's hits are counted; a
+    # tampered list counts the hits of each cone point, and of no other
     vecs = ((2, 1), (0, 3))
     pb = parallelepiped_points(vecs)
     M = simplicial_monoid(vecs)
-    steps, hits = [], []
-    real_walk, real_hits = affine_monoids._box_walk, affine_monoids._hits
+    prefixes, hits = [], []
+    real_prefixes, real_hits = (affine_monoids._prefix_column,
+                                affine_monoids._hits)
 
-    def counting_walk(radices, C):
-        for step in real_walk(radices, C):
-            steps.append(step)
-            yield step
+    def counting_prefixes(head, box):
+        column = real_prefixes(head, box)
+        prefixes.append(len(column))
+        return column
 
     def counting_hits(*args):
         hits.append(args)
         return real_hits(*args)
 
-    monkeypatch.setattr(affine_monoids, "_box_walk", counting_walk)
+    monkeypatch.setattr(affine_monoids, "_prefix_column", counting_prefixes)
     monkeypatch.setattr(affine_monoids, "_hits", counting_hits)
     report = verify_disjoint_decomposition(pb, M, box_bound=300)
     # the cone of (2, 1) and (0, 3) is 0 <= x <= 2y
     cone = sum(1 for x, y in product(range(300), repeat=2) if x <= 2 * y)
     assert report.ok and report.checked_points == cone
-    assert len(steps) == 300 and not hits
+    assert prefixes == [300, 300] and not hits
     bad = replace(pb, points=pb.points[1:])
     report = verify_disjoint_decomposition(bad, M, box_bound=300)
     assert report.checked_points == cone == len(hits)
-    assert len(steps) == 600 and not report.ok
+    assert prefixes == [300] * 4 and not report.ok
+
+
+def line_walk_decomposition_oracle(basis, M, box_bound):
+    """The line walk verify_disjoint_decomposition replaced: C x of each
+    listed point by a full product, the premise tested per point, and
+    C w carried over the first n - 1 coordinates by _box_walk, with lo and
+    hi of each line of the last coordinate from one floor division per
+    row in a Python loop."""
+    n = basis.dim
+    index, coords = basis.cone
+    cxs = [coords.apply(x) for x in basis.points]
+    if not n:
+        hits = len(cxs)
+        return DecompositionReport(
+            box_bound=box_bound, checked_points=1,
+            violations=() if hits == 1 else (((), hits),))
+    by_residue = None
+    if not (len(set(cxs)) == len(cxs) == index
+            and all(0 <= c < index for cx in cxs for c in cx)):
+        by_residue = {}
+        for cx in cxs:
+            by_residue.setdefault(tuple(c % index for c in cx), []).append(cx)
+    last = tuple(row[-1] for row in coords.entries)
+    head = tuple(row[:-1] for row in coords.entries)
+    top = box_bound - 1
+    checked = 0
+    violations = []
+    for w, cw in affine_monoids._box_walk((box_bound,) * (n - 1), head):
+        lo, hi = 0, top
+        for a, c in zip(cw, last):
+            if c > 0:
+                if -(a // c) > lo:
+                    lo = -(a // c)
+            elif c < 0:
+                if a // -c < hi:
+                    hi = a // -c
+            elif a < 0:
+                hi = -1
+        if lo > hi:
+            continue
+        checked += hi - lo + 1
+        if by_residue is None:
+            continue
+        for k in range(lo, hi + 1):
+            hits = affine_monoids._hits(
+                by_residue, index, tuple(a + k * c for a, c in zip(cw, last)))
+            if hits != 1:
+                violations.append((w + (k,), hits))
+    if by_residue is not None:
+        violations += [(x, 0) for x, cx in zip(basis.points, cxs)
+                       if min(cx) < 0]
+    return DecompositionReport(box_bound=box_bound, checked_points=checked,
+                               violations=tuple(violations))
+
+
+def test_decomposition_matches_line_walk_oracle_on_seeded_bases():
+    # every box from 1 to 5 on each basis, as walked and with each
+    # tampering; n = 0 and n = 1 have no prefix coordinate
+    rng = random.Random(2718)
+    empty = parallelepiped_points(())
+    cases = [(empty, AffineMonoid(dim=0, generators=(),
+                                  positivity_functional=()),
+              [empty, replace(empty, points=()),
+               replace(empty, points=((), ()))])]
+    for vecs, _ in random_simplicial_bases(random.Random(3141), 60):
+        pb = parallelepiped_points(vecs)
+        cases.append((pb, simplicial_monoid(vecs), [pb] + [
+            replace(pb, points=tamper(rng, pb, kind)[1])
+            for kind in TAMPERINGS]))
+    seen_n, failed_n, both_ways = set(), set(), set()
+    for pb, M, lists in cases:
+        seen_n.add(pb.dim)
+        for box in range(1, 6):
+            for basis in lists:
+                fast = verify_disjoint_decomposition(basis, M, box)
+                assert fast == line_walk_decomposition_oracle(
+                    basis, M, box), (basis, box)
+                if not fast.ok:
+                    failed_n.add(pb.dim)
+                both_ways.add((basis is pb, fast.ok))
+    assert seen_n == failed_n == {0, 1, 2, 3, 4}
+    assert both_ways == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("bound", [0, -3])
@@ -557,12 +642,46 @@ def test_parallelepiped_count_check_is_typed(monkeypatch):
         parallelepiped_points(((2, 0), (0, 3)))
 
 
-def test_membership_search_is_budgeted():
+def test_membership_search_is_budgeted(monkeypatch):
+    # each search node past the zero and sign tests charges the budget
+    # once, and the node that overdraws it raises: a count, not a clock
     M = monoid((2, 0), (0, 2), (2, 2), (4, 4))
-    start = time.monotonic()
+    real = affine_monoids._member
+    entered, budgets = [], []
+
+    def counting(v, gens, phi, budget):
+        entered.append(budget[0])
+        budgets.append(budget)
+        return real(v, gens, phi, budget)
+
+    monkeypatch.setattr(affine_monoids, "_member", counting)
+
+    def nodes(v):
+        entered.clear()
+        budgets.clear()
+        try:
+            return M.contains(v)
+        finally:
+            # every node saw the one budget list of the search
+            assert all(b is budgets[0] for b in budgets)
+    # the default budget, unpatched
     with pytest.raises(EnumerationOverflow):
-        M.contains((401, 401))
-    assert time.monotonic() - start < 10
+        nodes((401, 401))
+    # the whole default budget was charged, and the last node entered
+    # overdrew it
+    assert budgets[0] == [-1] and entered[-1] == 0
+    assert not nodes((41, 41))
+    charged = affine_monoids._SEARCH_BUDGET - budgets[0][0]
+    assert 100 < charged < affine_monoids._SEARCH_BUDGET
+    # (41, 41) is odd, so the search visits every node: a budget of
+    # exactly that many nodes answers, one less raises at the last node
+    monkeypatch.setattr(affine_monoids, "_SEARCH_BUDGET", charged)
+    assert not nodes((41, 41))
+    assert budgets[0] == [0]
+    monkeypatch.setattr(affine_monoids, "_SEARCH_BUDGET", charged - 1)
+    with pytest.raises(EnumerationOverflow):
+        nodes((41, 41))
+    assert budgets[0] == [-1] and entered[-1] == 0
     # a single generator is solved directly, however large the multiple
     assert monoid((3, 5)).contains((3 * 10 ** 12, 5 * 10 ** 12))
     assert not monoid((3, 5)).contains((3 * 10 ** 12, 5 * 10 ** 12 + 1))

@@ -368,6 +368,13 @@ PLANE = ((1, 0), (0, 1))
     (lambda: parallelepiped_points(((1, 0), (0, 1, 2))),
      "need n vectors in Z^n"),
     (lambda: parallelepiped_points(((1, 0),)), "need n vectors in Z^n"),
+    # a hand-built basis whose listed point is longer than its vectors
+    (lambda: verify_disjoint_decomposition(
+        dataclasses.replace(parallelepiped_points(PLANE),
+                            points=((0, 0, 0),)),
+        AffineMonoid(dim=2, generators=PLANE, positivity_functional=(1, 1)),
+        box_bound=3),
+     "vector length != column count"),
 ])
 def test_affine_monoids_refuse_a_wrong_dimension(call, message):
     with pytest.raises(DimensionMismatch) as info:
