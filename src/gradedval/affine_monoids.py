@@ -5,18 +5,22 @@ decomposition of the saturation.  Pointedness is certified at construction
 by a strictly positive linear functional, which makes exact membership
 decidable by bounded search.  For n independent generators the
 parallelepiped points and the decomposition check use exact integer cone
-coordinates from one adjugate per basis instead: the parallelepiped
-carries them along one streaming mixed-radix walk, and the check takes
-them one row of C at a time over whole columns.
+coordinates from one adjugate per basis instead, and both take them one
+row of C at a time over whole columns.
 labelled_parallelepiped is the one body of the parallelepiped walk, and
 parallelepiped_points is that walk with no labels.  It first splits off
-every unit coordinate, so its adjugate, Hermite box and walk are those of
-the rest (for a strong monomial form, of the T-block), and walks every
-point of that box.  The decomposition check computes C x of the listed
-points itself, one row of C at a time over the transposed points,
-settles a well-formed point list from those residues, and only counts
-the cone, one line of the last coordinate at a time, with the bounds of
-all lines taken one row of C at a time; it reports any other list's
+every unit coordinate, so its adjugate, Hermite box and columns are those
+of the rest (for a strong monomial form, of the T-block).  It builds C x
+and x M over every point x of that box as one integer list per row of C
+and per column of M (_box_column), takes the floors and the points from
+those lists, and labels every point by one call on the columns of x M; a
+box of fewer than _COLUMN_MIN_POINTS points is walked one point at a
+time instead, which costs less there.
+The decomposition check computes C x of the listed points itself, one
+row of C at a time over the transposed points, settles a well-formed
+point list from those residues, and only counts the cone, one line of
+the last coordinate at a time, with the bounds of all lines taken one
+row of C at a time, by the same _box_column; it reports any other list's
 points that lie outside the cone.
 """
 
@@ -52,6 +56,11 @@ _SEARCH_BUDGET = 100_000
 # 10 us and 700 resident bytes per point (tools/points_scaling.py), so a
 # full budget takes seconds and hundreds of MB, not hours
 _POINT_BUDGET = 1_000_000
+# fewest points a parallelepiped takes in whole columns; below it the box
+# is walked one point at a time.  The two walks cost the same near 9 to 12
+# points (best of 150 alternating passes over the benchmark workloads'
+# walks, in one process, on a 2-core container)
+_COLUMN_MIN_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -183,45 +192,60 @@ class ParallelepipedBasis:
 def parallelepiped_points(vectors) -> ParallelepipedBasis:
     """Lambda = Z^n intersect par(v_1..v_n) for independent integer vectors:
     labelled_parallelepiped with no columns in M, so every label is ()."""
-    return labelled_parallelepiped(vectors, (), tuple)[0]
+    vectors = tuple(vectors)
+    return labelled_parallelepiped(vectors, ((),) * len(vectors), tuple)[0]
 
 
-def labelled_parallelepiped(vectors, M, label):
-    """(the ParallelepipedBasis of vectors, labels), labels[i] = label(sigma
-    M) for the i-th point sigma, from one walk of a box.
+def labelled_parallelepiped(vectors, M, label_columns):
+    """(the ParallelepipedBasis of vectors, labels), labels[i] the label
+    of sigma M for the i-th point sigma, from one pass over a box.
 
     The generators are independent, so their Hermite row basis H is upper
     triangular with positive diagonal, and the box prod [0, h_ii) holds
     one residue of each of the |det| classes of Z^n modulo the generator
     lattice (reduce x_1 mod h_11 by row 1, then x_2 mod h_22 by row 2, ...).
-    Each class maps to its unique representative x - W floor(W^{-1} x),
-    with the floors taken in integers from the adjugate of the generator
-    matrix W: one generator subtracted per nonzero floor.  The box is
-    walked by _box_walk, which carries C x = |det W| W^{-1} x along by one
-    column add per step.  Dependent vectors are refused, and so is a basis
-    of more than _POINT_BUDGET points, before the walk.
+    Only that diagonal is needed (_hermite_diagonal).  Each class maps to
+    its unique representative x - W floor(W^{-1} x), with the floors
+    taken in integers from the adjugate of the generator matrix W.  A box
+    of at least _COLUMN_MIN_POINTS points is taken in whole columns, in
+    itertools.product order (_box_points): for each row of
+    C = |det W| W^{-1}, C_i x over the whole box is one integer list
+    (_box_column), and so is each coordinate x_j; the floors
+    q_i = C_i x // |det W| are taken column-wise, and
+    sigma_j = x_j - sum_i q_i v_ij by one column subtraction per nonzero
+    v_ij.  A smaller box is walked one point at a time (_point_walk), as
+    the fixed cost of the column passes outweighs its few points there;
+    both give the same points in the same order, and a box of one point
+    is the point 0.  The points are as many as the box has, the product
+    of the Hermite diagonal, and that count must equal |det W|.
+    Dependent vectors are refused, and so is a basis of more than
+    _POINT_BUDGET points, before any point is built.
 
-    M is a list of n integer rows, and label must be constant on each
-    class of Z^w, w the width of M, modulo the row lattice of V M, with V
-    the matrix whose rows are the vectors.  The walk carries x M beside
-    C x: stacking the columns of M under the rows of C, one column add
-    per step moves both.
+    M is a list of n integer rows of one width w (else NonIntegerEntry or
+    DimensionMismatch).  label_columns maps the w columns of x M over the
+    box, one integer list each, to w columns of labels, entry by entry,
+    and the label of an entry must be constant on each class of Z^w
+    modulo the row lattice of V M, with V the matrix whose rows are the
+    vectors.  Each column of M gives one list over the box, by the same
+    _box_column as a row of C (or carried beside C x by the point walk),
+    and label_columns runs once on them all.
     A box point x is sent to sigma = x - sum_i q_i v_i, with q_i the
     integer floors, so sigma M = x M - sum_i q_i (v_i M), and v_i M is
-    row i of V M; hence label(x M) = label(sigma M), and the label is read
-    from the carried x M without the product sigma M.  With no columns in
-    M every label is label(()).
+    row i of V M; hence the label of x M is the label of sigma M, and it
+    is read from x M without the product sigma M.  With no columns in M
+    every label is ().  The points are sorted by point alone, each label
+    moving with its point.
 
     A coordinate m splits off when exactly one vector v_i is nonzero at m
     and v_i = e_m.  Then every parallelepiped point is 0 at m: its m-th
     entry is lambda_i, which lies in [0, 1) and is an integer.  The other
     k vectors are 0 at every split coordinate, so restricted to the k
-    other coordinates they span the same points, and the walk runs on
-    them alone: one k x k adjugate, one k-column Hermite box and k-long
-    rows of C x; x is 0 at the split coordinates, so x M only needs the
-    rows of M at the others, and the label argument runs on the other
-    vectors.  The sorted points are put back into n coordinates, 0 at the
-    split ones; the zeros sit in fixed places, so lex order is kept.
+    other coordinates they span the same points, and the columns are
+    built on them alone: one k x k adjugate, one k-column Hermite box and
+    k rows of C; x is 0 at the split coordinates, so x M only needs the
+    rows of M at the others.  Each split coordinate has a zero column in
+    its place among the n columns of the points, so one zip gives the
+    points in n coordinates.
 
     The cone pair is assembled exactly.  Up to a permutation of rows and
     columns W = diag(I, W_k), so |det W| = |det W_k|, and W^{-1} x has
@@ -235,15 +259,21 @@ def labelled_parallelepiped(vectors, M, label):
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("need n vectors in Z^n")
+    M = tuple(map(tuple, M))
+    if len(M) != n or len(set(map(len, M))) > 1:
+        raise DimensionMismatch("M needs n rows of one width")
+    if not {type(x) for row in M for x in row} <= {int}:
+        for row in M:
+            _check_ints(row, "M entry")
+    width = len(M[0]) if M else 0
     split = _unit_coordinates(vectors)
-    core, columns, widen = vectors, tuple(zip(*M)), tuple
+    core, kept, rows_m = vectors, range(n), M
     if split:
         unit_of = {i: m for m, i in split.items()}
         kept = [m for m in range(n) if m not in split]
         core = tuple(tuple(v[m] for m in kept)
                      for i, v in enumerate(vectors) if i not in unit_of)
-        columns = tuple(tuple(col[m] for m in kept) for col in columns)
-        widen = _widener(n, kept)
+        rows_m = [M[m] for m in kept]
     k = len(core)
     W = ExactMatrix._of(core).transpose()  # columns are generators
     index, coords = cone = _cone_coordinates(W)
@@ -252,30 +282,53 @@ def labelled_parallelepiped(vectors, M, label):
             f"parallelepiped of {index} points over the budget of "
             f"{_POINT_BUDGET}")
     if split:
-        core_rows = iter(widen(coords.entries))
-        cone = index, ExactMatrix._of(tuple(
-            tuple(index if j == unit_of[i] else 0 for j in range(n))
-            if i in unit_of else next(core_rows) for i in range(n)))
-    H = hermite_row_basis(core)
-    pairs = []
-    for x, cx in _box_walk([H[i][i] for i in range(k)],
-                           coords.entries + columns):
-        for c, v in zip(cx, core):
-            q = c // index
-            if q:
-                x = tuple([a - q * b for a, b in zip(x, v)])
-        pairs.append((x, label(cx[k:])))
-    # by point alone: the points are distinct, so this is the order of
-    # the whole pairs, and no label is ever compared
-    pairs.sort(key=itemgetter(0))
-    points, labels = zip(*pairs)
-    points = widen(points)
+        cone_rows, core_rows = [], iter(coords.entries)
+        for i in range(n):
+            row = [0] * n
+            if i in unit_of:
+                row[unit_of[i]] = index
+            else:
+                for m, c in zip(kept, next(core_rows)):
+                    row[m] = c
+            cone_rows.append(tuple(row))
+        cone = index, ExactMatrix._of(tuple(cone_rows))
+    radices = _hermite_diagonal(core)
+    if math.prod(radices) == 1:
+        rows, xm = [(0,) * k], [[0]] * width   # the box is the point 0
+    elif index < _COLUMN_MIN_POINTS:
+        rows, xm = _point_walk(radices, coords.entries + tuple(zip(*rows_m)),
+                               core, index)
+    else:
+        # both built only when read, the labels' columns before the points'
+        rows = None
+        sigma = _box_points(radices, coords.entries, core, index)
+        xm = (_box_column(column, radices) for column in zip(*rows_m))
+    labels = (list(zip(*label_columns(xm))) if width
+              else [()] * math.prod(radices))
+    del xm
+    if rows is not None and not split:
+        points = rows
+    else:
+        columns = [repeat(0)] * n
+        for m, column in zip(kept, sigma if rows is None else zip(*rows)):
+            columns[m] = column
+        # a split coordinate's column repeats 0, and the others end the zip
+        points = list(zip(*columns)) if k else [(0,) * n]
+        del columns
+    if len(points) > 1:
+        # by point alone: the points are distinct, so this is the order
+        # of the whole pairs, and no label is ever compared
+        pairs = list(zip(points, labels))
+        del points, labels
+        pairs.sort(key=itemgetter(0))
+        points, labels = zip(*pairs)
     if len(points) != index or (0,) * n not in points:
         raise InconsistentParallelepiped(
             f"{len(points)} points for index {index}, or 0 missing")
-    basis = ParallelepipedBasis(vectors=vectors, points=points, index=index)
+    basis = ParallelepipedBasis(vectors=vectors, points=tuple(points),
+                                index=index)
     basis.__dict__["cone"] = cone   # the cached_property, already computed
-    return basis, labels
+    return basis, tuple(labels)
 
 
 def _unit_coordinates(vectors):
@@ -291,16 +344,64 @@ def _unit_coordinates(vectors):
     return split
 
 
-def _widener(n, kept):
-    """The map of sorted points of the kept coordinates to the same points
-    in Z^n, 0 at the other coordinates."""
-    if not kept:
-        # the one core point is ()
-        return lambda points: tuple((0,) * n for _ in points)
-    # n > len(kept) >= 1, so pick gets two or more indices and gives tuples
-    slot = {m: j for j, m in enumerate(kept)}
-    pick = itemgetter(*(slot.get(m, len(kept)) for m in range(n)))
-    return lambda points: tuple(pick(x + (0,)) for x in points)
+def _hermite_diagonal(rows):
+    """The diagonal of the Hermite row basis of independent integer rows.
+
+    For upper triangular rows it is read off as |r_ii|: the lattice
+    vectors that vanish on the first i - 1 coordinates are the
+    combinations of rows i, i+1, ..., since row j alone is nonzero at
+    coordinate j among rows j, j+1, ..., and their i-th entries are the
+    multiples of r_ii.  Other rows take one hermite_row_basis pass.
+    """
+    if all(not any(row[:i]) for i, row in enumerate(rows)):
+        return [abs(row[i]) for i, row in enumerate(rows)]
+    H = hermite_row_basis(rows)
+    return [H[i][i] for i in range(len(rows))]
+
+
+def _box_points(radices, C, core, index):
+    """The columns sigma_j = x_j - sum_i q_i v_ij over the box prod
+    range(r_i), in itertools.product order, one per coordinate j of the
+    vectors v_i of core, with q_i = C_i x // index.
+
+    Each row of C and each coordinate x_j is one integer list over the
+    whole box (_box_column), and the floors and the sums are taken over
+    those lists; a column is built when it is read.  A floor that is 0
+    over the whole box subtracts nothing and is dropped: for upper
+    triangular vectors with positive diagonal, C_1 x = |det W| x_1 / v_11
+    and x_1 < v_11 on the box, so q_1 is.
+    """
+    floors = []
+    for row, v in zip(C, core):
+        q = list(map(floordiv, _box_column(row, radices), repeat(index)))
+        if any(q):
+            floors.append((q, v))
+    k = len(core)
+    for j in range(k):
+        column = _box_column([int(i == j) for i in range(k)], radices)
+        for q, v in floors:
+            if v[j] == 1:
+                column = list(map(sub, column, q))
+            elif v[j]:
+                column = list(map(sub, column, map(mul, q, repeat(v[j]))))
+        yield column
+
+
+def _point_walk(radices, rows, core, index):
+    """(the points of _box_points as rows, the columns of x M over the
+    box), rows the rows of C and then the columns of M: from one box point
+    at a time, as _box_walk carries C x and x M by one column add per
+    step, and each point subtracts one vector per nonzero floor."""
+    k = len(core)
+    sigma, xm = [], []
+    for x, cx in _box_walk(radices, rows):
+        for c, v in zip(cx, core):
+            q = c // index
+            if q:
+                x = tuple([a - q * b for a, b in zip(x, v)])
+        sigma.append(x)
+        xm.append(cx[k:])
+    return sigma, list(zip(*xm))
 
 
 def _box_walk(radices, rows):
@@ -334,6 +435,27 @@ def _box_walk(radices, rows):
         for step in steps:
             yield x + step, cx
             cx = tuple(map(add, cx, column))
+
+
+def _box_column(row, radices):
+    """row . x for every x in prod range(r_i), in itertools.product order:
+    one list, grown one coordinate at a time from the last, the fastest,
+    with r copies of the list so far for a coordinate of radix r; a
+    coordinate of radix 1 is 0 and is skipped.  While the list is all 0,
+    a coordinate's values are repeated rather than added to 0, so the
+    entries share one int object per value."""
+    column, zero = [0], True
+    for c, r in zip(reversed(row), reversed(radices)):
+        if r == 1:
+            continue
+        if not c:
+            column *= r
+        elif zero:
+            column = [s for s in range(0, r * c, c) for _ in column]
+            zero = False
+        else:
+            column = [a + s for s in range(0, r * c, c) for a in column]
+    return column
 
 
 def _cone_coordinates(W: ExactMatrix):
@@ -384,18 +506,19 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     off by one floor division per row.  The arithmetic runs one row of C
     at a time over whole columns: row i of C x for every listed point is
     one list, from the transposed points, and row i of C w for all
-    box^(n-1) prefixes is one list from _prefix_column, which updates the
+    box^(n-1) prefixes is one list from _box_column, which updates the
     bounds of every line and is then dropped, so a few such lists are
     alive at once.  The products come from the listed points, not from
-    the walk that built them, so the check stays independent of it.  Any
+    the columns that built them, so the check stays independent of them.  Any
     other point list (a hand-built or tampered basis) has the hits of
     each cone point counted by _hits, over the same bounds, so a missing,
     repeated or wrong point shows up as a violation.  On that path every
     listed point x outside the cone (C x with a negative entry) is
     reported as (x, 0) after the box points: x + M leaves the saturation,
     yet a point moved down by a generator still gives each cone point of
-    its class one hit, so the counts alone would not show it.  A well-formed list has every C x in
-    [0, |det W|)^n, so all its points lie in the cone.
+    its class one hit, so the counts alone would not show it.  A
+    well-formed list has every C x in [0, |det W|)^n, so all its points
+    lie in the cone.
     """
     if set(M.generators) != set(basis.vectors):
         raise DependentGenerators(
@@ -438,8 +561,9 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
     # box_bound and C_i w // -c_i + 1 over the rows with c_i < 0
     lines = box_bound ** (n - 1)
     neg_lo, end = [0] * lines, [box_bound] * lines
+    box = (box_bound,) * (n - 1)
     for row in coords.entries:
-        head, c = _prefix_column(row[:-1], box_bound), row[-1]
+        head, c = _box_column(row[:-1], box), row[-1]
         if c > 0:
             neg_lo = list(map(min, neg_lo, map(floordiv, head, repeat(c))))
         elif c < 0:
@@ -468,19 +592,6 @@ def verify_disjoint_decomposition(basis: ParallelepipedBasis,
                    if min(cx) < 0]
     return DecompositionReport(box_bound=box_bound, checked_points=checked,
                                violations=tuple(violations))
-
-
-def _prefix_column(head, box):
-    """head . w for every w in [0, box)^len(head), in itertools.product
-    order: one list, grown one coordinate at a time from the last, the
-    fastest, with each new coordinate's box copies of the list so far."""
-    column = [0]
-    for c in reversed(head):
-        if c:
-            column = [a + s for s in range(0, box * c, c) for a in column]
-        else:
-            column *= box
-    return column
 
 
 def _hits(by_residue, index, cw):

@@ -393,8 +393,9 @@ class CosetSystem:
 
     The labels are kept as integer rows over the denominator L of the big
     group: label_rows[i] is L times the flat coordinates of the canonical
-    coset representative of lattice_points[i] (Quotient.label_row), which
-    depends on small alone.  labels builds the group elements on first use.
+    coset representative of lattice_points[i] (Quotient.label_columns),
+    which depends on small alone.  labels builds the group elements on
+    first use.
     """
 
     extension: MonomialExtension
@@ -437,8 +438,8 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
     admits a_ij != 0 only when j's block is not before i's, so A_T is
     block upper triangular with the G_b on its diagonal, and validate
     rejects a singular G_b.  Then the parallelepiped of the rows of A is
-    walked, once, labelling each point as it goes; the walk refuses more
-    than affine_monoids._POINT_BUDGET points before it starts.
+    walked once, with a label for every point; the walk refuses more than
+    affine_monoids._POINT_BUDGET points before it starts.
 
     Hypothesis A6, that e equals the index [big : small] of the value
     group of x in the value group of y, is checked before the walk, so a
@@ -466,10 +467,11 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
 
     Each label is one Hermite reduction of the integer row sigma Y =
     L * phi(sigma).  That row is not computed: labelled_parallelepiped
-    carries x Y through its box walk by one column add per step, x the box
-    point that sigma represents, and labels it instead.  This is exact.
+    builds x Y over its whole box, one integer list per column of Y, x the
+    box point that sigma represents, and labels it instead, by one
+    label_columns call on those lists.  This is exact.
     sigma = x - sum_i q_i (row i of A) for integers q_i, so sigma Y - x Y
-    = -sum_i q_i L nu(x_i), which lies in L * small; label_row, which
+    = -sum_i q_i L nu(x_i), which lies in L * small; label_columns, which
     reduces through the Hermite basis of L * small, gives x Y and sigma Y
     the same canonical representative.
     """
@@ -482,7 +484,7 @@ def coset_system(ssm: SSMForm) -> CosetSystem:
         raise HypothesisA6Failed(
             f"|det A| = {e} but subgroup index is {quotient.index}")
     pb, label_rows = labelled_parallelepiped(
-        me.A.entries, me._value_rows[1], quotient.label_row)
+        me.A.entries, me._value_rows[1], quotient.label_columns)
     return CosetSystem(
         extension=me,
         e=e,

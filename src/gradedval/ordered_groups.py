@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
+from operator import floordiv, mod, mul, sub
 
 from .errors import (
     AmbientMismatch,
@@ -362,19 +363,30 @@ class Quotient:
         """L with big = (1/L) * row-lattice of its Hermite basis."""
         return self.big._lattice[0]
 
-    def label_row(self, v):
-        """L * the canonical representative of the coset of v / L, for an
-        integer row v, a sequence, that lies in L * big, L = denominator.
+    def label_columns(self, columns):
+        """L * the canonical representatives of the cosets of v / L, for
+        integer rows v that lie in L * big, L = denominator, given and
+        returned as their columns: one integer sequence per coordinate,
+        entry i of each from row i.
 
-        v is reduced through H to the unique representative whose entry
-        at each pivot column lies in [0, pivot).  Scaling v, H and L
-        together does not change it, so it does not depend on big.
+        Each row is reduced through H to the unique representative whose
+        entry at each pivot column lies in [0, pivot), one Hermite row at
+        a time over the whole columns: with q = v_p // h_p at the pivot
+        column p, column j loses q h_j for each nonzero h_j past p, and
+        column p becomes v_p mod h_p.  Scaling v, H and L together does
+        not change the representative, so it does not depend on big.
         """
+        columns = list(columns)
         for row, p in zip(self.hnf, self.pivots):
-            q = v[p] // row[p]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return tuple(v)
+            h, column = row[p], columns[p]
+            rest = [(j, row[j]) for j in range(p + 1, len(row)) if row[j]]
+            if rest:
+                q = list(map(floordiv, column, repeat(h)))
+                for j, c in rest:
+                    columns[j] = list(map(
+                        sub, columns[j], map(mul, q, repeat(c))))
+            columns[p] = list(map(mod, column, repeat(h)))
+        return columns
 
     def label(self, gamma: GroupElement):
         """Canonical representative of gamma + small inside big.
@@ -385,8 +397,9 @@ class Quotient:
         if self.big.coordinates(gamma) is None:
             raise NotInGroup("element outside the big group")
         L = self.denominator
+        columns = self.label_columns([a] for a in scaled_row(gamma, L))
         return self.big.structure.from_row(
-            self.label_row(scaled_row(gamma, L)), L)
+            tuple(column[0] for column in columns), L)
 
 
 def subgroup_index(big: ValueGroup, small: ValueGroup):

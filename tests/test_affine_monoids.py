@@ -192,6 +192,63 @@ def test_box_walk_matches_product_order():
             [((), (0,) * height)]
 
 
+def test_box_column_matches_product_order():
+    # row . x over the whole box in one list, against itertools.product
+    # and a full product, radix 1 and n = 0, 1 included
+    rng = random.Random(83)
+    seen_n, seen_radix_1 = set(), False
+    for _ in range(150):
+        n = rng.randint(0, 4)
+        row = tuple(rng.randint(-9, 9) for _ in range(n))
+        radices = [rng.randint(1, 5) for _ in range(n)]
+        expected = [sum(a * b for a, b in zip(row, x))
+                    for x in product(*(range(r) for r in radices))]
+        assert affine_monoids._box_column(row, radices) == expected
+        seen_n.add(n)
+        seen_radix_1 |= 1 in radices
+    assert seen_n == {0, 1, 2, 3, 4} and seen_radix_1
+    # no radices: the one point (), and row . () = 0
+    assert affine_monoids._box_column((), ()) == [0]
+
+
+def test_hermite_diagonal_is_that_of_the_hermite_basis():
+    # read off the diagonal for upper triangular rows, else one Hermite
+    # pass: the same radices either way, negative diagonals included
+    rng = random.Random(89)
+    seen_triangular = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        triangular = rng.random() < 0.5
+        while True:
+            rows = [[0 if triangular and j < i else rng.randint(-5, 5)
+                     for j in range(n)] for i in range(n)]
+            if determinant(ExactMatrix(rows)):
+                break
+        H = hermite_row_basis(rows)
+        assert affine_monoids._hermite_diagonal(rows) == \
+            [H[i][i] for i in range(n)]
+        seen_triangular.add(all(not any(r[:i]) for i, r in enumerate(rows)))
+    assert seen_triangular == {False, True}
+
+
+@pytest.mark.parametrize("vecs", [((2, 1), (0, 3)), ((1, 2), (3, 1)),
+                                  ((1, 0, 0), (0, 2, 1), (0, 1, 4))])
+@pytest.mark.parametrize("least", [0, affine_monoids._POINT_BUDGET + 1])
+def test_point_count_comes_from_the_box(monkeypatch, vecs, least):
+    # the count check compares the box the walk took, the product of the
+    # Hermite diagonal, with |det W|: a diagonal of a wrong product makes
+    # a box of too many or too few points, on either walk
+    real = affine_monoids._hermite_diagonal
+    monkeypatch.setattr(affine_monoids, "_COLUMN_MIN_POINTS", least)
+    assert parallelepiped_points(vecs).index == abs(determinant(
+        ExactMatrix(vecs)))
+    for wrong in (lambda d: [2 * d[0]] + d[1:], lambda d: d[:-1] + [1]):
+        monkeypatch.setattr(affine_monoids, "_hermite_diagonal",
+                            lambda rows, wrong=wrong: wrong(real(rows)))
+        with pytest.raises(InconsistentParallelepiped):
+            parallelepiped_points(vecs)
+
+
 def test_decomposition_box_walk_streams():
     # 10^5 box points at the budget: the walk holds the 10^4 prefixes of
     # the first four coordinates, not a list of every point
@@ -475,11 +532,14 @@ def test_tampered_points_give_oracle_violations(kind):
 def test_wrong_point_made_inside_the_walk_is_caught(monkeypatch):
     # the walk's own C x is trusted to pick each point; one wrong entry
     # sends the second box point, (0, 1), down by 166 (2, 1), out of the
-    # cone, and the basis built from it is reported, not certified
-    real = affine_monoids._box_walk
+    # cone, and the basis built from it is reported, not certified.  The
+    # point walk is given the wrong entry in the C x it carries, and the
+    # column walk in the column of the first row of C
+    real_walk = affine_monoids._box_walk
+    real_column = affine_monoids._box_column
 
     def wrong_walk(radices, rows):
-        for i, (x, cx) in enumerate(real(radices, rows)):
+        for i, (x, cx) in enumerate(real_walk(radices, rows)):
             if i == 1:
                 assert x == (0, 1)
                 cx = (cx[0] + 1000,) + cx[1:]
@@ -487,16 +547,32 @@ def test_wrong_point_made_inside_the_walk_is_caught(monkeypatch):
 
     vecs = ((2, 1), (0, 3))
     good = parallelepiped_points(vecs)
+    first_row = good.cone[1].entries[0]
+
+    def wrong_column(row, radices):
+        column = real_column(row, radices)
+        if tuple(row) == first_row:
+            assert list(product(*map(range, radices)))[1] == (0, 1)
+            column[1] += 1000
+        return column
+
     M = simplicial_monoid(vecs)
-    with monkeypatch.context() as m:
-        m.setattr(affine_monoids, "_box_walk", wrong_walk)
-        bad = parallelepiped_points(vecs)
-    assert bad != good and bad.cone == good.cone
-    wrong = (-332, -165)
-    assert set(bad.points) - set(good.points) == {wrong}
-    report = verify_disjoint_decomposition(bad, M, box_bound=6)
-    assert not report.ok and report.violations == ((wrong, 0),)
-    assert report == brute_force_decomposition(bad, M, 6)
+    for walk in ("point", "column"):
+        with monkeypatch.context() as m:
+            if walk == "point":
+                m.setattr(affine_monoids, "_box_walk", wrong_walk)
+                m.setattr(affine_monoids, "_COLUMN_MIN_POINTS",
+                          good.index + 1)
+            else:
+                m.setattr(affine_monoids, "_box_column", wrong_column)
+                m.setattr(affine_monoids, "_COLUMN_MIN_POINTS", 0)
+            bad = parallelepiped_points(vecs)
+        assert bad != good and bad.cone == good.cone
+        wrong = (-332, -165)
+        assert set(bad.points) - set(good.points) == {wrong}
+        report = verify_disjoint_decomposition(bad, M, box_bound=6)
+        assert not report.ok and report.violations == ((wrong, 0),)
+        assert report == brute_force_decomposition(bad, M, 6)
 
 
 def test_well_formed_basis_counts_lines_not_points(monkeypatch):
@@ -507,11 +583,11 @@ def test_well_formed_basis_counts_lines_not_points(monkeypatch):
     pb = parallelepiped_points(vecs)
     M = simplicial_monoid(vecs)
     prefixes, hits = [], []
-    real_prefixes, real_hits = (affine_monoids._prefix_column,
+    real_prefixes, real_hits = (affine_monoids._box_column,
                                 affine_monoids._hits)
 
-    def counting_prefixes(head, box):
-        column = real_prefixes(head, box)
+    def counting_prefixes(head, radices):
+        column = real_prefixes(head, radices)
         prefixes.append(len(column))
         return column
 
@@ -519,7 +595,7 @@ def test_well_formed_basis_counts_lines_not_points(monkeypatch):
         hits.append(args)
         return real_hits(*args)
 
-    monkeypatch.setattr(affine_monoids, "_prefix_column", counting_prefixes)
+    monkeypatch.setattr(affine_monoids, "_box_column", counting_prefixes)
     monkeypatch.setattr(affine_monoids, "_hits", counting_hits)
     report = verify_disjoint_decomposition(pb, M, box_bound=300)
     # the cone of (2, 1) and (0, 3) is 0 <= x <= 2y

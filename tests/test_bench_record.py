@@ -139,6 +139,8 @@ def test_record_runs_every_workload_and_seed_and_writes_the_file(
         assert sorted(doc["workloads"][workload]["untraced"]) == \
             ["23", "59", "7"]
     assert [row["e"] for row in doc["scaling"]] == [100, 99856]
+    # the best of three alternating rounds, not one run per size
+    assert calls[-1] == ["tools/points_scaling.py", "--repeat", "3"]
     # tmp_path is no git checkout: its shas are unknown, not made up
     assert doc["code_sha"] is None and doc["modified"] is None
 

@@ -1,10 +1,12 @@
-"""The parallelepiped walk that carries x M, its budgets and its memory.
+"""The parallelepiped walk that labels x M, its budgets and its memory.
 
 coset_system used to walk the parallelepiped, then form sigma Y for every
-lattice point, Y the integer rows of the y-values, and reduce it with
-Quotient.label_row.  The walk now carries x Y for the box point x that
-sigma represents and labels that row.  The old path lives on here as the
-oracle.
+lattice point, Y the integer rows of the y-values, and reduce it through
+the quotient's Hermite rows.  The walk now builds x Y for the box point x
+that sigma represents and labels that row.  The old path lives on here as
+the oracle, with its own row-by-row reduction.  The walk takes a box of
+fewer than _COLUMN_MIN_POINTS points one point at a time and a larger one
+in whole columns; both paths are checked against each other here.
 """
 
 import random
@@ -46,14 +48,14 @@ from gradedval.scenarios import Scenario, compatible_values, run_pipeline
 
 def sigma_y_label_rows(cs):
     """The label rows by the old path: sigma Y for each lattice point, Y
-    the integer rows L * nu*(y_j) of the y-values, then one
-    Quotient.label_row each."""
+    the integer rows L * nu*(y_j) of the y-values, then one reduction
+    through the quotient's Hermite rows each (echelon_label)."""
     L, Y = cs.extension._value_rows
     assert L == cs.denominator
     columns = tuple(zip(*Y))
-    return tuple(
-        cs.quotient.label_row([sum(map(mul, sigma, col)) for col in columns])
-        for sigma in cs.lattice_points)
+    label = echelon_label(cs.quotient.hnf)
+    return tuple(label([sum(map(mul, sigma, col)) for col in columns])
+                 for sigma in cs.lattice_points)
 
 
 def sqrt2_extension(rng):
@@ -102,8 +104,8 @@ def seeded_extensions():
 
 def test_carried_labels_match_sigma_m_labels():
     # against the old path (sigma Y, Y the M labelled_parallelepiped
-    # carries), and, without label_row, each label lies in big and in the
-    # coset of nu(y^sigma) modulo small
+    # labels), and, without the quotient's reduction, each label lies in
+    # big and in the coset of nu(y^sigma) modulo small
     seen_L, seen_quad, largest = set(), False, 0
     for me in seeded_extensions():
         cs = coset_system(strong_monomialize(me).final)
@@ -120,6 +122,12 @@ def test_carried_labels_match_sigma_m_labels():
         largest = max(largest, cs.e)
     assert max(seen_L) > 1 and 1 in seen_L
     assert seen_quad and largest >= 18
+
+
+def by_rows(label):
+    """The label_columns argument of labelled_parallelepiped made of a
+    label of one row: the columns read as rows, each row labelled."""
+    return lambda columns: list(zip(*map(label, zip(*columns))))
 
 
 def echelon_label(rows):
@@ -158,13 +166,14 @@ def test_labelled_parallelepiped_matches_points_and_sigma_m():
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         draws += [(identity, 0), (identity, 2)]
     seen_k, seen_split, seen_identity = set(), set(), set()
+    seen_columns = set()
     for V, k in draws:
         n = len(V)
         M = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
         VM = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)]
               for row in V] if k else [[] for _ in V]
         label = echelon_label(VM)
-        basis, labels = labelled_parallelepiped(V, M, label)
+        basis, labels = labelled_parallelepiped(V, M, by_rows(label))
         plain = parallelepiped_points(V)
         assert basis == plain
         assert basis.cone == plain.cone == full_cone(V)
@@ -180,8 +189,64 @@ def test_labelled_parallelepiped_matches_points_and_sigma_m():
                    for col in zip(*M)] if k else ())
             for sigma in plain.points)
         seen_k.add(k)
+        seen_columns.add(basis.index >= affine_monoids._COLUMN_MIN_POINTS)
     assert seen_k == {0, 1, 2, 3}
     assert seen_split == {0, 1} and seen_identity >= {0, 2}
+    # both walks ran: boxes below and at or above the threshold
+    assert seen_columns == {False, True}
+
+
+def test_point_walk_and_column_walk_agree_across_the_threshold(
+        monkeypatch):
+    # the same bases and M through each walk alone, with the threshold
+    # moved to 0 (every box in whole columns) and past every box (every
+    # box one point at a time): the same basis, cone pair and labels, on
+    # boxes on both sides of the threshold, one-point boxes and split
+    # coordinates included, and then the same coset systems
+    threshold = affine_monoids._COLUMN_MIN_POINTS
+    everything = affine_monoids._POINT_BUDGET + 1
+
+    def both(call):
+        results = []
+        for least in (0, everything):
+            with monkeypatch.context() as m:
+                m.setattr(affine_monoids, "_COLUMN_MIN_POINTS", least)
+                results.append(call())
+        return results
+
+    rng = random.Random(149)
+    seen_sides, seen_one, seen_split = set(), False, False
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        while True:
+            V = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if determinant(ExactMatrix(V)):
+                break
+        if rng.random() < 0.3:
+            V = [list(v) for v in with_unit_coordinates(rng, V)]
+        k = rng.randint(0, 3)
+        M = [[rng.randint(-5, 5) for _ in range(k)] for _ in V]
+        VM = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)]
+              for row in V] if k else [[] for _ in V]
+        label = by_rows(echelon_label(VM))
+        (columns, by_columns), (points, by_points) = both(
+            lambda: labelled_parallelepiped(V, M, label))
+        assert columns == points and columns.cone == points.cone
+        assert by_columns == by_points
+        assert (columns, by_columns) == labelled_parallelepiped(V, M, label)
+        seen_sides.add(columns.index >= threshold)
+        seen_one |= columns.index == 1
+        seen_split |= bool(affine_monoids._unit_coordinates(
+            tuple(map(tuple, V))))
+    assert seen_sides == {False, True} and seen_one and seen_split
+    sides = set()
+    for me in seeded_extensions():
+        ssm = strong_monomialize(me).final
+        by_columns, by_points = both(lambda: coset_system(ssm))
+        assert by_columns.lattice_points == by_points.lattice_points
+        assert by_columns.label_rows == by_points.label_rows
+        sides.add(by_columns.e >= threshold)
+    assert sides == {False, True}
 
 
 def test_parallelepiped_over_budget_is_refused_before_the_walk(monkeypatch):
@@ -191,12 +256,15 @@ def test_parallelepiped_over_budget_is_refused_before_the_walk(monkeypatch):
     walked = []
 
     def no_walk(*args):
-        # a walk that yields nothing, so a missing budget fails at once
+        # a walk that yields nothing and a column that holds nothing, so
+        # a missing budget fails at once
         walked.append(args)
         return iter(())
 
     with monkeypatch.context() as m:
         m.setattr(affine_monoids, "_box_walk", no_walk)
+        m.setattr(affine_monoids, "_box_column",
+                  lambda *args: list(no_walk(*args)))
         for vectors in (((1, 0), (0, budget + 1)),
                         ((1, 0), (0, 999_999_999_999))):
             with pytest.raises(EnumerationOverflow):

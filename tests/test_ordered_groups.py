@@ -301,7 +301,8 @@ def test_label_does_not_depend_on_big():
         assert small.contains(first - p)
     assert quotients[0].label(el(s, (2,), (0,))) == el(s, (2,), (0,))
     assert quotients[0].label(el(s, (5,), (5,))) == el(s, (2,), (0,))
-    assert quotients[0].label_row((2, 2)) == (2, 0)
+    # the rows (2, 2) and (5, 5), as their columns, reduce to (2, 0) each
+    assert quotients[0].label_columns([(2, 5), (2, 5)]) == [[2, 2], [0, 0]]
 
 
 def _oracle_sign(structure, flat):

@@ -368,6 +368,12 @@ PLANE = ((1, 0), (0, 1))
     (lambda: parallelepiped_points(((1, 0), (0, 1, 2))),
      "need n vectors in Z^n"),
     (lambda: parallelepiped_points(((1, 0),)), "need n vectors in Z^n"),
+    # zip cut M to its shortest row, or to one row, unchecked
+    (lambda: labelled_parallelepiped(((2, 0), (0, 1)), [(1,)], tuple),
+     "M needs n rows of one width"),
+    (lambda: labelled_parallelepiped(((2, 0), (0, 1)), [(1, 2), (1,)],
+                                     tuple),
+     "M needs n rows of one width"),
     # a hand-built basis whose listed point is longer than its vectors
     (lambda: verify_disjoint_decomposition(
         dataclasses.replace(parallelepiped_points(PLANE),
@@ -537,6 +543,14 @@ def _decompose(box_bound):
      "vector entry 2.5 is a float, not an int"),
     (lambda: labelled_parallelepiped([(2, 0), (0, True)], (), tuple),
      "vector entry True is a bool, not an int"),
+    # M went unchecked: the label of (0.5,) came out as (0.5,), and True
+    # was read as 1
+    (lambda: labelled_parallelepiped([(2, 0), (0, 1)], [(0.5,), (1,)],
+                                     tuple),
+     "M entry 0.5 is a float, not an int"),
+    (lambda: labelled_parallelepiped([(2, 0), (0, 1)], [(True,), (1,)],
+                                     tuple),
+     "M entry True is a bool, not an int"),
     (lambda: AffineMonoid(dim=2, generators=((1.5, 0), (0, 1)),
                           positivity_functional=(1, 1)),
      "generator entry 1.5 is a float, not an int"),

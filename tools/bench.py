@@ -37,7 +37,7 @@ its metrics still count: ok_frac carries the failures.
 
 record runs the checkout's (default: this one's) perfbench/run.py on every
 workload of BENCHMARK.json, untraced at seeds 7, 23 and 59 and traced once
-at seed 7, then its tools/points_scaling.py --repeat 1 where that tool
+at seed 7, then its tools/points_scaling.py --repeat 3 where that tool
 exists.  It writes BENCH_<label>.json at the root of this checkout with:
 
     the git sha of the checkout's HEAD and of the last commit that
@@ -257,7 +257,7 @@ def record(args):
     if (checkout / "tools" / "points_scaling.py").exists():
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
         scaling = read_scaling(run_tool(
-            checkout, ["tools/points_scaling.py", "--repeat", "1"], env))
+            checkout, ["tools/points_scaling.py", "--repeat", "3"], env))
     modified = git(checkout, "diff", "--name-only", "HEAD")
     meta = {"label": args.label,
             "code_sha": git(checkout, "log", "-1", "--format=%H"),

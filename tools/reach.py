@@ -64,8 +64,8 @@ ALLOWED_DEFS = {
     "ordered_groups.quotient_invariant_factors": _ITEM2,
     "ordered_groups.coset_label": _ITEM2,
     "ordered_groups.Quotient.label":
-        "reached only through coset_label; the pipeline labels by "
-        "label_row",
+        "reached only through coset_label; the pipeline labels whole "
+        "columns by label_columns",
     "ordered_groups.Quotient.invariant_factors":
         "reached only through quotient_invariant_factors; coset_system "
         "reads the invariant factors off the Smith diagonal of the "
